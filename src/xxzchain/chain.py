@@ -18,6 +18,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, isfinite
 
+import numpy as np
+
 from .errors import DomainError
 
 # Default cap on n_sites whenever a full 2^N-dimensional object is built.
@@ -138,6 +140,12 @@ class SectorBasis:
 
     def __len__(self) -> int:
         return len(self.states)
+
+    def state_array(self) -> np.ndarray:
+        """``states`` as an array for vectorized bit arithmetic: int64 while
+        every label fits (N <= 63), Python ints (object dtype) beyond, so
+        long chains never wrap."""
+        return np.array(self.states, dtype=np.int64 if self.n_sites <= 63 else object)
 
 
 def build_sector_basis(n_sites: int, n_up: int) -> SectorBasis:

@@ -6,7 +6,10 @@ conjugation in the spin-flip transform is a no-op.  The concurrence is
 evaluated through the all-symmetric product sqrt(rho) rho~ sqrt(rho), which
 keeps the lambda spectrum real and nonnegative by construction; the
 textbook nonsymmetric route (eigenvalues of rho rho~) is kept available as
-an independent cross-check.
+an independent cross-check.  Sweeps work with mixtures of magnetization
+sector states instead, whose pair states need only five numbers per
+eigenvector (``pair_xstate_data``) and have a closed-form concurrence
+(``xstate_concurrence``).
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ SPIN_FLIP = np.array(
 # an eigenvalue of a density matrix is indistinguishable from roundoff and
 # treated as an exact zero before taking square roots.
 _NOISE_FLOOR = 64.0 * np.finfo(float).eps
+
+# Entries of a pair state that vanish when it is a mixture of magnetization
+# sector states: everything but the diagonal and the 01<->10 coherence.
+_VANISHING = ~np.eye(4, dtype=bool)
+_VANISHING[1, 2] = _VANISHING[2, 1] = False
 
 
 @dataclass(frozen=True)
@@ -166,6 +174,57 @@ def reduce_pair_mixed(rho_full: np.ndarray, i: int, j: int) -> TwoQubitDensityMa
     t = t.reshape(2, 2, 2, 2, env, env)
     rho = np.einsum("abcdee->abcd", t).reshape(4, 4)
     return TwoQubitDensityMatrix(sites=(i, j), matrix=rho)
+
+
+def pair_xstate_data(basis: SectorBasis, vectors: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Pair-state entries of every sector vector, one row (p00, p01, p10, p11, c)
+    per column of ``vectors``.
+
+    Within a magnetization sector the pair state on (i, j) has no entries
+    besides the populations p_ab (bit a on site i, bit b on site j) and the
+    coherence c = <01|rho|10>: every other entry would join basis states of
+    different popcount.  Mixtures of sector states keep that shape, so these
+    five numbers fix any pair state a sweep needs.
+    """
+    i, j = _pair_sites_checked(basis.n_sites, i, j)
+    v = np.asarray(vectors, dtype=float)
+    if v.ndim != 2 or v.shape[0] != len(basis):
+        raise DomainError(
+            f"expected {len(basis)} sector amplitudes per column, got shape {v.shape}"
+        )
+    n = basis.n_sites
+    states = basis.state_array()
+    mi, mj = site_mask(i, n), site_mask(j, n)
+    slot = 2 * ((states & mi) != 0) + ((states & mj) != 0)
+    squares = v * v
+    data = np.empty((v.shape[1], 5))
+    for a in range(4):
+        data[:, a] = squares[slot == a].sum(axis=0)
+    # a |01> state and its partner with both pair bits flipped share an
+    # environment; the partner lies in the same sector
+    ones = np.flatnonzero(slot == 1)
+    partners = np.searchsorted(states, states[ones] ^ (mi | mj))
+    data[:, 4] = np.einsum("am,am->m", v[ones], v[partners])
+    return data
+
+
+def xstate_pair(sites: tuple[int, int], data) -> TwoQubitDensityMatrix:
+    """The pair state with populations data[:4] and 01<->10 coherence data[4]."""
+    p00, p01, p10, p11, c = (float(x) for x in data)
+    m = np.diag([p00, p01, p10, p11])
+    m[1, 2] = m[2, 1] = c
+    return TwoQubitDensityMatrix(sites=sites, matrix=m)
+
+
+def xstate_concurrence(rho: TwoQubitDensityMatrix) -> float:
+    """Closed-form concurrence 2 max(0, |rho_{01,10}| - sqrt(rho_00 rho_11))
+    of a pair state with the shape xstate_pair builds (T. Yu and J. H.
+    Eberly, QIC 7, 459 (2007)).  No eigenvalue is clipped, so values far
+    below the Wootters kernel's noise floor stay exact."""
+    m = rho.matrix
+    if np.any(m[_VANISHING] != 0.0):
+        raise DomainError("pair state has entries outside the populations and 01<->10 coherence")
+    return 2.0 * max(0.0, abs(float(m[1, 2])) - float(np.sqrt(m[0, 0] * m[3, 3])))
 
 
 def thermal_state(spec: ChainSpec, dec: SpectralDecomposition) -> np.ndarray:

@@ -28,6 +28,36 @@ def diagonal_energy(spec: ChainSpec, state: int) -> float:
     return 0.5 * spec.delta * zz + zeeman
 
 
+def _assemble(spec: ChainSpec, states: np.ndarray) -> np.ndarray:
+    """Hamiltonian on the span of ``states`` (ascending, closed under
+    hopping); partners are located by binary search."""
+    n = spec.n_sites
+    dim = len(states)
+    signs = [((states >> (n - s)) & 1).astype(np.int64) * 2 - 1 for s in range(1, n + 1)]
+
+    # accumulate exactly as diagonal_energy does, so every subspace agrees
+    # with the full matrix bit for bit
+    zz = np.zeros(dim, dtype=np.int64)
+    for b in range(n - 1):
+        zz += signs[b] * signs[b + 1]
+    zeeman = np.zeros(dim)
+    for s in range(n):
+        zeeman += spec.fields[s] * signs[s]
+
+    rows = np.arange(dim)
+    h = np.zeros((dim, dim))
+    h[rows, rows] = 0.5 * spec.delta * zz + zeeman
+    for b in range(n - 1):
+        # bond b couples sites b+1 and b+2; both hop directions get the
+        # same constant, so symmetry is exact by construction
+        hi = (states >> (n - 1 - b)) & 1
+        lo = (states >> (n - 2 - b)) & 1
+        movers = hi != lo
+        partners = states[movers] ^ ((1 << (n - 1 - b)) | (1 << (n - 2 - b)))
+        h[rows[movers], np.searchsorted(states, partners)] = spec.couplings[b]
+    return h
+
+
 def build_full(spec: ChainSpec, cap: int = FULL_SPACE_CAP) -> np.ndarray:
     """Full 2^N x 2^N matrix of the chain Hamiltonian."""
     n = spec.n_sites
@@ -35,31 +65,7 @@ def build_full(spec: ChainSpec, cap: int = FULL_SPACE_CAP) -> np.ndarray:
         raise ResourceCapError(
             f"n_sites={n} exceeds the full-space cap of {cap} sites"
         )
-    dim = 1 << n
-    states = np.arange(dim, dtype=np.int64)
-    signs = [((states >> (n - s)) & 1) * 2 - 1 for s in range(1, n + 1)]
-
-    # accumulate exactly as diagonal_energy does, so the sector path slices
-    # out of the full matrix bit for bit
-    zz = np.zeros(dim, dtype=np.int64)
-    for b in range(n - 1):
-        zz += signs[b] * signs[b + 1]
-    zeeman = np.zeros(dim)
-    for s in range(n):
-        zeeman += spec.fields[s] * signs[s]
-    diag = 0.5 * spec.delta * zz + zeeman
-
-    h = np.zeros((dim, dim))
-    h[states, states] = diag
-    for b in range(n - 1):
-        # bond b couples sites b+1 and b+2; both hop directions get the
-        # same constant, so symmetry is exact by construction
-        hi = (states >> (n - 1 - b)) & 1
-        lo = (states >> (n - 2 - b)) & 1
-        movers = states[hi != lo]
-        partners = movers ^ ((1 << (n - 1 - b)) | (1 << (n - 2 - b)))
-        h[movers, partners] = spec.couplings[b]
-    return h
+    return _assemble(spec, np.arange(1 << n, dtype=np.int64))
 
 
 def build_sector(spec: ChainSpec, basis: SectorBasis) -> np.ndarray:
@@ -72,18 +78,7 @@ def build_sector(spec: ChainSpec, basis: SectorBasis) -> np.ndarray:
         raise DomainError(
             f"basis is for {basis.n_sites} sites, spec has {spec.n_sites}"
         )
-    n = spec.n_sites
-    dim = len(basis.states)
-    h = np.zeros((dim, dim))
-    for a, st in enumerate(basis.states):
-        h[a, a] = diagonal_energy(spec, st)
-        for b in range(n - 1):
-            hi = (st >> (n - 1 - b)) & 1
-            lo = (st >> (n - 2 - b)) & 1
-            if hi != lo:
-                partner = st ^ ((1 << (n - 1 - b)) | (1 << (n - 2 - b)))
-                h[a, basis.index_of[partner]] = spec.couplings[b]
-    return h
+    return _assemble(spec, basis.state_array())
 
 
 def build_channel(n_sites: int, coupling: float, bulk_field: float) -> ChainSpec:

@@ -1,8 +1,12 @@
 """Parameter sweeps: phase scans, concurrence curves, channel sizing.
 
-Grid points are independent pure-function evaluations; rows are emitted in
-grid order with no caching, so rerunning any single point reproduces its
-row bit for bit.
+Phase scans and concurrence curves run on S^z blocks.  The Hamiltonian
+conserves total S^z, and a uniform field B shifts the k-up block by
+B (2k - N) without changing its eigenvectors, so each delta decomposes its
+N + 1 zero-field blocks once and every B reuses them.  Eigenvectors are
+reduced to their pair-state entries right away and dropped.  Rows stay pure
+functions of (template, delta, B): a single-point call rebuilds the same
+blocks and reproduces its grid row bit for bit.
 """
 
 from __future__ import annotations
@@ -16,15 +20,15 @@ from . import closed_forms
 from .chain import FULL_SPACE_CAP, ChainSpec, build_sector_basis
 from .channel import design_channel, ratio_profile
 from .closed_forms import GroundRegime, beta_for_target, c1n_channel
-from .eigensolver import decompose, ground_space
+from .eigensolver import DEGENERACY_RTOL, decompose
 from .entanglement import (
-    ground_state_density,
-    reduce_pair_mixed,
-    concurrence,
-    thermal_state,
+    TwoQubitDensityMatrix,
+    pair_xstate_data,
+    xstate_concurrence,
+    xstate_pair,
 )
 from .errors import DomainError, ResourceCapError
-from .hamiltonian import build_full, build_sector
+from .hamiltonian import build_sector
 
 GRID_POINT_CAP = 10**6
 
@@ -92,63 +96,104 @@ class PhasePoint:
     boundary_concurrence: float
 
 
-def _popcounts(n_sites: int) -> np.ndarray:
-    states = np.arange(1 << n_sites)
-    counts = np.zeros(1 << n_sites, dtype=int)
-    for s in range(n_sites):
-        counts += (states >> s) & 1
-    return counts
+class _SectorSpectrum:
+    """Levels of every S^z block of one chain, each with the pair data of
+    its eigenvector for one site pair (see ``pair_xstate_data``).
+
+    ``levels`` adds a uniform field as the shift B (2k - N) of the k-up
+    block, so one instance serves every field at fixed delta.
+    """
+
+    def __init__(self, spec: ChainSpec, pair: tuple[int, int]):
+        n = spec.n_sites
+        self.pair = (min(pair), max(pair))
+        energies, data, sectors = [], [], []
+        for k in range(n + 1):
+            basis = build_sector_basis(n, k)
+            dec = decompose(build_sector(spec, basis))
+            energies.append(dec.eigenvalues)
+            data.append(pair_xstate_data(basis, dec.eigenvectors, *pair))
+            sectors.append(np.full(len(basis), k))
+        self.energies = np.concatenate(energies)
+        self.pair_data = np.concatenate(data)
+        self.sector = np.concatenate(sectors)
+        self.shift = 2.0 * self.sector - n
+
+    def levels(self, field: float) -> tuple[np.ndarray, float, np.ndarray]:
+        """Energies at ``field``, the ground energy, and the ground space:
+        every level within DEGENERACY_RTOL of it, whatever its sector."""
+        e = self.energies + field * self.shift
+        e0 = float(e.min())
+        return e, e0, np.flatnonzero(e <= e0 + DEGENERACY_RTOL * (1.0 + abs(e0)))
+
+    def pair_state(
+        self, e: np.ndarray, e0: float, ground: np.ndarray, temperature: float
+    ) -> TwoQubitDensityMatrix:
+        """Equal mixture over the ground space at T = 0 (the T -> 0+ limit),
+        Boltzmann mixture over every level at T > 0; weights are shifted by
+        the ground energy so large gaps underflow instead of overflowing."""
+        if temperature > 0:
+            weights = np.exp(-(e - e0) / temperature)
+            data = (weights / weights.sum()) @ self.pair_data
+        else:
+            data = self.pair_data[ground].mean(axis=0)
+        return xstate_pair(self.pair, data)
+
+
+def _check_sites(n_sites: int, what: str) -> None:
+    if n_sites > FULL_SPACE_CAP:
+        raise ResourceCapError(f"{what} needs n_sites <= {FULL_SPACE_CAP}, got {n_sites}")
+
+
+def _phase_point(spectrum: _SectorSpectrum, delta: float, field: float) -> PhasePoint:
+    e, e0, ground = spectrum.levels(field)
+    # a tie across sectors is labelled by its smallest sector, by rule
+    n_up = int(spectrum.sector[ground].min())
+    own = e[spectrum.sector == n_up]
+    rank = int(np.count_nonzero(own < e0 - DEGENERACY_RTOL * (1.0 + abs(e0))))
+    rho = spectrum.pair_state(e, e0, ground, 0.0)
+    return PhasePoint(
+        delta=float(delta),
+        field=float(field),
+        n_up=n_up,
+        sector_rank=rank,
+        ground_energy=e0,
+        degeneracy=len(ground),
+        boundary_concurrence=xstate_concurrence(rho),
+    )
 
 
 def phase_scan(template: ChainSpec, delta_axis: GridAxis, field_axis: GridAxis):
-    """Classify the full-space ground state over a (delta, B) grid.
+    """Classify the ground state over a (delta, B) grid.
 
-    The ground vector is exactly supported on one magnetization sector
-    (the Hamiltonian commutes with total sigma_z); the label records that
-    sector plus the rank of the ground energy within it.  Caps are checked
-    eagerly, before any node is computed; the result streams lazily.
+    The label records the magnetization sector of the ground level (the
+    smallest one when levels of several sectors tie) plus its rank within
+    that sector.  Caps are checked eagerly, before any node is computed;
+    the result streams lazily.
     """
-    if template.n_sites > FULL_SPACE_CAP:
-        raise ResourceCapError(
-            f"phase scan needs n_sites <= {FULL_SPACE_CAP}, got {template.n_sites}"
-        )
+    n = template.n_sites
+    _check_sites(n, "phase scan")
     check_grid_size(delta_axis, field_axis)
-    popcounts = _popcounts(template.n_sites)
 
     def nodes():
         for delta in delta_axis.values:
+            zero_field = replace(template, delta=delta, fields=(0.0,) * n)
+            spectrum = _SectorSpectrum(zero_field, (1, n))
             for field in field_axis.values:
-                spec = replace(
-                    template, delta=delta, fields=(field,) * template.n_sites
-                )
-                yield classify_ground_state(spec, popcounts)
+                yield _phase_point(spectrum, delta, field)
 
     return nodes()
 
 
-def classify_ground_state(spec: ChainSpec, popcounts: np.ndarray | None = None) -> PhasePoint:
-    if popcounts is None:
-        popcounts = _popcounts(spec.n_sites)
-    dec = decompose(build_full(spec))
-    idx = ground_space(dec)
-    v0 = dec.eigenvectors[:, idx[0]]
-    weights = np.bincount(popcounts, weights=v0 * v0, minlength=spec.n_sites + 1)
-    n_up = int(np.argmax(weights))
-    sector_w = np.linalg.eigvalsh(
-        build_sector(spec, build_sector_basis(spec.n_sites, n_up))
-    )
-    e0 = float(dec.eigenvalues[idx[0]])
-    rank = int(np.sum(sector_w < e0 - 1e-9 * (1.0 + abs(e0))))
-    rho = reduce_pair_mixed(ground_state_density(dec), 1, spec.n_sites)
-    return PhasePoint(
-        delta=float(spec.delta),
-        field=float(spec.fields[0]),
-        n_up=n_up,
-        sector_rank=rank,
-        ground_energy=e0,
-        degeneracy=len(idx),
-        boundary_concurrence=concurrence(rho).value,
-    )
+def classify_ground_state(spec: ChainSpec) -> PhasePoint:
+    """One phase-scan node.  The field on site 1 is applied as a uniform
+    shift of the blocks of the remaining field profile (all zero for a
+    uniform field), so a uniform spec reproduces its phase_scan row bit for
+    bit."""
+    _check_sites(spec.n_sites, "ground-state classification")
+    field = spec.fields[0]
+    rest = replace(spec, fields=tuple(b - field for b in spec.fields))
+    return _phase_point(_SectorSpectrum(rest, (1, spec.n_sites)), spec.delta, field)
 
 
 def concurrence_curve(
@@ -162,26 +207,18 @@ def concurrence_curve(
     Uses the ground-state density (equal mixture across degeneracies); a
     positive template temperature switches to the thermal state instead.
     """
-    if template.n_sites > FULL_SPACE_CAP:
-        raise ResourceCapError(
-            f"curve needs n_sites <= {FULL_SPACE_CAP}, got {template.n_sites}"
-        )
+    n = template.n_sites
+    _check_sites(n, "curve")
     check_grid_size(field_axis, GridAxis(values=tuple(delta_values) or (0.0,)))
-    i, j = pair
 
     def rows():
         for delta in delta_values:
+            zero_field = replace(template, delta=delta, fields=(0.0,) * n)
+            spectrum = _SectorSpectrum(zero_field, pair)
             for field in field_axis.values:
-                spec = replace(
-                    template, delta=delta, fields=(field,) * template.n_sites
-                )
-                dec = decompose(build_full(spec))
-                if spec.temperature > 0:
-                    rho_full = thermal_state(spec, dec)
-                else:
-                    rho_full = ground_state_density(dec)
-                value = concurrence(reduce_pair_mixed(rho_full, i, j)).value
-                yield (float(delta), float(field), value)
+                e, e0, ground = spectrum.levels(field)
+                rho = spectrum.pair_state(e, e0, ground, template.temperature)
+                yield (float(delta), float(field), xstate_concurrence(rho))
 
     return rows()
 
@@ -308,7 +345,7 @@ def numeric_c14_regimes(delta: float, coupling: float = 1.0) -> tuple[GroundRegi
     """Numeric version of the 4-site ground-state regime table.
 
     Boundaries come from bisection on sector ground-level crossings; the
-    concurrence in each regime comes from the full ground-state density
+    concurrence in each regime comes from the ground-state pair state
     sampled across the regime (it is constant inside a regime, since a
     uniform field does not change sector eigenvectors).
     """
@@ -316,7 +353,6 @@ def numeric_c14_regimes(delta: float, coupling: float = 1.0) -> tuple[GroundRegi
     b2 = _crossing_field(delta, coupling, 0, 1, 2.0 + 2.0 * abs(delta))
     spec0 = ChainSpec.uniform(4, coupling=coupling, field=0.0, delta=delta)
     e_two_up = _sector_ground_energy(spec0, 2)
-    popcounts = _popcounts(4)
 
     def regime_concurrence(lo: float, hi: float) -> float:
         if hi == inf:
@@ -326,8 +362,7 @@ def numeric_c14_regimes(delta: float, coupling: float = 1.0) -> tuple[GroundRegi
         best = 0.0
         for field in samples:
             point = classify_ground_state(
-                ChainSpec.uniform(4, coupling=coupling, field=field, delta=delta),
-                popcounts,
+                ChainSpec.uniform(4, coupling=coupling, field=field, delta=delta)
             )
             best = max(best, point.boundary_concurrence)
         return best

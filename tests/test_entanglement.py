@@ -8,6 +8,7 @@ from xxzchain import (
     ChainSpec,
     DomainError,
     PureState,
+    TwoQubitDensityMatrix,
     build_full,
     build_sector_basis,
     c13_ground,
@@ -20,6 +21,7 @@ from xxzchain import (
     reduce_pair_mixed,
     thermal_state,
 )
+from xxzchain.entanglement import pair_xstate_data, xstate_concurrence, xstate_pair
 
 BELL = 0.5 * np.array(
     [[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]], dtype=float
@@ -97,6 +99,48 @@ def test_sector_reduction_matches_full_embedding():
             a = reduce_pair(sector_state, *pair)
             b = reduce_pair(full_state, *pair)
             assert np.allclose(a.matrix, b.matrix, atol=1e-13)
+
+
+def test_pair_xstate_data_matches_sector_reduction():
+    rng = np.random.default_rng(33)
+    for n, k in ((3, 0), (4, 2), (5, 2), (6, 3), (6, 6), (70, 1)):
+        basis = build_sector_basis(n, k)
+        vectors = rng.standard_normal((len(basis), 3))
+        vectors /= np.linalg.norm(vectors, axis=0)
+        for pair in ((1, n), (n, 1), (2, n), (1, 2)):
+            data = pair_xstate_data(basis, vectors, *pair)
+            assert data.shape == (3, 5)
+            for m in range(3):
+                rho = reduce_pair(PureState.from_sector(basis, vectors[:, m]), *pair)
+                built = xstate_pair(rho.sites, data[m])
+                assert np.allclose(built.matrix, rho.matrix, rtol=0.0, atol=1e-15)
+
+
+def test_pair_xstate_data_validation():
+    basis = build_sector_basis(4, 2)
+    with pytest.raises(DomainError):
+        pair_xstate_data(basis, np.eye(5), 1, 4)
+    with pytest.raises(DomainError):
+        pair_xstate_data(basis, np.eye(6), 2, 2)
+
+
+def test_xstate_concurrence_matches_wootters_away_from_the_floor():
+    rng = np.random.default_rng(34)
+    basis = build_sector_basis(5, 2)
+    vectors = rng.standard_normal((len(basis), 4))
+    vectors /= np.linalg.norm(vectors, axis=0)
+    data = pair_xstate_data(basis, vectors, 2, 4)
+    weights = rng.dirichlet(np.ones(4))
+    for row in (*data, weights @ data):
+        rho = xstate_pair((2, 4), row)
+        assert xstate_concurrence(rho) == pytest.approx(concurrence(rho).value, abs=1e-12)
+    assert xstate_concurrence(xstate_pair((1, 3), [0.0, 0.5, 0.5, 0.0, -0.5])) == pytest.approx(1.0)
+
+
+def test_xstate_concurrence_rejects_other_shapes():
+    # |++><++| has every entry 1/4
+    with pytest.raises(DomainError):
+        xstate_concurrence(TwoQubitDensityMatrix(sites=(1, 2), matrix=np.full((4, 4), 0.25)))
 
 
 def test_reduce_pair_mixed_maximally_mixed():

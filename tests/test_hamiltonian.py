@@ -11,6 +11,7 @@ from xxzchain import (
     build_full,
     build_sector,
     build_sector_basis,
+    diagonal_energy,
     matrix_to_csv,
     spectrum_3site,
 )
@@ -107,6 +108,29 @@ def test_sector_equals_full_restriction():
             basis = build_sector_basis(n, k)
             idx = np.array(basis.states)
             assert np.array_equal(build_sector(spec, basis), full[np.ix_(idx, idx)])
+
+
+def _loop_sector(spec, basis):
+    """Reference assembly: one basis state at a time, partners by dict."""
+    n = spec.n_sites
+    h = np.zeros((len(basis), len(basis)))
+    for a, st in enumerate(basis.states):
+        h[a, a] = diagonal_energy(spec, st)
+        for b in range(n - 1):
+            mask = (1 << (n - 1 - b)) | (1 << (n - 2 - b))
+            if bin(st & mask).count("1") == 1:
+                h[a, basis.index_of[st ^ mask]] = spec.couplings[b]
+    return h
+
+
+def test_sector_equals_loop_reference():
+    rng = np.random.default_rng(17)
+    # 70 sites: state labels beyond int64
+    for n, sectors in ((2, range(3)), (4, range(5)), (7, range(8)), (9, range(10)), (70, (1, 69))):
+        spec = _random_spec(rng, n)
+        for k in sectors:
+            basis = build_sector_basis(n, k)
+            assert np.array_equal(build_sector(spec, basis), _loop_sector(spec, basis))
 
 
 def test_sector_spectra_assemble_full_spectrum():
