@@ -1,70 +1,17 @@
 """Exact diagonalization of open XXZ chains, pairwise concurrence, and
-long-distance boundary-entanglement channel design."""
+long-distance boundary-entanglement channel design.
 
-from .chain import (
-    FULL_SPACE_CAP,
-    ChainSpec,
-    SectorBasis,
-    build_sector_basis,
-    site_mask,
-    spin_sign,
-    total_spin,
-)
-from .channel import (
-    ChannelDesign,
-    FoldedChannelMatrices,
-    design_channel,
-    fold_single_excitation,
-    impurity_profile_chain,
-    ratio_profile,
-    sector_boundary_concurrence,
-    unfold_consistency,
-)
-from .closed_forms import (
-    GroundRegime,
-    PhaseBoundary3,
-    beta_for_target,
-    c13_ground,
-    c14_channel,
-    c14_ground_regimes,
-    c14_impurity_one_up,
-    c14_impurity_two_up,
-    c15_three_half,
-    c1n_channel,
-    critical_field_3site,
-    one_up_ground_energy_4site,
-    spectrum_3site,
-)
-from .eigensolver import SpectralDecomposition, decompose, ground_space
-from .entanglement import (
-    ConcurrenceResult,
-    PureState,
-    TwoQubitDensityMatrix,
-    concurrence,
-    concurrence_lambdas_direct,
-    ground_state_density,
-    reduce_pair,
-    reduce_pair_mixed,
-    thermal_state,
-)
+The package namespace holds the quick-start entry points; everything else
+is imported from its submodule (``xxzchain.sweep``, ``xxzchain.channel``,
+...)."""
+
+from .chain import ChainSpec
+from .channel import design_channel
+from .closed_forms import c1n_channel
+from .eigensolver import decompose
+from .entanglement import concurrence, ground_state_density, reduce_pair_mixed
 from .errors import DomainError, NumericError, ResourceCapError
-from .hamiltonian import (
-    build_channel,
-    build_full,
-    build_sector,
-    diagonal_energy,
-    matrix_to_csv,
-)
-from .sweep import (
-    GridAxis,
-    PhasePoint,
-    channel_curve,
-    classify_ground_state,
-    concurrence_curve,
-    design_report,
-    numeric_c14_regimes,
-    phase_scan,
-    table1_rows,
-)
+from .hamiltonian import build_full
+from .sweep import design_report
 
 __version__ = "0.1.0"

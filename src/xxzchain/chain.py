@@ -13,8 +13,7 @@ sector-restricted code paths index tensor factors identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb, isfinite
 
@@ -29,11 +28,6 @@ FULL_SPACE_CAP = 14
 def site_mask(site: int, n_sites: int) -> int:
     """Bitmask selecting ``site`` (1-based; site 1 = most significant bit)."""
     return 1 << (n_sites - site)
-
-
-def spin_sign(state: int, site: int, n_sites: int) -> int:
-    """sigma_z eigenvalue (+1 or -1) of ``site`` in basis state ``state``."""
-    return 1 if state & site_mask(site, n_sites) else -1
 
 
 @dataclass(frozen=True)
@@ -105,15 +99,14 @@ class ChainSpec:
     @classmethod
     def from_dict(cls, obj: dict) -> "ChainSpec":
         try:
-            return cls(
-                n_sites=int(obj["n_sites"]),
-                couplings=tuple(obj["couplings"]),
-                fields=tuple(obj["fields"]),
-                delta=float(obj["delta"]),
-                temperature=float(obj.get("temperature", 0.0)),
-            )
-        except (KeyError, TypeError) as exc:
+            n_sites = int(obj["n_sites"])
+            couplings = tuple(float(j) for j in obj["couplings"])
+            fields = tuple(float(b) for b in obj["fields"])
+            delta = float(obj["delta"])
+            temperature = float(obj.get("temperature", 0.0))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed chain document: {exc}") from exc
+        return cls(n_sites, couplings, fields, delta, temperature)
 
     @classmethod
     def from_json(cls, text: str) -> "ChainSpec":
@@ -128,15 +121,12 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """All basis states with a fixed number of up spins, ascending.
-
-    ``index_of`` inverts ``states``: index_of[states[m]] == m.
-    """
+    """All basis states with a fixed number of up spins, ascending, so a
+    binary search over ``state_array()`` inverts ``states``."""
 
     n_sites: int
     n_up: int
     states: tuple[int, ...]
-    index_of: dict[int, int] = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -158,20 +148,4 @@ def build_sector_basis(n_sites: int, n_up: int) -> SectorBasis:
         sorted(sum(1 << b for b in combo) for combo in combinations(range(n_sites), n_up))
     )
     assert len(states) == comb(n_sites, n_up)
-    return SectorBasis(
-        n_sites=n_sites,
-        n_up=n_up,
-        states=states,
-        index_of={s: m for m, s in enumerate(states)},
-    )
-
-
-def total_spin(n_sites: int, n_up: int) -> Fraction:
-    """Total z-spin (N - 2k)/2 of a k-up sector, as an exact rational.
-
-    Kept exact so sector labels can be used as dictionary keys in
-    phase-diagram bookkeeping without float comparisons.
-    """
-    if not 0 <= n_up <= n_sites:
-        raise DomainError(f"n_up must lie in [0, {n_sites}], got {n_up}")
-    return Fraction(n_sites - 2 * n_up, 2)
+    return SectorBasis(n_sites=n_sites, n_up=n_up, states=states)

@@ -5,8 +5,8 @@ its single-excitation ground state pinned to the boundary pair, giving a
 boundary concurrence that approaches 1 as 2B/J grows.  The single-
 excitation sector splits under the mirror symmetry of the chain into two
 k x k tridiagonal blocks (N = 2k), so the design scales to chains with
-hundreds of sites; the generic magnetization-sector route stays available
-as a cross-check and for arbitrary coupling profiles.
+hundreds of sites.  Arbitrary coupling profiles go through the generic
+magnetization-sector route (``sector_boundary_concurrence``).
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import numpy as np
 
 from .chain import ChainSpec, build_sector_basis
 from .eigensolver import DEGENERACY_RTOL, decompose, ground_space
-from .entanglement import PureState, concurrence, reduce_pair
-from .errors import DomainError, NumericError, ResourceCapError
-from .hamiltonian import build_channel, build_sector
+from .entanglement import pair_xstate_data, xstate_concurrence, xstate_pair
+from .errors import DomainError, ResourceCapError
+from .hamiltonian import build_sector
 
 SECTOR_DIM_CAP = 3432  # C(14, 7): the largest sector the dense path serves
 
@@ -82,29 +82,7 @@ def fold_single_excitation(
     return FoldedChannelMatrices(k=k, symmetric=sym, antisymmetric=anti)
 
 
-def unfold_consistency(
-    n_sites: int, coupling: float, bulk_field: float, tol: float = 1e-10
-) -> bool:
-    """True iff the union of folded spectra equals the one-up sector
-    spectrum of the unfolded channel Hamiltonian."""
-    folded = fold_single_excitation(n_sites, coupling, bulk_field)
-    spec = build_channel(n_sites, coupling, bulk_field)
-    sector = build_sector(spec, build_sector_basis(n_sites, 1))
-    direct = np.sort(np.linalg.eigvalsh(sector))
-    via_fold = np.sort(
-        np.concatenate(
-            [np.linalg.eigvalsh(folded.symmetric), np.linalg.eigvalsh(folded.antisymmetric)]
-        )
-    )
-    return bool(np.max(np.abs(direct - via_fold)) <= tol)
-
-
-def design_channel(
-    n_sites: int,
-    coupling: float,
-    bulk_field: float,
-    strict_degeneracy: bool = False,
-) -> ChannelDesign:
+def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelDesign:
     """Diagonalize the folded blocks and read off the boundary concurrence.
 
     For J > 0 the antisymmetric block's ground energy is strictly below the
@@ -113,7 +91,7 @@ def design_channel(
     under floating-point resolution for long or strongly-biased chains.
     When the two blocks are numerically within tolerance the winner is
     therefore fixed analytically (antisymmetric) instead of by comparing
-    noise; ``strict_degeneracy=True`` turns that situation into an error.
+    noise, and ``near_degenerate`` records it.
     """
     if coupling <= 0:
         raise DomainError("channel design needs a positive coupling")
@@ -126,11 +104,6 @@ def design_channel(
     e_anti = float(dec_anti.eigenvalues[0])
     lowest = min(e_sym, e_anti)
     near = abs(e_sym - e_anti) <= DEGENERACY_RTOL * (1.0 + abs(lowest))
-    if near and strict_degeneracy:
-        raise NumericError(
-            f"cross-parity ground energies within tolerance at N={n_sites}, "
-            f"B={bulk_field}, J={coupling}: {e_anti!r} vs {e_sym!r}"
-        )
     if near or e_anti <= e_sym:
         parity, winner, energy = -1, dec_anti, e_anti
     else:  # pragma: no cover - excluded analytically for J > 0
@@ -183,29 +156,21 @@ def impurity_profile_chain(n_sites: int, base: float) -> ChainSpec:
     )
 
 
-def sector_boundary_concurrence(
-    spec: ChainSpec, n_up: int, dim_cap: int = SECTOR_DIM_CAP
-) -> float:
+def sector_boundary_concurrence(spec: ChainSpec, n_up: int) -> float:
     """Concurrence between the end sites of the sector ground state.
 
     Works entirely in sector coordinates, so the chain length is limited
-    only by the sector dimension.  A degenerate sector ground space is
-    treated as an equal-weight mixture.
+    only by the sector dimension, which is checked before anything is
+    allocated.  A degenerate sector ground space is treated as an
+    equal-weight mixture.
     """
     dim = comb(spec.n_sites, n_up)
-    if dim > dim_cap:
+    if dim > SECTOR_DIM_CAP:
         raise ResourceCapError(
-            f"sector dimension {dim} exceeds the cap of {dim_cap}"
+            f"sector dimension {dim} exceeds the cap of {SECTOR_DIM_CAP}"
         )
     basis = build_sector_basis(spec.n_sites, n_up)
     dec = decompose(build_sector(spec, basis))
-    idx = ground_space(dec)
-    i, j = 1, spec.n_sites
-    if len(idx) == 1:
-        state = PureState.from_sector(basis, dec.eigenvectors[:, idx[0]])
-        return concurrence(reduce_pair(state, i, j)).value
-    rho = np.zeros((4, 4))
-    for m in idx:
-        state = PureState.from_sector(basis, dec.eigenvectors[:, m])
-        rho += reduce_pair(state, i, j).matrix
-    return concurrence(rho / len(idx)).value
+    pair = (1, spec.n_sites)
+    data = pair_xstate_data(basis, dec.eigenvectors[:, ground_space(dec)], *pair)
+    return xstate_concurrence(xstate_pair(pair, data.mean(axis=0)))

@@ -66,6 +66,21 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _number(kind, value, what: str):
+    """``value`` converted by ``kind`` (int or float); a value that is not a
+    number is a config error, not a traceback."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"config {what!r} must be a number, got {value!r}") from exc
+
+
+def _numbers(kind, values, what: str) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise DomainError(f"config {what!r} must be a list of numbers, got {values!r}")
+    return tuple(_number(kind, v, what) for v in values)
+
+
 def _axis(config: dict, name: str) -> GridAxis:
     grid = _require(config, "grid")
     if not isinstance(grid, dict) or name not in grid:
@@ -98,16 +113,14 @@ def _cmd_curve(config: dict):
     pair = _require(config, "pair")
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise DomainError("config 'pair' must be a two-element list [i, j]")
-    deltas = tuple(float(d) for d in config.get("delta_values", [template.delta]))
-    rows = concurrence_curve(
-        template, (int(pair[0]), int(pair[1])), _axis(config, "B"), deltas
-    )
+    deltas = _numbers(float, config.get("delta_values", [template.delta]), "delta_values")
+    rows = concurrence_curve(template, _numbers(int, pair, "pair"), _axis(config, "B"), deltas)
     return ["delta", "B", "concurrence"], rows
 
 
 def _cmd_channel(config: dict):
-    n_values = tuple(int(n) for n in _require(config, "n_sites_values"))
-    coupling = float(config.get("coupling", 1.0))
+    n_values = _numbers(int, _require(config, "n_sites_values"), "n_sites_values")
+    coupling = _number(float, config.get("coupling", 1.0), "coupling")
     rows = channel_curve(n_values, _axis(config, "beta"), coupling)
     return (
         ["n_sites", "beta", "c1n_numeric", "c1n_closed_form", "max_ratio_deviation"],
@@ -117,16 +130,16 @@ def _cmd_channel(config: dict):
 
 def _cmd_design(config: dict):
     report = design_report(
-        int(_require(config, "n_sites")),
-        float(_require(config, "target")),
-        float(config.get("coupling", 1.0)),
+        _number(int, _require(config, "n_sites"), "n_sites"),
+        _number(float, _require(config, "target"), "target"),
+        _number(float, config.get("coupling", 1.0), "coupling"),
     )
     header = ["n_sites", "target", "status", "beta", "bulk_field", "achieved"]
     return header, [tuple(report[k] for k in header)]
 
 
 def _cmd_table1(config: dict):
-    deltas = tuple(float(d) for d in config.get("delta_values", (0.0, 0.5, 1.0, 2.0)))
+    deltas = _numbers(float, config.get("delta_values", (0.0, 0.5, 1.0, 2.0)), "delta_values")
     header = [
         "delta",
         "regime",

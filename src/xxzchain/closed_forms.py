@@ -128,16 +128,17 @@ TABLE_4SITE: dict[float, tuple[GroundRegime, ...]] = {
 def c14_ground_regimes(delta: float, coupling: float = 1.0) -> tuple[GroundRegime, ...]:
     """Ground-state regimes of the uniform 4-site chain as the field grows.
 
-    Tabulated deltas (0, 0.5, 1, 2 at J = 1) return the quoted rows
-    verbatim; anything else falls back to the numeric regime finder.
+    Only the tabulated deltas (0, 0.5, 1, 2 at J = 1) are known; they return
+    the quoted rows verbatim.  Other parameters raise DomainError (the
+    numeric regime finder is ``sweep.numeric_c14_regimes``).
     """
-    if coupling == 1.0:
-        key = float(delta)
-        if key in TABLE_4SITE:
-            return TABLE_4SITE[key]
-    from .sweep import numeric_c14_regimes  # deferred: needs the numeric pipeline
-
-    return numeric_c14_regimes(delta, coupling)
+    rows = TABLE_4SITE.get(float(delta)) if coupling == 1.0 else None
+    if rows is None:
+        raise DomainError(
+            f"no tabulated 4-site regimes for delta={delta}, J={coupling}; "
+            f"tabulated: delta in {sorted(TABLE_4SITE)} at J = 1"
+        )
+    return rows
 
 
 def c14_impurity_one_up(j_mid: float) -> float:

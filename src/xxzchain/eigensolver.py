@@ -2,8 +2,8 @@
 
 numpy.linalg.eigh (LAPACK) does the factorization; this wrapper pins the
 contract the physics modules rely on: eigenvalues ascending, eigenvectors
-sign-canonicalized (largest-magnitude entry positive), explicit degeneracy
-groups, and bit-for-bit reproducibility for identical input.
+sign-canonicalized (largest-magnitude entry positive), and bit-for-bit
+reproducibility for identical input.
 """
 
 from __future__ import annotations
@@ -22,26 +22,14 @@ DEGENERACY_RTOL = 1e-9
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues ascending; column m of ``eigenvectors`` pairs with
-    ``eigenvalues[m]``; ``degeneracy_groups`` partitions indices by
-    near-equal eigenvalue."""
+    ``eigenvalues[m]``."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    degeneracy_groups: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
         return len(self.eigenvalues)
-
-
-def _group_degeneracies(w: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    groups: list[list[int]] = [[0]]
-    for m in range(1, len(w)):
-        if w[m] - w[m - 1] <= DEGENERACY_RTOL * (1.0 + abs(w[m - 1])):
-            groups[-1].append(m)
-        else:
-            groups.append([m])
-    return tuple(tuple(g) for g in groups)
 
 
 def decompose(matrix: np.ndarray) -> SpectralDecomposition:
@@ -64,9 +52,7 @@ def decompose(matrix: np.ndarray) -> SpectralDecomposition:
 
     w.setflags(write=False)
     v.setflags(write=False)
-    return SpectralDecomposition(
-        eigenvalues=w, eigenvectors=v, degeneracy_groups=_group_degeneracies(w)
-    )
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
 def ground_space(dec: SpectralDecomposition, rel_tol: float = DEGENERACY_RTOL) -> list[int]:

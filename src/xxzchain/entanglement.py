@@ -1,15 +1,14 @@
-"""Reduced density matrices and Wootters concurrence for site pairs.
+"""Reduced density matrices and concurrence for site pairs.
 
 Everything here is real: the chain Hamiltonian is real symmetric, so
 eigenvectors, thermal states and reduced states are real as well, and the
-conjugation in the spin-flip transform is a no-op.  The concurrence is
-evaluated through the all-symmetric product sqrt(rho) rho~ sqrt(rho), which
-keeps the lambda spectrum real and nonnegative by construction; the
-textbook nonsymmetric route (eigenvalues of rho rho~) is kept available as
-an independent cross-check.  Sweeps work with mixtures of magnetization
-sector states instead, whose pair states need only five numbers per
-eigenvector (``pair_xstate_data``) and have a closed-form concurrence
-(``xstate_concurrence``).
+conjugation in the spin-flip transform is a no-op.  Library results come
+from mixtures of magnetization sector states, whose pair states need only
+five numbers per eigenvector (``pair_xstate_data``) and have a closed-form
+concurrence (``xstate_concurrence``).  The general Wootters concurrence of
+any two-qubit state is evaluated through the all-symmetric product
+sqrt(rho) rho~ sqrt(rho), which keeps the lambda spectrum real and
+nonnegative by construction.
 """
 
 from __future__ import annotations
@@ -46,43 +45,28 @@ _VANISHING[1, 2] = _VANISHING[2, 1] = False
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized real pure state, stored either over the full 2^N basis or
-    over a magnetization sector (``basis`` set, amplitudes sector-indexed)."""
+    """Normalized real pure state of a magnetization sector; amplitudes are
+    indexed like ``basis.states``.  A full-space pure state a is the density
+    matrix np.outer(a, a), for ``reduce_pair_mixed``."""
 
-    n_sites: int
+    basis: SectorBasis
     amplitudes: np.ndarray
-    basis: SectorBasis | None = None
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=float)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        expected = (1 << self.n_sites) if self.basis is None else len(self.basis)
-        if amps.shape != (expected,):
+        if amps.shape != (len(self.basis),):
             raise DomainError(
-                f"expected {expected} amplitudes, got shape {amps.shape}"
+                f"expected {len(self.basis)} amplitudes, got shape {amps.shape}"
             )
-        if self.basis is not None and self.basis.n_sites != self.n_sites:
-            raise DomainError("sector basis does not match n_sites")
         norm2 = float(amps @ amps)
         if abs(norm2 - 1.0) > 1e-12:
             raise DomainError(f"state not normalized: sum of squares = {norm2!r}")
 
     @classmethod
-    def from_full(cls, n_sites: int, amplitudes) -> "PureState":
-        return cls(n_sites=n_sites, amplitudes=amplitudes)
-
-    @classmethod
     def from_sector(cls, basis: SectorBasis, amplitudes) -> "PureState":
-        return cls(n_sites=basis.n_sites, amplitudes=amplitudes, basis=basis)
-
-    def full_amplitudes(self) -> np.ndarray:
-        """Embed into the full 2^N space (small chains only)."""
-        if self.basis is None:
-            return self.amplitudes
-        full = np.zeros(1 << self.n_sites)
-        full[list(self.basis.states)] = self.amplitudes
-        return full
+        return cls(basis=basis, amplitudes=amplitudes)
 
 
 @dataclass(frozen=True)
@@ -124,12 +108,6 @@ def _pair_sites_checked(n_sites: int, i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _reduce_pair_full(amps: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    t = amps.reshape([2] * n)
-    t = np.moveaxis(t, [i - 1, j - 1], [0, 1]).reshape(4, -1)
-    return t @ t.T
-
-
 def _reduce_pair_sector(basis: SectorBasis, amps: np.ndarray, i: int, j: int) -> np.ndarray:
     # Group sector states by environment bit pattern; states sharing an
     # environment differ only on sites (i, j) and contribute coherences.
@@ -152,11 +130,8 @@ def _reduce_pair_sector(basis: SectorBasis, amps: np.ndarray, i: int, j: int) ->
 
 def reduce_pair(state: PureState, i: int, j: int) -> TwoQubitDensityMatrix:
     """Partial trace of |psi><psi| onto sites (i, j)."""
-    i, j = _pair_sites_checked(state.n_sites, i, j)
-    if state.basis is None:
-        rho = _reduce_pair_full(state.amplitudes, state.n_sites, i, j)
-    else:
-        rho = _reduce_pair_sector(state.basis, state.amplitudes, i, j)
+    i, j = _pair_sites_checked(state.basis.n_sites, i, j)
+    rho = _reduce_pair_sector(state.basis, state.amplitudes, i, j)
     return TwoQubitDensityMatrix(sites=(i, j), matrix=rho)
 
 
@@ -184,7 +159,7 @@ def pair_xstate_data(basis: SectorBasis, vectors: np.ndarray, i: int, j: int) ->
     besides the populations p_ab (bit a on site i, bit b on site j) and the
     coherence c = <01|rho|10>: every other entry would join basis states of
     different popcount.  Mixtures of sector states keep that shape, so these
-    five numbers fix any pair state a sweep needs.
+    five numbers fix any pair state the library computes.
     """
     i, j = _pair_sites_checked(basis.n_sites, i, j)
     v = np.asarray(vectors, dtype=float)
@@ -252,12 +227,6 @@ def ground_state_density(dec: SpectralDecomposition) -> np.ndarray:
     return (v @ v.T) / len(idx)
 
 
-def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, TwoQubitDensityMatrix):
-        return rho.matrix
-    return np.asarray(rho, dtype=float)
-
-
 def _sqrt_psd(m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
@@ -276,7 +245,7 @@ def concurrence(rho) -> ConcurrenceResult:
     instead of being amplified to sqrt(eps).  The value is
     max(0, l1 - l2 - l3 - l4).
     """
-    m = _as_matrix(rho)
+    m = rho.matrix if isinstance(rho, TwoQubitDensityMatrix) else np.asarray(rho, dtype=float)
     if m.shape != (4, 4):
         raise DomainError(f"expected a 4x4 density matrix, got shape {m.shape}")
     if abs(np.trace(m) - 1.0) > 1e-8:
@@ -289,11 +258,3 @@ def concurrence(rho) -> ConcurrenceResult:
     return ConcurrenceResult(
         value=max(0.0, float(value)), lambdas=tuple(float(x) for x in lambdas)
     )
-
-
-def concurrence_lambdas_direct(rho) -> np.ndarray:
-    """Cross-check path: lambdas from the nonsymmetric product rho rho~."""
-    m = _as_matrix(rho)
-    flipped = SPIN_FLIP @ m @ SPIN_FLIP
-    eigs = np.sort(np.real(np.linalg.eigvals(m @ flipped)))
-    return np.sqrt(np.clip(eigs, 0.0, None))[::-1]

@@ -11,21 +11,10 @@ arithmetic; there is no operator-algebra layer to get tensor order wrong.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from .chain import FULL_SPACE_CAP, ChainSpec, SectorBasis
 from .errors import DomainError, ResourceCapError
-
-
-def diagonal_energy(spec: ChainSpec, state: int) -> float:
-    """Ising + field energy of a single basis state."""
-    n = spec.n_sites
-    signs = [2 * ((state >> (n - s)) & 1) - 1 for s in range(1, n + 1)]
-    zz = sum(signs[b] * signs[b + 1] for b in range(n - 1))
-    zeeman = sum(b_i * s_i for b_i, s_i in zip(spec.fields, signs))
-    return 0.5 * spec.delta * zz + zeeman
 
 
 def _assemble(spec: ChainSpec, states: np.ndarray) -> np.ndarray:
@@ -35,8 +24,9 @@ def _assemble(spec: ChainSpec, states: np.ndarray) -> np.ndarray:
     dim = len(states)
     signs = [((states >> (n - s)) & 1).astype(np.int64) * 2 - 1 for s in range(1, n + 1)]
 
-    # accumulate exactly as diagonal_energy does, so every subspace agrees
-    # with the full matrix bit for bit
+    # accumulate bond by bond and site by site in a fixed order, so a
+    # sector block equals the same rows and columns of the full matrix bit
+    # for bit
     zz = np.zeros(dim, dtype=np.int64)
     for b in range(n - 1):
         zz += signs[b] * signs[b + 1]
@@ -58,12 +48,12 @@ def _assemble(spec: ChainSpec, states: np.ndarray) -> np.ndarray:
     return h
 
 
-def build_full(spec: ChainSpec, cap: int = FULL_SPACE_CAP) -> np.ndarray:
+def build_full(spec: ChainSpec) -> np.ndarray:
     """Full 2^N x 2^N matrix of the chain Hamiltonian."""
     n = spec.n_sites
-    if n > cap:
+    if n > FULL_SPACE_CAP:
         raise ResourceCapError(
-            f"n_sites={n} exceeds the full-space cap of {cap} sites"
+            f"n_sites={n} exceeds the full-space cap of {FULL_SPACE_CAP} sites"
         )
     return _assemble(spec, np.arange(1 << n, dtype=np.int64))
 
@@ -95,10 +85,3 @@ def build_channel(n_sites: int, coupling: float, bulk_field: float) -> ChainSpec
         fields=fields,
         delta=0.0,
     )
-
-
-def matrix_to_csv(matrix: np.ndarray) -> str:
-    """Debug dump: one row per line, 17 significant digits."""
-    buf = io.StringIO()
-    np.savetxt(buf, np.asarray(matrix, dtype=float), fmt="%.17g", delimiter=",")
-    return buf.getvalue()

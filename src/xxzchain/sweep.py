@@ -50,18 +50,22 @@ class GridAxis:
 
     @classmethod
     def from_config(cls, obj) -> "GridAxis":
-        if isinstance(obj, (list, tuple)):
-            return cls(values=tuple(float(v) for v in obj))
-        if isinstance(obj, dict):
-            if "values" in obj:
-                return cls(values=tuple(float(v) for v in obj["values"]))
+        if isinstance(obj, dict) and "values" not in obj:
             try:
-                return cls.from_range(
-                    float(obj["min"]), float(obj["max"]), float(obj["step"])
-                )
+                bounds = [float(obj[key]) for key in ("min", "max", "step")]
             except KeyError as exc:
-                raise DomainError(f"grid axis needs min/max/step or values: {exc}")
-        raise DomainError(f"cannot interpret grid axis: {obj!r}")
+                raise DomainError(f"grid axis needs min/max/step or values: {exc}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DomainError(f"grid axis bounds must be numbers: {exc}") from exc
+            return cls.from_range(*bounds)
+        values = obj["values"] if isinstance(obj, dict) else obj
+        if not isinstance(values, (list, tuple)):
+            raise DomainError(f"cannot interpret grid axis: {obj!r}")
+        try:
+            values = tuple(float(v) for v in values)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"grid axis values must be numbers: {exc}") from exc
+        return cls(values=values)
 
     def __post_init__(self):
         if not self.values:
@@ -310,75 +314,36 @@ def design_report(
     }
 
 
-def _sector_ground_energy(spec: ChainSpec, n_up: int) -> float:
-    basis = build_sector_basis(spec.n_sites, n_up)
-    return float(np.linalg.eigvalsh(build_sector(spec, basis))[0])
-
-
-def _crossing_field(
-    delta: float, coupling: float, k_low: int, k_high: int, b_max: float
-) -> float:
-    """Field where the k_low-up and k_high-up sector grounds cross, located
-    by bisection to 1e-6 (the k_high sector wins at B = 0)."""
-
-    def gap(field: float) -> float:
-        spec = ChainSpec.uniform(4, coupling=coupling, field=field, delta=delta)
-        return _sector_ground_energy(spec, k_low) - _sector_ground_energy(spec, k_high)
-
-    lo, hi = 0.0, b_max
-    if gap(lo) <= 0.0:
-        return 0.0
-    while gap(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            return inf
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def numeric_c14_regimes(delta: float, coupling: float = 1.0) -> tuple[GroundRegime, ...]:
     """Numeric version of the 4-site ground-state regime table.
 
-    Boundaries come from bisection on sector ground-level crossings; the
-    concurrence in each regime comes from the ground-state pair state
-    sampled across the regime (it is constant inside a regime, since a
-    uniform field does not change sector eigenvectors).
+    A uniform field B shifts the k-up block by B (2k - 4), so the ground
+    levels of the k_low- and k_high-up sectors cross exactly at
+    (E_klow(0) - E_khigh(0)) / (2 (k_high - k_low)), or at B = 0 if k_low
+    already wins there.  The concurrence of a regime is read at one
+    interior field: it is constant inside a regime, since the field does
+    not change sector eigenvectors.
     """
-    b1 = _crossing_field(delta, coupling, 1, 2, 1.0 + abs(delta))
-    b2 = _crossing_field(delta, coupling, 0, 1, 2.0 + 2.0 * abs(delta))
     spec0 = ChainSpec.uniform(4, coupling=coupling, field=0.0, delta=delta)
-    e_two_up = _sector_ground_energy(spec0, 2)
+    spectrum = _SectorSpectrum(spec0, (1, 4))
+    lowest = [float(spectrum.energies[spectrum.sector == k].min()) for k in range(5)]
 
-    def regime_concurrence(lo: float, hi: float) -> float:
-        if hi == inf:
-            samples = (lo + 0.5, lo + 1.0)
-        else:
-            samples = (lo + 0.25 * (hi - lo), lo + 0.5 * (hi - lo), lo + 0.75 * (hi - lo))
-        best = 0.0
-        for field in samples:
-            point = classify_ground_state(
-                ChainSpec.uniform(4, coupling=coupling, field=field, delta=delta)
-            )
-            best = max(best, point.boundary_concurrence)
-        return best
+    def crossing(k_low: int, k_high: int) -> float:
+        return max(0.0, (lowest[k_low] - lowest[k_high]) / (2.0 * (k_high - k_low)))
 
+    b1, b2 = crossing(1, 2), crossing(0, 1)
     rows = []
-    edges = [(0.0, b1, 2), (b1, b2, 1), (b2, inf, 0)]
-    for lo, hi, n_up in edges:
+    for lo, hi, n_up in ((0.0, b1, 2), (b1, b2, 1), (b2, inf, 0)):
         if hi <= lo:
             continue
+        interior = lo + 0.5 if hi == inf else 0.5 * (lo + hi)
         rows.append(
             GroundRegime(
                 b_min=lo,
                 b_max=hi,
                 n_up=n_up,
-                c14_max=regime_concurrence(lo, hi),
-                energy_at_zero_field=e_two_up if n_up == 2 else None,
+                c14_max=_phase_point(spectrum, delta, interior).boundary_concurrence,
+                energy_at_zero_field=lowest[2] if n_up == 2 else None,
             )
         )
     return tuple(rows)
@@ -389,24 +354,30 @@ def table1_rows(delta_values: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)):
 
     Columns: delta, regime index, numeric/reference boundaries and maxima,
     two-up zero-field energies, and absolute deltas where both sides exist.
+    Every delta must be tabulated (closed_forms.TABLE_4SITE); that is
+    checked before the first row is computed.
     """
-    for delta in delta_values:
-        numeric = numeric_c14_regimes(delta)
-        reference = closed_forms.c14_ground_regimes(delta)
-        for r, (num, ref) in enumerate(zip(numeric, reference)):
-            yield (
-                float(delta),
-                r,
-                num.n_up,
-                num.b_min,
-                num.b_max,
-                ref.b_min,
-                ref.b_max,
-                abs(num.b_min - ref.b_min),
-                (abs(num.b_max - ref.b_max) if ref.b_max != inf else 0.0),
-                num.c14_max,
-                ref.c14_max,
-                abs(num.c14_max - ref.c14_max),
-                (num.energy_at_zero_field if num.energy_at_zero_field is not None else float("nan")),
-                (ref.energy_at_zero_field if ref.energy_at_zero_field is not None else float("nan")),
-            )
+    references = [closed_forms.c14_ground_regimes(delta) for delta in delta_values]
+
+    def rows():
+        for delta, reference in zip(delta_values, references):
+            numeric = numeric_c14_regimes(delta)
+            for r, (num, ref) in enumerate(zip(numeric, reference)):
+                yield (
+                    float(delta),
+                    r,
+                    num.n_up,
+                    num.b_min,
+                    num.b_max,
+                    ref.b_min,
+                    ref.b_max,
+                    abs(num.b_min - ref.b_min),
+                    (abs(num.b_max - ref.b_max) if ref.b_max != inf else 0.0),
+                    num.c14_max,
+                    ref.c14_max,
+                    abs(num.c14_max - ref.c14_max),
+                    (num.energy_at_zero_field if num.energy_at_zero_field is not None else float("nan")),
+                    (ref.energy_at_zero_field if ref.energy_at_zero_field is not None else float("nan")),
+                )
+
+    return rows()

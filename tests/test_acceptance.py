@@ -12,32 +12,33 @@ from dataclasses import replace
 
 import numpy as np
 
-from xxzchain import (
-    ChainSpec,
-    build_full,
-    build_sector,
-    build_sector_basis,
+from reference import concurrence_lambdas_direct, unfold_consistency
+
+from xxzchain.chain import ChainSpec, build_sector_basis
+from xxzchain.channel import (
+    design_channel,
+    impurity_profile_chain,
+    ratio_profile,
+    sector_boundary_concurrence,
+)
+from xxzchain.closed_forms import (
     c13_ground,
     c14_channel,
     c14_impurity_one_up,
     c14_impurity_two_up,
     c15_three_half,
     c1n_channel,
-    concurrence,
-    concurrence_lambdas_direct,
     critical_field_3site,
-    decompose,
-    design_channel,
-    ground_space,
-    ground_state_density,
-    impurity_profile_chain,
-    numeric_c14_regimes,
-    ratio_profile,
-    reduce_pair_mixed,
-    sector_boundary_concurrence,
-    thermal_state,
-    unfold_consistency,
 )
+from xxzchain.eigensolver import decompose, ground_space
+from xxzchain.entanglement import (
+    concurrence,
+    ground_state_density,
+    reduce_pair_mixed,
+    thermal_state,
+)
+from xxzchain.hamiltonian import build_full, build_sector
+from xxzchain.sweep import numeric_c14_regimes
 
 SQRT5 = math.sqrt(5.0)
 

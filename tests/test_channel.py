@@ -3,24 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from xxzchain import (
-    ChainSpec,
+from reference import unfold_consistency
+
+from xxzchain.chain import ChainSpec, build_sector_basis
+from xxzchain.channel import (
     ChannelDesign,
-    DomainError,
-    NumericError,
-    ResourceCapError,
-    c14_channel,
-    c14_impurity_one_up,
-    c14_impurity_two_up,
-    c15_three_half,
-    c1n_channel,
     design_channel,
     fold_single_excitation,
     impurity_profile_chain,
     ratio_profile,
     sector_boundary_concurrence,
-    unfold_consistency,
 )
+from xxzchain.closed_forms import (
+    c14_channel,
+    c14_impurity_one_up,
+    c14_impurity_two_up,
+    c15_three_half,
+    c1n_channel,
+)
+from xxzchain.errors import DomainError, ResourceCapError
+from xxzchain.hamiltonian import build_channel, build_sector
 
 
 def test_fold_four_sites():
@@ -96,8 +98,6 @@ def test_design_invariants():
 
 
 def test_design_ground_energy_matches_sector():
-    from xxzchain import build_channel, build_sector, build_sector_basis
-
     design = design_channel(8, 1.0, 2.0)
     sector = build_sector(build_channel(8, 1.0, 2.0), build_sector_basis(8, 1))
     assert design.ground_energy == pytest.approx(
@@ -114,8 +114,6 @@ def test_design_near_degenerate_tie_break_is_deterministic():
     assert design.boundary_concurrence == pytest.approx(
         c1n_channel(20.0, 20), abs=1e-10
     )
-    with pytest.raises(NumericError):
-        design_channel(40, 1.0, 10.0, strict_degeneracy=True)
 
 
 def test_design_small_chains_not_degenerate():
@@ -233,9 +231,14 @@ def test_sector_concurrence_degenerate_ground_mixes():
         n_sites=4, couplings=(1.0, 0.0, 1.0), fields=(0.0,) * 4, delta=0.0
     )
     assert sector_boundary_concurrence(spec, 1) == pytest.approx(0.0, abs=1e-12)
+    # a middle bond far below the degeneracy tolerance hybridizes the two
+    # singlets: each ground vector alone has C14 = 1/2, the mixture ~J/4
+    weak = impurity_profile_chain(4, 1e-11)
+    assert sector_boundary_concurrence(weak, 1) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_sector_concurrence_dimension_cap():
+    # C(16, 8) = 12870 exceeds the cap; it is refused before allocation
     spec = ChainSpec.uniform(16)
     with pytest.raises(ResourceCapError):
-        sector_boundary_concurrence(spec, 8, dim_cap=1000)
+        sector_boundary_concurrence(spec, 8)

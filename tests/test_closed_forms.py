@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xxzchain import (
-    DomainError,
+from xxzchain import closed_forms
+from xxzchain.chain import ChainSpec, build_sector_basis
+from xxzchain.closed_forms import (
     beta_for_target,
     c13_ground,
     c14_channel,
@@ -17,6 +20,9 @@ from xxzchain import (
     one_up_ground_energy_4site,
     spectrum_3site,
 )
+from xxzchain.errors import DomainError
+from xxzchain.hamiltonian import build_sector
+from xxzchain.sweep import numeric_c14_regimes
 
 SQRT5 = math.sqrt(5.0)
 
@@ -71,8 +77,6 @@ def test_one_up_ground_energy_4site_reference_points():
 
 
 def test_one_up_ground_energy_4site_matches_sector_diagonalization():
-    from xxzchain import ChainSpec, build_sector, build_sector_basis
-
     rng = np.random.default_rng(41)
     basis = build_sector_basis(4, 1)
     for _ in range(10):
@@ -111,13 +115,41 @@ def test_table_rows_quoted_values(delta, bounds, maxima, energy):
 
 
 def test_table_numeric_fallback_structure():
-    rows = c14_ground_regimes(0.3)
+    # untabulated deltas come from the numeric regime finder only (see
+    # test_untabulated_regimes_are_a_domain_error)
+    rows = numeric_c14_regimes(0.3)
     assert [r.n_up for r in rows] == [2, 1, 0]
     assert 0.0 < rows[0].b_max < rows[1].b_max < rows[2].b_max == math.inf
     assert all(0.0 <= r.c14_max <= 1.0 for r in rows)
     # boundaries interpolate between the tabulated neighbours
     assert 0.309 < rows[0].b_max < 0.482
     assert 0.809 < rows[1].b_max < 1.251
+
+
+@pytest.mark.parametrize("delta, coupling", [(0.3, 1.0), (-0.5, 1.0), (1.0, 2.0)])
+def test_untabulated_regimes_are_a_domain_error(delta, coupling):
+    with pytest.raises(DomainError):
+        c14_ground_regimes(delta, coupling)
+
+
+def test_closed_forms_imports_nothing_numeric_from_the_package():
+    # the oracle layer must not import the pipeline it checks, not even
+    # lazily inside a function body
+    tree = ast.parse(Path(closed_forms.__file__).read_text())
+    package_imports = [
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    ]
+    assert package_imports == ["errors"]
+    absolute = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if (getattr(node, "module", None) or alias.name).startswith("xxzchain")
+    ]
+    assert absolute == []
 
 
 def test_c14_impurity_one_up_reference_points():

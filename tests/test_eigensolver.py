@@ -3,15 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from xxzchain import (
-    ChainSpec,
-    DomainError,
-    build_full,
-    build_sector,
-    build_sector_basis,
-    decompose,
-    ground_space,
-)
+from xxzchain.chain import ChainSpec, build_sector_basis
+from xxzchain.eigensolver import decompose, ground_space
+from xxzchain.errors import DomainError
+from xxzchain.hamiltonian import build_full, build_sector
 
 
 def _random_symmetric(rng, n):
@@ -82,11 +77,6 @@ def test_determinism_bit_for_bit():
     d2 = decompose(a.copy())
     assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
     assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
-
-
-def test_degeneracy_groups_identity_block():
-    dec = decompose(np.diag([1.0, 1.0, 1.0, 2.0, 3.0, 3.0]))
-    assert dec.degeneracy_groups == ((0, 1, 2), (3,), (4, 5))
 
 
 def test_ground_space_degenerate_three_site():

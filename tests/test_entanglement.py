@@ -4,24 +4,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xxzchain import (
-    ChainSpec,
-    DomainError,
+from reference import concurrence_lambdas_direct
+
+from xxzchain.chain import ChainSpec, build_sector_basis
+from xxzchain.closed_forms import c13_ground, critical_field_3site
+from xxzchain.eigensolver import decompose
+from xxzchain.entanglement import (
     PureState,
     TwoQubitDensityMatrix,
-    build_full,
-    build_sector_basis,
-    c13_ground,
     concurrence,
-    concurrence_lambdas_direct,
-    critical_field_3site,
-    decompose,
     ground_state_density,
+    pair_xstate_data,
     reduce_pair,
     reduce_pair_mixed,
     thermal_state,
+    xstate_concurrence,
+    xstate_pair,
 )
-from xxzchain.entanglement import pair_xstate_data, xstate_concurrence, xstate_pair
+from xxzchain.errors import DomainError
+from xxzchain.hamiltonian import build_full
 
 BELL = 0.5 * np.array(
     [[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]], dtype=float
@@ -35,15 +36,21 @@ def _random_density(rng):
     return rho / np.trace(rho)
 
 
-def _ground_state(spec):
+def _pure_pair(amps, i, j):
+    """Pair state of the full-space pure state ``amps``."""
+    return reduce_pair_mixed(np.outer(amps, amps), i, j)
+
+
+def _ground_pair(spec, i, j):
     dec = decompose(build_full(spec))
-    return PureState.from_full(spec.n_sites, dec.eigenvectors[:, 0])
+    return _pure_pair(dec.eigenvectors[:, 0], i, j)
 
 
 def test_reduce_pair_product_state():
-    state = PureState.from_full(3, np.eye(8)[0])
-    rho = reduce_pair(state, 1, 3)
+    rho = _pure_pair(np.eye(8)[0], 1, 3)
     assert np.allclose(rho.matrix, PRODUCT, atol=1e-15)
+    state = PureState.from_sector(build_sector_basis(3, 0), [1.0])
+    assert np.allclose(reduce_pair(state, 1, 3).matrix, PRODUCT, atol=1e-15)
 
 
 def test_reduce_pair_one_up_antisymmetric_state():
@@ -51,7 +58,7 @@ def test_reduce_pair_one_up_antisymmetric_state():
     amps = np.zeros(8)
     amps[0b001] = -1 / math.sqrt(2)
     amps[0b100] = 1 / math.sqrt(2)
-    rho = reduce_pair(PureState.from_full(3, amps), 1, 3)
+    rho = _pure_pair(amps, 1, 3)
     expected = np.zeros((4, 4))
     expected[1, 1] = expected[2, 2] = 0.5
     expected[1, 2] = expected[2, 1] = -0.5
@@ -61,30 +68,35 @@ def test_reduce_pair_one_up_antisymmetric_state():
 
 def test_boundary_concurrence_three_site_xx_ground():
     spec = ChainSpec.uniform(3, coupling=1.0, field=0.5, delta=0.0)
-    rho = reduce_pair(_ground_state(spec), 1, 3)
+    rho = _ground_pair(spec, 1, 3)
     assert concurrence(rho).value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_reduce_pair_site_validation():
-    state = PureState.from_full(3, np.eye(8)[0])
-    with pytest.raises(DomainError):
-        reduce_pair(state, 0, 2)
-    with pytest.raises(DomainError):
-        reduce_pair(state, 2, 2)
-    with pytest.raises(DomainError):
-        reduce_pair(state, 1, 4)
+    state = PureState.from_sector(build_sector_basis(3, 0), [1.0])
+    rho_full = np.diag(np.eye(8)[0])
+    for pair in ((0, 2), (2, 2), (1, 4)):
+        with pytest.raises(DomainError):
+            reduce_pair(state, *pair)
+        with pytest.raises(DomainError):
+            reduce_pair_mixed(rho_full, *pair)
 
 
 def test_reduce_pair_order_invariance():
     rng = np.random.default_rng(31)
     amps = rng.standard_normal(16)
     amps /= np.linalg.norm(amps)
-    state = PureState.from_full(4, amps)
-    a = reduce_pair(state, 2, 4)
-    b = reduce_pair(state, 4, 2)
+    a = _pure_pair(amps, 2, 4)
+    b = _pure_pair(amps, 4, 2)
     assert a.sites == b.sites == (2, 4)
     assert np.array_equal(a.matrix, b.matrix)
     assert concurrence(a).value == concurrence(b).value
+    basis = build_sector_basis(4, 2)
+    sector_amps = amps[list(basis.states)]
+    state = PureState.from_sector(basis, sector_amps / np.linalg.norm(sector_amps))
+    a, b = reduce_pair(state, 2, 4), reduce_pair(state, 4, 2)
+    assert a.sites == b.sites == (2, 4)
+    assert np.array_equal(a.matrix, b.matrix)
 
 
 def test_sector_reduction_matches_full_embedding():
@@ -94,10 +106,11 @@ def test_sector_reduction_matches_full_embedding():
         amps = rng.standard_normal(len(basis))
         amps /= np.linalg.norm(amps)
         sector_state = PureState.from_sector(basis, amps)
-        full_state = PureState.from_full(n, sector_state.full_amplitudes())
+        full = np.zeros(1 << n)
+        full[list(basis.states)] = amps
         for pair in ((1, n), (1, 2), (2, n - 1)):
             a = reduce_pair(sector_state, *pair)
-            b = reduce_pair(full_state, *pair)
+            b = _pure_pair(full, *pair)
             assert np.allclose(a.matrix, b.matrix, atol=1e-13)
 
 
@@ -159,8 +172,7 @@ def test_equal_mixture_of_degenerate_pair_kills_boundary_concurrence():
 def test_mixed_reduction_consistent_with_pure_path():
     spec = ChainSpec.uniform(4, coupling=1.0, field=0.4, delta=0.3)
     dec = decompose(build_full(spec))
-    state = PureState.from_full(4, dec.eigenvectors[:, 0])
-    rho_pure = reduce_pair(state, 1, 4).matrix
+    rho_pure = _pure_pair(dec.eigenvectors[:, 0], 1, 4).matrix
     rho_mixed = reduce_pair_mixed(ground_state_density(dec), 1, 4).matrix
     assert np.allclose(rho_pure, rho_mixed, atol=1e-12)
 
@@ -275,8 +287,7 @@ def test_embedded_pure_pair_matches_two_qubit_formula():
         pair_amps /= np.linalg.norm(pair_amps)
         full = np.zeros(16)
         full[0b0010 : 0b0010 + 16 : 4] = pair_amps  # environment fixed at |10>
-        state = PureState.from_full(4, full)
-        rho = reduce_pair(state, 1, 2)
+        rho = _pure_pair(full, 1, 2)
         a, b, c, d = pair_amps
         assert concurrence(rho).value == pytest.approx(2 * abs(a * d - b * c), abs=1e-10)
 
@@ -286,7 +297,7 @@ def test_ground_state_c13_reproduces_closed_form():
         b = 0.5 * critical_field_3site(delta, 1.0).b_critical
         b = max(b, 0.1)
         spec = ChainSpec.uniform(3, coupling=1.0, field=b, delta=delta)
-        rho = reduce_pair(_ground_state(spec), 1, 3)
+        rho = _ground_pair(spec, 1, 3)
         assert concurrence(rho).value == pytest.approx(
             c13_ground(delta, 1.0), abs=1e-9
         )
@@ -301,7 +312,8 @@ def test_concurrence_rejects_invalid_density_matrices():
 
 
 def test_pure_state_normalization_enforced():
+    basis = build_sector_basis(2, 1)
     with pytest.raises(DomainError):
-        PureState.from_full(2, np.array([1.0, 1.0, 0.0, 0.0]))
+        PureState.from_sector(basis, np.array([1.0, 1.0]))
     with pytest.raises(DomainError):
-        PureState.from_full(2, np.zeros(3))
+        PureState.from_sector(basis, np.zeros(3))

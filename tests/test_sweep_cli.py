@@ -3,22 +3,21 @@ import math
 
 import pytest
 
-from xxzchain import (
-    ChainSpec,
-    DomainError,
+from xxzchain import cli as cli_module
+from xxzchain.chain import ChainSpec
+from xxzchain.cli import main
+from xxzchain.closed_forms import c1n_channel, critical_field_3site
+from xxzchain.errors import DomainError, NumericError, ResourceCapError
+from xxzchain.sweep import (
     GridAxis,
-    ResourceCapError,
-    c1n_channel,
     channel_curve,
+    check_grid_size,
     concurrence_curve,
-    critical_field_3site,
     design_report,
     numeric_c14_regimes,
     phase_scan,
     table1_rows,
 )
-from xxzchain.cli import main
-from xxzchain.sweep import check_grid_size
 
 SQRT5 = math.sqrt(5.0)
 
@@ -212,6 +211,20 @@ def test_numeric_regimes_against_exact_boundaries():
     assert rows[0].energy_at_zero_field == pytest.approx(-3.232051, abs=1e-6)
 
 
+def test_numeric_regimes_are_exact_crossings():
+    rows = numeric_c14_regimes(0.0)
+    assert abs(rows[0].b_max - (SQRT5 - 1) / 4) <= 1e-12
+    assert abs(rows[1].b_min - (SQRT5 - 1) / 4) <= 1e-12
+    assert abs(rows[1].b_max - (SQRT5 + 1) / 4) <= 1e-12
+    assert abs(rows[2].b_min - (SQRT5 + 1) / 4) <= 1e-12
+    assert abs(numeric_c14_regimes(1.0)[1].b_max - (1 + 1 / math.sqrt(2))) <= 1e-12
+
+
+def test_table1_rows_check_every_delta_before_the_first_row():
+    with pytest.raises(DomainError):
+        table1_rows((0.0, 0.3))
+
+
 def test_table1_rows_quoted_energy_column():
     rows = [r for r in table1_rows((0.5,)) if r[1] == 0]
     (row,) = rows
@@ -336,10 +349,40 @@ def test_cli_resource_cap_exit_code(tmp_path):
     assert main(["phase-scan", "--config", config]) == 3
 
 
-def test_cli_numeric_failure_exit_code(monkeypatch, tmp_path):
-    from xxzchain import NumericError
-    from xxzchain import cli as cli_module
+def test_cli_table1_untabulated_delta_exits_2_without_output(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    config = _write_config(tmp_path, {"delta_values": [0.3]})
+    assert main(["table1", "--config", config, "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
+
+_SCAN_SPEC = {"n_sites": 3, "couplings": [1, 1], "fields": [0, 0, 0], "delta": 0}
+_SCAN_GRID = {"delta": {"values": [0.0]}, "B": {"values": [0.0]}}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("design", {"n_sites": "x", "target": 0.99}),
+        ("design", {"n_sites": 20, "target": None}),
+        ("phase-scan", {"spec": {**_SCAN_SPEC, "n_sites": "x"}, "grid": _SCAN_GRID}),
+        (
+            "phase-scan",
+            {"spec": _SCAN_SPEC,
+             "grid": {**_SCAN_GRID, "delta": {"min": "a", "max": 1, "step": 0.5}}},
+        ),
+        ("curve", {"spec": _SCAN_SPEC, "pair": ["a", 3], "grid": {"B": [0.0]}}),
+    ],
+)
+def test_cli_bad_config_values_exit_2(tmp_path, capsys, command, config):
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", _write_config(tmp_path, config), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_numeric_failure_exit_code(monkeypatch, tmp_path):
     def boom(config):
         raise NumericError("synthetic")
 

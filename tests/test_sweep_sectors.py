@@ -12,23 +12,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xxzchain import (
-    ChainSpec,
-    GridAxis,
-    build_full,
-    build_sector,
-    build_sector_basis,
-    classify_ground_state,
+from xxzchain.chain import ChainSpec, build_sector_basis
+from xxzchain.cli import main
+from xxzchain.eigensolver import decompose, ground_space
+from xxzchain.entanglement import (
     concurrence,
-    concurrence_curve,
-    decompose,
-    ground_space,
     ground_state_density,
-    phase_scan,
     reduce_pair_mixed,
     thermal_state,
 )
-from xxzchain.cli import main
+from xxzchain.hamiltonian import build_full, build_sector
+from xxzchain.sweep import GridAxis, classify_ground_state, concurrence_curve, phase_scan
 
 ENERGY_TOL = 1e-12  # times (1 + |E|)
 CONCURRENCE_TOL = 1e-12
