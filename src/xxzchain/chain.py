@@ -25,6 +25,24 @@ from .errors import DomainError
 FULL_SPACE_CAP = 14
 
 
+def config_number(kind, value, what: str):
+    """``value`` from a config document converted by ``kind`` (int or float).
+
+    Anything that is not a number of that kind is a config error rather than
+    a silent conversion: booleans (JSON true would read as 1), and for int a
+    value with a fractional part (int() would truncate it).
+    """
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        noun = "an integer" if kind is int else "a number"
+        raise DomainError(f"config {what!r} must be {noun}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"config {what!r} must be a number, got {value!r}") from exc
+
+
 def site_mask(site: int, n_sites: int) -> int:
     """Bitmask selecting ``site`` (1-based; site 1 = most significant bit)."""
     return 1 << (n_sites - site)
@@ -99,12 +117,12 @@ class ChainSpec:
     @classmethod
     def from_dict(cls, obj: dict) -> "ChainSpec":
         try:
-            n_sites = int(obj["n_sites"])
-            couplings = tuple(float(j) for j in obj["couplings"])
-            fields = tuple(float(b) for b in obj["fields"])
-            delta = float(obj["delta"])
-            temperature = float(obj.get("temperature", 0.0))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            n_sites = config_number(int, obj["n_sites"], "n_sites")
+            couplings = tuple(config_number(float, j, "couplings") for j in obj["couplings"])
+            fields = tuple(config_number(float, b, "fields") for b in obj["fields"])
+            delta = config_number(float, obj["delta"], "delta")
+            temperature = config_number(float, obj.get("temperature", 0.0), "temperature")
+        except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed chain document: {exc}") from exc
         return cls(n_sites, couplings, fields, delta, temperature)
 

@@ -4,15 +4,17 @@ A uniform XX chain whose bulk sites (2..N-1) sit in a magnetic field keeps
 its single-excitation ground state pinned to the boundary pair, giving a
 boundary concurrence that approaches 1 as 2B/J grows.  The single-
 excitation sector splits under the mirror symmetry of the chain into two
-k x k tridiagonal blocks (N = 2k), so the design scales to chains with
-hundreds of sites.  Arbitrary coupling profiles go through the generic
-magnetization-sector route (``sector_boundary_concurrence``).
+k x k tridiagonal blocks (N = 2k) with a uniform bulk, whose ground states
+have closed forms: a design is one scalar secular equation plus an O(k)
+profile, so chains of 10^5 sites and more are routine.  Arbitrary coupling
+profiles go through the generic magnetization-sector route
+(``sector_boundary_concurrence``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -42,10 +44,10 @@ class ChannelDesign:
 
     ``coefficients[j]`` is the amplitude shared by sites j+1 and N-j (half
     profile, so 2 * sum of squares = 1); ``boundary_concurrence`` equals
-    twice the squared boundary coefficient.  ``parity`` records which folded
-    block carried the ground state (+1 symmetric, -1 antisymmetric);
-    ``near_degenerate`` flags that the opposite block came within the
-    degeneracy tolerance and the winner was decided analytically.
+    twice the squared boundary coefficient.  ``parity`` is the folded block
+    that carries the ground state, always -1 (antisymmetric) for J > 0;
+    ``near_degenerate`` flags that the symmetric block's ground energy came
+    within the degeneracy tolerance of it.
     """
 
     n_sites: int
@@ -59,15 +61,20 @@ class ChannelDesign:
     near_degenerate: bool = False
 
 
-def fold_single_excitation(
-    n_sites: int, coupling: float, bulk_field: float
-) -> FoldedChannelMatrices:
-    """Fold the one-up sector of the bulk-field channel by mirror parity."""
+def _half_length(n_sites: int) -> int:
+    """k = N/2 for the even chains (N >= 4) that fold into two k x k blocks."""
     if n_sites < 4 or n_sites % 2:
         raise DomainError(
             f"folding needs an even chain with at least 4 sites, got {n_sites}"
         )
-    k = n_sites // 2
+    return n_sites // 2
+
+
+def fold_single_excitation(
+    n_sites: int, coupling: float, bulk_field: float
+) -> FoldedChannelMatrices:
+    """Fold the one-up sector of the bulk-field channel by mirror parity."""
+    k = _half_length(n_sites)
     j, b = float(coupling), float(bulk_field)
     diag = np.full(k, -(2.0 * k - 4.0) * b)
     diag[0] = -(2.0 * k - 2.0) * b
@@ -82,42 +89,135 @@ def fold_single_excitation(
     return FoldedChannelMatrices(k=k, symmetric=sym, antisymmetric=anti)
 
 
+def _bisect(fn, lo: float, hi: float) -> float:
+    """The sign change of ``fn`` in (lo, hi), where fn < 0 below it and
+    fn >= 0 above.  Halving stops when the midpoint equals an endpoint, so the
+    root is resolved to the last bit and identical inputs give identical
+    bits."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if fn(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _ground_wavenumber(k: int, beta: float, antisymmetric: bool) -> tuple[float, bool]:
+    """Ground-state wavenumber q of a folded block, and whether it is a bound
+    state (E = x - 2J cosh q) or a band state (E = x - 2J cos q).
+
+    With c_j = (-1)^j s_j the uniform bulk rows read
+    s_{j-1} + s_{j+1} = ((x - E)/J) s_j, the boundary row is s_0 = beta s_1
+    and the fold row is s_{k+1} = s_k (antisymmetric block: s_j is cosh or
+    cos of (k + 1/2 - j) q) or s_{k+1} = -s_k (symmetric block: sinh or
+    sin).  The boundary row is then the secular equation
+    F((k + 1/2) q) = beta F((k - 1/2) q).  Each form below is a difference
+    of two terms that are each computed to full relative accuracy, so the
+    root stays sharp next to beta = 1 and the symmetric block's bound-state
+    threshold beta = (2k + 1)/(2k - 1); the bound-state forms are scaled by
+    e^{-(k - 1/2) q}, so nothing overflows.
+    """
+    b1 = beta - 1.0
+    if antisymmetric and beta == 1.0:
+        return 0.0, False
+    if antisymmetric and beta > 1.0:
+        # cosh((k + 1/2) p) = beta cosh((k - 1/2) p), root in (ln beta, ln(beta + 1))
+        def secular(p):
+            return -math.expm1(-2 * k * p) * math.expm1(p) - b1 * (
+                1.0 + math.exp(-(2 * k - 1) * p)
+            )
+
+        return _bisect(secular, math.log(beta), math.log1p(beta)), True
+    if antisymmetric:
+        # cos((k + 1/2) t) = beta cos((k - 1/2) t), root in (0, pi/(2k+1)]
+        def secular(t):
+            return 2.0 * math.sin(k * t) * math.sin(0.5 * t) + b1 * math.cos((k - 0.5) * t)
+
+        return _bisect(secular, 0.0, math.pi / (2 * k + 1)), False
+    if beta > (2.0 * k + 1.0) / (2.0 * k - 1.0):
+        # sinh((k + 1/2) p) = beta sinh((k - 1/2) p), root in (0, ln beta)
+        def secular(p):
+            return (1.0 + math.exp(-2 * k * p)) * math.expm1(p) + b1 * math.expm1(
+                -(2 * k - 1) * p
+            )
+
+        return _bisect(secular, 0.0, math.log(beta)), True
+
+    # sin((k + 1/2) t) = beta sin((k - 1/2) t), root in (0, 2 pi/(2k+1)]
+    def secular(t):
+        return b1 * math.sin((k - 0.5) * t) - 2.0 * math.cos(k * t) * math.sin(0.5 * t)
+
+    return _bisect(secular, 0.0, 2.0 * math.pi / (2 * k + 1)), False
+
+
+def _block_ground(
+    k: int, coupling: float, bulk_field: float, antisymmetric: bool
+) -> tuple[float, float, bool]:
+    """Ground energy of one folded block, with its wavenumber q and whether
+    it is a bound state (see ``_ground_wavenumber``)."""
+    q, bound = _ground_wavenumber(k, 2.0 * bulk_field / coupling, antisymmetric)
+    x = -(2.0 * k - 4.0) * bulk_field
+    return x - 2.0 * coupling * (math.cosh(q) if bound else math.cos(q)), q, bound
+
+
 def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelDesign:
-    """Diagonalize the folded blocks and read off the boundary concurrence.
+    """Solve the folded blocks exactly and read off the boundary concurrence.
+
+    Both blocks are k x k tridiagonal with a uniform bulk, so each ground
+    energy is the root of one scalar secular equation (bisection to the last
+    bit) and the antisymmetric ground vector has the closed form
+    s_j = cosh((k + 1/2 - j) p) (beta > 1), 1 (beta = 1) or
+    cos((k + 1/2 - j) theta) (beta < 1), with alternating signs and the
+    largest-magnitude entry positive.  The profile is evaluated in O(k) as
+    e^{-(j-1) p} (1 + e^{-(2k+1-2j) p}), so every coefficient carries full
+    relative accuracy, however far below the boundary amplitude it falls.
+    No dense matrix is built.
 
     For J > 0 the antisymmetric block's ground energy is strictly below the
     symmetric one (its fold corner is lower by 2J and the ground vector has
-    nonzero weight there), but the split shrinks like beta^(2-2k) and falls
-    under floating-point resolution for long or strongly-biased chains.
-    When the two blocks are numerically within tolerance the winner is
-    therefore fixed analytically (antisymmetric) instead of by comparing
-    noise, and ``near_degenerate`` records it.
+    nonzero weight there), so it always holds the ground state.  The split
+    shrinks like beta^(2-2k); ``near_degenerate`` flags that it fell within
+    the degeneracy tolerance.
+
+    Coefficients below the smallest normal float (about 2.2e-308) are
+    stored as 0, so their ratios in ``ratio_profile`` read inf: a float-range
+    limit, plainly flagged, not roundoff.
     """
+    if not (math.isfinite(coupling) and math.isfinite(bulk_field)):
+        raise DomainError("channel design needs a finite coupling and bulk field")
     if coupling <= 0:
         raise DomainError("channel design needs a positive coupling")
     if bulk_field < 0:
         raise DomainError("channel design needs a nonnegative bulk field")
-    folded = fold_single_excitation(n_sites, coupling, bulk_field)
-    dec_sym = decompose(folded.symmetric)
-    dec_anti = decompose(folded.antisymmetric)
-    e_sym = float(dec_sym.eigenvalues[0])
-    e_anti = float(dec_anti.eigenvalues[0])
-    lowest = min(e_sym, e_anti)
-    near = abs(e_sym - e_anti) <= DEGENERACY_RTOL * (1.0 + abs(lowest))
-    if near or e_anti <= e_sym:
-        parity, winner, energy = -1, dec_anti, e_anti
-    else:  # pragma: no cover - excluded analytically for J > 0
-        parity, winner, energy = 1, dec_sym, e_sym
-    v = winner.eigenvectors[:, 0]
-    coeffs = v / np.sqrt(2.0)
+    k = _half_length(n_sites)
+    j, b = float(coupling), float(bulk_field)
+    e_anti, q, bound = _block_ground(k, j, b, antisymmetric=True)
+    e_sym, _, _ = _block_ground(k, j, b, antisymmetric=False)
+    if not math.isfinite(e_anti + e_sym):
+        raise DomainError("channel parameters exceed the floating-point range")
+    near = abs(e_sym - e_anti) <= DEGENERACY_RTOL * (1.0 + abs(min(e_sym, e_anti)))
+
+    sites = np.arange(k)
+    if bound:
+        s = np.exp(-q * sites) * (1.0 + np.exp(-q * (2 * k - 1 - 2 * sites)))
+    else:
+        s = np.cos(q * (k - 0.5 - sites))
+    v = s / math.sqrt(float(s @ s))
+    v[1::2] *= -1.0
+    if v[np.argmax(np.abs(v))] < 0:
+        v = -v
+    coeffs = v / math.sqrt(2.0)
+    coeffs[np.abs(coeffs) < np.finfo(float).tiny] = 0.0
     return ChannelDesign(
         n_sites=n_sites,
-        coupling=float(coupling),
-        bulk_field=float(bulk_field),
-        beta=2.0 * bulk_field / coupling,
-        parity=parity,
-        ground_energy=energy,
-        coefficients=tuple(float(c) for c in coeffs),
+        coupling=j,
+        bulk_field=b,
+        beta=2.0 * b / j,
+        parity=-1,
+        ground_energy=e_anti,
+        coefficients=tuple(coeffs.tolist()),
         boundary_concurrence=float(v[0] * v[0]),
         near_degenerate=bool(near),
     )
@@ -127,15 +227,19 @@ def ratio_profile(design: ChannelDesign) -> tuple[float, ...]:
     """Successive magnitude ratios |c_j / c_{j+1}| of the half profile.
 
     A vanishing next coefficient yields an infinite ratio, not an error.
-    The interior ratios track beta = 2B/J ever more closely toward the
-    boundary; the last one (at the fold) sits near beta - 1.
+    For a ``design_channel`` profile with beta > 1 the ratios are exactly
+    cosh((k + 1/2 - j) p) / cosh((k - 1/2 - j) p): they tend to e^p, which is
+    beta = 2B/J up to a relative beta^(-2k), a few sites away from the fold,
+    and the last one (at the fold) is 2 cosh p - 1, i.e. beta + 1/beta - 1 on
+    long chains.  Coefficients below about 1e-308 are stored as 0, so their
+    ratios read inf: a float-range limit, not roundoff.
     """
     c = np.abs(np.asarray(design.coefficients))
     if len(c) < 2:
         raise DomainError("ratio profile needs at least two coefficients")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(c[1:] > 0.0, c[:-1] / c[1:], np.inf)
-    return tuple(float(r) for r in ratios)
+    return tuple(ratios.tolist())
 
 
 def impurity_profile_chain(n_sites: int, base: float) -> ChainSpec:
@@ -164,7 +268,7 @@ def sector_boundary_concurrence(spec: ChainSpec, n_up: int) -> float:
     allocated.  A degenerate sector ground space is treated as an
     equal-weight mixture.
     """
-    dim = comb(spec.n_sites, n_up)
+    dim = math.comb(spec.n_sites, n_up)
     if dim > SECTOR_DIM_CAP:
         raise ResourceCapError(
             f"sector dimension {dim} exceeds the cap of {SECTOR_DIM_CAP}"

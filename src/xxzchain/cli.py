@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .chain import ChainSpec
+from .chain import ChainSpec, config_number
 from .errors import DomainError, NumericError, ResourceCapError
 from .sweep import (
     GridAxis,
@@ -45,6 +46,21 @@ def _emit(header: list[str], rows, out, fmt: str) -> None:
             out.write(json.dumps(obj) + "\n")
 
 
+def _write_atomically(path: str, header: list[str], rows, fmt: str) -> None:
+    """Emit into a fresh file beside ``path`` and move it into place only
+    once every row is written, so an error raised by the lazy row generators
+    leaves neither a partial file nor a clobbered old one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            _emit(header, rows, fh, fmt)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -66,19 +82,10 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _number(kind, value, what: str):
-    """``value`` converted by ``kind`` (int or float); a value that is not a
-    number is a config error, not a traceback."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"config {what!r} must be a number, got {value!r}") from exc
-
-
 def _numbers(kind, values, what: str) -> tuple:
     if not isinstance(values, (list, tuple)):
         raise DomainError(f"config {what!r} must be a list of numbers, got {values!r}")
-    return tuple(_number(kind, v, what) for v in values)
+    return tuple(config_number(kind, v, what) for v in values)
 
 
 def _axis(config: dict, name: str) -> GridAxis:
@@ -120,7 +127,7 @@ def _cmd_curve(config: dict):
 
 def _cmd_channel(config: dict):
     n_values = _numbers(int, _require(config, "n_sites_values"), "n_sites_values")
-    coupling = _number(float, config.get("coupling", 1.0), "coupling")
+    coupling = config_number(float, config.get("coupling", 1.0), "coupling")
     rows = channel_curve(n_values, _axis(config, "beta"), coupling)
     return (
         ["n_sites", "beta", "c1n_numeric", "c1n_closed_form", "max_ratio_deviation"],
@@ -130,9 +137,9 @@ def _cmd_channel(config: dict):
 
 def _cmd_design(config: dict):
     report = design_report(
-        _number(int, _require(config, "n_sites"), "n_sites"),
-        _number(float, _require(config, "target"), "target"),
-        _number(float, config.get("coupling", 1.0), "coupling"),
+        config_number(int, _require(config, "n_sites"), "n_sites"),
+        config_number(float, _require(config, "target"), "target"),
+        config_number(float, config.get("coupling", 1.0), "coupling"),
     )
     header = ["n_sites", "target", "status", "beta", "bulk_field", "achieved"]
     return header, [tuple(report[k] for k in header)]
@@ -189,8 +196,7 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         header, rows = _COMMANDS[args.command](config)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                _emit(header, rows, fh, args.format)
+            _write_atomically(args.out, header, rows, args.format)
         else:
             _emit(header, rows, sys.stdout, args.format)
     except DomainError as exc:

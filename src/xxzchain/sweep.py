@@ -17,7 +17,7 @@ from math import inf, isfinite
 import numpy as np
 
 from . import closed_forms
-from .chain import FULL_SPACE_CAP, ChainSpec, build_sector_basis
+from .chain import FULL_SPACE_CAP, ChainSpec, build_sector_basis, config_number
 from .channel import design_channel, ratio_profile
 from .closed_forms import GroundRegime, beta_for_target, c1n_channel
 from .eigensolver import DEGENERACY_RTOL, decompose
@@ -52,20 +52,16 @@ class GridAxis:
     def from_config(cls, obj) -> "GridAxis":
         if isinstance(obj, dict) and "values" not in obj:
             try:
-                bounds = [float(obj[key]) for key in ("min", "max", "step")]
+                bounds = [
+                    config_number(float, obj[key], f"grid {key}") for key in ("min", "max", "step")
+                ]
             except KeyError as exc:
                 raise DomainError(f"grid axis needs min/max/step or values: {exc}") from exc
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise DomainError(f"grid axis bounds must be numbers: {exc}") from exc
             return cls.from_range(*bounds)
         values = obj["values"] if isinstance(obj, dict) else obj
         if not isinstance(values, (list, tuple)):
             raise DomainError(f"cannot interpret grid axis: {obj!r}")
-        try:
-            values = tuple(float(v) for v in values)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"grid axis values must be numbers: {exc}") from exc
-        return cls(values=values)
+        return cls(values=tuple(config_number(float, v, "grid values") for v in values))
 
     def __post_init__(self):
         if not self.values:

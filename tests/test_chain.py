@@ -104,3 +104,10 @@ def test_chain_spec_from_json_rejects_garbage():
         ChainSpec.from_json('{"n_sites": 3}')
     with pytest.raises(DomainError):
         ChainSpec.from_json("[1, 2]")
+    # a fractional site count or a boolean is refused, not truncated or read as 1
+    good = {"n_sites": 3, "couplings": [1, 1], "fields": [0, 0, 0], "delta": 0}
+    assert ChainSpec.from_dict({**good, "n_sites": 3.0}) == ChainSpec.from_dict(good)
+    for bad in ({"n_sites": 3.5}, {"n_sites": True}, {"couplings": [1, True]},
+                {"fields": [0, False, 0]}, {"delta": True}, {"temperature": False}):
+        with pytest.raises(DomainError):
+            ChainSpec.from_dict({**good, **bad})

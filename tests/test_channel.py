@@ -1,13 +1,18 @@
+import ast
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reference import unfold_consistency
 
+from xxzchain import channel
 from xxzchain.chain import ChainSpec, build_sector_basis
 from xxzchain.channel import (
     ChannelDesign,
+    _block_ground,
     design_channel,
     fold_single_excitation,
     impurity_profile_chain,
@@ -21,8 +26,18 @@ from xxzchain.closed_forms import (
     c15_three_half,
     c1n_channel,
 )
+from xxzchain.eigensolver import decompose
 from xxzchain.errors import DomainError, ResourceCapError
 from xxzchain.hamiltonian import build_channel, build_sector
+
+
+def _reference_betas(k):
+    """Fields on both sides of every regime change of the folded blocks: the
+    antisymmetric bound state at beta = 1 and the symmetric one at
+    beta = (2k + 1)/(2k - 1)."""
+    edge = (2 * k + 1) / (2 * k - 1)
+    return (0.0, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, edge - 1e-9, edge, edge + 1e-9,
+            1.5, 3.0, 10.0, 20.0)
 
 
 def test_fold_four_sites():
@@ -157,6 +172,117 @@ def test_design_domain_errors():
         design_channel(4, 1.0, -1.0)
     with pytest.raises(DomainError):
         design_channel(7, 1.0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            design_channel(4, bad, 1.0)
+        with pytest.raises(DomainError):
+            design_channel(4, 1.0, bad)
+
+
+@pytest.mark.parametrize("n", range(4, 42, 2))
+def test_design_block_energies_match_dense_blocks(n):
+    k = n // 2
+    for beta in _reference_betas(k):
+        folded = fold_single_excitation(n, 1.0, beta / 2)
+        for dense, antisymmetric in ((folded.antisymmetric, True), (folded.symmetric, False)):
+            exact = float(np.linalg.eigvalsh(dense)[0])
+            energy, _, _ = _block_ground(k, 1.0, beta / 2, antisymmetric)
+            assert abs(energy - exact) <= 1e-12 * abs(exact), (n, beta, antisymmetric)
+        assert design_channel(n, 1.0, beta / 2).ground_energy == _block_ground(
+            k, 1.0, beta / 2, True
+        )[0]
+
+
+@pytest.mark.parametrize("n", range(4, 42, 2))
+def test_design_vector_matches_dense_vector(n):
+    for beta in _reference_betas(n // 2):
+        design = design_channel(n, 1.0, beta / 2)
+        dense = decompose(fold_single_excitation(n, 1.0, beta / 2).antisymmetric)
+        v = dense.eigenvectors[:, 0]
+        assert abs(design.boundary_concurrence - v[0] ** 2) <= 1e-12, (n, beta)
+        # at beta = 1 every entry ties in magnitude, so the dense sign is
+        # roundoff's choice: compare magnitudes
+        coeffs = np.abs(design.coefficients) * math.sqrt(2.0)
+        assert np.max(np.abs(coeffs - np.abs(v))) <= 1e-12, (n, beta)
+
+
+def test_design_signs_alternate_with_largest_entry_positive():
+    for beta in (0.5, 1.0, 3.0):
+        coeffs = np.asarray(design_channel(12, 1.0, beta / 2).coefficients)
+        assert np.all(coeffs[:-1] * coeffs[1:] < 0)
+        assert coeffs[np.argmax(np.abs(coeffs))] > 0
+    # beta < 1 piles the weight up at the fold, beta > 1 at the boundary
+    assert np.argmax(np.abs(design_channel(12, 1.0, 0.25).coefficients)) == 5
+    assert np.argmax(np.abs(design_channel(12, 1.0, 1.5).coefficients)) == 0
+
+
+@pytest.mark.parametrize("n,beta", [(40, 20.0), (1000, 5.0)])
+def test_design_componentwise_residual(n, beta):
+    # every row of (A - E) c vanishes relative to its own terms, down to
+    # coefficients hundreds of orders of magnitude below the boundary one
+    design = design_channel(n, 1.0, beta / 2)
+    a = fold_single_excitation(n, 1.0, beta / 2).antisymmetric
+    c = np.asarray(design.coefficients)
+    e = design.ground_energy
+    rows = [j for j in range(1, len(c) - 1) if np.all(c[j - 1 : j + 2] != 0.0)]
+    assert len(rows) >= min(len(c) - 2, 400)
+    for j in rows:
+        terms = a[j, j - 1 : j + 2] * c[j - 1 : j + 2]
+        scale = np.sum(np.abs(terms)) + abs(e * c[j])
+        assert abs(np.sum(terms) - e * c[j]) <= 1e-12 * scale, j
+
+
+def test_ratio_profile_is_exact_at_the_fold():
+    # N = 40, beta = 20: the coefficients fall to 1e-25 of the boundary one;
+    # every ratio is cosh((k + 1/2 - j) p) / cosh((k - 1/2 - j) p) with
+    # e^p = beta up to beta^(-2k)
+    k, beta = 20, 20.0
+    ratios = ratio_profile(design_channel(2 * k, 1.0, beta / 2))
+    p = math.log(beta)
+    for j, ratio in enumerate(ratios, start=1):
+        exact = math.cosh((k + 0.5 - j) * p) / math.cosh((k - 0.5 - j) * p)
+        assert ratio == pytest.approx(exact, rel=1e-12), j
+    assert all(r == pytest.approx(beta, rel=1e-12) for r in ratios[: k - 6])
+    assert ratios[-1] == pytest.approx(beta + 1 / beta - 1, rel=1e-12)  # 2 cosh p - 1
+
+
+def test_ratio_profile_flags_underflowed_coefficients():
+    # N = 1000, beta = 20: e^{-(j-1) p} leaves the float range near j = 237;
+    # those coefficients are 0, never subnormal, and their ratios read inf
+    design = design_channel(1000, 1.0, 10.0)
+    coeffs = np.abs(design.coefficients)
+    assert not np.any((coeffs > 0) & (coeffs < np.finfo(float).tiny))
+    ratios = np.asarray(ratio_profile(design))
+    finite = np.isfinite(ratios)
+    assert finite[:200].all() and not finite[-1]
+    assert np.all(np.abs(ratios[finite] - 20.0) <= 1e-12 * 20.0)
+
+
+def test_design_builds_no_dense_block(monkeypatch):
+    def dense(*args):
+        raise AssertionError("dense path called")
+
+    monkeypatch.setattr(channel, "fold_single_excitation", dense)
+    monkeypatch.setattr(channel, "decompose", dense)
+    assert design_channel(1000, 1.0, 2.5).boundary_concurrence == pytest.approx(
+        c1n_channel(5.0, 500), abs=1e-15
+    )
+
+
+def test_channel_module_imports_numpy_and_stdlib_only():
+    # numpy is the package's only declared dependency
+    tree = ast.parse(Path(channel.__file__).read_text())
+    imported = {
+        alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {
+        node.module.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+    }
+    assert imported <= {"numpy"} | set(sys.stdlib_module_names), imported
 
 
 def test_ratio_profile_tracks_beta_toward_the_boundary():

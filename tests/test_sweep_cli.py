@@ -36,6 +36,10 @@ def test_grid_axis_validation():
         GridAxis(values=())
     with pytest.raises(DomainError):
         GridAxis.from_config({"min": 0.0, "max": 1.0})
+    with pytest.raises(DomainError):
+        GridAxis.from_config([0.5, True])
+    with pytest.raises(DomainError):
+        GridAxis.from_config({"min": False, "max": 1.0, "step": 0.5})
 
 
 def test_grid_axis_from_config_forms():
@@ -373,6 +377,11 @@ _SCAN_GRID = {"delta": {"values": [0.0]}, "B": {"values": [0.0]}}
              "grid": {**_SCAN_GRID, "delta": {"min": "a", "max": 1, "step": 0.5}}},
         ),
         ("curve", {"spec": _SCAN_SPEC, "pair": ["a", 3], "grid": {"B": [0.0]}}),
+        # int() would truncate and bool is an int: these used to run, exit 0
+        ("curve", {"spec": _SCAN_SPEC, "pair": [1.7, 3], "grid": {"B": [0.0]}}),
+        ("design", {"n_sites": 4.9, "target": 0.99}),
+        ("curve",
+         {"spec": _SCAN_SPEC, "pair": [1, 3], "delta_values": [True], "grid": {"B": [0.0]}}),
     ],
 )
 def test_cli_bad_config_values_exit_2(tmp_path, capsys, command, config):
@@ -380,6 +389,21 @@ def test_cli_bad_config_values_exit_2(tmp_path, capsys, command, config):
     assert main([command, "--config", _write_config(tmp_path, config), "--out", str(out)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("existing", [None, b"old bytes\n"])
+def test_cli_error_inside_the_rows_leaves_out_untouched(tmp_path, capsys, existing):
+    # the pair is checked when the first row is made, after --out is chosen
+    out = tmp_path / "out.csv"
+    if existing is not None:
+        out.write_bytes(existing)
+    config = {"spec": _SCAN_SPEC, "pair": [1, 5], "grid": {"B": [0.0]}}
+    assert main(["curve", "--config", _write_config(tmp_path, config), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert (out.read_bytes() if out.exists() else None) == existing
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["config.json"] + (["out.csv"] if existing is not None else [])
+    )
 
 
 def test_cli_numeric_failure_exit_code(monkeypatch, tmp_path):
