@@ -45,9 +45,7 @@ class ChannelDesign:
     ``coefficients[j]`` is the amplitude shared by sites j+1 and N-j (half
     profile, so 2 * sum of squares = 1); ``boundary_concurrence`` equals
     twice the squared boundary coefficient.  ``parity`` is the folded block
-    that carries the ground state, always -1 (antisymmetric) for J > 0;
-    ``near_degenerate`` flags that the symmetric block's ground energy came
-    within the degeneracy tolerance of it.
+    that carries the ground state, always -1 (antisymmetric) for J > 0.
     """
 
     n_sites: int
@@ -58,7 +56,16 @@ class ChannelDesign:
     ground_energy: float
     coefficients: tuple[float, ...]
     boundary_concurrence: float
-    near_degenerate: bool = False
+
+    @property
+    def near_degenerate(self) -> bool:
+        """Whether the symmetric block's ground energy lies within the
+        degeneracy tolerance of ``ground_energy``.  That block is solved
+        on each read, so a design that is never asked pays nothing for it."""
+        k = _half_length(self.n_sites)
+        e_sym, _, _ = _block_ground(k, self.coupling, self.bulk_field, antisymmetric=False)
+        e_anti = self.ground_energy
+        return abs(e_sym - e_anti) <= DEGENERACY_RTOL * (1.0 + abs(min(e_sym, e_anti)))
 
 
 def _half_length(n_sites: int) -> int:
@@ -177,9 +184,10 @@ def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelD
 
     For J > 0 the antisymmetric block's ground energy is strictly below the
     symmetric one (its fold corner is lower by 2J and the ground vector has
-    nonzero weight there), so it always holds the ground state.  The split
-    shrinks like beta^(2-2k); ``near_degenerate`` flags that it fell within
-    the degeneracy tolerance.
+    nonzero weight there), so it always holds the ground state and only its
+    secular equation is solved here.  The split shrinks like beta^(2-2k);
+    ``ChannelDesign.near_degenerate`` solves the symmetric block on demand
+    and flags that the split fell within the degeneracy tolerance.
 
     Coefficients below the smallest normal float (about 2.2e-308) are
     stored as 0, so their ratios in ``ratio_profile`` read inf: a float-range
@@ -194,10 +202,10 @@ def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelD
     k = _half_length(n_sites)
     j, b = float(coupling), float(bulk_field)
     e_anti, q, bound = _block_ground(k, j, b, antisymmetric=True)
-    e_sym, _, _ = _block_ground(k, j, b, antisymmetric=False)
-    if not math.isfinite(e_anti + e_sym):
+    # the symmetric ground energy lies between e_anti and x + 2J, so a finite
+    # e_anti bounds it too
+    if not math.isfinite(e_anti):
         raise DomainError("channel parameters exceed the floating-point range")
-    near = abs(e_sym - e_anti) <= DEGENERACY_RTOL * (1.0 + abs(min(e_sym, e_anti)))
 
     sites = np.arange(k)
     if bound:
@@ -219,7 +227,6 @@ def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelD
         ground_energy=e_anti,
         coefficients=tuple(coeffs.tolist()),
         boundary_concurrence=float(v[0] * v[0]),
-        near_degenerate=bool(near),
     )
 
 

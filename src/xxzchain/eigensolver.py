@@ -55,10 +55,10 @@ def decompose(matrix: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def ground_space(dec: SpectralDecomposition, rel_tol: float = DEGENERACY_RTOL) -> list[int]:
-    """Indices of all states within tolerance of the lowest eigenvalue."""
+def ground_space(dec: SpectralDecomposition) -> list[int]:
+    """Indices of all states within DEGENERACY_RTOL of the lowest eigenvalue."""
     if dec.order == 0:
         raise DomainError("empty decomposition")
     w0 = dec.eigenvalues[0]
-    cut = w0 + rel_tol * (1.0 + abs(w0))
+    cut = w0 + DEGENERACY_RTOL * (1.0 + abs(w0))
     return [m for m in range(dec.order) if dec.eigenvalues[m] <= cut]

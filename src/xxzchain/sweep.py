@@ -3,10 +3,16 @@
 Phase scans and concurrence curves run on S^z blocks.  The Hamiltonian
 conserves total S^z, and a uniform field B shifts the k-up block by
 B (2k - N) without changing its eigenvectors, so each delta decomposes its
-N + 1 zero-field blocks once and every B reuses them.  Eigenvectors are
-reduced to their pair-state entries right away and dropped.  Rows stay pure
-functions of (template, delta, B): a single-point call rebuilds the same
-blocks and reproduces its grid row bit for bit.
+N + 1 zero-field blocks once and every B reuses them.  Two more symmetries
+cut that work.  At zero field the global spin flip maps block k onto block
+N - k, so only the blocks k <= N/2 are decomposed and the others reuse their
+levels and flipped pair data; this holds for every sweep.  When couplings and
+fields are palindromic, mirror reflection splits each block into even and
+odd halves of about half the size.  A spec without a symmetry decomposes its
+plain blocks.  Eigenvectors are reduced to their pair-state entries right
+away and dropped.  Rows stay pure functions of (template, delta, B): a
+single-point call rebuilds the same blocks and reproduces its grid row bit
+for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from math import inf, isfinite
 import numpy as np
 
 from . import closed_forms
-from .chain import FULL_SPACE_CAP, ChainSpec, build_sector_basis, config_number
+from .chain import FULL_SPACE_CAP, ChainSpec, SectorBasis, build_sector_basis, config_number
 from .channel import design_channel, ratio_profile
 from .closed_forms import GroundRegime, beta_for_target, c1n_channel
 from .eigensolver import DEGENERACY_RTOL, decompose
@@ -96,27 +102,95 @@ class PhasePoint:
     boundary_concurrence: float
 
 
+# pair-data columns (p00, p01, p10, p11, c) of a state read off its spin-flip
+# image: populations swap 00 <-> 11 and 01 <-> 10, the coherence stays
+_FLIPPED_COLUMNS = [3, 2, 1, 0, 4]
+
+
+def _mirror_block(
+    basis: SectorBasis, h: np.ndarray, pair: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and pair data (see ``pair_xstate_data``) of a mirror-symmetric
+    block, from the even and odd halves of the reflection R (bit reversal).
+
+    Representatives r <= R(r), with m the index of R(r), span the halves
+    through c (|r> +/- |m>), c = f / sqrt(2), f = 1/sqrt(2) for a self-mirror
+    state and 1 otherwise; so H+/- = (H[r, r'] +/- H[r, m']) f f'.  The odd
+    half has no self-mirror states.  Eigenvectors come back to sector
+    amplitudes by v[r] += c x, v[m] +/-= c x, O(d) per vector.
+    """
+    n = basis.n_sites
+    states = basis.state_array()
+    mirrored = np.zeros_like(states)
+    for s in range(n):
+        mirrored |= ((states >> s) & 1) << (n - 1 - s)
+    reps = np.flatnonzero(states <= mirrored)
+    partners = np.searchsorted(states, mirrored[reps])
+    own = partners == reps
+    f = np.where(own, np.sqrt(0.5), 1.0)
+    ff = np.outer(f, f)
+    ff[np.ix_(own, own)] = 0.5  # exactly; sqrt(0.5)**2 is not
+    even = (h[np.ix_(reps, reps)] + h[np.ix_(reps, partners)]) * ff
+    odd_r, odd_m = reps[~own], partners[~own]
+    odd = h[np.ix_(odd_r, odd_r)] - h[np.ix_(odd_r, odd_m)]
+    del h, ff  # the caller passes the block itself, so this frees it
+    # c = 1/sqrt(2) rounded down: 2 c^2 <= 1 in floating point, so the map
+    # never scales a squared amplitude up (a singlet's concurrence stays <= 1)
+    root_half = np.nextafter(np.sqrt(0.5), 0.0)
+
+    def unfold(matrix, rows, images, c, sign):
+        dec = decompose(matrix)
+        x = c * dec.eigenvectors
+        vectors = np.zeros((len(basis), dec.order))
+        vectors[rows] = x
+        vectors[images] += sign * x
+        return dec.eigenvalues, pair_xstate_data(basis, vectors, *pair)
+
+    halves = [unfold(even, reps, partners, np.where(own, 0.5, root_half)[:, None], 1.0)]
+    if len(odd_r):
+        halves.append(unfold(odd, odd_r, odd_m, root_half, -1.0))
+    return np.concatenate([w for w, _ in halves]), np.concatenate([d for _, d in halves])
+
+
 class _SectorSpectrum:
     """Levels of every S^z block of one chain, each with the pair data of
     its eigenvector for one site pair (see ``pair_xstate_data``).
 
     ``levels`` adds a uniform field as the shift B (2k - N) of the k-up
     block, so one instance serves every field at fixed delta.
+
+    Two symmetries cut the decompositions.  With every field exactly 0 the
+    global spin flip maps block k onto block N - k, so only blocks
+    k <= N/2 are decomposed and block N - k reuses their levels (the very
+    same numbers) and flipped pair data.  With palindromic couplings and
+    fields the reflection splits each decomposed block into even and odd
+    halves (``_mirror_block``).  Without a symmetry the plain block is
+    decomposed.
     """
 
     def __init__(self, spec: ChainSpec, pair: tuple[int, int]):
         n = spec.n_sites
         self.pair = (min(pair), max(pair))
-        energies, data, sectors = [], [], []
-        for k in range(n + 1):
+        flip = not any(spec.fields)
+        mirror = spec.couplings == spec.couplings[::-1] and spec.fields == spec.fields[::-1]
+        energies, data = [], []
+        for k in range(n // 2 + 1 if flip else n + 1):
             basis = build_sector_basis(n, k)
-            dec = decompose(build_sector(spec, basis))
-            energies.append(dec.eigenvalues)
-            data.append(pair_xstate_data(basis, dec.eigenvectors, *pair))
-            sectors.append(np.full(len(basis), k))
+            if mirror:
+                levels, block_data = _mirror_block(basis, build_sector(spec, basis), pair)
+            else:
+                dec = decompose(build_sector(spec, basis))
+                levels = dec.eigenvalues
+                block_data = pair_xstate_data(basis, dec.eigenvectors, *pair)
+            energies.append(levels)
+            data.append(block_data)
+        if flip:
+            for k in range(n // 2 + 1, n + 1):
+                energies.append(energies[n - k])
+                data.append(data[n - k][:, _FLIPPED_COLUMNS])
         self.energies = np.concatenate(energies)
         self.pair_data = np.concatenate(data)
-        self.sector = np.concatenate(sectors)
+        self.sector = np.repeat(np.arange(n + 1), [len(e) for e in energies])
         self.shift = 2.0 * self.sector - n
 
     def levels(self, field: float) -> tuple[np.ndarray, float, np.ndarray]:
@@ -149,14 +223,14 @@ def _phase_point(spectrum: _SectorSpectrum, delta: float, field: float) -> Phase
     e, e0, ground = spectrum.levels(field)
     # a tie across sectors is labelled by its smallest sector, by rule
     n_up = int(spectrum.sector[ground].min())
-    own = e[spectrum.sector == n_up]
-    rank = int(np.count_nonzero(own < e0 - DEGENERACY_RTOL * (1.0 + abs(e0))))
     rho = spectrum.pair_state(e, e0, ground, 0.0)
     return PhasePoint(
         delta=float(delta),
         field=float(field),
         n_up=n_up,
-        sector_rank=rank,
+        # the ground level is the global minimum e0, so nothing in its own
+        # sector lies below it
+        sector_rank=0,
         ground_energy=e0,
         degeneracy=len(ground),
         boundary_concurrence=xstate_concurrence(rho),
@@ -168,7 +242,7 @@ def phase_scan(template: ChainSpec, delta_axis: GridAxis, field_axis: GridAxis):
 
     The label records the magnetization sector of the ground level (the
     smallest one when levels of several sectors tie) plus its rank within
-    that sector.  Caps are checked eagerly, before any node is computed;
+    that sector, which is 0 by construction.  Caps are checked eagerly, before any node is computed;
     the result streams lazily.
     """
     n = template.n_sites

@@ -10,8 +10,10 @@ import numpy as np
 
 from xxzchain.chain import build_sector_basis, site_mask
 from xxzchain.channel import fold_single_excitation
-from xxzchain.entanglement import SPIN_FLIP, TwoQubitDensityMatrix
+from xxzchain.eigensolver import decompose
+from xxzchain.entanglement import SPIN_FLIP, TwoQubitDensityMatrix, pair_xstate_data
 from xxzchain.hamiltonian import build_channel, build_sector
+from xxzchain.sweep import _SectorSpectrum
 
 
 def spin_sign(state: int, site: int, n_sites: int) -> int:
@@ -58,3 +60,25 @@ def unfold_consistency(
         )
     )
     return bool(np.max(np.abs(direct - via_fold)) <= tol)
+
+
+class PlainBlockSpectrum(_SectorSpectrum):
+    """``sweep._SectorSpectrum`` without its spin-flip and mirror shortcuts:
+    every one of the N + 1 S^z blocks is decomposed whole.  ``levels`` and
+    ``pair_state`` are inherited, so rows built on it differ from the
+    library's only by how the blocks were decomposed."""
+
+    def __init__(self, spec, pair):
+        n = spec.n_sites
+        self.pair = (min(pair), max(pair))
+        energies, data, sectors = [], [], []
+        for k in range(n + 1):
+            basis = build_sector_basis(n, k)
+            dec = decompose(build_sector(spec, basis))
+            energies.append(dec.eigenvalues)
+            data.append(pair_xstate_data(basis, dec.eigenvectors, *pair))
+            sectors.append(np.full(len(basis), k))
+        self.energies = np.concatenate(energies)
+        self.pair_data = np.concatenate(data)
+        self.sector = np.concatenate(sectors)
+        self.shift = 2.0 * self.sector - n

@@ -136,6 +136,35 @@ def test_design_small_chains_not_degenerate():
     assert not design.near_degenerate
 
 
+def test_design_solves_the_symmetric_block_only_when_asked(monkeypatch):
+    solved = []
+    block_ground = channel._block_ground
+
+    def recording(k, coupling, bulk_field, antisymmetric):
+        solved.append(antisymmetric)
+        return block_ground(k, coupling, bulk_field, antisymmetric)
+
+    monkeypatch.setattr(channel, "_block_ground", recording)
+    design = design_channel(40, 1.0, 10.0)
+    assert solved == [True]
+    assert design.near_degenerate
+    assert solved == [True, False]
+
+
+def test_design_overflow_raises_and_finite_designs_read_near_degenerate():
+    # 2B/J or the bulk diagonal -(2k - 4) B leaves the float range
+    for n, j, b in ((4, 1e-300, 1e300), (10, 1.0, 1e308), (1000, 1.0, 1e306)):
+        with pytest.raises(DomainError, match="floating-point range"):
+            design_channel(n, j, b)
+    # the antisymmetric check alone guards the symmetric block: it lies
+    # between e_anti and x + 2J, so it is finite wherever a design exists
+    for n, j, b in ((4, 1e-10, 1e290), (1000, 1.0, 1e303), (40, 1e300, 1e300)):
+        design = design_channel(n, j, b)
+        e_sym = channel._block_ground(n // 2, j, b, antisymmetric=False)[0]
+        assert math.isfinite(e_sym) and e_sym >= design.ground_energy
+        assert isinstance(design.near_degenerate, bool)
+
+
 def test_design_parity_stable_under_joint_rescaling():
     for scale in (0.5, 1.0, 7.0):
         design = design_channel(6, scale, 3.0 * scale)
