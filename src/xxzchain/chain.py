@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, isfinite
 
 import numpy as np
@@ -157,13 +156,26 @@ class SectorBasis:
 
 
 def build_sector_basis(n_sites: int, n_up: int) -> SectorBasis:
-    """Enumerate the C(N, k) states with popcount k in ascending order."""
+    """Enumerate the C(N, k) states with popcount k in ascending order.
+
+    The j-up labels whose highest set bit is p are 2^p plus the (j - 1)-up
+    labels below 2^p, which are the first C(p, j - 1) of the ascending
+    (j - 1)-up labels; taking p upward lists them in ascending order, so
+    there is no sort and each label costs one addition.  A sector with
+    k > N/2 is the bitwise complement of the (N - k)-up sector, reversed.
+    """
     if n_sites < 1:
         raise DomainError(f"n_sites must be positive, got {n_sites}")
     if not 0 <= n_up <= n_sites:
         raise DomainError(f"n_up must lie in [0, {n_sites}], got {n_up}")
-    states = tuple(
-        sorted(sum(1 << b for b in combo) for combo in combinations(range(n_sites), n_up))
-    )
+    states = [0]
+    for j in range(1, min(n_up, n_sites - n_up) + 1):
+        below, states = states, []
+        for p in range(j - 1, n_sites):
+            top = 1 << p
+            states += [top + s for s in below[: comb(p, j - 1)]]
+    if 2 * n_up > n_sites:
+        full = (1 << n_sites) - 1
+        states = [full - s for s in reversed(states)]
     assert len(states) == comb(n_sites, n_up)
-    return SectorBasis(n_sites=n_sites, n_up=n_up, states=states)
+    return SectorBasis(n_sites=n_sites, n_up=n_up, states=tuple(states))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .chain import ChainSpec, build_sector_basis
 from .eigensolver import DEGENERACY_RTOL, decompose, ground_space
-from .entanglement import pair_xstate_data, xstate_concurrence, xstate_pair
+from .entanglement import pair_xstate_data, xstate_concurrences
 from .errors import DomainError, ResourceCapError
 from .hamiltonian import build_sector
 
@@ -284,4 +284,4 @@ def sector_boundary_concurrence(spec: ChainSpec, n_up: int) -> float:
     dec = decompose(build_sector(spec, basis))
     pair = (1, spec.n_sites)
     data = pair_xstate_data(basis, dec.eigenvectors[:, ground_space(dec)], *pair)
-    return xstate_concurrence(xstate_pair(pair, data.mean(axis=0)))
+    return float(xstate_concurrences(data.mean(axis=0, keepdims=True))[0])

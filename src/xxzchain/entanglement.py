@@ -5,10 +5,10 @@ eigenvectors, thermal states and reduced states are real as well, and the
 conjugation in the spin-flip transform is a no-op.  Library results come
 from mixtures of magnetization sector states, whose pair states need only
 five numbers per eigenvector (``pair_xstate_data``) and have a closed-form
-concurrence (``xstate_concurrence``).  The general Wootters concurrence of
-any two-qubit state is evaluated through the all-symmetric product
-sqrt(rho) rho~ sqrt(rho), which keeps the lambda spectrum real and
-nonnegative by construction.
+concurrence, evaluated for many rows at once (``xstate_concurrences``).
+The general Wootters concurrence of any two-qubit state is evaluated
+through the all-symmetric product sqrt(rho) rho~ sqrt(rho), which keeps the
+lambda spectrum real and nonnegative by construction.
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ SPIN_FLIP = np.array(
 # an eigenvalue of a density matrix is indistinguishable from roundoff and
 # treated as an exact zero before taking square roots.
 _NOISE_FLOOR = 64.0 * np.finfo(float).eps
-
-# Entries of a pair state that vanish when it is a mixture of magnetization
-# sector states: everything but the diagonal and the 01<->10 coherence.
-_VANISHING = ~np.eye(4, dtype=bool)
-_VANISHING[1, 2] = _VANISHING[2, 1] = False
 
 
 @dataclass(frozen=True)
@@ -183,23 +178,34 @@ def pair_xstate_data(basis: SectorBasis, vectors: np.ndarray, i: int, j: int) ->
     return data
 
 
-def xstate_pair(sites: tuple[int, int], data) -> TwoQubitDensityMatrix:
-    """The pair state with populations data[:4] and 01<->10 coherence data[4]."""
-    p00, p01, p10, p11, c = (float(x) for x in data)
-    m = np.diag([p00, p01, p10, p11])
-    m[1, 2] = m[2, 1] = c
-    return TwoQubitDensityMatrix(sites=sites, matrix=m)
+def xstate_concurrences(data) -> np.ndarray:
+    """Closed-form concurrence 2 max(0, |c| - sqrt(p00 p11)) of each pair
+    state row (p00, p01, p10, p11, c) (T. Yu and J. H. Eberly, QIC 7, 459
+    (2007)), for an (m, 5) array of rows such as ``pair_xstate_data`` gives.
 
-
-def xstate_concurrence(rho: TwoQubitDensityMatrix) -> float:
-    """Closed-form concurrence 2 max(0, |rho_{01,10}| - sqrt(rho_00 rho_11))
-    of a pair state with the shape xstate_pair builds (T. Yu and J. H.
-    Eberly, QIC 7, 459 (2007)).  No eigenvalue is clipped, so values far
-    below the Wootters kernel's noise floor stay exact."""
-    m = rho.matrix
-    if np.any(m[_VANISHING] != 0.0):
-        raise DomainError("pair state has entries outside the populations and 01<->10 coherence")
-    return 2.0 * max(0.0, abs(float(m[1, 2])) - float(np.sqrt(m[0, 0] * m[3, 3])))
+    Every row is checked as ``TwoQubitDensityMatrix`` checks a 4x4 state,
+    with the same tolerances, in closed form: trace 1 within 1e-12, and no
+    eigenvalue below -1e-10, the eigenvalues being p00, p11 and
+    (p01 + p10)/2 +/- sqrt(((p01 - p10)/2)^2 + c^2).  Its symmetry check
+    and the check that nothing lies outside the populations and the 01<->10
+    coherence hold by construction for a state built from these five
+    numbers.  No eigenvalue is clipped, so values far below the Wootters
+    kernel's noise floor stay exact.
+    """
+    d = np.asarray(data, dtype=float)
+    if d.ndim != 2 or d.shape[1] != 5:
+        raise DomainError(f"expected (m, 5) pair-state rows, got shape {d.shape}")
+    p00, p01, p10, p11, c = d.T
+    trace = p00 + p01 + p10 + p11
+    off = np.flatnonzero(~(np.abs(trace - 1.0) <= 1e-12))  # NaN fails too
+    if len(off):
+        raise DomainError(f"reduced state trace is {trace[off[0]]!r}, not 1")
+    middle = 0.5 * (p01 + p10) - np.sqrt((0.5 * (p01 - p10)) ** 2 + c * c)
+    if np.any(np.minimum(np.minimum(p00, p11), middle) < -1e-10):
+        raise DomainError("reduced state has a significantly negative eigenvalue")
+    # fmax, not maximum: a population in [-1e-10, 0) makes sqrt NaN, which
+    # fmax maps to 0 as the scalar max(0.0, nan) of the 4x4 route did
+    return 2.0 * np.fmax(0.0, np.abs(c) - np.sqrt(p00 * p11))
 
 
 def thermal_state(spec: ChainSpec, dec: SpectralDecomposition) -> np.ndarray:

@@ -10,9 +10,15 @@ levels and flipped pair data; this holds for every sweep.  When couplings and
 fields are palindromic, mirror reflection splits each block into even and
 odd halves of about half the size.  A spec without a symmetry decomposes its
 plain blocks.  Eigenvectors are reduced to their pair-state entries right
-away and dropped.  Rows stay pure functions of (template, delta, B): a
-single-point call rebuilds the same blocks and reproduces its grid row bit
-for bit.
+away and dropped.
+
+The field axis of a delta is then evaluated in one vectorized pass
+(``_SectorSpectrum.field_rows``): the shifted levels, the ground space and
+the mixed pair data of a chunk of fields at once, and their concurrences
+through the batched X-state kernel, which checks every row in closed form.
+Rows stay pure functions of (template, delta, B): every reduction runs
+along one field's levels, so a single-point call rebuilds the same blocks
+and reproduces its grid row bit for bit.
 """
 
 from __future__ import annotations
@@ -27,16 +33,16 @@ from .chain import FULL_SPACE_CAP, ChainSpec, SectorBasis, build_sector_basis, c
 from .channel import design_channel, ratio_profile
 from .closed_forms import GroundRegime, beta_for_target, c1n_channel
 from .eigensolver import DEGENERACY_RTOL, decompose
-from .entanglement import (
-    TwoQubitDensityMatrix,
-    pair_xstate_data,
-    xstate_concurrence,
-    xstate_pair,
-)
+from .entanglement import pair_xstate_data, xstate_concurrences
 from .errors import DomainError, ResourceCapError
 from .hamiltonian import build_sector
 
 GRID_POINT_CAP = 10**6
+
+# Most level x field entries one temporary of ``_SectorSpectrum.field_rows``
+# holds; the field axis is walked in chunks of that size, so its memory does
+# not grow with the grid.
+_CHUNK_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -156,7 +162,7 @@ class _SectorSpectrum:
     """Levels of every S^z block of one chain, each with the pair data of
     its eigenvector for one site pair (see ``pair_xstate_data``).
 
-    ``levels`` adds a uniform field as the shift B (2k - N) of the k-up
+    ``field_rows`` adds a uniform field as the shift B (2k - N) of the k-up
     block, so one instance serves every field at fixed delta.
 
     Two symmetries cut the decompositions.  With every field exactly 0 the
@@ -193,25 +199,47 @@ class _SectorSpectrum:
         self.sector = np.repeat(np.arange(n + 1), [len(e) for e in energies])
         self.shift = 2.0 * self.sector - n
 
-    def levels(self, field: float) -> tuple[np.ndarray, float, np.ndarray]:
-        """Energies at ``field``, the ground energy, and the ground space:
-        every level within DEGENERACY_RTOL of it, whatever its sector."""
-        e = self.energies + field * self.shift
-        e0 = float(e.min())
-        return e, e0, np.flatnonzero(e <= e0 + DEGENERACY_RTOL * (1.0 + abs(e0)))
+    def field_rows(
+        self, fields, temperature: float = 0.0
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Ground energy, ground sector, ground degeneracy and pair
+        concurrence at each uniform field of ``fields``, as four arrays.
 
-    def pair_state(
-        self, e: np.ndarray, e0: float, ground: np.ndarray, temperature: float
-    ) -> TwoQubitDensityMatrix:
-        """Equal mixture over the ground space at T = 0 (the T -> 0+ limit),
-        Boltzmann mixture over every level at T > 0; weights are shifted by
-        the ground energy so large gaps underflow instead of overflowing."""
-        if temperature > 0:
-            weights = np.exp(-(e - e0) / temperature)
-            data = (weights / weights.sum()) @ self.pair_data
-        else:
-            data = self.pair_data[ground].mean(axis=0)
-        return xstate_pair(self.pair, data)
+        The ground space at B is every level of ``energies + B shift``
+        within DEGENERACY_RTOL of the lowest, whatever its sector; a tie
+        across sectors is labelled by its smallest sector, by rule.  The pair
+        state is the equal mixture over the ground space at T = 0 (the
+        T -> 0+ limit), and the Boltzmann mixture over every level at T > 0,
+        with weights shifted by the ground energy so that large gaps
+        underflow instead of overflowing.  Every reduction runs along the
+        level axis of one field, so a field's row is the same bits whichever
+        fields share the call.
+        """
+        fields = np.asarray(fields, dtype=float)
+        m = len(fields)
+        e0, concurrence = np.empty(m), np.empty(m)
+        n_up, degeneracy = np.empty(m, dtype=int), np.empty(m, dtype=int)
+        columns = np.ascontiguousarray(self.pair_data.T)
+        step = max(1, _CHUNK_ENTRIES // len(self.energies))
+        for start in range(0, m, step):
+            rows = slice(start, start + step)
+            e = self.energies + fields[rows, None] * self.shift
+            lowest = e.min(axis=1)
+            ground = e <= (lowest + DEGENERACY_RTOL * (1.0 + np.abs(lowest)))[:, None]
+            e0[rows] = lowest
+            # levels are stored by ascending sector, so the first ground
+            # level has the smallest ground sector
+            n_up[rows] = self.sector[ground.argmax(axis=1)]
+            count = np.count_nonzero(ground, axis=1)
+            degeneracy[rows] = count
+            if temperature > 0:
+                weights = np.exp(-(e - lowest[:, None]) / temperature)
+                weights /= weights.sum(axis=1, keepdims=True)
+                data = [(weights * column).sum(axis=1) for column in columns]
+            else:
+                data = [(ground * column).sum(axis=1) / count for column in columns]
+            concurrence[rows] = xstate_concurrences(np.stack(data, axis=1))
+        return e0, n_up, degeneracy, concurrence
 
 
 def _check_sites(n_sites: int, what: str) -> None:
@@ -219,22 +247,20 @@ def _check_sites(n_sites: int, what: str) -> None:
         raise ResourceCapError(f"{what} needs n_sites <= {FULL_SPACE_CAP}, got {n_sites}")
 
 
-def _phase_point(spectrum: _SectorSpectrum, delta: float, field: float) -> PhasePoint:
-    e, e0, ground = spectrum.levels(field)
-    # a tie across sectors is labelled by its smallest sector, by rule
-    n_up = int(spectrum.sector[ground].min())
-    rho = spectrum.pair_state(e, e0, ground, 0.0)
-    return PhasePoint(
-        delta=float(delta),
-        field=float(field),
-        n_up=n_up,
-        # the ground level is the global minimum e0, so nothing in its own
-        # sector lies below it
-        sector_rank=0,
-        ground_energy=e0,
-        degeneracy=len(ground),
-        boundary_concurrence=xstate_concurrence(rho),
-    )
+def _phase_points(spectrum: _SectorSpectrum, delta: float, fields):
+    """The phase-scan nodes of one delta at every field of ``fields``."""
+    for field, e0, n_up, degeneracy, c in zip(fields, *spectrum.field_rows(fields)):
+        yield PhasePoint(
+            delta=float(delta),
+            field=float(field),
+            n_up=int(n_up),
+            # the ground level is the global minimum, so nothing in its own
+            # sector lies below it
+            sector_rank=0,
+            ground_energy=float(e0),
+            degeneracy=int(degeneracy),
+            boundary_concurrence=float(c),
+        )
 
 
 def phase_scan(template: ChainSpec, delta_axis: GridAxis, field_axis: GridAxis):
@@ -242,8 +268,9 @@ def phase_scan(template: ChainSpec, delta_axis: GridAxis, field_axis: GridAxis):
 
     The label records the magnetization sector of the ground level (the
     smallest one when levels of several sectors tie) plus its rank within
-    that sector, which is 0 by construction.  Caps are checked eagerly, before any node is computed;
-    the result streams lazily.
+    that sector, which is 0 by construction.  Caps are checked eagerly,
+    before any node is computed.  The result streams one delta at a time:
+    its whole field axis is evaluated when its first node is read.
     """
     n = template.n_sites
     _check_sites(n, "phase scan")
@@ -252,9 +279,7 @@ def phase_scan(template: ChainSpec, delta_axis: GridAxis, field_axis: GridAxis):
     def nodes():
         for delta in delta_axis.values:
             zero_field = replace(template, delta=delta, fields=(0.0,) * n)
-            spectrum = _SectorSpectrum(zero_field, (1, n))
-            for field in field_axis.values:
-                yield _phase_point(spectrum, delta, field)
+            yield from _phase_points(_SectorSpectrum(zero_field, (1, n)), delta, field_axis.values)
 
     return nodes()
 
@@ -267,7 +292,8 @@ def classify_ground_state(spec: ChainSpec) -> PhasePoint:
     _check_sites(spec.n_sites, "ground-state classification")
     field = spec.fields[0]
     rest = replace(spec, fields=tuple(b - field for b in spec.fields))
-    return _phase_point(_SectorSpectrum(rest, (1, spec.n_sites)), spec.delta, field)
+    (point,) = _phase_points(_SectorSpectrum(rest, (1, spec.n_sites)), spec.delta, (field,))
+    return point
 
 
 def concurrence_curve(
@@ -280,6 +306,7 @@ def concurrence_curve(
 
     Uses the ground-state density (equal mixture across degeneracies); a
     positive template temperature switches to the thermal state instead.
+    Rows stream one delta at a time, as in ``phase_scan``.
     """
     n = template.n_sites
     _check_sites(n, "curve")
@@ -289,10 +316,9 @@ def concurrence_curve(
         for delta in delta_values:
             zero_field = replace(template, delta=delta, fields=(0.0,) * n)
             spectrum = _SectorSpectrum(zero_field, pair)
-            for field in field_axis.values:
-                e, e0, ground = spectrum.levels(field)
-                rho = spectrum.pair_state(e, e0, ground, template.temperature)
-                yield (float(delta), float(field), xstate_concurrence(rho))
+            *_, values = spectrum.field_rows(field_axis.values, template.temperature)
+            for field, value in zip(field_axis.values, values):
+                yield (float(delta), float(field), float(value))
 
     return rows()
 
@@ -391,8 +417,8 @@ def numeric_c14_regimes(delta: float, coupling: float = 1.0) -> tuple[GroundRegi
     levels of the k_low- and k_high-up sectors cross exactly at
     (E_klow(0) - E_khigh(0)) / (2 (k_high - k_low)), or at B = 0 if k_low
     already wins there.  The concurrence of a regime is read at one
-    interior field: it is constant inside a regime, since the field does
-    not change sector eigenvectors.
+    interior field (all regimes in one ``field_rows`` call): it is constant
+    inside a regime, since the field does not change sector eigenvectors.
     """
     spec0 = ChainSpec.uniform(4, coupling=coupling, field=0.0, delta=delta)
     spectrum = _SectorSpectrum(spec0, (1, 4))
@@ -402,21 +428,20 @@ def numeric_c14_regimes(delta: float, coupling: float = 1.0) -> tuple[GroundRegi
         return max(0.0, (lowest[k_low] - lowest[k_high]) / (2.0 * (k_high - k_low)))
 
     b1, b2 = crossing(1, 2), crossing(0, 1)
-    rows = []
-    for lo, hi, n_up in ((0.0, b1, 2), (b1, b2, 1), (b2, inf, 0)):
-        if hi <= lo:
-            continue
-        interior = lo + 0.5 if hi == inf else 0.5 * (lo + hi)
-        rows.append(
-            GroundRegime(
-                b_min=lo,
-                b_max=hi,
-                n_up=n_up,
-                c14_max=_phase_point(spectrum, delta, interior).boundary_concurrence,
-                energy_at_zero_field=lowest[2] if n_up == 2 else None,
-            )
+    bounds = ((0.0, b1, 2), (b1, b2, 1), (b2, inf, 0))
+    regimes = [(lo, hi, n_up) for lo, hi, n_up in bounds if hi > lo]
+    interiors = [lo + 0.5 if hi == inf else 0.5 * (lo + hi) for lo, hi, _ in regimes]
+    *_, c14 = spectrum.field_rows(interiors)
+    return tuple(
+        GroundRegime(
+            b_min=lo,
+            b_max=hi,
+            n_up=n_up,
+            c14_max=c,
+            energy_at_zero_field=lowest[2] if n_up == 2 else None,
         )
-    return tuple(rows)
+        for (lo, hi, n_up), c in zip(regimes, c14.tolist())
+    )
 
 
 def table1_rows(delta_values: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)):

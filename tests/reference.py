@@ -10,10 +10,16 @@ import numpy as np
 
 from xxzchain.chain import build_sector_basis, site_mask
 from xxzchain.channel import fold_single_excitation
-from xxzchain.eigensolver import decompose
+from xxzchain.eigensolver import DEGENERACY_RTOL, decompose
 from xxzchain.entanglement import SPIN_FLIP, TwoQubitDensityMatrix, pair_xstate_data
+from xxzchain.errors import DomainError
 from xxzchain.hamiltonian import build_channel, build_sector
 from xxzchain.sweep import _SectorSpectrum
+
+# Entries of a pair state that vanish when it is a mixture of magnetization
+# sector states: everything but the diagonal and the 01<->10 coherence.
+_VANISHING = ~np.eye(4, dtype=bool)
+_VANISHING[1, 2] = _VANISHING[2, 1] = False
 
 
 def spin_sign(state: int, site: int, n_sites: int) -> int:
@@ -45,6 +51,40 @@ def concurrence_lambdas_direct(rho) -> np.ndarray:
     return np.sqrt(np.clip(eigs, 0.0, None))[::-1]
 
 
+def xstate_pair(sites: tuple[int, int], data) -> TwoQubitDensityMatrix:
+    """The pair state with populations data[:4] and 01<->10 coherence data[4]."""
+    p00, p01, p10, p11, c = (float(x) for x in data)
+    m = np.diag([p00, p01, p10, p11])
+    m[1, 2] = m[2, 1] = c
+    return TwoQubitDensityMatrix(sites=sites, matrix=m)
+
+
+def xstate_concurrence(rho: TwoQubitDensityMatrix) -> float:
+    """Closed-form concurrence 2 max(0, |rho_{01,10}| - sqrt(rho_00 rho_11))
+    of one 4x4 pair state with the shape xstate_pair builds."""
+    m = rho.matrix
+    if np.any(m[_VANISHING] != 0.0):
+        raise DomainError("pair state has entries outside the populations and 01<->10 coherence")
+    return 2.0 * max(0.0, abs(float(m[1, 2])) - float(np.sqrt(m[0, 0] * m[3, 3])))
+
+
+def per_row_point(spectrum, field: float, temperature: float = 0.0):
+    """(ground energy, smallest ground sector, degeneracy, concurrence) of a
+    ``_SectorSpectrum`` at one field, by the per-field route: shift the
+    levels, mix the pair rows of the ground space (T = 0) or of every level
+    (T > 0, a BLAS product), and build and check one 4x4 pair state."""
+    e = spectrum.energies + field * spectrum.shift
+    e0 = float(e.min())
+    ground = np.flatnonzero(e <= e0 + DEGENERACY_RTOL * (1.0 + abs(e0)))
+    if temperature > 0:
+        weights = np.exp(-(e - e0) / temperature)
+        data = (weights / weights.sum()) @ spectrum.pair_data
+    else:
+        data = spectrum.pair_data[ground].mean(axis=0)
+    rho = xstate_pair(spectrum.pair, data)
+    return e0, int(spectrum.sector[ground].min()), len(ground), xstate_concurrence(rho)
+
+
 def unfold_consistency(
     n_sites: int, coupling: float, bulk_field: float, tol: float = 1e-10
 ) -> bool:
@@ -64,9 +104,9 @@ def unfold_consistency(
 
 class PlainBlockSpectrum(_SectorSpectrum):
     """``sweep._SectorSpectrum`` without its spin-flip and mirror shortcuts:
-    every one of the N + 1 S^z blocks is decomposed whole.  ``levels`` and
-    ``pair_state`` are inherited, so rows built on it differ from the
-    library's only by how the blocks were decomposed."""
+    every one of the N + 1 S^z blocks is decomposed whole.  ``field_rows``
+    is inherited, so rows built on it differ from the library's only by how
+    the blocks were decomposed."""
 
     def __init__(self, spec, pair):
         n = spec.n_sites

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reference import concurrence_lambdas_direct
+from reference import concurrence_lambdas_direct, xstate_concurrence, xstate_pair
 
 from xxzchain.chain import ChainSpec, build_sector_basis
 from xxzchain.closed_forms import c13_ground, critical_field_3site
@@ -18,8 +18,6 @@ from xxzchain.entanglement import (
     reduce_pair,
     reduce_pair_mixed,
     thermal_state,
-    xstate_concurrence,
-    xstate_pair,
 )
 from xxzchain.errors import DomainError
 from xxzchain.hamiltonian import build_full

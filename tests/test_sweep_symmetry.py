@@ -1,8 +1,8 @@
 """Spin-flip and mirror blocks of the sweep core against plain S^z blocks.
 
 ``reference.PlainBlockSpectrum`` decomposes every S^z block whole and
-shares ``levels`` and ``pair_state`` with the library, so these tests pin
-the symmetry-blocked decomposition alone: same rows to roundoff, the same
+shares ``field_rows`` with the library, so these tests pin the
+symmetry-blocked decomposition alone: same rows to roundoff, the same
 labels, and the symmetry used exactly when the spec has it.
 """
 
@@ -16,8 +16,7 @@ from reference import PlainBlockSpectrum
 from xxzchain import sweep
 from xxzchain.chain import ChainSpec
 from xxzchain.eigensolver import decompose
-from xxzchain.entanglement import xstate_concurrence
-from xxzchain.sweep import GridAxis, _phase_point, _SectorSpectrum, classify_ground_state, phase_scan
+from xxzchain.sweep import GridAxis, _phase_points, _SectorSpectrum, classify_ground_state, phase_scan
 
 ROW_TOL = 1e-13  # concurrences absolute, energies times (1 + |E|)
 FLIPPED = [3, 2, 1, 0, 4]
@@ -52,13 +51,13 @@ def _test_fields(spec: ChainSpec, rng) -> list[float]:
 def _assert_same_rows(spec: ChainSpec, pair, fields, temperatures=(0.1, 0.4)):
     new, plain = _SectorSpectrum(spec, pair), PlainBlockSpectrum(spec, pair)
     for b in fields:
-        p, q = _phase_point(new, spec.delta, b), _phase_point(plain, spec.delta, b)
+        (p,), (q,) = _phase_points(new, spec.delta, (b,)), _phase_points(plain, spec.delta, (b,))
         assert (p.n_up, p.degeneracy, p.sector_rank) == (q.n_up, q.degeneracy, q.sector_rank)
         assert abs(p.ground_energy - q.ground_energy) <= ROW_TOL * (1.0 + abs(q.ground_energy))
         assert abs(p.boundary_concurrence - q.boundary_concurrence) <= ROW_TOL
         for t in temperatures:
-            c_new = xstate_concurrence(new.pair_state(*new.levels(b), t))
-            c_plain = xstate_concurrence(plain.pair_state(*plain.levels(b), t))
+            c_new = new.field_rows((b,), t)[3][0]
+            c_plain = plain.field_rows((b,), t)[3][0]
             assert abs(c_new - c_plain) <= ROW_TOL
 
 
@@ -105,7 +104,7 @@ def test_classify_without_either_symmetry_is_the_plain_block_path(monkeypatch):
     point = classify_ground_state(spec)
     assert dims == [comb(6, k) for k in range(7)]
     rest = replace(spec, fields=tuple(b - 0.3 for b in spec.fields))
-    assert point == _phase_point(PlainBlockSpectrum(rest, (1, 6)), spec.delta, 0.3)
+    assert [point] == list(_phase_points(PlainBlockSpectrum(rest, (1, 6)), spec.delta, (0.3,)))
 
 
 def test_classify_with_a_palindromic_field_splits_every_block(monkeypatch):
@@ -116,7 +115,7 @@ def test_classify_with_a_palindromic_field_splits_every_block(monkeypatch):
     # a single self-mirror state, so no odd half)
     assert len(dims) == 12 and sum(dims) == 2**6 and max(dims) == 10
     rest = replace(spec, fields=tuple(b - 0.2 for b in spec.fields))
-    expected = _phase_point(PlainBlockSpectrum(rest, (1, 6)), spec.delta, 0.2)
+    (expected,) = _phase_points(PlainBlockSpectrum(rest, (1, 6)), spec.delta, (0.2,))
     assert (point.n_up, point.degeneracy) == (expected.n_up, expected.degeneracy)
     assert abs(point.ground_energy - expected.ground_energy) <= ROW_TOL * (
         1.0 + abs(expected.ground_energy)
