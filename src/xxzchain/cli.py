@@ -26,6 +26,8 @@ _FLOAT_FMT = "%.17g"
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # nearly every printed value
+        return _FLOAT_FMT % value
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, int):
@@ -39,7 +41,7 @@ def _emit(header: list[str], rows, out, fmt: str) -> None:
     if fmt == "csv":
         out.write(",".join(header) + "\n")
         for row in rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
+            out.write(",".join([_fmt(v) for v in row]) + "\n")
     else:
         for row in rows:
             obj = {k: v for k, v in zip(header, row)}

@@ -162,19 +162,35 @@ def pair_xstate_data(basis: SectorBasis, vectors: np.ndarray, i: int, j: int) ->
         raise DomainError(
             f"expected {len(basis)} sector amplitudes per column, got shape {v.shape}"
         )
+    return _pair_rows(_pair_maps(basis, i, j), v)
+
+
+def _pair_maps(basis: SectorBasis, i: int, j: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Index maps of ``pair_xstate_data`` for the ordered pair i < j: the
+    basis rows of each pair slot 00, 01, 10, 11, and for each |01> row the
+    row of its partner with both pair bits flipped (same environment, same
+    sector)."""
     n = basis.n_sites
     states = basis.state_array()
     mi, mj = site_mask(i, n), site_mask(j, n)
     slot = 2 * ((states & mi) != 0) + ((states & mj) != 0)
-    squares = v * v
-    data = np.empty((v.shape[1], 5))
-    for a in range(4):
-        data[:, a] = squares[slot == a].sum(axis=0)
-    # a |01> state and its partner with both pair bits flipped share an
-    # environment; the partner lies in the same sector
-    ones = np.flatnonzero(slot == 1)
-    partners = np.searchsorted(states, states[ones] ^ (mi | mj))
-    data[:, 4] = np.einsum("am,am->m", v[ones], v[partners])
+    rows = [np.flatnonzero(slot == a) for a in range(4)]
+    return rows, np.searchsorted(states, states[rows[1]] ^ (mi | mj))
+
+
+def _pair_rows(maps: tuple[list[np.ndarray], np.ndarray], v: np.ndarray) -> np.ndarray:
+    """``pair_xstate_data`` of the columns of ``v`` through ``_pair_maps``.
+
+    Every sum starts at 0 and runs down the basis rows in order (a running
+    sum), so a column's row is the same bits whichever columns share the
+    call.
+    """
+    rows, partners = maps
+    data = np.zeros((v.shape[1], 5))
+    terms = [v[r] * v[r] for r in rows] + [v[rows[1]] * v[partners]]
+    for a, t in enumerate(terms):
+        if len(t):
+            data[:, a] += np.cumsum(t, axis=0)[-1]
     return data
 
 

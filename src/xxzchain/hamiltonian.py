@@ -17,23 +17,32 @@ from .chain import FULL_SPACE_CAP, ChainSpec, SectorBasis
 from .errors import DomainError, ResourceCapError
 
 
+def _diagonal_terms(spec: ChainSpec, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two parts of the diagonal on ``states``: the Ising bond sum
+    sum_i s_i s_{i+1} (int64, multiplied by Delta/2) and the Zeeman energy
+    sum_i B_i s_i.
+
+    Both accumulate bond by bond and site by site in a fixed order, so a
+    sector block equals the same rows and columns of the full matrix bit
+    for bit.
+    """
+    n = spec.n_sites
+    signs = [((states >> (n - s)) & 1).astype(np.int64) * 2 - 1 for s in range(1, n + 1)]
+    zz = np.zeros(len(states), dtype=np.int64)
+    for b in range(n - 1):
+        zz += signs[b] * signs[b + 1]
+    zeeman = np.zeros(len(states))
+    for s in range(n):
+        zeeman += spec.fields[s] * signs[s]
+    return zz, zeeman
+
+
 def _assemble(spec: ChainSpec, states: np.ndarray) -> np.ndarray:
     """Hamiltonian on the span of ``states`` (ascending, closed under
     hopping); partners are located by binary search."""
     n = spec.n_sites
     dim = len(states)
-    signs = [((states >> (n - s)) & 1).astype(np.int64) * 2 - 1 for s in range(1, n + 1)]
-
-    # accumulate bond by bond and site by site in a fixed order, so a
-    # sector block equals the same rows and columns of the full matrix bit
-    # for bit
-    zz = np.zeros(dim, dtype=np.int64)
-    for b in range(n - 1):
-        zz += signs[b] * signs[b + 1]
-    zeeman = np.zeros(dim)
-    for s in range(n):
-        zeeman += spec.fields[s] * signs[s]
-
+    zz, zeeman = _diagonal_terms(spec, states)
     rows = np.arange(dim)
     h = np.zeros((dim, dim))
     h[rows, rows] = 0.5 * spec.delta * zz + zeeman

@@ -9,16 +9,25 @@ N - k, so only the blocks k <= N/2 are decomposed and the others reuse their
 levels and flipped pair data; this holds for every sweep.  When couplings and
 fields are palindromic, mirror reflection splits each block into even and
 odd halves of about half the size.  A spec without a symmetry decomposes its
-plain blocks.  Eigenvectors are reduced to their pair-state entries right
-away and dropped.
+plain blocks.
+
+Delta enters H only through the Ising diagonal, so a sweep builds what its
+deltas share once (``_BlockPlan``): each block's basis, its hopping and
+Zeeman terms as (row, col, value) lists, its Ising bond sums, its mirror
+maps and the index maps of its pair data.  A delta then only puts its
+diagonal together and decomposes.  At T = 0 a block keeps only the levels
+close enough to its own lowest to be ground at some field of the call
+(``_BlockPlan.spectrum``); only their eigenvectors are unfolded and reduced
+to pair-state entries, and the rest are dropped.
 
 The field axis of a delta is then evaluated in one vectorized pass
 (``_SectorSpectrum.field_rows``): the shifted levels, the ground space and
 the mixed pair data of a chunk of fields at once, and their concurrences
 through the batched X-state kernel, which checks every row in closed form.
 Rows stay pure functions of (template, delta, B): every reduction runs
-along one field's levels, so a single-point call rebuilds the same blocks
-and reproduces its grid row bit for bit.
+along one field's levels, and a level outside the ground space changes no
+bit of a T = 0 row, so a single-point call reproduces its grid row bit for
+bit.
 """
 
 from __future__ import annotations
@@ -33,9 +42,9 @@ from .chain import FULL_SPACE_CAP, ChainSpec, SectorBasis, build_sector_basis, c
 from .channel import design_channel, ratio_profile
 from .closed_forms import GroundRegime, beta_for_target, c1n_channel
 from .eigensolver import DEGENERACY_RTOL, decompose
-from .entanglement import pair_xstate_data, xstate_concurrences
+from .entanglement import _pair_maps, _pair_rows, _pair_sites_checked, xstate_concurrences
 from .errors import DomainError, ResourceCapError
-from .hamiltonian import build_sector
+from .hamiltonian import _diagonal_terms, build_sector
 
 GRID_POINT_CAP = 10**6
 
@@ -53,12 +62,18 @@ class GridAxis:
 
     @classmethod
     def from_range(cls, lo: float, hi: float, step: float) -> "GridAxis":
+        """The points lo + m step up to hi, refused before any is built."""
+        if not all(isfinite(v) for v in (lo, hi, step)):
+            raise DomainError(f"grid min, max and step must be finite, got ({lo}, {hi}, {step})")
         if step <= 0:
             raise DomainError(f"grid step must be positive, got {step}")
         if lo > hi:
             raise DomainError(f"grid needs min <= max, got ({lo}, {hi})")
-        count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-        return cls(values=tuple(lo + step * m for m in range(count)))
+        # a float count: (hi - lo) / step may overflow to inf
+        count = np.floor((hi - lo) / step + 1e-9) + 1
+        if count > GRID_POINT_CAP:
+            raise ResourceCapError(f"grid axis with {count:.0f} points exceeds the cap")
+        return cls(values=tuple(lo + step * m for m in range(int(count))))
 
     @classmethod
     def from_config(cls, obj) -> "GridAxis":
@@ -113,49 +128,202 @@ class PhasePoint:
 _FLIPPED_COLUMNS = [3, 2, 1, 0, 4]
 
 
-def _mirror_block(
-    basis: SectorBasis, h: np.ndarray, pair: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Levels and pair data (see ``pair_xstate_data``) of a mirror-symmetric
-    block, from the even and odd halves of the reflection R (bit reversal).
+def _dense(size: int, entries, diagonal: np.ndarray) -> np.ndarray:
+    """Symmetric matrix from off-diagonal (row, col, value) lists and a diagonal."""
+    rows, cols, values = entries
+    m = np.zeros((size, size))
+    m[rows, cols] = values
+    m.flat[:: size + 1] = diagonal
+    return m
+
+
+class _Block:
+    """The delta-independent structure of one S^z block of a sweep.
+
+    Built once from the block's Hamiltonian at any delta: its hopping as
+    (row, col, value) lists, its Zeeman diagonal, its Ising bond sums zz
+    and the index maps of its pair data.  At each delta the diagonal is
+    0.5 delta zz + Zeeman, the very expression ``build_sector`` evaluates,
+    so the matrix decomposed is that block bit for bit.
+    """
+
+    def __init__(self, spec: ChainSpec, basis: SectorBasis, pair: tuple[int, int]):
+        h = build_sector(spec, basis)
+        # every entry the assembly wrote, a -0.0 coupling included
+        rows, cols = np.nonzero(h.view(np.int64))
+        hop = rows != cols
+        rows, cols = rows[hop], cols[hop]
+        self.entries = rows, cols, h[rows, cols]
+        del h
+        self.size = len(basis)
+        self.zz, self.zeeman = _diagonal_terms(spec, basis.state_array())
+        self.pair_maps = _pair_maps(basis, *pair)
+
+    def matrices(self, diagonal: np.ndarray):
+        """(matrix, unfold) of each matrix decomposed at a delta whose block
+        diagonal is ``diagonal``; ``unfold`` maps its eigenvectors to sector
+        amplitudes (None: they are already)."""
+        yield _dense(self.size, self.entries, diagonal), None
+
+    def levels(self, delta: float, window: float) -> tuple[np.ndarray, np.ndarray]:
+        """Levels at ``delta`` within ``window`` of the block's lowest, and the
+        pair data of their eigenvectors.  Only those eigenvectors are
+        unfolded and reduced."""
+        kept = []
+        for matrix, unfold in self.matrices(0.5 * delta * self.zz + self.zeeman):
+            dec = decompose(matrix)
+            w = dec.eigenvalues
+            # each matrix's own lowest lies at or above the block's, so this
+            # keeps a superset; the copy lets the full eigenvectors go
+            top = np.count_nonzero(w - w[0] <= window)
+            kept.append((w[:top], np.ascontiguousarray(dec.eigenvectors[:, :top]), unfold))
+            del matrix, dec
+        lowest = min(w[0] for w, _, _ in kept)
+        energies, data = [], []
+        for w, v, unfold in kept:
+            top = np.count_nonzero(w - lowest <= window)
+            if top:
+                v = v[:, :top]
+                energies.append(w[:top])
+                data.append(_pair_rows(self.pair_maps, v if unfold is None else unfold(v)))
+        return np.concatenate(energies), np.concatenate(data)
+
+
+class _MirrorBlock(_Block):
+    """A block of a palindromic spec, decomposed as its even and odd halves
+    under the reflection R (bit reversal).
 
     Representatives r <= R(r), with m the index of R(r), span the halves
     through c (|r> +/- |m>), c = f / sqrt(2), f = 1/sqrt(2) for a self-mirror
-    state and 1 otherwise; so H+/- = (H[r, r'] +/- H[r, m']) f f'.  The odd
-    half has no self-mirror states.  Eigenvectors come back to sector
-    amplitudes by v[r] += c x, v[m] +/-= c x, O(d) per vector.
+    state and 1 otherwise; so H+/- = (H[r, r'] +/- H[r, m']) f f'.  Both
+    halves are put together from the representatives' hopping partners,
+    never from the whole block.  The odd half has no self-mirror states.
+    Eigenvectors come back to sector amplitudes by v[r] += c x,
+    v[m] +/-= c x, O(d) per vector.
     """
-    n = basis.n_sites
-    states = basis.state_array()
-    mirrored = np.zeros_like(states)
-    for s in range(n):
-        mirrored |= ((states >> s) & 1) << (n - 1 - s)
-    reps = np.flatnonzero(states <= mirrored)
-    partners = np.searchsorted(states, mirrored[reps])
-    own = partners == reps
-    f = np.where(own, np.sqrt(0.5), 1.0)
-    ff = np.outer(f, f)
-    ff[np.ix_(own, own)] = 0.5  # exactly; sqrt(0.5)**2 is not
-    even = (h[np.ix_(reps, reps)] + h[np.ix_(reps, partners)]) * ff
-    odd_r, odd_m = reps[~own], partners[~own]
-    odd = h[np.ix_(odd_r, odd_r)] - h[np.ix_(odd_r, odd_m)]
-    del h, ff  # the caller passes the block itself, so this frees it
-    # c = 1/sqrt(2) rounded down: 2 c^2 <= 1 in floating point, so the map
-    # never scales a squared amplitude up (a singlet's concurrence stays <= 1)
-    root_half = np.nextafter(np.sqrt(0.5), 0.0)
 
-    def unfold(matrix, rows, images, c, sign):
-        dec = decompose(matrix)
-        x = c * dec.eigenvectors
-        vectors = np.zeros((len(basis), dec.order))
-        vectors[rows] = x
-        vectors[images] += sign * x
-        return dec.eigenvalues, pair_xstate_data(basis, vectors, *pair)
+    def __init__(self, spec: ChainSpec, basis: SectorBasis, pair: tuple[int, int]):
+        super().__init__(spec, basis, pair)
+        n = basis.n_sites
+        states = basis.state_array()
+        mirrored = np.zeros_like(states)
+        for s in range(n):
+            mirrored |= ((states >> s) & 1) << (n - 1 - s)
+        reps = np.flatnonzero(states <= mirrored)
+        partners = np.searchsorted(states, mirrored[reps])
+        own = partners == reps
+        half = len(reps)
+        orbit = np.empty(self.size, dtype=np.int64)
+        orbit[partners] = orbit[reps] = np.arange(half)
 
-    halves = [unfold(even, reps, partners, np.where(own, 0.5, root_half)[:, None], 1.0)]
-    if len(odd_r):
-        halves.append(unfold(odd, odd_r, odd_m, root_half, -1.0))
-    return np.concatenate([w for w, _ in halves]), np.concatenate([d for _, d in halves])
+        # hopping out of the representatives: H[r_a, j] joins half rows a
+        # and b = orbit(j), as H[r, r'] when j = r_b and as H[r, m'] when
+        # j = m_b (both for a self-mirror b)
+        rows, cols, values = self.entries
+        out = np.zeros(self.size, dtype=bool)
+        out[reps] = True
+        rows, cols, values = rows[out[rows]], cols[out[rows]], values[out[rows]]
+        a, b = orbit[rows], orbit[cols]
+        # H[r, m] of a state's own orbit (j = m_a), which sits on the diagonal
+        self.mate = np.zeros(half)
+        on = a == b
+        self.mate[a[on]] = values[on]
+        a, b, cols, values = a[~on], b[~on], cols[~on], values[~on]
+        keys, slot = np.unique(a * half + b, return_inverse=True)
+        direct, mirror = np.zeros(len(keys)), np.zeros(len(keys))
+        is_r, is_m = cols == reps[b], cols == partners[b]
+        direct[slot[is_r]] = values[is_r]
+        mirror[slot[is_m]] = values[is_m]
+        a, b = keys // half, keys % half
+
+        f = np.where(own, np.sqrt(0.5), 1.0)
+        ff = np.where(own[a] & own[b], 0.5, f[a] * f[b])  # 0.5 exactly; sqrt(0.5)**2 is not
+        self.even = a, b, (direct + mirror) * ff
+        odd = ~own[a] & ~own[b]
+        index = np.cumsum(~own) - 1
+        self.odd = index[a[odd]], index[b[odd]], direct[odd] - mirror[odd]
+        self.reps, self.partners, self.own = reps, partners, own
+
+    def matrices(self, diagonal: np.ndarray):
+        reps, partners, own = self.reps, self.partners, self.own
+        x = diagonal[reps]
+        even = (x + np.where(own, x, self.mate)) * np.where(own, 0.5, 1.0)
+        # c = 1/sqrt(2) rounded down: 2 c^2 <= 1 in floating point, so the
+        # map never scales a squared amplitude up (a singlet's concurrence
+        # stays <= 1)
+        root_half = np.nextafter(np.sqrt(0.5), 0.0)
+        yield _dense(len(reps), self.even, even), self._unfold(
+            reps, partners, np.where(own, 0.5, root_half)[:, None], 1.0
+        )
+        if not own.all():
+            odd_r, odd_m = reps[~own], partners[~own]
+            odd = x[~own] - self.mate[~own]
+            yield _dense(len(odd_r), self.odd, odd), self._unfold(odd_r, odd_m, root_half, -1.0)
+
+    def _unfold(self, rows, images, c, sign):
+        def unfold(v):
+            x = c * v
+            vectors = np.zeros((self.size, v.shape[1]))
+            vectors[rows] = x
+            vectors[images] += sign * x
+            return vectors
+
+        return unfold
+
+
+class _BlockPlan:
+    """Everything the deltas of one sweep share: the S^z blocks of the
+    template (any delta) and one site pair, built once.
+
+    With every field exactly 0 the global spin flip maps block k onto block
+    N - k, so only blocks k <= N/2 are kept and block N - k reuses their
+    levels (the very same numbers) and flipped pair data.  With palindromic
+    couplings and fields the reflection splits each kept block into even
+    and odd halves (``_MirrorBlock``).  Without a symmetry the plain block
+    is decomposed.
+    """
+
+    def __init__(self, template: ChainSpec, pair):
+        n = template.n_sites
+        self.template = template
+        self.pair = _pair_sites_checked(n, *pair)
+        self.flip = not any(template.fields)
+        mirror = (
+            template.couplings == template.couplings[::-1]
+            and template.fields == template.fields[::-1]
+        )
+        block = _MirrorBlock if mirror else _Block
+        self.blocks = [
+            block(template, build_sector_basis(n, k), self.pair)
+            for k in range(n // 2 + 1 if self.flip else n + 1)
+        ]
+
+    def spectrum(self, delta: float, ground_fields=None) -> "_SectorSpectrum":
+        """The spectrum at ``delta``.  Given ``ground_fields``, the fields of
+        a T = 0 call, each block keeps only the levels that can be ground at
+        one of them.
+
+        At a uniform field B the ground test keeps the levels within
+        DEGENERACY_RTOL (1 + |E0(B)|) of the lowest, E0(B), and
+        E0(B) <= min_k + B (2k - N) for the lowest level min_k of each block
+        k.  A level more than that window above its own block's lowest can
+        never be ground.  |E0(B)| is at most the operator norm, bounded by
+        sum |J| + |delta| (N - 1) / 2 + sum |B_i| + N |B|; twice the window
+        of that bound leaves a wide margin for the rounding of the shifted
+        levels.  A pruned level only ever added exact zeros to a row, so the
+        rows are those of every level kept, bit for bit.
+        """
+        window = inf
+        if ground_fields is not None:
+            spec = self.template
+            bound = (
+                sum(map(abs, spec.couplings))
+                + 0.5 * abs(delta) * (spec.n_sites - 1)
+                + sum(map(abs, spec.fields))
+                + spec.n_sites * max(map(abs, ground_fields), default=0.0)
+            )
+            window = 2.0 * DEGENERACY_RTOL * (1.0 + bound)
+        return _SectorSpectrum(replace(self.template, delta=delta), self.pair, self, window)
 
 
 class _SectorSpectrum:
@@ -163,34 +331,23 @@ class _SectorSpectrum:
     its eigenvector for one site pair (see ``pair_xstate_data``).
 
     ``field_rows`` adds a uniform field as the shift B (2k - N) of the k-up
-    block, so one instance serves every field at fixed delta.
-
-    Two symmetries cut the decompositions.  With every field exactly 0 the
-    global spin flip maps block k onto block N - k, so only blocks
-    k <= N/2 are decomposed and block N - k reuses their levels (the very
-    same numbers) and flipped pair data.  With palindromic couplings and
-    fields the reflection splits each decomposed block into even and odd
-    halves (``_mirror_block``).  Without a symmetry the plain block is
-    decomposed.
+    block, so one instance serves every field at fixed delta.  A sweep gets
+    one per delta from its ``_BlockPlan``, which builds the blocks once;
+    ``_SectorSpectrum(spec, pair)`` is a one-off plan of ``spec`` that keeps
+    every level.  ``window``, when finite, drops each block's levels more
+    than that far above its lowest (see ``_BlockPlan.spectrum``).
     """
 
-    def __init__(self, spec: ChainSpec, pair: tuple[int, int]):
+    def __init__(self, spec: ChainSpec, pair, plan: _BlockPlan | None = None, window=inf):
         n = spec.n_sites
-        self.pair = (min(pair), max(pair))
-        flip = not any(spec.fields)
-        mirror = spec.couplings == spec.couplings[::-1] and spec.fields == spec.fields[::-1]
+        plan = _BlockPlan(spec, pair) if plan is None else plan
+        self.pair = plan.pair
         energies, data = [], []
-        for k in range(n // 2 + 1 if flip else n + 1):
-            basis = build_sector_basis(n, k)
-            if mirror:
-                levels, block_data = _mirror_block(basis, build_sector(spec, basis), pair)
-            else:
-                dec = decompose(build_sector(spec, basis))
-                levels = dec.eigenvalues
-                block_data = pair_xstate_data(basis, dec.eigenvectors, *pair)
+        for block in plan.blocks:
+            levels, block_data = block.levels(spec.delta, window)
             energies.append(levels)
             data.append(block_data)
-        if flip:
+        if plan.flip:
             for k in range(n // 2 + 1, n + 1):
                 energies.append(energies[n - k])
                 data.append(data[n - k][:, _FLIPPED_COLUMNS])
@@ -209,11 +366,12 @@ class _SectorSpectrum:
         within DEGENERACY_RTOL of the lowest, whatever its sector; a tie
         across sectors is labelled by its smallest sector, by rule.  The pair
         state is the equal mixture over the ground space at T = 0 (the
-        T -> 0+ limit), and the Boltzmann mixture over every level at T > 0,
-        with weights shifted by the ground energy so that large gaps
-        underflow instead of overflowing.  Every reduction runs along the
-        level axis of one field, so a field's row is the same bits whichever
-        fields share the call.
+        T -> 0+ limit), summed level by level in order, so levels that are
+        not ground change no bit of it; and the Boltzmann mixture over every
+        level at T > 0, with weights shifted by the ground energy so that
+        large gaps underflow instead of overflowing.  Every reduction runs
+        along the level axis of one field, so a field's row is the same bits
+        whichever fields share the call.
         """
         fields = np.asarray(fields, dtype=float)
         m = len(fields)
@@ -235,10 +393,11 @@ class _SectorSpectrum:
             if temperature > 0:
                 weights = np.exp(-(e - lowest[:, None]) / temperature)
                 weights /= weights.sum(axis=1, keepdims=True)
-                data = [(weights * column).sum(axis=1) for column in columns]
+                data = np.stack([(weights * column).sum(axis=1) for column in columns], axis=1)
             else:
-                data = [(ground * column).sum(axis=1) / count for column in columns]
-            concurrence[rows] = xstate_concurrences(np.stack(data, axis=1))
+                total = np.cumsum(ground[:, :, None] * self.pair_data, axis=1)[:, -1]
+                data = total / count[:, None]
+            concurrence[rows] = xstate_concurrences(data)
         return e0, n_up, degeneracy, concurrence
 
 
@@ -277,9 +436,10 @@ def phase_scan(template: ChainSpec, delta_axis: GridAxis, field_axis: GridAxis):
     check_grid_size(delta_axis, field_axis)
 
     def nodes():
+        plan = _BlockPlan(replace(template, fields=(0.0,) * n), (1, n))
         for delta in delta_axis.values:
-            zero_field = replace(template, delta=delta, fields=(0.0,) * n)
-            yield from _phase_points(_SectorSpectrum(zero_field, (1, n)), delta, field_axis.values)
+            spectrum = plan.spectrum(delta, field_axis.values)
+            yield from _phase_points(spectrum, delta, field_axis.values)
 
     return nodes()
 
@@ -292,7 +452,8 @@ def classify_ground_state(spec: ChainSpec) -> PhasePoint:
     _check_sites(spec.n_sites, "ground-state classification")
     field = spec.fields[0]
     rest = replace(spec, fields=tuple(b - field for b in spec.fields))
-    (point,) = _phase_points(_SectorSpectrum(rest, (1, spec.n_sites)), spec.delta, (field,))
+    spectrum = _BlockPlan(rest, (1, spec.n_sites)).spectrum(spec.delta, (field,))
+    (point,) = _phase_points(spectrum, spec.delta, (field,))
     return point
 
 
@@ -312,10 +473,13 @@ def concurrence_curve(
     _check_sites(n, "curve")
     check_grid_size(field_axis, GridAxis(values=tuple(delta_values) or (0.0,)))
 
+    # a T = 0 row reads only the levels that can be ground at its field
+    ground_fields = None if template.temperature > 0 else field_axis.values
+
     def rows():
+        plan = _BlockPlan(replace(template, fields=(0.0,) * n), pair)
         for delta in delta_values:
-            zero_field = replace(template, delta=delta, fields=(0.0,) * n)
-            spectrum = _SectorSpectrum(zero_field, pair)
+            spectrum = plan.spectrum(delta, ground_fields)
             *_, values = spectrum.field_rows(field_axis.values, template.temperature)
             for field, value in zip(field_axis.values, values):
                 yield (float(delta), float(field), float(value))
@@ -420,8 +584,12 @@ def numeric_c14_regimes(delta: float, coupling: float = 1.0) -> tuple[GroundRegi
     interior field (all regimes in one ``field_rows`` call): it is constant
     inside a regime, since the field does not change sector eigenvectors.
     """
-    spec0 = ChainSpec.uniform(4, coupling=coupling, field=0.0, delta=delta)
-    spectrum = _SectorSpectrum(spec0, (1, 4))
+    return _c14_regimes(_BlockPlan(ChainSpec.uniform(4, coupling=coupling), (1, 4)), delta)
+
+
+def _c14_regimes(plan: _BlockPlan, delta: float) -> tuple[GroundRegime, ...]:
+    """``numeric_c14_regimes`` at ``delta`` on the blocks of ``plan``."""
+    spectrum = plan.spectrum(delta)
     lowest = [float(spectrum.energies[spectrum.sector == k].min()) for k in range(5)]
 
     def crossing(k_low: int, k_high: int) -> float:
@@ -455,8 +623,9 @@ def table1_rows(delta_values: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)):
     references = [closed_forms.c14_ground_regimes(delta) for delta in delta_values]
 
     def rows():
+        plan = _BlockPlan(ChainSpec.uniform(4), (1, 4))
         for delta, reference in zip(delta_values, references):
-            numeric = numeric_c14_regimes(delta)
+            numeric = _c14_regimes(plan, delta)
             for r, (num, ref) in enumerate(zip(numeric, reference)):
                 yield (
                     float(delta),

@@ -1,6 +1,9 @@
+import io
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from xxzchain import cli as cli_module
@@ -50,6 +53,34 @@ def test_grid_axis_from_config_forms():
         0.5,
         1.0,
     )
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        (0.0, math.inf, 0.5),
+        (-math.inf, 1.0, 0.5),
+        (math.nan, 1.0, 0.5),
+        (0.0, 1.0, math.nan),
+        (0.0, 1.0, math.inf),
+    ],
+)
+def test_grid_axis_from_range_refuses_non_finite_bounds(bounds):
+    with pytest.raises(DomainError):
+        GridAxis.from_range(*bounds)
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 2e6, 1.0), (-1e308, 1e308, 1e-300)])
+def test_grid_axis_from_range_refuses_a_huge_range_before_building_it(bounds):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError):
+            GridAxis.from_range(*bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a tuple of 2e6 floats alone would take about 64 MiB
+    assert peak < 256 * 1024
 
 
 def test_grid_size_cap():
@@ -404,6 +435,46 @@ def test_cli_error_inside_the_rows_leaves_out_untouched(tmp_path, capsys, existi
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["config.json"] + (["out.csv"] if existing is not None else [])
     )
+
+
+@pytest.mark.parametrize(
+    "axis, code",
+    [
+        ({"min": 0.0, "max": math.inf, "step": 0.5}, 2),  # JSON Infinity
+        ({"min": math.nan, "max": 1.0, "step": 0.5}, 2),  # JSON NaN
+        ({"min": 0.0, "max": 2e6, "step": 1.0}, 3),
+    ],
+)
+def test_cli_bad_grid_range_exit_codes(tmp_path, capsys, axis, code):
+    out = tmp_path / "out.csv"
+    config = {"spec": _SCAN_SPEC, "grid": {"delta": {"values": [0.0]}, "B": axis}}
+    assert main(["phase-scan", "--config", _write_config(tmp_path, config), "--out", str(out)]) == code
+    assert ("config error:" if code == 2 else "resource cap exceeded:") in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _Writes(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
+
+
+def test_csv_emission_bytes_and_one_write_per_row():
+    row = (True, False, 7, -3, "ok", -0.0, 1e-300, math.nan, math.inf, -math.inf, 0.1,
+           np.float64(0.1), np.int64(5))
+    out = _Writes()
+    cli_module._emit(["h1", "h2"], [row, (1.5,)], out, "csv")
+    assert out.getvalue() == (
+        "h1,h2\n"
+        "1,0,7,-3,ok,-0,1e-300,nan,inf,-inf,0.10000000000000001,"
+        "0.10000000000000001,5\n"
+        "1.5\n"
+    )
+    assert out.calls == 3  # the header, then one write per row
 
 
 def test_cli_numeric_failure_exit_code(monkeypatch, tmp_path):
