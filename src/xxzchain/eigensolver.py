@@ -55,10 +55,16 @@ def decompose(matrix: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
+def _degeneracy_tolerance(lowest):
+    """How far above ``lowest`` (a level or an array of them) a level still
+    counts as degenerate with it: DEGENERACY_RTOL (1 + |lowest|)."""
+    return DEGENERACY_RTOL * (1.0 + np.abs(lowest))
+
+
 def ground_space(dec: SpectralDecomposition) -> list[int]:
     """Indices of all states within DEGENERACY_RTOL of the lowest eigenvalue."""
     if dec.order == 0:
         raise DomainError("empty decomposition")
     w0 = dec.eigenvalues[0]
-    cut = w0 + DEGENERACY_RTOL * (1.0 + abs(w0))
+    cut = w0 + _degeneracy_tolerance(w0)
     return [m for m in range(dec.order) if dec.eigenvalues[m] <= cut]

@@ -1,12 +1,15 @@
-"""Dense symmetric Hamiltonian assembly for open XXZ chains.
+"""Hamiltonian assembly for open XXZ chains.
 
 H = sum_i J_i (hop 01<->10 on bond i) + (Delta/2) sum_i s_i s_{i+1}
     + sum_i B_i s_i,          s_i = +/-1 per the spin convention.
 
-Matrices are plain float64 numpy arrays.  Off-diagonal entries are written
-in both positions from the same coupling constant, so H[i, j] == H[j, i]
-holds exactly (never symmetrized after the fact).  The diagonal is pure bit
-arithmetic; there is no operator-algebra layer to get tensor order wrong.
+H on the span of a set of basis states is assembled in one form: its
+hopping as (row, col, value) lists (``_hopping``) and the two parts of its
+diagonal (``_diagonal_terms``), all by bit arithmetic; there is no
+operator-algebra layer to get tensor order wrong.  ``_dense`` makes a plain
+float64 matrix of them on demand.  Every hopping entry is listed in both
+positions with the same coupling constant, so H[i, j] == H[j, i] holds
+exactly (never symmetrized after the fact).
 """
 
 from __future__ import annotations
@@ -37,24 +40,36 @@ def _diagonal_terms(spec: ChainSpec, states: np.ndarray) -> tuple[np.ndarray, np
     return zz, zeeman
 
 
-def _assemble(spec: ChainSpec, states: np.ndarray) -> np.ndarray:
-    """Hamiltonian on the span of ``states`` (ascending, closed under
-    hopping); partners are located by binary search."""
+def _hopping(spec: ChainSpec, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Off-diagonal entries of H on the span of ``states`` (ascending,
+    closed under hopping) as (row, col, value) arrays, bond by bond;
+    partners are located by binary search."""
     n = spec.n_sites
-    dim = len(states)
-    zz, zeeman = _diagonal_terms(spec, states)
-    rows = np.arange(dim)
-    h = np.zeros((dim, dim))
-    h[rows, rows] = 0.5 * spec.delta * zz + zeeman
+    rows, cols, values = [], [], []
     for b in range(n - 1):
         # bond b couples sites b+1 and b+2; both hop directions get the
         # same constant, so symmetry is exact by construction
-        hi = (states >> (n - 1 - b)) & 1
-        lo = (states >> (n - 2 - b)) & 1
-        movers = hi != lo
-        partners = states[movers] ^ ((1 << (n - 1 - b)) | (1 << (n - 2 - b)))
-        h[rows[movers], np.searchsorted(states, partners)] = spec.couplings[b]
-    return h
+        movers = np.flatnonzero(((states >> (n - 1 - b)) ^ (states >> (n - 2 - b))) & 1)
+        flip = (1 << (n - 1 - b)) | (1 << (n - 2 - b))
+        rows.append(movers)
+        cols.append(np.searchsorted(states, states[movers] ^ flip))
+        values.append(np.full(len(movers), spec.couplings[b]))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
+def _dense(size: int, entries, diagonal: np.ndarray) -> np.ndarray:
+    """Symmetric matrix from off-diagonal (row, col, value) lists and a diagonal."""
+    rows, cols, values = entries
+    m = np.zeros((size, size))
+    m[rows, cols] = values
+    m.flat[:: size + 1] = diagonal
+    return m
+
+
+def _assemble(spec: ChainSpec, states: np.ndarray) -> np.ndarray:
+    """Dense H on the span of ``states``."""
+    zz, zeeman = _diagonal_terms(spec, states)
+    return _dense(len(states), _hopping(spec, states), 0.5 * spec.delta * zz + zeeman)
 
 
 def build_full(spec: ChainSpec) -> np.ndarray:

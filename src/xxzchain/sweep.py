@@ -12,9 +12,10 @@ odd halves of about half the size.  A spec without a symmetry decomposes its
 plain blocks.
 
 Delta enters H only through the Ising diagonal, so a sweep builds what its
-deltas share once (``_BlockPlan``): each block's basis, its hopping and
-Zeeman terms as (row, col, value) lists, its Ising bond sums, its mirror
-maps and the index maps of its pair data.  A delta then only puts its
+deltas share once (``_BlockPlan``): each block's basis, its Zeeman
+diagonal and Ising bond sums, the index maps of its pair data, and the
+parts it is decomposed in (one plain part, or two mirror halves), each
+with its entries as (row, col, value) lists.  A delta then only puts its
 diagonal together and decomposes.  At T = 0 a block keeps only the levels
 close enough to its own lowest to be ground at some field of the call
 (``_BlockPlan.spectrum``); only their eigenvectors are unfolded and reduced
@@ -41,10 +42,10 @@ from . import closed_forms
 from .chain import FULL_SPACE_CAP, ChainSpec, SectorBasis, build_sector_basis, config_number
 from .channel import design_channel, ratio_profile
 from .closed_forms import GroundRegime, beta_for_target, c1n_channel
-from .eigensolver import DEGENERACY_RTOL, decompose
+from .eigensolver import DEGENERACY_RTOL, _degeneracy_tolerance, decompose
 from .entanglement import _pair_maps, _pair_rows, _pair_sites_checked, xstate_concurrences
 from .errors import DomainError, ResourceCapError
-from .hamiltonian import _diagonal_terms, build_sector
+from .hamiltonian import _dense, _diagonal_terms, _hopping
 
 GRID_POINT_CAP = 10**6
 
@@ -101,12 +102,12 @@ class GridAxis:
             )
 
 
-def check_grid_size(*axes: GridAxis, cap: int = GRID_POINT_CAP) -> int:
+def check_grid_size(*axes: GridAxis) -> int:
     total = 1
     for axis in axes:
         total *= len(axis.values)
-    if total > cap:
-        raise ResourceCapError(f"grid of {total} points exceeds the cap of {cap}")
+    if total > GRID_POINT_CAP:
+        raise ResourceCapError(f"grid of {total} points exceeds the cap of {GRID_POINT_CAP}")
     return total
 
 
@@ -128,84 +129,35 @@ class PhasePoint:
 _FLIPPED_COLUMNS = [3, 2, 1, 0, 4]
 
 
-def _dense(size: int, entries, diagonal: np.ndarray) -> np.ndarray:
-    """Symmetric matrix from off-diagonal (row, col, value) lists and a diagonal."""
-    rows, cols, values = entries
-    m = np.zeros((size, size))
-    m[rows, cols] = values
-    m.flat[:: size + 1] = diagonal
-    return m
-
-
 class _Block:
-    """The delta-independent structure of one S^z block of a sweep.
+    """One S^z block of a sweep, built once per plan (at any delta): its
+    Ising bond sums zz, Zeeman diagonal, pair-data index maps and parts.
 
-    Built once from the block's Hamiltonian at any delta: its hopping as
-    (row, col, value) lists, its Zeeman diagonal, its Ising bond sums zz
-    and the index maps of its pair data.  At each delta the diagonal is
-    0.5 delta zz + Zeeman, the very expression ``build_sector`` evaluates,
-    so the matrix decomposed is that block bit for bit.
+    A part is (representatives, entries, correction, orbit, amp).  Its matrix
+    at a delta has the off-diagonal entries and, at the representatives, the
+    block diagonal 0.5 delta zz + Zeeman (the expression ``build_sector``
+    evaluates) plus the correction; amp * x[orbit] maps its eigenvector x to
+    sector amplitudes, O(d) per vector.  A plain block is one identity part.
+    A palindromic block is its even and odd halves under the reflection R
+    (bit reversal): representatives r <= R(r), m the index of R(r), span
+    them through c (|r> +/- |m>), c = f / sqrt(2), f = 1/sqrt(2) for a
+    self-mirror state and 1 otherwise, so H+/- = (H[r, r'] +/- H[r, m']) f f'
+    plus +/- H[r, m] on the diagonal, from the representatives' hopping
+    entries alone.  The odd half has no self-mirror states.
     """
 
-    def __init__(self, spec: ChainSpec, basis: SectorBasis, pair: tuple[int, int]):
-        h = build_sector(spec, basis)
-        # every entry the assembly wrote, a -0.0 coupling included
-        rows, cols = np.nonzero(h.view(np.int64))
-        hop = rows != cols
-        rows, cols = rows[hop], cols[hop]
-        self.entries = rows, cols, h[rows, cols]
-        del h
-        self.size = len(basis)
-        self.zz, self.zeeman = _diagonal_terms(spec, basis.state_array())
-        self.pair_maps = _pair_maps(basis, *pair)
-
-    def matrices(self, diagonal: np.ndarray):
-        """(matrix, unfold) of each matrix decomposed at a delta whose block
-        diagonal is ``diagonal``; ``unfold`` maps its eigenvectors to sector
-        amplitudes (None: they are already)."""
-        yield _dense(self.size, self.entries, diagonal), None
-
-    def levels(self, delta: float, window: float) -> tuple[np.ndarray, np.ndarray]:
-        """Levels at ``delta`` within ``window`` of the block's lowest, and the
-        pair data of their eigenvectors.  Only those eigenvectors are
-        unfolded and reduced."""
-        kept = []
-        for matrix, unfold in self.matrices(0.5 * delta * self.zz + self.zeeman):
-            dec = decompose(matrix)
-            w = dec.eigenvalues
-            # each matrix's own lowest lies at or above the block's, so this
-            # keeps a superset; the copy lets the full eigenvectors go
-            top = np.count_nonzero(w - w[0] <= window)
-            kept.append((w[:top], np.ascontiguousarray(dec.eigenvectors[:, :top]), unfold))
-            del matrix, dec
-        lowest = min(w[0] for w, _, _ in kept)
-        energies, data = [], []
-        for w, v, unfold in kept:
-            top = np.count_nonzero(w - lowest <= window)
-            if top:
-                v = v[:, :top]
-                energies.append(w[:top])
-                data.append(_pair_rows(self.pair_maps, v if unfold is None else unfold(v)))
-        return np.concatenate(energies), np.concatenate(data)
-
-
-class _MirrorBlock(_Block):
-    """A block of a palindromic spec, decomposed as its even and odd halves
-    under the reflection R (bit reversal).
-
-    Representatives r <= R(r), with m the index of R(r), span the halves
-    through c (|r> +/- |m>), c = f / sqrt(2), f = 1/sqrt(2) for a self-mirror
-    state and 1 otherwise; so H+/- = (H[r, r'] +/- H[r, m']) f f'.  Both
-    halves are put together from the representatives' hopping partners,
-    never from the whole block.  The odd half has no self-mirror states.
-    Eigenvectors come back to sector amplitudes by v[r] += c x,
-    v[m] +/-= c x, O(d) per vector.
-    """
-
-    def __init__(self, spec: ChainSpec, basis: SectorBasis, pair: tuple[int, int]):
-        super().__init__(spec, basis, pair)
-        n = basis.n_sites
+    def __init__(self, spec: ChainSpec, basis: SectorBasis, pair, mirror: bool):
         states = basis.state_array()
+        size = len(states)
+        self.zz, self.zeeman = _diagonal_terms(spec, states)
+        self.pair_maps = _pair_maps(basis, *pair)
+        entries = _hopping(spec, states)
+        if not mirror:
+            identity = np.arange(size)
+            self.parts = [(identity, entries, 0.0, identity, 1.0)]
+            return
+
+        n = basis.n_sites
         mirrored = np.zeros_like(states)
         for s in range(n):
             mirrored |= ((states >> s) & 1) << (n - 1 - s)
@@ -213,62 +165,73 @@ class _MirrorBlock(_Block):
         partners = np.searchsorted(states, mirrored[reps])
         own = partners == reps
         half = len(reps)
-        orbit = np.empty(self.size, dtype=np.int64)
+        orbit = np.empty(size, dtype=np.int64)
         orbit[partners] = orbit[reps] = np.arange(half)
 
         # hopping out of the representatives: H[r_a, j] joins half rows a
         # and b = orbit(j), as H[r, r'] when j = r_b and as H[r, m'] when
         # j = m_b (both for a self-mirror b)
-        rows, cols, values = self.entries
-        out = np.zeros(self.size, dtype=bool)
+        rows, cols, values = entries
+        out = np.zeros(size, dtype=bool)
         out[reps] = True
         rows, cols, values = rows[out[rows]], cols[out[rows]], values[out[rows]]
         a, b = orbit[rows], orbit[cols]
         # H[r, m] of a state's own orbit (j = m_a), which sits on the diagonal
-        self.mate = np.zeros(half)
+        mate = np.zeros(half)
         on = a == b
-        self.mate[a[on]] = values[on]
+        mate[a[on]] = values[on]
         a, b, cols, values = a[~on], b[~on], cols[~on], values[~on]
         keys, slot = np.unique(a * half + b, return_inverse=True)
-        direct, mirror = np.zeros(len(keys)), np.zeros(len(keys))
+        direct, image = np.zeros(len(keys)), np.zeros(len(keys))
         is_r, is_m = cols == reps[b], cols == partners[b]
         direct[slot[is_r]] = values[is_r]
-        mirror[slot[is_m]] = values[is_m]
+        image[slot[is_m]] = values[is_m]
         a, b = keys // half, keys % half
 
         f = np.where(own, np.sqrt(0.5), 1.0)
         ff = np.where(own[a] & own[b], 0.5, f[a] * f[b])  # 0.5 exactly; sqrt(0.5)**2 is not
-        self.even = a, b, (direct + mirror) * ff
-        odd = ~own[a] & ~own[b]
-        index = np.cumsum(~own) - 1
-        self.odd = index[a[odd]], index[b[odd]], direct[odd] - mirror[odd]
-        self.reps, self.partners, self.own = reps, partners, own
-
-    def matrices(self, diagonal: np.ndarray):
-        reps, partners, own = self.reps, self.partners, self.own
-        x = diagonal[reps]
-        even = (x + np.where(own, x, self.mate)) * np.where(own, 0.5, 1.0)
         # c = 1/sqrt(2) rounded down: 2 c^2 <= 1 in floating point, so the
         # map never scales a squared amplitude up (a singlet's concurrence
-        # stays <= 1)
+        # stays <= 1); a self-mirror state is |r> itself in the even half
         root_half = np.nextafter(np.sqrt(0.5), 0.0)
-        yield _dense(len(reps), self.even, even), self._unfold(
-            reps, partners, np.where(own, 0.5, root_half)[:, None], 1.0
-        )
+        amp = np.where(own[orbit], 1.0, root_half)[:, None]
+        self.parts = [(reps, (a, b, (direct + image) * ff), mate, orbit, amp)]
         if not own.all():
-            odd_r, odd_m = reps[~own], partners[~own]
-            odd = x[~own] - self.mate[~own]
-            yield _dense(len(odd_r), self.odd, odd), self._unfold(odd_r, odd_m, root_half, -1.0)
+            odd = ~own[a] & ~own[b]
+            index = np.cumsum(~own) - 1
+            # sign +1 at r, -1 at m and 0 at a self-mirror state (whose
+            # index[orbit] is any entry, times 0)
+            amp = root_half * np.sign(mirrored - states)[:, None]
+            entries = index[a[odd]], index[b[odd]], direct[odd] - image[odd]
+            self.parts.append((reps[~own], entries, -mate[~own], index[orbit], amp))
 
-    def _unfold(self, rows, images, c, sign):
-        def unfold(v):
-            x = c * v
-            vectors = np.zeros((self.size, v.shape[1]))
-            vectors[rows] = x
-            vectors[images] += sign * x
-            return vectors
-
-        return unfold
+    def levels(self, delta: float, window: float) -> tuple[np.ndarray, np.ndarray]:
+        """Levels at ``delta`` within ``window`` of the block's lowest, and the
+        pair data of their eigenvectors.  Only those eigenvectors are
+        unfolded and reduced."""
+        diagonal = 0.5 * delta * self.zz + self.zeeman
+        kept = []
+        for reps, entries, correction, orbit, amp in self.parts:
+            dec = decompose(_dense(len(reps), entries, diagonal[reps] + correction))
+            w = dec.eigenvalues
+            # each part's own lowest lies at or above the block's, so this
+            # keeps a superset; the copy lets the full eigenvectors go
+            top = np.count_nonzero(w - w[0] <= window)
+            kept.append((w[:top], np.ascontiguousarray(dec.eigenvectors[:, :top]), orbit, amp))
+            del dec
+        lowest = min(part[0][0] for part in kept)
+        energies, data = [], []
+        while kept:
+            w, v, orbit, amp = kept.pop(0)
+            top = np.count_nonzero(w - lowest <= window)
+            if top:
+                # the gather copies, so the part's own vectors can go first
+                x = v[orbit, :top]
+                del v
+                x *= amp
+                energies.append(w[:top])
+                data.append(_pair_rows(self.pair_maps, x))
+        return np.concatenate(energies), np.concatenate(data)
 
 
 class _BlockPlan:
@@ -279,8 +242,8 @@ class _BlockPlan:
     N - k, so only blocks k <= N/2 are kept and block N - k reuses their
     levels (the very same numbers) and flipped pair data.  With palindromic
     couplings and fields the reflection splits each kept block into even
-    and odd halves (``_MirrorBlock``).  Without a symmetry the plain block
-    is decomposed.
+    and odd halves (see ``_Block``).  Without a symmetry the plain block is
+    decomposed.
     """
 
     def __init__(self, template: ChainSpec, pair):
@@ -292,9 +255,8 @@ class _BlockPlan:
             template.couplings == template.couplings[::-1]
             and template.fields == template.fields[::-1]
         )
-        block = _MirrorBlock if mirror else _Block
         self.blocks = [
-            block(template, build_sector_basis(n, k), self.pair)
+            _Block(template, build_sector_basis(n, k), self.pair, mirror)
             for k in range(n // 2 + 1 if self.flip else n + 1)
         ]
 
@@ -323,7 +285,7 @@ class _BlockPlan:
                 + spec.n_sites * max(map(abs, ground_fields), default=0.0)
             )
             window = 2.0 * DEGENERACY_RTOL * (1.0 + bound)
-        return _SectorSpectrum(replace(self.template, delta=delta), self.pair, self, window)
+        return _SectorSpectrum(self, delta, window)
 
 
 class _SectorSpectrum:
@@ -331,20 +293,18 @@ class _SectorSpectrum:
     its eigenvector for one site pair (see ``pair_xstate_data``).
 
     ``field_rows`` adds a uniform field as the shift B (2k - N) of the k-up
-    block, so one instance serves every field at fixed delta.  A sweep gets
-    one per delta from its ``_BlockPlan``, which builds the blocks once;
-    ``_SectorSpectrum(spec, pair)`` is a one-off plan of ``spec`` that keeps
-    every level.  ``window``, when finite, drops each block's levels more
-    than that far above its lowest (see ``_BlockPlan.spectrum``).
+    block, so one instance serves every field at fixed delta.  Built only by
+    ``_BlockPlan.spectrum``, one per delta, from the blocks the plan built
+    once.  ``window``, when finite, drops each block's levels more than that
+    far above its lowest.
     """
 
-    def __init__(self, spec: ChainSpec, pair, plan: _BlockPlan | None = None, window=inf):
-        n = spec.n_sites
-        plan = _BlockPlan(spec, pair) if plan is None else plan
+    def __init__(self, plan: _BlockPlan, delta: float, window: float):
+        n = plan.template.n_sites
         self.pair = plan.pair
         energies, data = [], []
         for block in plan.blocks:
-            levels, block_data = block.levels(spec.delta, window)
+            levels, block_data = block.levels(delta, window)
             energies.append(levels)
             data.append(block_data)
         if plan.flip:
@@ -383,7 +343,7 @@ class _SectorSpectrum:
             rows = slice(start, start + step)
             e = self.energies + fields[rows, None] * self.shift
             lowest = e.min(axis=1)
-            ground = e <= (lowest + DEGENERACY_RTOL * (1.0 + np.abs(lowest)))[:, None]
+            ground = e <= (lowest + _degeneracy_tolerance(lowest))[:, None]
             e0[rows] = lowest
             # levels are stored by ascending sector, so the first ground
             # level has the smallest ground sector
@@ -574,25 +534,31 @@ def design_report(
     }
 
 
-def numeric_c14_regimes(delta: float, coupling: float = 1.0) -> tuple[GroundRegime, ...]:
+def numeric_c14_regimes(delta: float) -> tuple[GroundRegime, ...]:
     """Numeric version of the 4-site ground-state regime table.
 
     A uniform field B shifts the k-up block by B (2k - 4), so the ground
     levels of the k_low- and k_high-up sectors cross exactly at
     (E_klow(0) - E_khigh(0)) / (2 (k_high - k_low)), or at B = 0 if k_low
-    already wins there.  The concurrence of a regime is read at one
+    is ground there by the test of ``field_rows`` (within the degeneracy
+    tolerance of the lowest level; a tie goes to the smallest sector).
+    Empty regimes are dropped.  The concurrence of a regime is read at one
     interior field (all regimes in one ``field_rows`` call): it is constant
     inside a regime, since the field does not change sector eigenvectors.
     """
-    return _c14_regimes(_BlockPlan(ChainSpec.uniform(4, coupling=coupling), (1, 4)), delta)
+    return _c14_regimes(_BlockPlan(ChainSpec.uniform(4), (1, 4)), delta)
 
 
 def _c14_regimes(plan: _BlockPlan, delta: float) -> tuple[GroundRegime, ...]:
     """``numeric_c14_regimes`` at ``delta`` on the blocks of ``plan``."""
     spectrum = plan.spectrum(delta)
     lowest = [float(spectrum.energies[spectrum.sector == k].min()) for k in range(5)]
+    e0 = min(lowest)
+    tied = [e <= e0 + _degeneracy_tolerance(e0) for e in lowest]
 
     def crossing(k_low: int, k_high: int) -> float:
+        if tied[k_low]:
+            return 0.0
         return max(0.0, (lowest[k_low] - lowest[k_high]) / (2.0 * (k_high - k_low)))
 
     b1, b2 = crossing(1, 2), crossing(0, 1)

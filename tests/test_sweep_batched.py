@@ -24,7 +24,7 @@ from xxzchain import sweep
 from xxzchain.chain import ChainSpec
 from xxzchain.entanglement import xstate_concurrences
 from xxzchain.errors import DomainError
-from xxzchain.sweep import _SectorSpectrum
+from xxzchain.sweep import _BlockPlan
 
 ROW_TOL = 1e-13  # concurrences absolute, energies times (1 + |E|)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -54,7 +54,7 @@ def _spectra(draw):
         fields = tuple(draw(st.lists(site, min_size=n, max_size=n)))
     spec = ChainSpec(n, couplings, fields, draw(st.floats(-1.0, 2.0, allow_nan=False)))
     i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
-    spectrum = _SectorSpectrum(spec, (i, j))
+    spectrum = _BlockPlan(spec, (i, j)).spectrum(spec.delta)
     temperature = draw(st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.0]))
     fields_b = draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=40))
     if draw(st.booleans()):
@@ -86,7 +86,7 @@ def test_batched_rows_are_batch_invariant_and_match_the_per_row_path(case):
 
 @pytest.mark.parametrize("temperature", [0.0, 0.2])
 def test_a_field_axis_longer_than_one_chunk_matches_one_field_at_a_time(temperature):
-    spectrum = _SectorSpectrum(ChainSpec.uniform(10, delta=0.7), (1, 10))
+    spectrum = _BlockPlan(ChainSpec.uniform(10), (1, 10)).spectrum(0.7)
     step = sweep._CHUNK_ENTRIES // len(spectrum.energies)
     lows = [float(spectrum.energies[spectrum.sector == k].min()) for k in range(11)]
     crossings = [0.5 * (lows[k] - lows[k + 1]) for k in range(10)]
@@ -99,7 +99,7 @@ def test_a_field_axis_longer_than_one_chunk_matches_one_field_at_a_time(temperat
 
 
 def test_field_rows_temporaries_do_not_grow_with_the_field_axis():
-    spectrum = _SectorSpectrum(ChainSpec.uniform(10, delta=0.7), (1, 10))
+    spectrum = _BlockPlan(ChainSpec.uniform(10), (1, 10)).spectrum(0.7)
 
     def peak_bytes(count: int) -> int:
         fields = np.linspace(0.0, 3.0, count)

@@ -15,6 +15,7 @@ from xxzchain.sweep import (
     GridAxis,
     channel_curve,
     check_grid_size,
+    classify_ground_state,
     concurrence_curve,
     design_report,
     numeric_c14_regimes,
@@ -253,6 +254,25 @@ def test_numeric_regimes_are_exact_crossings():
     assert abs(rows[1].b_max - (SQRT5 + 1) / 4) <= 1e-12
     assert abs(rows[2].b_min - (SQRT5 + 1) / 4) <= 1e-12
     assert abs(numeric_c14_regimes(1.0)[1].b_max - (1 + 1 / math.sqrt(2))) <= 1e-12
+
+
+def test_numeric_regimes_at_the_isotropic_ferromagnet_are_one_regime():
+    # every sector's lowest level ties at B = 0; the smallest sector wins
+    # the tie there, and the field only widens its lead
+    rows = numeric_c14_regimes(-1.0)
+    assert [(r.b_min, r.b_max, r.n_up) for r in rows] == [(0.0, math.inf, 0)]
+
+
+@pytest.mark.parametrize("delta", [-2.0 + 0.25 * m for m in range(21)] + [-0.999])
+def test_numeric_regimes_tile_the_field_axis_as_classified(delta):
+    rows = numeric_c14_regimes(delta)
+    assert rows[0].b_min == 0.0 and rows[-1].b_max == math.inf
+    for left, right in zip(rows, rows[1:]):
+        assert left.b_max == right.b_min
+    for r in rows:
+        assert r.b_min < r.b_max
+        inside = r.b_min + 0.5 if r.b_max == math.inf else 0.5 * (r.b_min + r.b_max)
+        assert classify_ground_state(ChainSpec.uniform(4, field=inside, delta=delta)).n_up == r.n_up
 
 
 def test_table1_rows_check_every_delta_before_the_first_row():

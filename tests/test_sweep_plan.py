@@ -8,6 +8,7 @@ matrix is decomposed, and that dropping levels changes no bit of a row.
 """
 
 import copy
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,6 @@ from xxzchain.chain import ChainSpec
 from xxzchain.sweep import (
     GridAxis,
     _BlockPlan,
-    _SectorSpectrum,
     classify_ground_state,
     concurrence_curve,
     phase_scan,
@@ -44,7 +44,7 @@ def _decompositions_per_delta(monkeypatch, spec: ChainSpec, pair) -> int:
     """How many matrices one delta decomposes: those of a one-off spectrum."""
     with monkeypatch.context() as patch:
         calls = _count(patch, "decompose")
-        _SectorSpectrum(spec, pair)
+        _BlockPlan(spec, pair).spectrum(spec.delta)
     return len(calls)
 
 
@@ -57,7 +57,7 @@ def test_a_phase_scan_builds_each_block_once(monkeypatch, couplings):
     deltas = (-0.5, 0.0, 0.5, 1.0)
     per_delta = _decompositions_per_delta(monkeypatch, template, (1, 7))
     bases = _count(monkeypatch, "build_sector_basis")
-    blocks = _count(monkeypatch, "build_sector")
+    blocks = _count(monkeypatch, "_hopping")
     solves = _count(monkeypatch, "decompose")
     rows = list(phase_scan(template, GridAxis(values=deltas), GridAxis(values=(0.0, 0.8, 2.5))))
     assert len(rows) == 12
@@ -74,12 +74,26 @@ def test_a_curve_builds_each_block_once(monkeypatch, couplings, temperature):
     deltas = (0.0, 0.5, 1.0)
     per_delta = _decompositions_per_delta(monkeypatch, template, (2, 6))
     bases = _count(monkeypatch, "build_sector_basis")
-    blocks = _count(monkeypatch, "build_sector")
+    blocks = _count(monkeypatch, "_hopping")
     solves = _count(monkeypatch, "decompose")
     rows = list(concurrence_curve(template, (6, 2), GridAxis(values=(0.0, 0.4, 1.2)), deltas))
     assert len(rows) == 9
     assert len(bases) == len(blocks) == 4
     assert len(solves) == len(deltas) * per_delta
+
+
+@pytest.mark.parametrize("couplings", [(1.0,) * 11, (1.0, 0.7, 1.3, 0.9, 1.1, 0.6, 0.8, 1.2, 0.9, 1.1, 0.7)])
+def test_building_a_plan_holds_no_whole_block_matrix(couplings):
+    # a 12-site plan keeps blocks k = 0..6; the largest, k = 6, has 924 states
+    spec = ChainSpec(12, couplings, (0.0,) * 12, 0.5)
+    _BlockPlan(spec, (1, 12))
+    tracemalloc.start()
+    try:
+        _BlockPlan(spec, (1, 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 924**2
 
 
 def test_the_window_drops_levels_only_at_zero_temperature():
@@ -116,7 +130,7 @@ def _cases(draw):
         fields = tuple(draw(st.lists(site, min_size=n, max_size=n)))
     spec = ChainSpec(n, couplings, fields, draw(st.floats(-1.5, 2.0, allow_nan=False)))
     pair = tuple(draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)))
-    full = _SectorSpectrum(spec, pair)
+    full = _BlockPlan(spec, pair).spectrum(spec.delta)
     lows = [float(full.energies[full.sector == k].min()) for k in range(n + 1)]
     crossings = [0.5 * (lows[k] - lows[k + 1]) for k in range(n)]
     others = draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False), max_size=4))
@@ -154,7 +168,7 @@ def test_a_many_fold_ground_space_classifies_as_its_phase_scan_row():
     point = classify_ground_state(template)
     assert point == scan[0]
     assert (point.n_up, point.degeneracy) == (0, 7)
-    (expected,) = sweep._phase_points(_SectorSpectrum(template, (1, 6)), -1.0, (0.0,))
+    (expected,) = sweep._phase_points(_BlockPlan(template, (1, 6)).spectrum(-1.0), -1.0, (0.0,))
     assert point == expected
 
 
@@ -171,7 +185,7 @@ def test_a_many_fold_ground_space_keeps_its_curve_row_whatever_the_grid(weak):
     ((_, _, single),) = concurrence_curve(template, (1, 2), GridAxis(values=(0.5,)), (0.0,))
     assert rows[2][2] == single
     assert abs(single - 0.5) <= 1e-10
-    full = _SectorSpectrum(template, (1, 2))
+    full = _BlockPlan(template, (1, 2)).spectrum(0.0)
     _, n_up, degeneracy, c = full.field_rows(grid)
     assert (n_up[2], degeneracy[2]) == (0, 8)
     assert [row[2] for row in rows] == c.tolist()
@@ -183,7 +197,7 @@ def test_levels_that_are_not_ground_change_no_bit_of_a_zero_temperature_row():
     # the ferromagnet's 7-fold ground space at B = 0, given distinct random
     # pair states with a positive concurrence: the ground mixture must not
     # depend on where the other levels sit between its members
-    full = _SectorSpectrum(ChainSpec.uniform(6, delta=-1.0), (1, 6))
+    full = _BlockPlan(ChainSpec.uniform(6), (1, 6)).spectrum(-1.0)
     rng = np.random.default_rng(8)
     p = rng.dirichlet([0.3, 4.0, 4.0, 0.3], len(full.energies))
     c = rng.uniform(0.5, 1.0, len(p)) * np.sqrt(p[:, 1] * p[:, 2])

@@ -16,7 +16,7 @@ from reference import PlainBlockSpectrum
 from xxzchain import sweep
 from xxzchain.chain import ChainSpec
 from xxzchain.eigensolver import decompose
-from xxzchain.sweep import GridAxis, _phase_points, _SectorSpectrum, classify_ground_state, phase_scan
+from xxzchain.sweep import GridAxis, _BlockPlan, _phase_points, classify_ground_state, phase_scan
 
 ROW_TOL = 1e-13  # concurrences absolute, energies times (1 + |E|)
 FLIPPED = [3, 2, 1, 0, 4]
@@ -49,7 +49,8 @@ def _test_fields(spec: ChainSpec, rng) -> list[float]:
 
 
 def _assert_same_rows(spec: ChainSpec, pair, fields, temperatures=(0.1, 0.4)):
-    new, plain = _SectorSpectrum(spec, pair), PlainBlockSpectrum(spec, pair)
+    new = _BlockPlan(spec, pair).spectrum(spec.delta)
+    plain = PlainBlockSpectrum(spec, pair)
     for b in fields:
         (p,), (q,) = _phase_points(new, spec.delta, (b,)), _phase_points(plain, spec.delta, (b,))
         assert (p.n_up, p.degeneracy, p.sector_rank) == (q.n_up, q.degeneracy, q.sector_rank)
@@ -66,7 +67,7 @@ def test_zero_field_flip_partners_are_bit_for_bit_equal(n):
     rng = np.random.default_rng(n)
     for couplings in ((1.0,) * (n - 1), tuple(rng.uniform(0.3, 1.5, n - 1))):
         spec = ChainSpec(n, couplings, (0.0,) * n, float(rng.uniform(-1.0, 2.0)))
-        s = _SectorSpectrum(spec, (1, n))
+        s = _BlockPlan(spec, (1, n)).spectrum(spec.delta)
         for k in range((n + 1) // 2):
             assert np.array_equal(s.energies[s.sector == k], s.energies[s.sector == n - k])
             assert np.array_equal(
@@ -77,10 +78,14 @@ def test_zero_field_flip_partners_are_bit_for_bit_equal(n):
 @pytest.mark.parametrize("n", range(3, 11))
 def test_symmetric_specs_match_plain_blocks(n):
     rng = np.random.default_rng(300 + n)
-    for mirror_only in (False, False, True):
-        # zero fields: flip and mirror; a palindromic field: mirror only
-        fields = _palindrome(rng, n) if mirror_only else (0.0,) * n
-        spec = ChainSpec(n, _palindrome(rng, n - 1), fields, float(rng.uniform(-1.0, 2.0)))
+    for shape in ("zero", "zero", "palindromic", "signed zero"):
+        # zero fields: flip and mirror; a palindromic field: mirror only;
+        # -0.0 end couplings: hopping entries that are zero with a sign bit
+        fields = _palindrome(rng, n) if shape == "palindromic" else (0.0,) * n
+        couplings = _palindrome(rng, n - 1)
+        if shape == "signed zero":
+            couplings = (-0.0,) + couplings[1:-1] + (-0.0,)
+        spec = ChainSpec(n, couplings, fields, float(rng.uniform(-1.0, 2.0)))
         i = int(rng.integers(1, n))
         j = int(rng.integers(i + 1, n + 1))
         for pair in ((1, n), (i, j), (j, i)):
@@ -91,7 +96,7 @@ def test_reflection_breaking_spec_is_flip_folded_but_not_split(monkeypatch):
     rng = np.random.default_rng(11)
     spec = ChainSpec(6, (1.0, 0.7, 1.3, 1.0, 0.9), (0.0,) * 6, 0.4)
     dims = _record_dims(monkeypatch)
-    _SectorSpectrum(spec, (2, 5))
+    _BlockPlan(spec, (2, 5)).spectrum(spec.delta)
     assert dims == [comb(6, k) for k in range(4)]
     for pair in ((2, 5), (5, 2), (1, 6)):
         _assert_same_rows(spec, pair, _test_fields(spec, rng))
