@@ -7,8 +7,8 @@ excitation sector splits under the mirror symmetry of the chain into two
 k x k tridiagonal blocks (N = 2k) with a uniform bulk, whose ground states
 have closed forms: a design is one scalar secular equation plus an O(k)
 profile, so chains of 10^5 sites and more are routine.  Arbitrary coupling
-profiles go through the generic magnetization-sector route
-(``sector_boundary_concurrence``).
+profiles, such as ``impurity_profile_chain``, go through the sector
+ground-state route of the sweep core (``sweep.sector_boundary_concurrence``).
 """
 
 from __future__ import annotations
@@ -18,13 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, build_sector_basis
-from .eigensolver import DEGENERACY_RTOL, decompose, ground_space
-from .entanglement import pair_xstate_data, xstate_concurrences
-from .errors import DomainError, ResourceCapError
-from .hamiltonian import build_sector
-
-SECTOR_DIM_CAP = 3432  # C(14, 7): the largest sector the dense path serves
+from .chain import ChainSpec
+from .eigensolver import DEGENERACY_RTOL
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -265,23 +261,3 @@ def impurity_profile_chain(n_sites: int, base: float) -> ChainSpec:
         fields=(0.0,) * n_sites,
         delta=0.0,
     )
-
-
-def sector_boundary_concurrence(spec: ChainSpec, n_up: int) -> float:
-    """Concurrence between the end sites of the sector ground state.
-
-    Works entirely in sector coordinates, so the chain length is limited
-    only by the sector dimension, which is checked before anything is
-    allocated.  A degenerate sector ground space is treated as an
-    equal-weight mixture.
-    """
-    dim = math.comb(spec.n_sites, n_up)
-    if dim > SECTOR_DIM_CAP:
-        raise ResourceCapError(
-            f"sector dimension {dim} exceeds the cap of {SECTOR_DIM_CAP}"
-        )
-    basis = build_sector_basis(spec.n_sites, n_up)
-    dec = decompose(build_sector(spec, basis))
-    pair = (1, spec.n_sites)
-    data = pair_xstate_data(basis, dec.eigenvectors[:, ground_space(dec)], *pair)
-    return float(xstate_concurrences(data.mean(axis=0, keepdims=True))[0])

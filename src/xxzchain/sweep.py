@@ -29,17 +29,21 @@ Rows stay pure functions of (template, delta, B): every reduction runs
 along one field's levels, and a level outside the ground space changes no
 bit of a T = 0 row, so a single-point call reproduces its grid row bit for
 bit.
+
+One sector's ground state (``sector_boundary_concurrence``) runs on one
+block of the same kind.  Every block is refused above SECTOR_DIM_CAP
+states before anything is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import inf, isfinite
+from math import comb, inf, isfinite
 
 import numpy as np
 
 from . import closed_forms
-from .chain import FULL_SPACE_CAP, ChainSpec, SectorBasis, build_sector_basis, config_number
+from .chain import ChainSpec, SectorBasis, build_sector_basis, config_number
 from .channel import design_channel, ratio_profile
 from .closed_forms import GroundRegime, beta_for_target, c1n_channel
 from .eigensolver import DEGENERACY_RTOL, _degeneracy_tolerance, decompose
@@ -48,6 +52,7 @@ from .errors import DomainError, ResourceCapError
 from .hamiltonian import _dense, _diagonal_terms, _hopping
 
 GRID_POINT_CAP = 10**6
+SECTOR_DIM_CAP = 3432  # C(14, 7): the largest S^z block decomposed densely
 
 # Most level x field entries one temporary of ``_SectorSpectrum.field_rows``
 # holds; the field axis is walked in chunks of that size, so its memory does
@@ -200,8 +205,9 @@ class _Block:
             odd = ~own[a] & ~own[b]
             index = np.cumsum(~own) - 1
             # sign +1 at r, -1 at m and 0 at a self-mirror state (whose
-            # index[orbit] is any entry, times 0)
-            amp = root_half * np.sign(mirrored - states)[:, None]
+            # index[orbit] is any entry, times 0); cast, because labels of
+            # more than 63 sites are Python ints and their sign an object
+            amp = root_half * np.sign(mirrored - states).astype(float)[:, None]
             entries = index[a[odd]], index[b[odd]], direct[odd] - image[odd]
             self.parts.append((reps[~own], entries, -mate[~own], index[orbit], amp))
 
@@ -234,6 +240,46 @@ class _Block:
         return np.concatenate(energies), np.concatenate(data)
 
 
+def _palindromic(spec: ChainSpec) -> bool:
+    """Whether mirror reflection commutes with the chain's H: couplings and
+    fields read the same from either end."""
+    return spec.couplings == spec.couplings[::-1] and spec.fields == spec.fields[::-1]
+
+
+def _ground_window(spec: ChainSpec, delta: float, ground_fields) -> float:
+    """How far above its own block's lowest a level of ``spec`` at ``delta``
+    can lie and still be ground at one of the uniform ``ground_fields``.
+
+    At a uniform field B the ground test keeps the levels within
+    DEGENERACY_RTOL (1 + |E0(B)|) of the lowest, E0(B), and
+    E0(B) <= min_k + B (2k - N) for the lowest level min_k of each block k.
+    A level more than that window above its own block's lowest can never be
+    ground.  |E0(B)| is at most the operator norm, bounded by
+    sum |J| + |delta| (N - 1) / 2 + sum |B_i| + N |B|; twice the window of
+    that bound leaves a wide margin for the rounding of the shifted levels.
+    A pruned level only ever added exact zeros to a row, so the rows are
+    those of every level kept, bit for bit.
+    """
+    bound = (
+        sum(map(abs, spec.couplings))
+        + 0.5 * abs(delta) * (spec.n_sites - 1)
+        + sum(map(abs, spec.fields))
+        + spec.n_sites * max(map(abs, ground_fields), default=0.0)
+    )
+    return 2.0 * DEGENERACY_RTOL * (1.0 + bound)
+
+
+def _check_sector(n_sites: int, n_up: int) -> None:
+    """Refuse, before anything is allocated, an ``n_up`` outside 0..N and a
+    block of more than SECTOR_DIM_CAP states.  A sweep decomposes every
+    block, so it checks the largest, k = N // 2."""
+    if not 0 <= n_up <= n_sites:
+        raise DomainError(f"n_up must lie in [0, {n_sites}], got {n_up}")
+    dim = comb(n_sites, n_up)
+    if dim > SECTOR_DIM_CAP:
+        raise ResourceCapError(f"sector dimension {dim} exceeds the cap of {SECTOR_DIM_CAP}")
+
+
 class _BlockPlan:
     """Everything the deltas of one sweep share: the S^z blocks of the
     template (any delta) and one site pair, built once.
@@ -251,10 +297,7 @@ class _BlockPlan:
         self.template = template
         self.pair = _pair_sites_checked(n, *pair)
         self.flip = not any(template.fields)
-        mirror = (
-            template.couplings == template.couplings[::-1]
-            and template.fields == template.fields[::-1]
-        )
+        mirror = _palindromic(template)
         self.blocks = [
             _Block(template, build_sector_basis(n, k), self.pair, mirror)
             for k in range(n // 2 + 1 if self.flip else n + 1)
@@ -263,58 +306,35 @@ class _BlockPlan:
     def spectrum(self, delta: float, ground_fields=None) -> "_SectorSpectrum":
         """The spectrum at ``delta``.  Given ``ground_fields``, the fields of
         a T = 0 call, each block keeps only the levels that can be ground at
-        one of them.
-
-        At a uniform field B the ground test keeps the levels within
-        DEGENERACY_RTOL (1 + |E0(B)|) of the lowest, E0(B), and
-        E0(B) <= min_k + B (2k - N) for the lowest level min_k of each block
-        k.  A level more than that window above its own block's lowest can
-        never be ground.  |E0(B)| is at most the operator norm, bounded by
-        sum |J| + |delta| (N - 1) / 2 + sum |B_i| + N |B|; twice the window
-        of that bound leaves a wide margin for the rounding of the shifted
-        levels.  A pruned level only ever added exact zeros to a row, so the
-        rows are those of every level kept, bit for bit.
-        """
+        one of them (``_ground_window``)."""
+        n = self.template.n_sites
         window = inf
         if ground_fields is not None:
-            spec = self.template
-            bound = (
-                sum(map(abs, spec.couplings))
-                + 0.5 * abs(delta) * (spec.n_sites - 1)
-                + sum(map(abs, spec.fields))
-                + spec.n_sites * max(map(abs, ground_fields), default=0.0)
-            )
-            window = 2.0 * DEGENERACY_RTOL * (1.0 + bound)
-        return _SectorSpectrum(self, delta, window)
-
-
-class _SectorSpectrum:
-    """Levels of every S^z block of one chain, each with the pair data of
-    its eigenvector for one site pair (see ``pair_xstate_data``).
-
-    ``field_rows`` adds a uniform field as the shift B (2k - N) of the k-up
-    block, so one instance serves every field at fixed delta.  Built only by
-    ``_BlockPlan.spectrum``, one per delta, from the blocks the plan built
-    once.  ``window``, when finite, drops each block's levels more than that
-    far above its lowest.
-    """
-
-    def __init__(self, plan: _BlockPlan, delta: float, window: float):
-        n = plan.template.n_sites
-        self.pair = plan.pair
-        energies, data = [], []
-        for block in plan.blocks:
-            levels, block_data = block.levels(delta, window)
-            energies.append(levels)
-            data.append(block_data)
-        if plan.flip:
+            window = _ground_window(self.template, delta, ground_fields)
+        energies, data = map(list, zip(*(block.levels(delta, window) for block in self.blocks)))
+        if self.flip:
             for k in range(n // 2 + 1, n + 1):
                 energies.append(energies[n - k])
                 data.append(data[n - k][:, _FLIPPED_COLUMNS])
+        return _SectorSpectrum(n, self.pair, range(n + 1), energies, data)
+
+
+class _SectorSpectrum:
+    """Levels of S^z blocks of one chain, each with the pair data of its
+    eigenvector for one site pair (see ``pair_xstate_data``).
+
+    ``sectors`` lists the n_up of each block, ``energies`` and ``data``
+    its levels and their pair-data rows, in ascending sector order.
+    ``field_rows`` adds a uniform field as the shift B (2k - N) of the k-up
+    block, so one instance serves every field at fixed delta.
+    """
+
+    def __init__(self, n_sites: int, pair, sectors, energies, data):
+        self.pair = pair
         self.energies = np.concatenate(energies)
         self.pair_data = np.concatenate(data)
-        self.sector = np.repeat(np.arange(n + 1), [len(e) for e in energies])
-        self.shift = 2.0 * self.sector - n
+        self.sector = np.repeat(np.asarray(sectors), [len(e) for e in energies])
+        self.shift = 2.0 * self.sector - n_sites
 
     def field_rows(
         self, fields, temperature: float = 0.0
@@ -361,11 +381,6 @@ class _SectorSpectrum:
         return e0, n_up, degeneracy, concurrence
 
 
-def _check_sites(n_sites: int, what: str) -> None:
-    if n_sites > FULL_SPACE_CAP:
-        raise ResourceCapError(f"{what} needs n_sites <= {FULL_SPACE_CAP}, got {n_sites}")
-
-
 def _phase_points(spectrum: _SectorSpectrum, delta: float, fields):
     """The phase-scan nodes of one delta at every field of ``fields``."""
     for field, e0, n_up, degeneracy, c in zip(fields, *spectrum.field_rows(fields)):
@@ -392,7 +407,7 @@ def phase_scan(template: ChainSpec, delta_axis: GridAxis, field_axis: GridAxis):
     its whole field axis is evaluated when its first node is read.
     """
     n = template.n_sites
-    _check_sites(n, "phase scan")
+    _check_sector(n, n // 2)
     check_grid_size(delta_axis, field_axis)
 
     def nodes():
@@ -409,12 +424,27 @@ def classify_ground_state(spec: ChainSpec) -> PhasePoint:
     shift of the blocks of the remaining field profile (all zero for a
     uniform field), so a uniform spec reproduces its phase_scan row bit for
     bit."""
-    _check_sites(spec.n_sites, "ground-state classification")
+    _check_sector(spec.n_sites, spec.n_sites // 2)
     field = spec.fields[0]
     rest = replace(spec, fields=tuple(b - field for b in spec.fields))
     spectrum = _BlockPlan(rest, (1, spec.n_sites)).spectrum(spec.delta, (field,))
     (point,) = _phase_points(spectrum, spec.delta, (field,))
     return point
+
+
+def sector_boundary_concurrence(spec: ChainSpec, n_up: int) -> float:
+    """Concurrence between the end sites of the ground state of the
+    ``n_up`` sector: one ``_Block`` of the sweeps (mirror halves for a
+    palindromic spec, such as every impurity chain) read at zero field by
+    ``field_rows`` within the spec's own ground window, so a degenerate
+    sector ground space is the sweeps' equal mixture."""
+    n = spec.n_sites
+    _check_sector(n, n_up)
+    pair = (1, n)
+    block = _Block(spec, build_sector_basis(n, n_up), pair, _palindromic(spec))
+    energies, data = block.levels(spec.delta, _ground_window(spec, spec.delta, (0.0,)))
+    *_, (value,) = _SectorSpectrum(n, pair, [n_up], [energies], [data]).field_rows((0.0,))
+    return float(value)
 
 
 def concurrence_curve(
@@ -430,7 +460,7 @@ def concurrence_curve(
     Rows stream one delta at a time, as in ``phase_scan``.
     """
     n = template.n_sites
-    _check_sites(n, "curve")
+    _check_sector(n, n // 2)
     check_grid_size(field_axis, GridAxis(values=tuple(delta_values) or (0.0,)))
 
     # a T = 0 row reads only the levels that can be ground at its field
@@ -492,16 +522,18 @@ def design_report(
     def achieved(beta: float) -> float:
         return design_channel(n_sites, coupling, beta * coupling / 2.0).boundary_concurrence
 
-    at_zero = achieved(0.0)
-    if at_zero >= target:
+    def report(status: str, beta: float) -> dict:
         return {
             "n_sites": n_sites,
             "target": target,
-            "status": "already-achieved-at-zero-field",
-            "beta": 0.0,
-            "bulk_field": 0.0,
-            "achieved": at_zero,
+            "status": status,
+            "beta": beta,
+            "bulk_field": beta * coupling / 2.0,
+            "achieved": achieved(beta),
         }
+
+    if achieved(0.0) >= target:
+        return report("already-achieved-at-zero-field", 0.0)
     try:
         hi = max(beta_for_target(target, k), 2.0)
     except DomainError:
@@ -509,14 +541,7 @@ def design_report(
     while achieved(hi) < target:
         hi *= 2.0
         if hi > beta_cap:
-            return {
-                "n_sites": n_sites,
-                "target": target,
-                "status": "unreachable-below-beta-cap",
-                "beta": beta_cap,
-                "bulk_field": beta_cap * coupling / 2.0,
-                "achieved": achieved(beta_cap),
-            }
+            return report("unreachable-below-beta-cap", beta_cap)
     lo = 0.0
     while hi - lo > 1e-10 * max(1.0, lo):
         mid = 0.5 * (lo + hi)
@@ -524,14 +549,7 @@ def design_report(
             hi = mid
         else:
             lo = mid
-    return {
-        "n_sites": n_sites,
-        "target": target,
-        "status": "ok",
-        "beta": hi,
-        "bulk_field": hi * coupling / 2.0,
-        "achieved": achieved(hi),
-    }
+    return report("ok", hi)
 
 
 def numeric_c14_regimes(delta: float) -> tuple[GroundRegime, ...]:

@@ -102,23 +102,29 @@ def unfold_consistency(
     return bool(np.max(np.abs(direct - via_fold)) <= tol)
 
 
-class PlainBlockSpectrum(_SectorSpectrum):
+def plain_block_spectrum(spec, pair) -> _SectorSpectrum:
     """``sweep._SectorSpectrum`` without its spin-flip and mirror shortcuts:
     every one of the N + 1 S^z blocks is decomposed whole.  ``field_rows``
-    is inherited, so rows built on it differ from the library's only by how
-    the blocks were decomposed."""
+    is the library's, so rows built on it differ from the library's only by
+    how the blocks were decomposed."""
+    n = spec.n_sites
+    energies, data = [], []
+    for k in range(n + 1):
+        basis = build_sector_basis(n, k)
+        dec = decompose(build_sector(spec, basis))
+        energies.append(dec.eigenvalues)
+        data.append(pair_xstate_data(basis, dec.eigenvectors, *pair))
+    return _SectorSpectrum(n, (min(pair), max(pair)), range(n + 1), energies, data)
 
-    def __init__(self, spec, pair):
-        n = spec.n_sites
-        self.pair = (min(pair), max(pair))
-        energies, data, sectors = [], [], []
-        for k in range(n + 1):
-            basis = build_sector_basis(n, k)
-            dec = decompose(build_sector(spec, basis))
-            energies.append(dec.eigenvalues)
-            data.append(pair_xstate_data(basis, dec.eigenvectors, *pair))
-            sectors.append(np.full(len(basis), k))
-        self.energies = np.concatenate(energies)
-        self.pair_data = np.concatenate(data)
-        self.sector = np.concatenate(sectors)
-        self.shift = 2.0 * self.sector - n
+
+def dense_sector_concurrence(spec, n_up: int) -> float:
+    """End-to-end concurrence of the ``n_up`` sector's ground mixture by the
+    dense route: the whole sector matrix, ``eigh``, the mean pair data of
+    every level within DEGENERACY_RTOL of the lowest, and the 4x4 closed
+    form."""
+    n = spec.n_sites
+    basis = build_sector_basis(n, n_up)
+    w, v = np.linalg.eigh(build_sector(spec, basis))
+    ground = w <= w[0] + DEGENERACY_RTOL * (1.0 + abs(w[0]))
+    data = pair_xstate_data(basis, v[:, ground], 1, n).mean(axis=0)
+    return xstate_concurrence(xstate_pair((1, n), data))

@@ -15,12 +15,7 @@ import numpy as np
 from reference import concurrence_lambdas_direct, unfold_consistency
 
 from xxzchain.chain import ChainSpec, build_sector_basis
-from xxzchain.channel import (
-    design_channel,
-    impurity_profile_chain,
-    ratio_profile,
-    sector_boundary_concurrence,
-)
+from xxzchain.channel import design_channel, impurity_profile_chain, ratio_profile
 from xxzchain.closed_forms import (
     c13_ground,
     c14_channel,
@@ -38,7 +33,7 @@ from xxzchain.entanglement import (
     thermal_state,
 )
 from xxzchain.hamiltonian import build_full, build_sector
-from xxzchain.sweep import numeric_c14_regimes
+from xxzchain.sweep import numeric_c14_regimes, sector_boundary_concurrence
 
 SQRT5 = math.sqrt(5.0)
 

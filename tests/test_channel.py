@@ -8,7 +8,7 @@ import pytest
 
 from reference import unfold_consistency
 
-from xxzchain import channel
+from xxzchain import channel, sweep
 from xxzchain.chain import ChainSpec, build_sector_basis
 from xxzchain.channel import (
     ChannelDesign,
@@ -17,7 +17,6 @@ from xxzchain.channel import (
     fold_single_excitation,
     impurity_profile_chain,
     ratio_profile,
-    sector_boundary_concurrence,
 )
 from xxzchain.closed_forms import (
     c14_channel,
@@ -29,6 +28,7 @@ from xxzchain.closed_forms import (
 from xxzchain.eigensolver import decompose
 from xxzchain.errors import DomainError, ResourceCapError
 from xxzchain.hamiltonian import build_channel, build_sector
+from xxzchain.sweep import sector_boundary_concurrence
 
 
 def _reference_betas(k):
@@ -292,7 +292,8 @@ def test_design_builds_no_dense_block(monkeypatch):
         raise AssertionError("dense path called")
 
     monkeypatch.setattr(channel, "fold_single_excitation", dense)
-    monkeypatch.setattr(channel, "decompose", dense)
+    monkeypatch.setattr(np.linalg, "eigh", dense)
+    monkeypatch.setattr(np.linalg, "eigvalsh", dense)
     assert design_channel(1000, 1.0, 2.5).boundary_concurrence == pytest.approx(
         c1n_channel(5.0, 500), abs=1e-15
     )
@@ -397,3 +398,46 @@ def test_sector_concurrence_dimension_cap():
     spec = ChainSpec.uniform(16)
     with pytest.raises(ResourceCapError):
         sector_boundary_concurrence(spec, 8)
+
+
+@pytest.mark.parametrize("n_up", [-1, 5])
+def test_sector_concurrence_rejects_n_up_outside_the_chain(n_up):
+    with pytest.raises(DomainError):
+        sector_boundary_concurrence(ChainSpec.uniform(4), n_up)
+
+
+def _package_imports(module) -> dict[str, set[str]]:
+    """The package names ``module`` imports, lazily or not, by the submodule
+    they come from; a submodule imported whole maps to {"*"}."""
+    found = {}
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module:
+            found.setdefault(node.module, set()).update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level > 0:
+            found.update({alias.name: {"*"} for alias in node.names})
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = getattr(node, "module", None) or alias.name
+                assert not name.startswith("xxzchain"), name
+    return found
+
+
+DENSE_NAMES = {
+    "build_full", "build_sector", "ground_space", "pair_xstate_data", "thermal_state",
+    "ground_state_density", "reduce_pair", "reduce_pair_mixed", "concurrence", "PureState",
+}
+
+
+@pytest.mark.parametrize("module", [channel, sweep])
+def test_sector_routes_import_no_dense_path(module):
+    imports = _package_imports(module)
+    assert not set().union(*imports.values()) & DENSE_NAMES
+    assert not {"hamiltonian", "entanglement", "eigensolver"} & {
+        name for name, names in imports.items() if "*" in names
+    }
+
+
+def test_channel_takes_only_the_degeneracy_tolerance_from_the_numeric_layers():
+    imports = _package_imports(channel)
+    assert "hamiltonian" not in imports and "entanglement" not in imports
+    assert imports["eigensolver"] == {"DEGENERACY_RTOL"}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from xxzchain import cli as cli_module
+from xxzchain import sweep
 from xxzchain.chain import ChainSpec
 from xxzchain.cli import main
 from xxzchain.closed_forms import c1n_channel, critical_field_3site
@@ -134,6 +135,26 @@ def test_phase_scan_respects_full_space_cap():
                 GridAxis(values=(0.0,)),
             )
         )
+
+
+def test_sweeps_cap_sites_by_their_largest_sector(monkeypatch):
+    # C(14, 7) = 3432 states pass; C(15, 7) = 6435 are refused before any
+    # basis is built (rows are lazy, so the 14-site calls compute nothing)
+    axis = GridAxis(values=(0.0,))
+    phase_scan(ChainSpec.uniform(14), axis, axis)
+    concurrence_curve(ChainSpec.uniform(14), (1, 14), axis, (0.0,))
+
+    def unbuilt(*args):
+        raise AssertionError("a basis was built before the cap check")
+
+    monkeypatch.setattr(sweep, "build_sector_basis", unbuilt)
+    for call in (
+        lambda spec: phase_scan(spec, axis, axis),
+        lambda spec: concurrence_curve(spec, (1, 15), axis, (0.0,)),
+        classify_ground_state,
+    ):
+        with pytest.raises(ResourceCapError):
+            call(ChainSpec.uniform(15))
 
 
 def test_curve_three_site_plateau():

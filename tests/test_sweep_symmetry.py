@@ -1,6 +1,6 @@
 """Spin-flip and mirror blocks of the sweep core against plain S^z blocks.
 
-``reference.PlainBlockSpectrum`` decomposes every S^z block whole and
+``reference.plain_block_spectrum`` decomposes every S^z block whole and
 shares ``field_rows`` with the library, so these tests pin the
 symmetry-blocked decomposition alone: same rows to roundoff, the same
 labels, and the symmetry used exactly when the spec has it.
@@ -12,11 +12,20 @@ from math import comb
 import numpy as np
 import pytest
 
-from reference import PlainBlockSpectrum
+from reference import dense_sector_concurrence, plain_block_spectrum
 from xxzchain import sweep
 from xxzchain.chain import ChainSpec
+from xxzchain.channel import impurity_profile_chain
 from xxzchain.eigensolver import decompose
-from xxzchain.sweep import GridAxis, _BlockPlan, _phase_points, classify_ground_state, phase_scan
+from xxzchain.hamiltonian import build_channel
+from xxzchain.sweep import (
+    GridAxis,
+    _BlockPlan,
+    _phase_points,
+    classify_ground_state,
+    phase_scan,
+    sector_boundary_concurrence,
+)
 
 ROW_TOL = 1e-13  # concurrences absolute, energies times (1 + |E|)
 FLIPPED = [3, 2, 1, 0, 4]
@@ -42,7 +51,7 @@ def _record_dims(monkeypatch) -> list[int]:
 def _test_fields(spec: ChainSpec, rng) -> list[float]:
     """B = 0, every field where the ground levels of adjacent sectors cross
     (exact cross-sector ties), and one generic field."""
-    plain = PlainBlockSpectrum(spec, (1, spec.n_sites))
+    plain = plain_block_spectrum(spec, (1, spec.n_sites))
     lows = [float(plain.energies[plain.sector == k].min()) for k in range(spec.n_sites + 1)]
     crossings = [0.5 * (lows[k] - lows[k + 1]) for k in range(spec.n_sites)]
     return sorted({0.0, *crossings, float(rng.uniform(0.0, 2.0))})
@@ -50,7 +59,7 @@ def _test_fields(spec: ChainSpec, rng) -> list[float]:
 
 def _assert_same_rows(spec: ChainSpec, pair, fields, temperatures=(0.1, 0.4)):
     new = _BlockPlan(spec, pair).spectrum(spec.delta)
-    plain = PlainBlockSpectrum(spec, pair)
+    plain = plain_block_spectrum(spec, pair)
     for b in fields:
         (p,), (q,) = _phase_points(new, spec.delta, (b,)), _phase_points(plain, spec.delta, (b,))
         assert (p.n_up, p.degeneracy, p.sector_rank) == (q.n_up, q.degeneracy, q.sector_rank)
@@ -109,7 +118,7 @@ def test_classify_without_either_symmetry_is_the_plain_block_path(monkeypatch):
     point = classify_ground_state(spec)
     assert dims == [comb(6, k) for k in range(7)]
     rest = replace(spec, fields=tuple(b - 0.3 for b in spec.fields))
-    assert [point] == list(_phase_points(PlainBlockSpectrum(rest, (1, 6)), spec.delta, (0.3,)))
+    assert [point] == list(_phase_points(plain_block_spectrum(rest, (1, 6)), spec.delta, (0.3,)))
 
 
 def test_classify_with_a_palindromic_field_splits_every_block(monkeypatch):
@@ -120,7 +129,7 @@ def test_classify_with_a_palindromic_field_splits_every_block(monkeypatch):
     # a single self-mirror state, so no odd half)
     assert len(dims) == 12 and sum(dims) == 2**6 and max(dims) == 10
     rest = replace(spec, fields=tuple(b - 0.2 for b in spec.fields))
-    (expected,) = _phase_points(PlainBlockSpectrum(rest, (1, 6)), spec.delta, (0.2,))
+    (expected,) = _phase_points(plain_block_spectrum(rest, (1, 6)), spec.delta, (0.2,))
     assert (point.n_up, point.degeneracy) == (expected.n_up, expected.degeneracy)
     assert abs(point.ground_energy - expected.ground_energy) <= ROW_TOL * (
         1.0 + abs(expected.ground_energy)
@@ -144,3 +153,35 @@ def test_mirror_unfolding_keeps_a_singlet_at_most_one(delta):
     # vector; unfolding must not round its concurrence above 1
     point = classify_ground_state(ChainSpec.uniform(2, delta=delta))
     assert 1.0 - 1e-15 <= point.boundary_concurrence <= 1.0
+
+
+def test_sector_route_splits_a_palindromic_block_and_keeps_others_whole(monkeypatch):
+    dims = _record_dims(monkeypatch)
+    sector_boundary_concurrence(impurity_profile_chain(6, 2.0), 2)
+    # 15 two-up states, 3 of them their own mirror image
+    assert dims == [9, 6]
+    dims.clear()
+    sector_boundary_concurrence(ChainSpec(6, (1.0, 2.0, 3.0, 2.0, 1.5), (0.0,) * 6, 0.5), 2)
+    assert dims == [15]
+
+
+def test_sector_route_matches_the_dense_sector_route():
+    rng = np.random.default_rng(1010)
+    for trial in range(40):
+        n = int(rng.integers(2, 9))
+        couplings = _palindrome(rng, n - 1) if trial % 2 else tuple(rng.uniform(0.3, 1.5, n - 1))
+        fields = (_palindrome(rng, n), (0.0,) * n, tuple(rng.uniform(-1.0, 1.0, n)))[trial % 3]
+        spec = ChainSpec(n, couplings, fields, float(rng.uniform(-1.5, 1.5)))
+        for n_up in range(n + 1):
+            expected = dense_sector_concurrence(spec, n_up)
+            assert abs(sector_boundary_concurrence(spec, n_up) - expected) <= ROW_TOL
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [impurity_profile_chain(80, 1.0), impurity_profile_chain(80, 1.05), build_channel(80, 1.0, 0.4)],
+)
+def test_sector_route_unfolds_mirror_halves_beyond_63_sites(spec):
+    # labels of more than 63 sites are Python ints (object arrays)
+    expected = dense_sector_concurrence(spec, 1)
+    assert abs(sector_boundary_concurrence(spec, 1) - expected) <= 1e-12
