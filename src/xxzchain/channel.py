@@ -40,15 +40,14 @@ class ChannelDesign:
 
     ``coefficients[j]`` is the amplitude shared by sites j+1 and N-j (half
     profile, so 2 * sum of squares = 1); ``boundary_concurrence`` equals
-    twice the squared boundary coefficient.  ``parity`` is the folded block
-    that carries the ground state, always -1 (antisymmetric) for J > 0.
+    twice the squared boundary coefficient.  The ground state lies in the
+    antisymmetric folded block for every J > 0.
     """
 
     n_sites: int
     coupling: float
     bulk_field: float
     beta: float
-    parity: int
     ground_energy: float
     coefficients: tuple[float, ...]
     boundary_concurrence: float
@@ -219,7 +218,6 @@ def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelD
         coupling=j,
         bulk_field=b,
         beta=2.0 * b / j,
-        parity=-1,
         ground_energy=e_anti,
         coefficients=tuple(coeffs.tolist()),
         boundary_concurrence=float(v[0] * v[0]),

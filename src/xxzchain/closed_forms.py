@@ -27,10 +27,11 @@ class PhaseBoundary3:
 
 @dataclass(frozen=True)
 class GroundRegime:
-    """One row of the 4-site ground-state table: on (b_min, b_max) the
-    ground state lives in the ``n_up`` sector and carries boundary
-    concurrence ``c14_max``.  ``energy_at_zero_field`` is quoted for the
-    two-up regime only."""
+    """One ground-state regime of a chain under a uniform field: on
+    (b_min, b_max) the ground state lives in the ``n_up`` sector and carries
+    boundary concurrence ``c14_max`` (C_1N in general; C_14 in the 4-site
+    table).  ``energy_at_zero_field`` is set on the regime holding B = 0
+    only."""
 
     b_min: float
     b_max: float
@@ -130,7 +131,7 @@ def c14_ground_regimes(delta: float, coupling: float = 1.0) -> tuple[GroundRegim
 
     Only the tabulated deltas (0, 0.5, 1, 2 at J = 1) are known; they return
     the quoted rows verbatim.  Other parameters raise DomainError (the
-    numeric regime finder is ``sweep.numeric_c14_regimes``).
+    numeric regimes of any chain are ``sweep.ground_regimes``).
     """
     rows = TABLE_4SITE.get(float(delta)) if coupling == 1.0 else None
     if rows is None:

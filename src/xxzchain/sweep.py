@@ -1,15 +1,16 @@
 """Parameter sweeps: phase scans, concurrence curves, channel sizing.
 
-Phase scans and concurrence curves run on S^z blocks.  The Hamiltonian
-conserves total S^z, and a uniform field B shifts the k-up block by
-B (2k - N) without changing its eigenvectors, so each delta decomposes its
-N + 1 zero-field blocks once and every B reuses them.  Two more symmetries
-cut that work.  At zero field the global spin flip maps block k onto block
-N - k, so only the blocks k <= N/2 are decomposed and the others reuse their
-levels and flipped pair data; this holds for every sweep.  When couplings and
-fields are palindromic, mirror reflection splits each block into even and
-odd halves of about half the size.  A spec without a symmetry decomposes its
-plain blocks.
+Phase scans, concurrence curves and ground regimes run on S^z blocks of
+the spec they are given, and read a row at B as the spec's own site fields
+plus a uniform B.  The Hamiltonian conserves total S^z, and a uniform B
+shifts the k-up block by B (2k - N) without changing its eigenvectors, so
+each delta decomposes its N + 1 blocks once and every B reuses them.  Two
+more symmetries cut that work.  When every site field is 0 the global spin
+flip maps block k onto block N - k, so only the blocks k <= N/2 are
+decomposed and the others reuse their levels and flipped pair data.  When
+couplings and fields are palindromic, mirror reflection splits each block
+into even and odd halves of about half the size.  A spec without a
+symmetry decomposes its plain blocks.
 
 Delta enters H only through the Ising diagonal, so a sweep builds what its
 deltas share once (``_BlockPlan``): each block's basis, its Zeeman
@@ -30,15 +31,17 @@ along one field's levels, and a level outside the ground space changes no
 bit of a T = 0 row, so a single-point call reproduces its grid row bit for
 bit.
 
-One sector's ground state (``sector_boundary_concurrence``) runs on one
-block of the same kind.  Every block is refused above SECTOR_DIM_CAP
-states before anything is allocated.
+The same shift makes the ground level over B the lower envelope of N + 1
+lines, which ``ground_regimes`` walks exactly.  One sector's ground state
+(``sector_boundary_concurrence``) runs on one block of the same kind.
+Every block is refused above SECTOR_DIM_CAP states before anything is
+allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb, inf, isfinite
+from math import comb, inf, isfinite, nan
 
 import numpy as np
 
@@ -151,13 +154,13 @@ class _Block:
     entries alone.  The odd half has no self-mirror states.
     """
 
-    def __init__(self, spec: ChainSpec, basis: SectorBasis, pair, mirror: bool):
+    def __init__(self, spec: ChainSpec, basis: SectorBasis, pair):
         states = basis.state_array()
         size = len(states)
         self.zz, self.zeeman = _diagonal_terms(spec, states)
         self.pair_maps = _pair_maps(basis, *pair)
         entries = _hopping(spec, states)
-        if not mirror:
+        if not _palindromic(spec):
             identity = np.arange(size)
             self.parts = [(identity, entries, 0.0, identity, 1.0)]
             return
@@ -297,9 +300,8 @@ class _BlockPlan:
         self.template = template
         self.pair = _pair_sites_checked(n, *pair)
         self.flip = not any(template.fields)
-        mirror = _palindromic(template)
         self.blocks = [
-            _Block(template, build_sector_basis(n, k), self.pair, mirror)
+            _Block(template, build_sector_basis(n, k), self.pair)
             for k in range(n // 2 + 1 if self.flip else n + 1)
         ]
 
@@ -381,6 +383,22 @@ class _SectorSpectrum:
         return e0, n_up, degeneracy, concurrence
 
 
+def _spectra(template: ChainSpec, pair, deltas, ground_fields=None):
+    """(delta, ``_BlockPlan.spectrum`` at delta) for each of ``deltas``, on
+    one plan of ``template`` built when the first is read.  The cap and the
+    pair are checked before this returns."""
+    n = template.n_sites
+    _check_sector(n, n // 2)
+    pair = _pair_sites_checked(n, *pair)
+
+    def spectra():
+        plan = _BlockPlan(template, pair)
+        for delta in deltas:
+            yield delta, plan.spectrum(delta, ground_fields)
+
+    return spectra()
+
+
 def _phase_points(spectrum: _SectorSpectrum, delta: float, fields):
     """The phase-scan nodes of one delta at every field of ``fields``."""
     for field, e0, n_up, degeneracy, c in zip(fields, *spectrum.field_rows(fields)):
@@ -398,7 +416,8 @@ def _phase_points(spectrum: _SectorSpectrum, delta: float, fields):
 
 
 def phase_scan(template: ChainSpec, delta_axis: GridAxis, field_axis: GridAxis):
-    """Classify the ground state over a (delta, B) grid.
+    """Classify the ground state over a (delta, B) grid, B a uniform field
+    added to the template's own site fields.
 
     The label records the magnetization sector of the ground level (the
     smallest one when levels of several sectors tie) plus its rank within
@@ -406,29 +425,21 @@ def phase_scan(template: ChainSpec, delta_axis: GridAxis, field_axis: GridAxis):
     before any node is computed.  The result streams one delta at a time:
     its whole field axis is evaluated when its first node is read.
     """
-    n = template.n_sites
-    _check_sector(n, n // 2)
+    fields = field_axis.values
+    spectra = _spectra(template, (1, template.n_sites), delta_axis.values, fields)
     check_grid_size(delta_axis, field_axis)
-
-    def nodes():
-        plan = _BlockPlan(replace(template, fields=(0.0,) * n), (1, n))
-        for delta in delta_axis.values:
-            spectrum = plan.spectrum(delta, field_axis.values)
-            yield from _phase_points(spectrum, delta, field_axis.values)
-
-    return nodes()
+    return (
+        point for delta, spectrum in spectra for point in _phase_points(spectrum, delta, fields)
+    )
 
 
 def classify_ground_state(spec: ChainSpec) -> PhasePoint:
-    """One phase-scan node.  The field on site 1 is applied as a uniform
-    shift of the blocks of the remaining field profile (all zero for a
-    uniform field), so a uniform spec reproduces its phase_scan row bit for
-    bit."""
-    _check_sector(spec.n_sites, spec.n_sites // 2)
+    """One phase-scan node: the field on site 1 is the node's uniform B on
+    top of the remaining profile (all zero for a uniform field), so a
+    uniform spec reproduces its phase_scan row bit for bit."""
     field = spec.fields[0]
     rest = replace(spec, fields=tuple(b - field for b in spec.fields))
-    spectrum = _BlockPlan(rest, (1, spec.n_sites)).spectrum(spec.delta, (field,))
-    (point,) = _phase_points(spectrum, spec.delta, (field,))
+    (point,) = phase_scan(rest, GridAxis(values=(spec.delta,)), GridAxis(values=(field,)))
     return point
 
 
@@ -441,7 +452,7 @@ def sector_boundary_concurrence(spec: ChainSpec, n_up: int) -> float:
     n = spec.n_sites
     _check_sector(n, n_up)
     pair = (1, n)
-    block = _Block(spec, build_sector_basis(n, n_up), pair, _palindromic(spec))
+    block = _Block(spec, build_sector_basis(n, n_up), pair)
     energies, data = block.levels(spec.delta, _ground_window(spec, spec.delta, (0.0,)))
     *_, (value,) = _SectorSpectrum(n, pair, [n_up], [energies], [data]).field_rows((0.0,))
     return float(value)
@@ -453,28 +464,23 @@ def concurrence_curve(
     field_axis: GridAxis,
     delta_values: tuple[float, ...],
 ):
-    """Rows (delta, field, concurrence) for the site pair over the grid.
+    """Rows (delta, field, concurrence) for the site pair over the grid, the
+    field a uniform B added to the template's own site fields.
 
     Uses the ground-state density (equal mixture across degeneracies); a
     positive template temperature switches to the thermal state instead.
-    Rows stream one delta at a time, as in ``phase_scan``.
+    The cap and the pair are checked eagerly; rows stream one delta at a
+    time, as in ``phase_scan``.
     """
-    n = template.n_sites
-    _check_sector(n, n // 2)
-    check_grid_size(field_axis, GridAxis(values=tuple(delta_values) or (0.0,)))
-
+    fields, temperature = field_axis.values, template.temperature
     # a T = 0 row reads only the levels that can be ground at its field
-    ground_fields = None if template.temperature > 0 else field_axis.values
-
-    def rows():
-        plan = _BlockPlan(replace(template, fields=(0.0,) * n), pair)
-        for delta in delta_values:
-            spectrum = plan.spectrum(delta, ground_fields)
-            *_, values = spectrum.field_rows(field_axis.values, template.temperature)
-            for field, value in zip(field_axis.values, values):
-                yield (float(delta), float(field), float(value))
-
-    return rows()
+    spectra = _spectra(template, pair, delta_values, None if temperature > 0 else fields)
+    check_grid_size(field_axis, GridAxis(values=tuple(delta_values) or (0.0,)))
+    return (
+        (float(delta), float(field), float(value))
+        for delta, spectrum in spectra
+        for field, value in zip(fields, spectrum.field_rows(fields, temperature)[-1])
+    )
 
 
 def channel_curve(
@@ -552,52 +558,54 @@ def design_report(
     return report("ok", hi)
 
 
-def numeric_c14_regimes(delta: float) -> tuple[GroundRegime, ...]:
-    """Numeric version of the 4-site ground-state regime table.
+def ground_regimes(spec: ChainSpec) -> tuple[GroundRegime, ...]:
+    """T = 0 ground-state regimes of ``spec`` under a uniform field B >= 0
+    added to its site fields: each regime's ground sector and C_1N.
 
-    A uniform field B shifts the k-up block by B (2k - 4), so the ground
-    levels of the k_low- and k_high-up sectors cross exactly at
-    (E_klow(0) - E_khigh(0)) / (2 (k_high - k_low)), or at B = 0 if k_low
-    is ground there by the test of ``field_rows`` (within the degeneracy
-    tolerance of the lowest level; a tie goes to the smallest sector).
-    Empty regimes are dropped.  The concurrence of a regime is read at one
-    interior field (all regimes in one ``field_rows`` call): it is constant
-    inside a regime, since the field does not change sector eigenvectors.
+    B moves block k's lowest level along E_k + B (2k - N), so the ground
+    level follows the lower envelope of these N + 1 lines.  The walk starts
+    at the sector ``field_rows`` calls ground at B = 0 (a tie goes to the
+    smallest) and moves from sector k to the smaller sector j whose line
+    crosses first, at (E_j - E_k) / (2 (k - j)) exactly (a tie goes to the
+    smallest j).  Empty regimes are dropped.  C_1N is constant in a regime,
+    as B leaves the eigenvectors alone; all are read in one ``field_rows``
+    call at interior fields.  The regime holding B = 0 also carries the
+    ground energy there.
     """
-    return _c14_regimes(_BlockPlan(ChainSpec.uniform(4), (1, 4)), delta)
+    ((_, spectrum),) = _spectra(spec, (1, spec.n_sites), (spec.delta,))
+    return _regimes(spectrum, spec.n_sites)
 
 
-def _c14_regimes(plan: _BlockPlan, delta: float) -> tuple[GroundRegime, ...]:
-    """``numeric_c14_regimes`` at ``delta`` on the blocks of ``plan``."""
-    spectrum = plan.spectrum(delta)
-    lowest = [float(spectrum.energies[spectrum.sector == k].min()) for k in range(5)]
-    e0 = min(lowest)
-    tied = [e <= e0 + _degeneracy_tolerance(e0) for e in lowest]
-
-    def crossing(k_low: int, k_high: int) -> float:
-        if tied[k_low]:
-            return 0.0
-        return max(0.0, (lowest[k_low] - lowest[k_high]) / (2.0 * (k_high - k_low)))
-
-    b1, b2 = crossing(1, 2), crossing(0, 1)
-    bounds = ((0.0, b1, 2), (b1, b2, 1), (b2, inf, 0))
-    regimes = [(lo, hi, n_up) for lo, hi, n_up in bounds if hi > lo]
+def _regimes(spectrum: _SectorSpectrum, n_sites: int) -> tuple[GroundRegime, ...]:
+    """``ground_regimes`` read off a spectrum that keeps every level."""
+    lowest = [float(spectrum.energies[spectrum.sector == k].min()) for k in range(n_sites + 1)]
+    (e0,), (k,), *_ = spectrum.field_rows((0.0,))
+    k, lo, regimes = int(k), 0.0, []
+    while k > 0:
+        crossings = [(lowest[j] - lowest[k]) / (2.0 * (k - j)) for j in range(k)]
+        j = crossings.index(min(crossings))
+        hi = max(lo, crossings[j])
+        if hi > lo:
+            regimes.append((lo, hi, k))
+        lo, k = hi, j
+    regimes.append((lo, inf, k))
     interiors = [lo + 0.5 if hi == inf else 0.5 * (lo + hi) for lo, hi, _ in regimes]
-    *_, c14 = spectrum.field_rows(interiors)
+    *_, c1n = spectrum.field_rows(interiors)
     return tuple(
         GroundRegime(
             b_min=lo,
             b_max=hi,
             n_up=n_up,
             c14_max=c,
-            energy_at_zero_field=lowest[2] if n_up == 2 else None,
+            energy_at_zero_field=float(e0) if lo == 0.0 else None,
         )
-        for (lo, hi, n_up), c in zip(regimes, c14.tolist())
+        for (lo, hi, n_up), c in zip(regimes, c1n.tolist())
     )
 
 
 def table1_rows(delta_values: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)):
-    """Numeric regime table printed beside the quoted reference values.
+    """Numeric regime table printed beside the quoted reference values:
+    ``ground_regimes`` of the uniform 4-site chain, one plan for every delta.
 
     Columns: delta, regime index, numeric/reference boundaries and maxima,
     two-up zero-field energies, and absolute deltas where both sides exist.
@@ -605,27 +613,12 @@ def table1_rows(delta_values: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)):
     checked before the first row is computed.
     """
     references = [closed_forms.c14_ground_regimes(delta) for delta in delta_values]
-
-    def rows():
-        plan = _BlockPlan(ChainSpec.uniform(4), (1, 4))
-        for delta, reference in zip(delta_values, references):
-            numeric = _c14_regimes(plan, delta)
-            for r, (num, ref) in enumerate(zip(numeric, reference)):
-                yield (
-                    float(delta),
-                    r,
-                    num.n_up,
-                    num.b_min,
-                    num.b_max,
-                    ref.b_min,
-                    ref.b_max,
-                    abs(num.b_min - ref.b_min),
-                    (abs(num.b_max - ref.b_max) if ref.b_max != inf else 0.0),
-                    num.c14_max,
-                    ref.c14_max,
-                    abs(num.c14_max - ref.c14_max),
-                    (num.energy_at_zero_field if num.energy_at_zero_field is not None else float("nan")),
-                    (ref.energy_at_zero_field if ref.energy_at_zero_field is not None else float("nan")),
-                )
-
-    return rows()
+    spectra = _spectra(ChainSpec.uniform(4), (1, 4), delta_values)
+    return (
+        (float(delta), r, num.n_up, num.b_min, num.b_max, ref.b_min, ref.b_max,
+         abs(num.b_min - ref.b_min), abs(num.b_max - ref.b_max) if ref.b_max != inf else 0.0,
+         num.c14_max, ref.c14_max, abs(num.c14_max - ref.c14_max),
+         *(nan if e is None else e for e in (num.energy_at_zero_field, ref.energy_at_zero_field)))
+        for (delta, spectrum), reference in zip(spectra, references)
+        for r, (num, ref) in enumerate(zip(_regimes(spectrum, 4), reference))
+    )

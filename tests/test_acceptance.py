@@ -33,7 +33,7 @@ from xxzchain.entanglement import (
     thermal_state,
 )
 from xxzchain.hamiltonian import build_full, build_sector
-from xxzchain.sweep import numeric_c14_regimes, sector_boundary_concurrence
+from xxzchain.sweep import ground_regimes, sector_boundary_concurrence
 
 SQRT5 = math.sqrt(5.0)
 
@@ -114,7 +114,7 @@ TABLE_EXPECTED = {
 def test_criterion_03_table_reproduction():
     failures = []
     for delta, (bounds, maxima, energy) in TABLE_EXPECTED.items():
-        rows = numeric_c14_regimes(delta)
+        rows = ground_regimes(ChainSpec.uniform(4, delta=delta))
         for r, (row, expected_max) in enumerate(zip(rows, maxima)):
             diff = abs(row.c14_max - expected_max)
             if diff > 1e-3:

@@ -81,7 +81,6 @@ def test_unfold_consistency_sweep():
 def test_design_zero_field_reference():
     design = design_channel(4, 1.0, 0.0)
     assert design.boundary_concurrence == pytest.approx(0.2763932022500211, abs=1e-12)
-    assert design.parity == -1
     assert design.beta == 0.0
 
 
@@ -125,7 +124,6 @@ def test_design_near_degenerate_tie_break_is_deterministic():
     # resolution here, so the winner comes from the analytic ordering
     design = design_channel(40, 1.0, 10.0)
     assert design.near_degenerate
-    assert design.parity == -1
     assert design.boundary_concurrence == pytest.approx(
         c1n_channel(20.0, 20), abs=1e-10
     )
@@ -168,7 +166,6 @@ def test_design_overflow_raises_and_finite_designs_read_near_degenerate():
 def test_design_parity_stable_under_joint_rescaling():
     for scale in (0.5, 1.0, 7.0):
         design = design_channel(6, scale, 3.0 * scale)
-        assert design.parity == -1
         assert design.beta == pytest.approx(6.0, abs=1e-12)
         assert design.boundary_concurrence == pytest.approx(
             design_channel(6, 1.0, 3.0).boundary_concurrence, abs=1e-10
@@ -330,7 +327,6 @@ def test_ratio_profile_zero_coefficient_reports_infinity():
         coupling=1.0,
         bulk_field=0.0,
         beta=0.0,
-        parity=-1,
         ground_energy=-1.0,
         coefficients=(math.sqrt(0.5), 0.0, 0.0),
         boundary_concurrence=1.0,

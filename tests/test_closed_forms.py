@@ -22,7 +22,7 @@ from xxzchain.closed_forms import (
 )
 from xxzchain.errors import DomainError
 from xxzchain.hamiltonian import build_sector
-from xxzchain.sweep import numeric_c14_regimes
+from xxzchain.sweep import ground_regimes
 
 SQRT5 = math.sqrt(5.0)
 
@@ -117,7 +117,7 @@ def test_table_rows_quoted_values(delta, bounds, maxima, energy):
 def test_table_numeric_fallback_structure():
     # untabulated deltas come from the numeric regime finder only (see
     # test_untabulated_regimes_are_a_domain_error)
-    rows = numeric_c14_regimes(0.3)
+    rows = ground_regimes(ChainSpec.uniform(4, delta=0.3))
     assert [r.n_up for r in rows] == [2, 1, 0]
     assert 0.0 < rows[0].b_max < rows[1].b_max < rows[2].b_max == math.inf
     assert all(0.0 <= r.c14_max <= 1.0 for r in rows)

@@ -12,6 +12,7 @@ from xxzchain.chain import ChainSpec
 from xxzchain.cli import main
 from xxzchain.closed_forms import c1n_channel, critical_field_3site
 from xxzchain.errors import DomainError, NumericError, ResourceCapError
+from xxzchain.hamiltonian import build_channel
 from xxzchain.sweep import (
     GridAxis,
     channel_curve,
@@ -19,7 +20,7 @@ from xxzchain.sweep import (
     classify_ground_state,
     concurrence_curve,
     design_report,
-    numeric_c14_regimes,
+    ground_regimes,
     phase_scan,
     table1_rows,
 )
@@ -157,6 +158,17 @@ def test_sweeps_cap_sites_by_their_largest_sector(monkeypatch):
             call(ChainSpec.uniform(15))
 
 
+def test_curve_checks_its_pair_when_called(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("a basis was built before the pair check")
+
+    monkeypatch.setattr(sweep, "build_sector_basis", unbuilt)
+    axis = GridAxis(values=(0.0,))
+    for pair in ((1, 9), (2, 2), (0, 3)):
+        with pytest.raises(DomainError):
+            concurrence_curve(ChainSpec.uniform(4), pair, axis, (0.0,))
+
+
 def test_curve_three_site_plateau():
     template = ChainSpec.uniform(3)
     rows = list(
@@ -261,7 +273,7 @@ def test_design_report_domain():
 
 
 def test_numeric_regimes_against_exact_boundaries():
-    rows = numeric_c14_regimes(1.0)
+    rows = ground_regimes(ChainSpec.uniform(4, delta=1.0))
     assert rows[0].b_max == pytest.approx(0.658919, abs=2e-6)
     assert rows[1].b_max == pytest.approx(1 + math.sqrt(2) / 2, abs=2e-6)
     assert rows[1].c14_max == pytest.approx(0.146447, abs=1e-6)
@@ -269,31 +281,63 @@ def test_numeric_regimes_against_exact_boundaries():
 
 
 def test_numeric_regimes_are_exact_crossings():
-    rows = numeric_c14_regimes(0.0)
+    rows = ground_regimes(ChainSpec.uniform(4, delta=0.0))
     assert abs(rows[0].b_max - (SQRT5 - 1) / 4) <= 1e-12
     assert abs(rows[1].b_min - (SQRT5 - 1) / 4) <= 1e-12
     assert abs(rows[1].b_max - (SQRT5 + 1) / 4) <= 1e-12
     assert abs(rows[2].b_min - (SQRT5 + 1) / 4) <= 1e-12
-    assert abs(numeric_c14_regimes(1.0)[1].b_max - (1 + 1 / math.sqrt(2))) <= 1e-12
+    rows = ground_regimes(ChainSpec.uniform(4, delta=1.0))
+    assert abs(rows[1].b_max - (1 + 1 / math.sqrt(2))) <= 1e-12
 
 
 def test_numeric_regimes_at_the_isotropic_ferromagnet_are_one_regime():
     # every sector's lowest level ties at B = 0; the smallest sector wins
     # the tie there, and the field only widens its lead
-    rows = numeric_c14_regimes(-1.0)
-    assert [(r.b_min, r.b_max, r.n_up) for r in rows] == [(0.0, math.inf, 0)]
+    for n in range(2, 11):
+        rows = ground_regimes(ChainSpec.uniform(n, delta=-1.0))
+        assert [(r.b_min, r.b_max, r.n_up) for r in rows] == [(0.0, math.inf, 0)]
+
+
+def _assert_regimes_tile_as_classified(spec):
+    rows = ground_regimes(spec)
+    assert rows[0].b_min == 0.0 and rows[-1].b_max == math.inf
+    zero = classify_ground_state(spec)
+    energy = rows[0].energy_at_zero_field
+    assert abs(energy - zero.ground_energy) <= 1e-13 * (1.0 + abs(energy))
+    assert all(r.energy_at_zero_field is None for r in rows[1:])
+    for left, right in zip(rows, rows[1:]):
+        assert left.b_max == right.b_min
+        assert left.n_up > right.n_up
+    for r in rows:
+        assert r.b_min < r.b_max
+        assert list(map(type, (r.b_min, r.b_max, r.n_up, r.c14_max))) == [float, float, int, float]
+        inside = r.b_min + 0.5 if r.b_max == math.inf else 0.5 * (r.b_min + r.b_max)
+        shifted = ChainSpec(
+            spec.n_sites, spec.couplings, tuple(b + inside for b in spec.fields), spec.delta
+        )
+        point = classify_ground_state(shifted)
+        assert point.n_up == r.n_up
+        assert abs(point.boundary_concurrence - r.c14_max) <= 1e-12
 
 
 @pytest.mark.parametrize("delta", [-2.0 + 0.25 * m for m in range(21)] + [-0.999])
 def test_numeric_regimes_tile_the_field_axis_as_classified(delta):
-    rows = numeric_c14_regimes(delta)
-    assert rows[0].b_min == 0.0 and rows[-1].b_max == math.inf
-    for left, right in zip(rows, rows[1:]):
-        assert left.b_max == right.b_min
-    for r in rows:
-        assert r.b_min < r.b_max
-        inside = r.b_min + 0.5 if r.b_max == math.inf else 0.5 * (r.b_min + r.b_max)
-        assert classify_ground_state(ChainSpec.uniform(4, field=inside, delta=delta)).n_up == r.n_up
+    for n in range(2, 11):
+        _assert_regimes_tile_as_classified(ChainSpec.uniform(n, delta=delta))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_regimes_of_seeded_chains_tile_the_field_axis_as_classified(n):
+    rng = np.random.default_rng(700 + n)
+    half = rng.uniform(0.3, 1.5, n // 2).tolist()
+    for couplings in (half + half[: (n - 1) // 2][::-1], rng.uniform(0.3, 1.5, n - 1)):
+        fields = (0.0,) * n, tuple(rng.uniform(-0.5, 0.5, n))
+        for f in fields:
+            spec = ChainSpec(n, tuple(couplings), f, float(rng.uniform(-2.0, 3.0)))
+            _assert_regimes_tile_as_classified(spec)
+    if n >= 3:
+        # the paper's channel: a bulk field absent on the end sites, B on top
+        _assert_regimes_tile_as_classified(build_channel(n, 1.0, 2.0))
 
 
 def test_table1_rows_check_every_delta_before_the_first_row():

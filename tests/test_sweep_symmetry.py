@@ -23,6 +23,7 @@ from xxzchain.sweep import (
     _BlockPlan,
     _phase_points,
     classify_ground_state,
+    concurrence_curve,
     phase_scan,
     sector_boundary_concurrence,
 )
@@ -185,3 +186,36 @@ def test_sector_route_unfolds_mirror_halves_beyond_63_sites(spec):
     # labels of more than 63 sites are Python ints (object arrays)
     expected = dense_sector_concurrence(spec, 1)
     assert abs(sector_boundary_concurrence(spec, 1) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", ["palindromic", "generic", "channel"])
+def test_sweeps_add_the_field_to_the_specs_own_site_fields(shape):
+    # a row at B is the spec with B added to every site field, decomposed
+    # whole; at T = 0 (the scan, a curve) and T > 0 (a curve)
+    n = 6
+    rng = np.random.default_rng(["palindromic", "generic", "channel"].index(shape))
+    if shape == "channel":
+        spec = build_channel(n, 1.0, 2.0)
+    else:
+        couplings = _palindrome(rng, n - 1)
+        fields = _palindrome(rng, n) if shape == "palindromic" else rng.uniform(-1.0, 1.0, n)
+        spec = ChainSpec(n, couplings, tuple(fields), float(rng.uniform(-1.0, 2.0)))
+    deltas = (spec.delta, float(rng.uniform(-1.0, 2.0)))
+    fields = (0.0, 0.125, float(rng.uniform(0.2, 1.5)))
+    points = iter(phase_scan(spec, GridAxis(values=deltas), GridAxis(values=fields)))
+    for temperature in (0.0, 0.3):
+        template = replace(spec, temperature=temperature)
+        curve = iter(concurrence_curve(template, (2, 5), GridAxis(values=fields), deltas))
+        for delta in deltas:
+            for b in fields:
+                shifted = replace(spec, delta=delta, fields=tuple(f + b for f in spec.fields))
+                (_, _, c), pair_plain = next(curve), plain_block_spectrum(shifted, (2, 5))
+                assert abs(c - pair_plain.field_rows((0.0,), temperature)[3][0]) <= ROW_TOL
+                if temperature == 0.0:
+                    p = next(points)
+                    (q,) = _phase_points(plain_block_spectrum(shifted, (1, n)), delta, (0.0,))
+                    assert (p.n_up, p.degeneracy) == (q.n_up, q.degeneracy)
+                    scale = 1.0 + abs(q.ground_energy)
+                    assert abs(p.ground_energy - q.ground_energy) <= ROW_TOL * scale
+                    assert abs(p.boundary_concurrence - q.boundary_concurrence) <= ROW_TOL
+    assert next(points, None) is None
