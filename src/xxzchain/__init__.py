@@ -1,9 +1,9 @@
 """Exact diagonalization of open XXZ chains, pairwise concurrence, and
 long-distance boundary-entanglement channel design.
 
-The package namespace holds the quick-start entry points; everything else
-is imported from its submodule (``xxzchain.sweep``, ``xxzchain.channel``,
-...)."""
+The package namespace holds the chain spec, channel design, the dense
+full-space path and the error types; everything else, the sweeps included,
+is imported from its submodule (``xxzchain.sweep``, ...)."""
 
 from .chain import ChainSpec
 from .channel import design_channel

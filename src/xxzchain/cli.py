@@ -51,13 +51,20 @@ def _emit(header: list[str], rows, out, fmt: str) -> None:
 def _write_atomically(path: str, header: list[str], rows, fmt: str) -> None:
     """Emit into a fresh file beside ``path`` and move it into place only
     once every row is written, so an error raised by the lazy row generators
-    leaves neither a partial file nor a clobbered old one."""
+    leaves neither a partial file nor a clobbered old one.  A path that
+    cannot be written is a config error."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot write output: {exc}") from exc
     try:
         with fh:
             _emit(header, rows, fh, fmt)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise DomainError(f"cannot write output: {exc}") from exc
     except BaseException:
         os.remove(tmp)
         raise

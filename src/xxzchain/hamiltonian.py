@@ -58,11 +58,12 @@ def _hopping(spec: ChainSpec, states: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _dense(size: int, entries, diagonal: np.ndarray) -> np.ndarray:
-    """Symmetric matrix from off-diagonal (row, col, value) lists and a diagonal."""
+    """Symmetric matrix from (row, col, value) lists, summed in list order
+    where a position repeats, plus a diagonal."""
     rows, cols, values = entries
     m = np.zeros((size, size))
-    m[rows, cols] = values
-    m.flat[:: size + 1] = diagonal
+    np.add.at(m, (rows, cols), values)
+    m.flat[:: size + 1] += diagonal
     return m
 
 

@@ -9,14 +9,14 @@ more symmetries cut that work.  When every site field is 0 the global spin
 flip maps block k onto block N - k, so only the blocks k <= N/2 are
 decomposed and the others reuse their levels and flipped pair data.  When
 couplings and fields are palindromic, mirror reflection splits each block
-into even and odd halves of about half the size.  A spec without a
-symmetry decomposes its plain blocks.
+into even and odd halves of about half the size; any other spec takes the
+identity as its reflection, whose even half is the whole block.
 
 Delta enters H only through the Ising diagonal, so a sweep builds what its
 deltas share once (``_BlockPlan``): each block's basis, its Zeeman
 diagonal and Ising bond sums, the index maps of its pair data, and the
-parts it is decomposed in (one plain part, or two mirror halves), each
-with its entries as (row, col, value) lists.  A delta then only puts its
+parts it is decomposed in (its halves under its reflection), each with
+its entries as (row, col, value) lists.  A delta then only puts its
 diagonal together and decomposes.  At T = 0 a block keeps only the levels
 close enough to its own lowest to be ground at some field of the call
 (``_BlockPlan.spectrum``); only their eigenvectors are unfolded and reduced
@@ -141,17 +141,17 @@ class _Block:
     """One S^z block of a sweep, built once per plan (at any delta): its
     Ising bond sums zz, Zeeman diagonal, pair-data index maps and parts.
 
-    A part is (representatives, entries, correction, orbit, amp).  Its matrix
-    at a delta has the off-diagonal entries and, at the representatives, the
-    block diagonal 0.5 delta zz + Zeeman (the expression ``build_sector``
-    evaluates) plus the correction; amp * x[orbit] maps its eigenvector x to
-    sector amplitudes, O(d) per vector.  A plain block is one identity part.
-    A palindromic block is its even and odd halves under the reflection R
-    (bit reversal): representatives r <= R(r), m the index of R(r), span
-    them through c (|r> +/- |m>), c = f / sqrt(2), f = 1/sqrt(2) for a
-    self-mirror state and 1 otherwise, so H+/- = (H[r, r'] +/- H[r, m']) f f'
-    plus +/- H[r, m] on the diagonal, from the representatives' hopping
-    entries alone.  The odd half has no self-mirror states.
+    A part is (representatives, entries, orbit, amp).  Its matrix at a delta
+    is the (row, col, value) entries, summed where a position repeats, plus
+    the block diagonal 0.5 delta zz + Zeeman (the expression
+    ``build_sector`` evaluates) at the representatives; amp * x[orbit] maps
+    its eigenvector x to sector amplitudes, O(d) per vector.  The parts are
+    the even and odd halves under a reflection R: bit reversal for a
+    palindromic spec, the identity otherwise.  Representatives r <= R(r), m
+    the index of R(r), span them through c (|r> +/- |m>), c = f / sqrt(2),
+    f = 1/sqrt(2) for a self-mirror state and 1 otherwise.  Under the
+    identity every state is self-mirror, the even half is the plain block
+    and there is no odd half.
     """
 
     def __init__(self, spec: ChainSpec, basis: SectorBasis, pair):
@@ -159,60 +159,45 @@ class _Block:
         size = len(states)
         self.zz, self.zeeman = _diagonal_terms(spec, states)
         self.pair_maps = _pair_maps(basis, *pair)
-        entries = _hopping(spec, states)
-        if not _palindromic(spec):
-            identity = np.arange(size)
-            self.parts = [(identity, entries, 0.0, identity, 1.0)]
-            return
-
-        n = basis.n_sites
-        mirrored = np.zeros_like(states)
-        for s in range(n):
-            mirrored |= ((states >> s) & 1) << (n - 1 - s)
+        mirrored = states
+        if _palindromic(spec):
+            n = basis.n_sites
+            mirrored = np.zeros_like(states)
+            for s in range(n):
+                mirrored |= ((states >> s) & 1) << (n - 1 - s)
         reps = np.flatnonzero(states <= mirrored)
         partners = np.searchsorted(states, mirrored[reps])
         own = partners == reps
-        half = len(reps)
         orbit = np.empty(size, dtype=np.int64)
-        orbit[partners] = orbit[reps] = np.arange(half)
+        orbit[partners] = orbit[reps] = np.arange(len(reps))
 
-        # hopping out of the representatives: H[r_a, j] joins half rows a
-        # and b = orbit(j), as H[r, r'] when j = r_b and as H[r, m'] when
-        # j = m_b (both for a self-mirror b)
-        rows, cols, values = entries
+        # each hopping entry H[r_a, j] out of a representative adds to half
+        # entry (a, b = orbit(j)), on the diagonal when j = m_a: weighted
+        # f_a f_b in the even half, twice when j is self-mirror (it is both
+        # r_b and m_b), and by the sign of j in the odd half
+        rows, cols, values = _hopping(spec, states)
         out = np.zeros(size, dtype=bool)
         out[reps] = True
         rows, cols, values = rows[out[rows]], cols[out[rows]], values[out[rows]]
         a, b = orbit[rows], orbit[cols]
-        # H[r, m] of a state's own orbit (j = m_a), which sits on the diagonal
-        mate = np.zeros(half)
-        on = a == b
-        mate[a[on]] = values[on]
-        a, b, cols, values = a[~on], b[~on], cols[~on], values[~on]
-        keys, slot = np.unique(a * half + b, return_inverse=True)
-        direct, image = np.zeros(len(keys)), np.zeros(len(keys))
-        is_r, is_m = cols == reps[b], cols == partners[b]
-        direct[slot[is_r]] = values[is_r]
-        image[slot[is_m]] = values[is_m]
-        a, b = keys // half, keys % half
-
         f = np.where(own, np.sqrt(0.5), 1.0)
         ff = np.where(own[a] & own[b], 0.5, f[a] * f[b])  # 0.5 exactly; sqrt(0.5)**2 is not
+        even = values * np.where(own[b], 2.0 * ff, ff)
         # c = 1/sqrt(2) rounded down: 2 c^2 <= 1 in floating point, so the
         # map never scales a squared amplitude up (a singlet's concurrence
         # stays <= 1); a self-mirror state is |r> itself in the even half
         root_half = np.nextafter(np.sqrt(0.5), 0.0)
         amp = np.where(own[orbit], 1.0, root_half)[:, None]
-        self.parts = [(reps, (a, b, (direct + image) * ff), mate, orbit, amp)]
+        self.parts = [(reps, (a, b, even), orbit, amp)]
         if not own.all():
             odd = ~own[a] & ~own[b]
             index = np.cumsum(~own) - 1
             # sign +1 at r, -1 at m and 0 at a self-mirror state (whose
             # index[orbit] is any entry, times 0); cast, because labels of
             # more than 63 sites are Python ints and their sign an object
-            amp = root_half * np.sign(mirrored - states).astype(float)[:, None]
-            entries = index[a[odd]], index[b[odd]], direct[odd] - image[odd]
-            self.parts.append((reps[~own], entries, -mate[~own], index[orbit], amp))
+            sign = np.sign(mirrored - states).astype(float)
+            entries = index[a[odd]], index[b[odd]], sign[cols[odd]] * values[odd]
+            self.parts.append((reps[~own], entries, index[orbit], root_half * sign[:, None]))
 
     def levels(self, delta: float, window: float) -> tuple[np.ndarray, np.ndarray]:
         """Levels at ``delta`` within ``window`` of the block's lowest, and the
@@ -220,8 +205,8 @@ class _Block:
         unfolded and reduced."""
         diagonal = 0.5 * delta * self.zz + self.zeeman
         kept = []
-        for reps, entries, correction, orbit, amp in self.parts:
-            dec = decompose(_dense(len(reps), entries, diagonal[reps] + correction))
+        for reps, entries, orbit, amp in self.parts:
+            dec = decompose(_dense(len(reps), entries, diagonal[reps]))
             w = dec.eigenvalues
             # each part's own lowest lies at or above the block's, so this
             # keeps a superset; the copy lets the full eigenvectors go
@@ -291,8 +276,8 @@ class _BlockPlan:
     N - k, so only blocks k <= N/2 are kept and block N - k reuses their
     levels (the very same numbers) and flipped pair data.  With palindromic
     couplings and fields the reflection splits each kept block into even
-    and odd halves (see ``_Block``).  Without a symmetry the plain block is
-    decomposed.
+    and odd halves (see ``_Block``); otherwise a block is the identity's
+    even half, itself.
     """
 
     def __init__(self, template: ChainSpec, pair):
@@ -473,9 +458,10 @@ def concurrence_curve(
     time, as in ``phase_scan``.
     """
     fields, temperature = field_axis.values, template.temperature
+    delta_values = tuple(delta_values)
     # a T = 0 row reads only the levels that can be ground at its field
     spectra = _spectra(template, pair, delta_values, None if temperature > 0 else fields)
-    check_grid_size(field_axis, GridAxis(values=tuple(delta_values) or (0.0,)))
+    check_grid_size(field_axis, GridAxis(values=delta_values or (0.0,)))
     return (
         (float(delta), float(field), float(value))
         for delta, spectrum in spectra
@@ -487,6 +473,7 @@ def channel_curve(
     n_values: tuple[int, ...], beta_axis: GridAxis, coupling: float = 1.0
 ):
     """Rows (N, beta, numeric C1N, profile-formula C1N, max ratio deviation)."""
+    n_values = tuple(n_values)
     odd = [n for n in n_values if n % 2 or n < 4]
     if odd:
         raise DomainError(f"channel curve needs even N >= 4, got {odd}")
@@ -612,6 +599,7 @@ def table1_rows(delta_values: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)):
     Every delta must be tabulated (closed_forms.TABLE_4SITE); that is
     checked before the first row is computed.
     """
+    delta_values = tuple(delta_values)
     references = [closed_forms.c14_ground_regimes(delta) for delta in delta_values]
     spectra = _spectra(ChainSpec.uniform(4), (1, 4), delta_values)
     return (

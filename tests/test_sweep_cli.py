@@ -340,6 +340,22 @@ def test_regimes_of_seeded_chains_tile_the_field_axis_as_classified(n):
         _assert_regimes_tile_as_classified(build_channel(n, 1.0, 2.0))
 
 
+@pytest.mark.parametrize(
+    "rows_of, values",
+    [
+        (lambda v: concurrence_curve(ChainSpec.uniform(4), (1, 4), GridAxis(values=(0.0, 0.5)), v),
+         (0.0, 1.0)),
+        (table1_rows, (0.0, 0.5)),
+        (lambda v: channel_curve(v, GridAxis(values=(5.0, 10.0))), (4, 8)),
+    ],
+    ids=["concurrence_curve", "table1_rows", "channel_curve"],
+)
+def test_sweeps_read_a_one_shot_iterable_like_a_tuple(rows_of, values):
+    expected = list(rows_of(values))
+    assert len(expected) in (4, 6)
+    assert repr(list(rows_of(iter(values)))) == repr(expected)
+
+
 def test_table1_rows_check_every_delta_before_the_first_row():
     with pytest.raises(DomainError):
         table1_rows((0.0, 0.3))
@@ -520,6 +536,16 @@ def test_cli_error_inside_the_rows_leaves_out_untouched(tmp_path, capsys, existi
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["config.json"] + (["out.csv"] if existing is not None else [])
     )
+
+
+@pytest.mark.parametrize("out", ["missing_dir/out.csv", "a_dir"])
+def test_cli_unwritable_out_exits_2_and_leaves_no_temporary_file(tmp_path, capsys, out):
+    (tmp_path / "a_dir").mkdir()
+    config = _write_config(tmp_path, {"delta_values": [0.0]})
+    assert main(["table1", "--config", config, "--out", str(tmp_path / out)]) == 2
+    assert "config error: cannot write output:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "config.json"]
+    assert not any((tmp_path / "a_dir").iterdir())
 
 
 @pytest.mark.parametrize(
