@@ -84,7 +84,7 @@ class TwoQubitDensityMatrix:
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
             raise DomainError("reduced state is not symmetric")
         if abs(np.trace(m) - 1.0) > 1e-12:
-            raise DomainError(f"reduced state trace is {np.trace(m)!r}, not 1")
+            raise DomainError(f"reduced state trace is {float(np.trace(m))!r}, not 1")
         if np.linalg.eigvalsh(m)[0] < -1e-10:
             raise DomainError("reduced state has a significantly negative eigenvalue")
 
@@ -215,7 +215,7 @@ def xstate_concurrences(data) -> np.ndarray:
     trace = p00 + p01 + p10 + p11
     off = np.flatnonzero(~(np.abs(trace - 1.0) <= 1e-12))  # NaN fails too
     if len(off):
-        raise DomainError(f"reduced state trace is {trace[off[0]]!r}, not 1")
+        raise DomainError(f"reduced state trace is {float(trace[off[0]])!r}, not 1")
     middle = 0.5 * (p01 + p10) - np.sqrt((0.5 * (p01 - p10)) ** 2 + c * c)
     if np.any(np.minimum(np.minimum(p00, p11), middle) < -1e-10):
         raise DomainError("reduced state has a significantly negative eigenvalue")

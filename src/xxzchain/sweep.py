@@ -13,14 +13,14 @@ into even and odd halves of about half the size; any other spec takes the
 identity as its reflection, whose even half is the whole block.
 
 Delta enters H only through the Ising diagonal, so a sweep builds what its
-deltas share once (``_BlockPlan``): each block's basis, its Zeeman
-diagonal and Ising bond sums, the index maps of its pair data, and the
-parts it is decomposed in (its halves under its reflection), each with
-its entries as (row, col, value) lists.  A delta then only puts its
-diagonal together and decomposes.  At T = 0 a block keeps only the levels
-close enough to its own lowest to be ground at some field of the call
-(``_BlockPlan.spectrum``); only their eigenvectors are unfolded and reduced
-to pair-state entries, and the rest are dropped.
+deltas share once, when it is called (``_BlockPlan``): each block's basis,
+its Zeeman diagonal and Ising bond sums, the index maps of its pair data,
+and the parts it is decomposed in (its halves under its reflection), each
+with its entries as (row, col, value) lists.  A delta then only puts its
+diagonal together and decomposes.  At T = 0 each part keeps only the
+levels close enough to its own lowest to be ground at some field the call
+reads (``_BlockPlan.spectrum``); only their eigenvectors are unfolded and
+reduced to pair-state entries, and the rest are dropped.
 
 The field axis of a delta is then evaluated in one vectorized pass
 (``_SectorSpectrum.field_rows``): the shifted levels, the ground space and
@@ -32,10 +32,11 @@ bit of a T = 0 row, so a single-point call reproduces its grid row bit for
 bit.
 
 The same shift makes the ground level over B the lower envelope of N + 1
-lines, which ``ground_regimes`` walks exactly.  One sector's ground state
+lines, which ``ground_regimes`` walks exactly, on the levels that can be
+ground up to the largest field the walk reads.  One sector's ground state
 (``sector_boundary_concurrence``) runs on one block of the same kind.
-Every block is refused above SECTOR_DIM_CAP states before anything is
-allocated.
+Every block is refused above SECTOR_DIM_CAP states, and every delta or
+field at which the energy scale overflows, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -200,31 +201,23 @@ class _Block:
             self.parts.append((reps[~own], entries, index[orbit], root_half * sign[:, None]))
 
     def levels(self, delta: float, window: float) -> tuple[np.ndarray, np.ndarray]:
-        """Levels at ``delta`` within ``window`` of the block's lowest, and the
-        pair data of their eigenvectors.  Only those eigenvectors are
-        unfolded and reduced."""
+        """Levels at ``delta`` within ``window`` of their own part's lowest
+        (a superset of those within ``window`` of the block's), and the pair
+        data of their eigenvectors, the only ones unfolded and reduced."""
         diagonal = 0.5 * delta * self.zz + self.zeeman
-        kept = []
+        energies, data = [], []
         for reps, entries, orbit, amp in self.parts:
             dec = decompose(_dense(len(reps), entries, diagonal[reps]))
             w = dec.eigenvalues
-            # each part's own lowest lies at or above the block's, so this
-            # keeps a superset; the copy lets the full eigenvectors go
             top = np.count_nonzero(w - w[0] <= window)
-            kept.append((w[:top], np.ascontiguousarray(dec.eigenvectors[:, :top]), orbit, amp))
+            # the gather copies, so the part's own vectors can go first; the
+            # gathered ones go before the next part is decomposed
+            x = dec.eigenvectors[orbit, :top]
             del dec
-        lowest = min(part[0][0] for part in kept)
-        energies, data = [], []
-        while kept:
-            w, v, orbit, amp = kept.pop(0)
-            top = np.count_nonzero(w - lowest <= window)
-            if top:
-                # the gather copies, so the part's own vectors can go first
-                x = v[orbit, :top]
-                del v
-                x *= amp
-                energies.append(w[:top])
-                data.append(_pair_rows(self.pair_maps, x))
+            x *= amp
+            energies.append(w[:top])
+            data.append(_pair_rows(self.pair_maps, x))
+            del x
         return np.concatenate(energies), np.concatenate(data)
 
 
@@ -234,27 +227,44 @@ def _palindromic(spec: ChainSpec) -> bool:
     return spec.couplings == spec.couplings[::-1] and spec.fields == spec.fields[::-1]
 
 
+def _norm_bound(spec: ChainSpec, delta: float, field: float) -> float:
+    """A bound on the operator norm of H of ``spec`` at ``delta`` plus a
+    uniform ``field``: sum |J| + |delta| (N - 1) / 2 + sum |B_i| + N |field|.
+    Every level, gap and field a sweep computes lies within a few times it,
+    so a scale at which 16 times it overflows is refused."""
+    bound = (
+        sum(map(abs, spec.couplings))
+        + 0.5 * abs(delta) * (spec.n_sites - 1)
+        + sum(map(abs, spec.fields))
+        + spec.n_sites * abs(field)
+    )
+    if not isfinite(16.0 * bound):
+        raise DomainError(f"the energy scale of H at delta = {delta!r} and B = {field!r} overflows")
+    return bound
+
+
 def _ground_window(spec: ChainSpec, delta: float, ground_fields) -> float:
-    """How far above its own block's lowest a level of ``spec`` at ``delta``
+    """How far above its own part's lowest a level of ``spec`` at ``delta``
     can lie and still be ground at one of the uniform ``ground_fields``.
 
     At a uniform field B the ground test keeps the levels within
     DEGENERACY_RTOL (1 + |E0(B)|) of the lowest, E0(B), and
     E0(B) <= min_k + B (2k - N) for the lowest level min_k of each block k.
-    A level more than that window above its own block's lowest can never be
-    ground.  |E0(B)| is at most the operator norm, bounded by
-    sum |J| + |delta| (N - 1) / 2 + sum |B_i| + N |B|; twice the window of
-    that bound leaves a wide margin for the rounding of the shifted levels.
-    A pruned level only ever added exact zeros to a row, so the rows are
-    those of every level kept, bit for bit.
+    A level more than that window above its own block's lowest, or its own
+    part's, which lies at or above the block's, can never be ground.
+    |E0(B)| is at most the operator norm (``_norm_bound``); twice the window
+    of that bound leaves a wide margin for the rounding of the shifted
+    levels.  A pruned level only ever added exact zeros to a row, so the
+    rows are those of every level kept, bit for bit.
     """
-    bound = (
-        sum(map(abs, spec.couplings))
-        + 0.5 * abs(delta) * (spec.n_sites - 1)
-        + sum(map(abs, spec.fields))
-        + spec.n_sites * max(map(abs, ground_fields), default=0.0)
-    )
-    return 2.0 * DEGENERACY_RTOL * (1.0 + bound)
+    reach = max(map(abs, ground_fields), default=0.0)
+    return 2.0 * DEGENERACY_RTOL * (1.0 + _norm_bound(spec, delta, reach))
+
+
+def _check_scale(spec: ChainSpec, deltas, fields) -> None:
+    """Refuse, before any block is built, a sweep at whose largest |delta|
+    and |B| ``_norm_bound`` overflows; the bound grows with both."""
+    _norm_bound(spec, max(map(abs, deltas)), max(map(abs, fields), default=0.0))
 
 
 def _check_sector(n_sites: int, n_up: int) -> None:
@@ -270,7 +280,8 @@ def _check_sector(n_sites: int, n_up: int) -> None:
 
 class _BlockPlan:
     """Everything the deltas of one sweep share: the S^z blocks of the
-    template (any delta) and one site pair, built once.
+    template (any delta) and one site pair, built once when the sweep is
+    called, after the cap and the pair are checked.
 
     With every field exactly 0 the global spin flip maps block k onto block
     N - k, so only blocks k <= N/2 are kept and block N - k reuses their
@@ -282,6 +293,7 @@ class _BlockPlan:
 
     def __init__(self, template: ChainSpec, pair):
         n = template.n_sites
+        _check_sector(n, n // 2)
         self.template = template
         self.pair = _pair_sites_checked(n, *pair)
         self.flip = not any(template.fields)
@@ -292,7 +304,7 @@ class _BlockPlan:
 
     def spectrum(self, delta: float, ground_fields=None) -> "_SectorSpectrum":
         """The spectrum at ``delta``.  Given ``ground_fields``, the fields of
-        a T = 0 call, each block keeps only the levels that can be ground at
+        a T = 0 call, each part keeps only the levels that can be ground at
         one of them (``_ground_window``)."""
         n = self.template.n_sites
         window = inf
@@ -368,22 +380,6 @@ class _SectorSpectrum:
         return e0, n_up, degeneracy, concurrence
 
 
-def _spectra(template: ChainSpec, pair, deltas, ground_fields=None):
-    """(delta, ``_BlockPlan.spectrum`` at delta) for each of ``deltas``, on
-    one plan of ``template`` built when the first is read.  The cap and the
-    pair are checked before this returns."""
-    n = template.n_sites
-    _check_sector(n, n // 2)
-    pair = _pair_sites_checked(n, *pair)
-
-    def spectra():
-        plan = _BlockPlan(template, pair)
-        for delta in deltas:
-            yield delta, plan.spectrum(delta, ground_fields)
-
-    return spectra()
-
-
 def _phase_points(spectrum: _SectorSpectrum, delta: float, fields):
     """The phase-scan nodes of one delta at every field of ``fields``."""
     for field, e0, n_up, degeneracy, c in zip(fields, *spectrum.field_rows(fields)):
@@ -411,10 +407,13 @@ def phase_scan(template: ChainSpec, delta_axis: GridAxis, field_axis: GridAxis):
     its whole field axis is evaluated when its first node is read.
     """
     fields = field_axis.values
-    spectra = _spectra(template, (1, template.n_sites), delta_axis.values, fields)
     check_grid_size(delta_axis, field_axis)
+    _check_scale(template, delta_axis.values, fields)
+    plan = _BlockPlan(template, (1, template.n_sites))
     return (
-        point for delta, spectrum in spectra for point in _phase_points(spectrum, delta, fields)
+        point
+        for delta in delta_axis.values
+        for point in _phase_points(plan.spectrum(delta, fields), delta, fields)
     )
 
 
@@ -437,8 +436,9 @@ def sector_boundary_concurrence(spec: ChainSpec, n_up: int) -> float:
     n = spec.n_sites
     _check_sector(n, n_up)
     pair = (1, n)
+    window = _ground_window(spec, spec.delta, (0.0,))
     block = _Block(spec, build_sector_basis(n, n_up), pair)
-    energies, data = block.levels(spec.delta, _ground_window(spec, spec.delta, (0.0,)))
+    energies, data = block.levels(spec.delta, window)
     *_, (value,) = _SectorSpectrum(n, pair, [n_up], [energies], [data]).field_rows((0.0,))
     return float(value)
 
@@ -459,13 +459,17 @@ def concurrence_curve(
     """
     fields, temperature = field_axis.values, template.temperature
     delta_values = tuple(delta_values)
+    check_grid_size(field_axis, GridAxis(values=delta_values))
+    _check_scale(template, delta_values, fields)
+    plan = _BlockPlan(template, pair)
     # a T = 0 row reads only the levels that can be ground at its field
-    spectra = _spectra(template, pair, delta_values, None if temperature > 0 else fields)
-    check_grid_size(field_axis, GridAxis(values=delta_values or (0.0,)))
+    ground_fields = None if temperature > 0 else fields
     return (
         (float(delta), float(field), float(value))
-        for delta, spectrum in spectra
-        for field, value in zip(fields, spectrum.field_rows(fields, temperature)[-1])
+        for delta in delta_values
+        for field, value in zip(
+            fields, plan.spectrum(delta, ground_fields).field_rows(fields, temperature)[-1]
+        )
     )
 
 
@@ -477,7 +481,7 @@ def channel_curve(
     odd = [n for n in n_values if n % 2 or n < 4]
     if odd:
         raise DomainError(f"channel curve needs even N >= 4, got {odd}")
-    check_grid_size(beta_axis)
+    check_grid_size(GridAxis(values=n_values), beta_axis)
 
     def rows():
         for n in n_values:
@@ -559,13 +563,22 @@ def ground_regimes(spec: ChainSpec) -> tuple[GroundRegime, ...]:
     call at interior fields.  The regime holding B = 0 also carries the
     ground energy there.
     """
-    ((_, spectrum),) = _spectra(spec, (1, spec.n_sites), (spec.delta,))
-    return _regimes(spectrum, spec.n_sites)
+    _check_scale(spec, (spec.delta,), _regime_fields(spec, spec.delta))
+    return _regimes(_BlockPlan(spec, (1, spec.n_sites)), spec.delta)
 
 
-def _regimes(spectrum: _SectorSpectrum, n_sites: int) -> tuple[GroundRegime, ...]:
-    """``ground_regimes`` read off a spectrum that keeps every level."""
-    lowest = [float(spectrum.energies[spectrum.sector == k].min()) for k in range(n_sites + 1)]
+def _regime_fields(spec: ChainSpec, delta: float) -> tuple[float]:
+    """The field up to which a regime walk at ``delta`` reads levels: every
+    crossing, a level gap over 2 or more, lies within the zero-field norm
+    bound, and every interior field within half a unit past it."""
+    return (_norm_bound(spec, delta, 0.0) + 0.5,)
+
+
+def _regimes(plan: _BlockPlan, delta: float) -> tuple[GroundRegime, ...]:
+    """``ground_regimes`` of the plan's template at ``delta``."""
+    n = plan.template.n_sites
+    spectrum = plan.spectrum(delta, _regime_fields(plan.template, delta))
+    lowest = [float(spectrum.energies[spectrum.sector == k].min()) for k in range(n + 1)]
     (e0,), (k,), *_ = spectrum.field_rows((0.0,))
     k, lo, regimes = int(k), 0.0, []
     while k > 0:
@@ -600,13 +613,14 @@ def table1_rows(delta_values: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)):
     checked before the first row is computed.
     """
     delta_values = tuple(delta_values)
+    check_grid_size(GridAxis(values=delta_values))
     references = [closed_forms.c14_ground_regimes(delta) for delta in delta_values]
-    spectra = _spectra(ChainSpec.uniform(4), (1, 4), delta_values)
+    plan = _BlockPlan(ChainSpec.uniform(4), (1, 4))
     return (
         (float(delta), r, num.n_up, num.b_min, num.b_max, ref.b_min, ref.b_max,
          abs(num.b_min - ref.b_min), abs(num.b_max - ref.b_max) if ref.b_max != inf else 0.0,
          num.c14_max, ref.c14_max, abs(num.c14_max - ref.c14_max),
          *(nan if e is None else e for e in (num.energy_at_zero_field, ref.energy_at_zero_field)))
-        for (delta, spectrum), reference in zip(spectra, references)
-        for r, (num, ref) in enumerate(zip(_regimes(spectrum, 4), reference))
+        for delta, reference in zip(delta_values, references)
+        for r, (num, ref) in enumerate(zip(_regimes(plan, delta), reference))
     )

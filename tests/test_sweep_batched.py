@@ -147,6 +147,7 @@ def test_kernel_rejects_a_corrupted_row_among_clean_ones(bad, message):
     clean = [0.25, 0.25, 0.25, 0.25, 0.1]
     with pytest.raises(DomainError, match=message) as raised:
         xstate_concurrences(np.array([clean, bad, clean]))
+    assert "np." not in str(raised.value)  # a plain float, even NaN
     if not np.isnan(bad).any():
         # the 4x4 state rejects the same row with the same message
         with pytest.raises(DomainError) as expected:

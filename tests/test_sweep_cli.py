@@ -140,7 +140,7 @@ def test_phase_scan_respects_full_space_cap():
 
 def test_sweeps_cap_sites_by_their_largest_sector(monkeypatch):
     # C(14, 7) = 3432 states pass; C(15, 7) = 6435 are refused before any
-    # basis is built (rows are lazy, so the 14-site calls compute nothing)
+    # basis is built (rows are lazy, so the 14-site calls decompose nothing)
     axis = GridAxis(values=(0.0,))
     phase_scan(ChainSpec.uniform(14), axis, axis)
     concurrence_curve(ChainSpec.uniform(14), (1, 14), axis, (0.0,))
@@ -167,6 +167,27 @@ def test_curve_checks_its_pair_when_called(monkeypatch):
     for pair in ((1, 9), (2, 2), (0, 3)):
         with pytest.raises(DomainError):
             concurrence_curve(ChainSpec.uniform(4), pair, axis, (0.0,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ground_regimes(ChainSpec.uniform(4, delta=1e308)),
+        # a finite zero-field scale whose regime walk reaches too far
+        lambda: ground_regimes(ChainSpec.uniform(4, delta=5e306)),
+        lambda: sweep.sector_boundary_concurrence(ChainSpec.uniform(4, delta=1e308), 2),
+        lambda: classify_ground_state(ChainSpec(4, (1.0,) * 3, (1e308,) * 4, 0.0)),
+    ],
+    ids=["ground_regimes", "ground_regimes_reach", "sector_boundary_concurrence",
+         "classify_ground_state"],
+)
+def test_entry_points_refuse_an_overflowing_scale_before_any_block_is_built(monkeypatch, call):
+    def unbuilt(*args):
+        raise AssertionError("a basis was built before the scale check")
+
+    monkeypatch.setattr(sweep, "build_sector_basis", unbuilt)
+    with pytest.raises(DomainError, match="overflows"):
+        call()
 
 
 def test_curve_three_site_plateau():
@@ -318,6 +339,16 @@ def _assert_regimes_tile_as_classified(spec):
         point = classify_ground_state(shifted)
         assert point.n_up == r.n_up
         assert abs(point.boundary_concurrence - r.c14_max) <= 1e-12
+    # the walk reads the same bits as it would off every level
+    full = sweep._BlockPlan(spec, (1, spec.n_sites)).spectrum(spec.delta)
+    lowest = [full.energies[full.sector == k].min() for k in range(spec.n_sites + 1)]
+    for r in rows[:-1]:
+        k = r.n_up
+        assert r.b_max in [(lowest[j] - lowest[k]) / (2.0 * (k - j)) for j in range(k)]
+    interiors = [r.b_min + 0.5 if r.b_max == math.inf else 0.5 * (r.b_min + r.b_max) for r in rows]
+    e0, _, _, c1n = full.field_rows([0.0, *interiors])
+    assert energy == e0[0]
+    assert [r.c14_max for r in rows] == c1n[1:].tolist()
 
 
 @pytest.mark.parametrize("delta", [-2.0 + 0.25 * m for m in range(21)] + [-0.999])
@@ -514,12 +545,44 @@ _SCAN_GRID = {"delta": {"values": [0.0]}, "B": {"values": [0.0]}}
         ("design", {"n_sites": 4.9, "target": 0.99}),
         ("curve",
          {"spec": _SCAN_SPEC, "pair": [1, 3], "delta_values": [True], "grid": {"B": [0.0]}}),
+        # empty value lists: these printed only the header, exit 0
+        ("curve", {"spec": _SCAN_SPEC, "pair": [1, 3], "delta_values": [], "grid": {"B": [0.0]}}),
+        ("table1", {"delta_values": []}),
+        ("channel", {"n_sites_values": [], "grid": {"beta": [5.0]}}),
     ],
 )
 def test_cli_bad_config_values_exit_2(tmp_path, capsys, command, config):
     out = tmp_path / "out.csv"
     assert main([command, "--config", _write_config(tmp_path, config), "--out", str(out)]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, cause",
+    [
+        ("phase-scan", {"spec": _SCAN_SPEC, "grid": {**_SCAN_GRID, "B": [1e308]}}, "B = 1e+308"),
+        ("curve", {"spec": _SCAN_SPEC, "pair": [1, 3], "grid": {"B": [-1e308]}}, "B = 1e+308"),
+        ("curve",
+         {"spec": _SCAN_SPEC, "pair": [1, 3], "delta_values": [1e308], "grid": {"B": [0.0]}},
+         "delta = 1e+308"),
+        ("curve",
+         {"spec": {**_SCAN_SPEC, "temperature": 0.1}, "pair": [1, 3], "delta_values": [1e308],
+          "grid": {"B": [0.0]}},
+         "delta = 1e+308"),
+    ],
+)
+def test_cli_overflowing_scale_exits_2_before_any_block_is_built(
+    monkeypatch, tmp_path, capsys, command, config, cause
+):
+    def unbuilt(*args):
+        raise AssertionError("a basis was built before the scale check")
+
+    monkeypatch.setattr(sweep, "build_sector_basis", unbuilt)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", _write_config(tmp_path, config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and cause in err and "overflows" in err
     assert not out.exists()
 
 

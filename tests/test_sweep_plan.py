@@ -23,6 +23,7 @@ from xxzchain.sweep import (
     _BlockPlan,
     classify_ground_state,
     concurrence_curve,
+    ground_regimes,
     phase_scan,
 )
 
@@ -103,6 +104,20 @@ def test_the_window_drops_levels_only_at_zero_temperature():
     pruned = plan.spectrum(1.0, fields)
     assert len(pruned.energies) < 30
     assert sorted(set(pruned.sector.tolist())) == list(range(11))
+
+
+def test_ground_regimes_read_only_the_levels_that_can_be_ground(monkeypatch):
+    kept = []
+    spectrum = _BlockPlan.spectrum
+
+    def recording(plan, *args):
+        result = spectrum(plan, *args)
+        kept.append(len(result.energies))
+        return result
+
+    monkeypatch.setattr(_BlockPlan, "spectrum", recording)
+    ground_regimes(ChainSpec.uniform(10))
+    assert len(kept) == 1 and kept[0] < 30
 
 
 _unit = st.floats(0.2, 1.5, allow_nan=False)
