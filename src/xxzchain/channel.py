@@ -72,6 +72,16 @@ def _half_length(n_sites: int) -> int:
     return n_sites // 2
 
 
+def _check_channel(coupling: float, bulk_field: float) -> None:
+    """Refuse a coupling that is not finite and > 0, or a bulk field not finite and >= 0."""
+    if not (math.isfinite(coupling) and math.isfinite(bulk_field)):
+        raise DomainError("channel design needs a finite coupling and bulk field")
+    if coupling <= 0:
+        raise DomainError("channel design needs a positive coupling")
+    if bulk_field < 0:
+        raise DomainError("channel design needs a nonnegative bulk field")
+
+
 def fold_single_excitation(
     n_sites: int, coupling: float, bulk_field: float
 ) -> FoldedChannelMatrices:
@@ -188,12 +198,7 @@ def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelD
     stored as 0, so their ratios in ``ratio_profile`` read inf: a float-range
     limit, plainly flagged, not roundoff.
     """
-    if not (math.isfinite(coupling) and math.isfinite(bulk_field)):
-        raise DomainError("channel design needs a finite coupling and bulk field")
-    if coupling <= 0:
-        raise DomainError("channel design needs a positive coupling")
-    if bulk_field < 0:
-        raise DomainError("channel design needs a nonnegative bulk field")
+    _check_channel(coupling, bulk_field)
     k = _half_length(n_sites)
     j, b = float(coupling), float(bulk_field)
     e_anti, q, bound = _block_ground(k, j, b, antisymmetric=True)

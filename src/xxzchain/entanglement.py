@@ -235,7 +235,9 @@ def thermal_state(spec: ChainSpec, dec: SpectralDecomposition) -> np.ndarray:
             "thermal_state needs temperature > 0; use ground_state_density at T = 0"
         )
     w = dec.eigenvalues
-    weights = np.exp(-(w - w[0]) / spec.temperature)
+    # a gap over a tiny T overflows to inf; exp(-inf) = 0 is its exact T -> 0 weight
+    with np.errstate(over="ignore"):
+        weights = np.exp(-(w - w[0]) / spec.temperature)
     weights /= weights.sum()
     v = dec.eigenvectors
     return (v * weights) @ v.T

@@ -48,8 +48,8 @@ import numpy as np
 
 from . import closed_forms
 from .chain import ChainSpec, SectorBasis, build_sector_basis, config_number
-from .channel import design_channel, ratio_profile
-from .closed_forms import GroundRegime, beta_for_target, c1n_channel
+from .channel import _check_channel, design_channel, ratio_profile
+from .closed_forms import GroundRegime, c1n_channel
 from .eigensolver import DEGENERACY_RTOL, _degeneracy_tolerance, decompose
 from .entanglement import _pair_maps, _pair_rows, _pair_sites_checked, xstate_concurrences
 from .errors import DomainError, ResourceCapError
@@ -370,7 +370,9 @@ class _SectorSpectrum:
             count = np.count_nonzero(ground, axis=1)
             degeneracy[rows] = count
             if temperature > 0:
-                weights = np.exp(-(e - lowest[:, None]) / temperature)
+                # a gap over a tiny T overflows to inf; exp(-inf) = 0 is its exact T -> 0 weight
+                with np.errstate(over="ignore"):
+                    weights = np.exp(-(e - lowest[:, None]) / temperature)
                 weights /= weights.sum(axis=1, keepdims=True)
                 data = np.stack([(weights * column).sum(axis=1) for column in columns], axis=1)
             else:
@@ -476,45 +478,38 @@ def concurrence_curve(
 def channel_curve(
     n_values: tuple[int, ...], beta_axis: GridAxis, coupling: float = 1.0
 ):
-    """Rows (N, beta, numeric C1N, profile-formula C1N, max ratio deviation)."""
+    """Rows (N, beta, numeric C1N, profile-formula C1N, max ratio deviation);
+    each N, J and bulk field beta J / 2 is checked before the first row."""
     n_values = tuple(n_values)
     odd = [n for n in n_values if n % 2 or n < 4]
     if odd:
         raise DomainError(f"channel curve needs even N >= 4, got {odd}")
     check_grid_size(GridAxis(values=n_values), beta_axis)
+    for beta in beta_axis.values:
+        _check_channel(coupling, beta * coupling / 2.0)
 
     def rows():
         for n in n_values:
-            k = n // 2
             for beta in beta_axis.values:
                 design = design_channel(n, coupling, beta * coupling / 2.0)
-                numeric = design.boundary_concurrence
-                closed = c1n_channel(beta, k) if beta > 1.0 else float("nan")
+                closed = c1n_channel(beta, n // 2) if beta > 1.0 else nan
                 ratios = np.asarray(ratio_profile(design))
-                if beta > 0:
-                    deviation = float(np.max(np.abs(ratios - beta) / beta))
-                else:
-                    deviation = float("inf")
-                yield (n, float(beta), numeric, closed, deviation)
+                deviation = float(np.max(np.abs(ratios - beta) / beta)) if beta > 0 else inf
+                yield (n, float(beta), design.boundary_concurrence, closed, deviation)
 
     return rows()
 
 
-def design_report(
-    n_sites: int, target: float, coupling: float = 1.0, beta_cap: float = closed_forms.BETA_CAP
-) -> dict:
+def design_report(n_sites: int, target: float, coupling: float = 1.0) -> dict:
     """Size the bulk field that reaches a target boundary concurrence.
 
-    Forward-verified: the reported beta satisfies
-    design_channel(N, J, beta J / 2).boundary_concurrence >= target, found
-    by bisection on the exact folded computation (the profile formula only
-    serves as a warm start; it is optimistic at small N).
-    """
-    if n_sites < 4 or n_sites % 2:
-        raise DomainError(f"design needs an even chain with >= 4 sites, got {n_sites}")
+    beta is the last-bit crossing of the exact folded design, found without
+    the profile formula: design_channel(N, J, beta J / 2) reaches the target
+    and the float below beta does not.  A bracket doubles from beta = 2 up
+    to closed_forms.BETA_CAP, the cap included, then [0, hi] is halved
+    until the midpoint equals an endpoint."""
     if not 0.0 < target < 1.0:
         raise DomainError(f"target must lie in (0, 1), got {target}")
-    k = n_sites // 2
 
     def achieved(beta: float) -> float:
         return design_channel(n_sites, coupling, beta * coupling / 2.0).boundary_concurrence
@@ -531,17 +526,13 @@ def design_report(
 
     if achieved(0.0) >= target:
         return report("already-achieved-at-zero-field", 0.0)
-    try:
-        hi = max(beta_for_target(target, k), 2.0)
-    except DomainError:
-        hi = 2.0
+    hi = 2.0
     while achieved(hi) < target:
-        hi *= 2.0
-        if hi > beta_cap:
-            return report("unreachable-below-beta-cap", beta_cap)
+        if hi == closed_forms.BETA_CAP:
+            return report("unreachable-below-beta-cap", hi)
+        hi = min(2.0 * hi, closed_forms.BETA_CAP)
     lo = 0.0
-    while hi - lo > 1e-10 * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if achieved(mid) >= target:
             hi = mid
         else:

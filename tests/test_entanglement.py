@@ -187,6 +187,13 @@ def test_thermal_state_limits():
     assert v0 @ rho0 @ v0 >= 1 - 1e-9
 
 
+def test_thermal_state_at_a_subnormal_temperature_is_the_ground_state():
+    # every gap over T = 1e-310 overflows to inf, with no RuntimeWarning
+    spec = ChainSpec.uniform(3, coupling=1.0, field=0.5, delta=0.0, temperature=1e-310)
+    dec = decompose(build_full(spec))
+    assert np.abs(thermal_state(spec, dec) - ground_state_density(dec)).max() <= 1e-15
+
+
 def test_thermal_state_requires_positive_temperature():
     spec = ChainSpec.uniform(3)
     dec = decompose(build_full(spec))

@@ -2,14 +2,16 @@ import io
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xxzchain import cli as cli_module
-from xxzchain import sweep
+from xxzchain import closed_forms, sweep
 from xxzchain.chain import ChainSpec
 from xxzchain.cli import main
+from xxzchain.channel import design_channel
 from xxzchain.closed_forms import c1n_channel, critical_field_3site
 from xxzchain.errors import DomainError, NumericError, ResourceCapError
 from xxzchain.hamiltonian import build_channel
@@ -231,6 +233,15 @@ def test_curve_thermal_template():
     assert 0.0 < c_hot < 0.5
 
 
+def test_curve_at_a_subnormal_temperature_is_its_ground_curve():
+    # every gap over T = 1e-310 overflows to inf, with no RuntimeWarning
+    fields, deltas = GridAxis.from_range(0.0, 2.0, 0.25), (0.0, 0.5, 1.0)
+    cold = list(concurrence_curve(ChainSpec.uniform(4, temperature=1e-310), (1, 4), fields, deltas))
+    ground = list(concurrence_curve(ChainSpec.uniform(4), (1, 4), fields, deltas))
+    assert [row[:2] for row in cold] == [row[:2] for row in ground]
+    assert all(abs(a[2] - b[2]) <= 1e-15 for a, b in zip(cold, ground))
+
+
 def test_channel_curve_rows():
     rows = list(channel_curve((4, 8), GridAxis(values=(5.0, 10.0, 12.0))))
     assert len(rows) == 6
@@ -280,10 +291,62 @@ def test_design_report_already_achieved():
     assert report["achieved"] >= 0.27
 
 
-def test_design_report_unreachable():
-    report = design_report(4, 0.9999, beta_cap=20.0)
+def test_design_report_unreachable(monkeypatch):
+    monkeypatch.setattr(closed_forms, "BETA_CAP", 20.0)
+    report = design_report(4, 0.9999)
     assert report["status"] == "unreachable-below-beta-cap"
     assert report["achieved"] < 0.9999
+
+
+def test_design_report_tries_the_cap_itself(monkeypatch):
+    # doubling from 2 steps past 150 at 256; the cap reaches 0.99995
+    monkeypatch.setattr(closed_forms, "BETA_CAP", 150.0)
+    report = design_report(4, 0.9999)
+    assert report["status"] == "ok"
+    assert report["beta"] == pytest.approx(100.985, abs=1e-3)
+
+
+# beta printed by the earlier search (a profile-formula warm start and a
+# 1e-10 relative stop), for each (N, target)
+_EARLIER_BETA = {
+    (4, 0.5): 1.0000000000582077,
+    (4, 0.9): 3.6666666668810617,
+    (4, 0.99): 10.849370590026606,
+    (4, 0.9999): 100.98499937503067,
+    (4, 0.9999999999999999): 54794159.00685124,
+    (6, 0.5): 1.4098896665964276,
+    (6, 0.9): 3.2880253886972346,
+    (6, 0.99): 10.019273798159972,
+    (6, 0.9999): 100.00019993998038,
+    (6, 0.9999999999999999): 54794158.01001991,
+    (20, 0.5): 1.420531925628893,
+    (20, 0.9): 3.162277731418791,
+    (20, 0.99): 10.000000000326642,
+    (20, 0.9999): 100.00000000150139,
+    (20, 0.9999999999999999): 54794158.01001991,
+    (100, 0.5): 1.4142135623842478,
+    (100, 0.9): 3.1622776602834684,
+    (100, 0.99): 10.000000000326642,
+    (100, 0.9999): 100.00000000150139,
+    (100, 0.9999999999999999): 54794158.01001991,
+    (1000, 0.5): 1.4142135623842478,
+    (1000, 0.9): 3.1622776602834684,
+    (1000, 0.99): 10.000000000326642,
+    (1000, 0.9999): 100.00000000150139,
+    (1000, 0.9999999999999999): 54794158.01001991,
+}
+
+
+@pytest.mark.parametrize("n, target", sorted(_EARLIER_BETA))
+def test_design_report_beta_is_the_last_bit_crossing(n, target):
+    report = design_report(n, target)
+    beta = report["beta"]
+    assert report["status"] == "ok"
+    assert report["achieved"] >= target
+    below = design_channel(n, 1.0, np.nextafter(beta, 0.0) / 2.0).boundary_concurrence
+    assert below < target
+    earlier = _EARLIER_BETA[n, target]
+    assert abs(beta - earlier) <= 1e-10 * max(1.0, earlier)
 
 
 def test_design_report_domain():
@@ -431,8 +494,8 @@ def test_cli_curve_csv_deterministic_and_exact(tmp_path):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["curve", "--config", config, "--out", out1]) == 0
     assert main(["curve", "--config", config, "--out", out2]) == 0
-    text1 = open(out1).read()
-    assert text1 == open(out2).read()
+    text1 = Path(out1).read_text()
+    assert text1 == Path(out2).read_text()
 
     lines = text1.strip().splitlines()
     assert lines[0] == "delta,B,concurrence"
@@ -450,7 +513,7 @@ def test_cli_curve_jsonl(tmp_path):
     config = _curve_config(tmp_path)
     out = str(tmp_path / "rows.jsonl")
     assert main(["curve", "--config", config, "--out", out, "--format", "jsonl"]) == 0
-    rows = [json.loads(line) for line in open(out)]
+    rows = [json.loads(line) for line in Path(out).read_text().splitlines()]
     assert rows[0].keys() == {"delta", "B", "concurrence"}
     assert rows[0]["concurrence"] == pytest.approx(0.5, abs=1e-10)
 
@@ -470,7 +533,7 @@ def test_cli_phase_scan(tmp_path):
     )
     out = str(tmp_path / "scan.csv")
     assert main(["phase-scan", "--config", config, "--out", out]) == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert len(lines) == 6
     header = lines[0].split(",")
     assert header[:4] == ["delta", "B", "n_up", "sector_rank"]
@@ -488,7 +551,7 @@ def test_cli_table1(tmp_path):
     out = str(tmp_path / "table.csv")
     config = _write_config(tmp_path, {"delta_values": [0.0]})
     assert main(["table1", "--config", config, "--out", out]) == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert len(lines) == 4  # header + three regimes
 
 
@@ -587,18 +650,44 @@ def test_cli_overflowing_scale_exits_2_before_any_block_is_built(
 
 
 @pytest.mark.parametrize("existing", [None, b"old bytes\n"])
-def test_cli_error_inside_the_rows_leaves_out_untouched(tmp_path, capsys, existing):
-    # the pair is checked when the first row is made, after --out is chosen
+def test_cli_error_inside_the_rows_leaves_out_untouched(monkeypatch, tmp_path, capsys, existing):
+    # the second design fails while the rows are being written into the
+    # temporary file beside --out, after the header and the first row
+    calls = []
+
+    def second_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise NumericError("synthetic")
+        return design_channel(*args)
+
+    monkeypatch.setattr(sweep, "design_channel", second_fails)
     out = tmp_path / "out.csv"
     if existing is not None:
         out.write_bytes(existing)
-    config = {"spec": _SCAN_SPEC, "pair": [1, 5], "grid": {"B": [0.0]}}
-    assert main(["curve", "--config", _write_config(tmp_path, config), "--out", str(out)]) == 2
-    assert "config error:" in capsys.readouterr().err
+    config = {"n_sites_values": [4], "grid": {"beta": [2.0, 3.0, 4.0]}}
+    assert main(["channel", "--config", _write_config(tmp_path, config), "--out", str(out)]) == 4
+    assert len(calls) == 2
+    assert "numeric failure: synthetic" in capsys.readouterr().err
     assert (out.read_bytes() if out.exists() else None) == existing
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["config.json"] + (["out.csv"] if existing is not None else [])
     )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"n_sites_values": [4], "grid": {"beta": [2.0, -1.0]}},
+        {"n_sites_values": [4], "coupling": -1, "grid": {"beta": [2.0]}},
+        {"n_sites_values": [4], "coupling": 1e308, "grid": {"beta": [4.0]}},
+    ],
+)
+def test_cli_channel_refuses_what_design_channel_refuses_before_printing(tmp_path, capsys, config):
+    assert main(["channel", "--config", _write_config(tmp_path, config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: channel design needs")
 
 
 @pytest.mark.parametrize("out", ["missing_dir/out.csv", "a_dir"])

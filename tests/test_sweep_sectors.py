@@ -8,6 +8,7 @@ after the matrix elements, so it serves as the independent oracle here.
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,8 +161,8 @@ def _cli_twice(tmp_path, command, config):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main([command, "--config", config, "--out", out1]) == 0
     assert main([command, "--config", config, "--out", out2]) == 0
-    text = open(out1).read()
-    assert text == open(out2).read()
+    text = Path(out1).read_text()
+    assert text == Path(out2).read_text()
     return text.strip().splitlines()
 
 
