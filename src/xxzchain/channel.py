@@ -6,8 +6,8 @@ boundary concurrence that approaches 1 as 2B/J grows.  The single-
 excitation sector splits under the mirror symmetry of the chain into two
 k x k tridiagonal blocks (N = 2k) with a uniform bulk, whose ground states
 have closed forms: a design is one scalar secular equation plus an O(k)
-profile, so chains of 10^5 sites and more are routine.  Arbitrary coupling
-profiles, such as ``impurity_profile_chain``, go through the sector
+profile, so any chain up to CHANNEL_SITE_CAP sites is routine.  Arbitrary
+coupling profiles, such as ``impurity_profile_chain``, go through the sector
 ground-state route of the sweep core (``sweep.sector_boundary_concurrence``).
 """
 
@@ -20,7 +20,10 @@ import numpy as np
 
 from .chain import ChainSpec
 from .eigensolver import DEGENERACY_RTOL
-from .errors import DomainError
+from .errors import DomainError, ResourceCapError
+
+# a design and its ratio profile peak at 36 B per site (tracemalloc): 360 MB
+CHANNEL_SITE_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -64,10 +67,15 @@ class ChannelDesign:
 
 
 def _half_length(n_sites: int) -> int:
-    """k = N/2 for the even chains (N >= 4) that fold into two k x k blocks."""
+    """k = N/2 for the even chains (N >= 4) that fold into two k x k blocks;
+    a chain over CHANNEL_SITE_CAP sites is refused before anything is built."""
     if n_sites < 4 or n_sites % 2:
         raise DomainError(
             f"folding needs an even chain with at least 4 sites, got {n_sites}"
+        )
+    if n_sites > CHANNEL_SITE_CAP:
+        raise ResourceCapError(
+            f"channel of {n_sites} sites exceeds the cap of {CHANNEL_SITE_CAP}"
         )
     return n_sites // 2
 
@@ -174,34 +182,25 @@ def _block_ground(
     return x - 2.0 * coupling * (math.cosh(q) if bound else math.cos(q)), q, bound
 
 
-def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelDesign:
-    """Solve the folded blocks exactly and read off the boundary concurrence.
+def _ground_profile(
+    n_sites: int, coupling: float, bulk_field: float
+) -> tuple[float, float, np.ndarray]:
+    """Ground energy, boundary concurrence and half-profile coefficients
+    (those below the smallest normal float stored as 0) of the antisymmetric
+    block, for parameters ``_check_channel`` accepted.
 
-    Both blocks are k x k tridiagonal with a uniform bulk, so each ground
+    Both blocks are k x k tridiagonal with a uniform bulk, so the ground
     energy is the root of one scalar secular equation (bisection to the last
-    bit) and the antisymmetric ground vector has the closed form
+    bit) and the ground vector has the closed form
     s_j = cosh((k + 1/2 - j) p) (beta > 1), 1 (beta = 1) or
     cos((k + 1/2 - j) theta) (beta < 1), with alternating signs and the
     largest-magnitude entry positive.  The profile is evaluated in O(k) as
     e^{-(j-1) p} (1 + e^{-(2k+1-2j) p}), so every coefficient carries full
     relative accuracy, however far below the boundary amplitude it falls.
     No dense matrix is built.
-
-    For J > 0 the antisymmetric block's ground energy is strictly below the
-    symmetric one (its fold corner is lower by 2J and the ground vector has
-    nonzero weight there), so it always holds the ground state and only its
-    secular equation is solved here.  The split shrinks like beta^(2-2k);
-    ``ChannelDesign.near_degenerate`` solves the symmetric block on demand
-    and flags that the split fell within the degeneracy tolerance.
-
-    Coefficients below the smallest normal float (about 2.2e-308) are
-    stored as 0, so their ratios in ``ratio_profile`` read inf: a float-range
-    limit, plainly flagged, not roundoff.
     """
-    _check_channel(coupling, bulk_field)
     k = _half_length(n_sites)
-    j, b = float(coupling), float(bulk_field)
-    e_anti, q, bound = _block_ground(k, j, b, antisymmetric=True)
+    e_anti, q, bound = _block_ground(k, coupling, bulk_field, antisymmetric=True)
     # the symmetric ground energy lies between e_anti and x + 2J, so a finite
     # e_anti bounds it too
     if not math.isfinite(e_anti):
@@ -218,6 +217,30 @@ def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelD
         v = -v
     coeffs = v / math.sqrt(2.0)
     coeffs[np.abs(coeffs) < np.finfo(float).tiny] = 0.0
+    return e_anti, float(v[0] * v[0]), coeffs
+
+
+def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelDesign:
+    """Solve the folded channel exactly and read off the boundary concurrence.
+
+    The profile is ``_ground_profile``'s, packed into a tuple; the sweeps
+    read the same array unpacked, so they print the same bits.
+
+    For J > 0 the antisymmetric block's ground energy is strictly below the
+    symmetric one (its fold corner is lower by 2J and the ground vector has
+    nonzero weight there), so it always holds the ground state and only its
+    secular equation is solved here.  The split shrinks like beta^(2-2k);
+    ``ChannelDesign.near_degenerate`` solves the symmetric block on demand
+    and flags that the split fell within the degeneracy tolerance.
+
+    Coefficients below the smallest normal float (about 2.2e-308) are
+    stored as 0, so their ratios in ``ratio_profile`` read inf: a float-range
+    limit, plainly flagged, not roundoff.  A chain over CHANNEL_SITE_CAP
+    sites raises ResourceCapError.
+    """
+    _check_channel(coupling, bulk_field)
+    j, b = float(coupling), float(bulk_field)
+    e_anti, c1n, coeffs = _ground_profile(n_sites, j, b)
     return ChannelDesign(
         n_sites=n_sites,
         coupling=j,
@@ -225,8 +248,15 @@ def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelD
         beta=2.0 * b / j,
         ground_energy=e_anti,
         coefficients=tuple(coeffs.tolist()),
-        boundary_concurrence=float(v[0] * v[0]),
+        boundary_concurrence=c1n,
     )
+
+
+def _ratios(coefficients: np.ndarray) -> np.ndarray:
+    """|c_j / c_{j+1}| of a coefficient array; inf where c_{j+1} is 0."""
+    c = np.abs(coefficients)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(c[1:] > 0.0, c[:-1] / c[1:], np.inf)
 
 
 def ratio_profile(design: ChannelDesign) -> tuple[float, ...]:
@@ -240,12 +270,9 @@ def ratio_profile(design: ChannelDesign) -> tuple[float, ...]:
     long chains.  Coefficients below about 1e-308 are stored as 0, so their
     ratios read inf: a float-range limit, not roundoff.
     """
-    c = np.abs(np.asarray(design.coefficients))
-    if len(c) < 2:
+    if len(design.coefficients) < 2:
         raise DomainError("ratio profile needs at least two coefficients")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(c[1:] > 0.0, c[:-1] / c[1:], np.inf)
-    return tuple(ratios.tolist())
+    return tuple(_ratios(np.asarray(design.coefficients)).tolist())
 
 
 def impurity_profile_chain(n_sites: int, base: float) -> ChainSpec:

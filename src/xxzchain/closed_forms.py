@@ -197,29 +197,3 @@ def c1n_channel(beta: float, k: int) -> float:
     bm2 = beta ** -2.0
     return (1.0 - bm2) / (1.0 - bm2**k)
 
-
-def beta_for_target(target: float, k: int, beta_cap: float = BETA_CAP) -> float:
-    """Smallest beta with c1n_channel(beta, k) >= target, by bisection.
-
-    Converges to 1e-10 relative.  Targets at or above 1 are unreachable;
-    targets below the beta -> 1+ limit 1/k are reported as the lower edge.
-    """
-    if not 0.0 < target < 1.0:
-        raise DomainError(f"target must lie in (0, 1), got {target}")
-    if k < 2:
-        raise DomainError("the channel formula needs k >= 2")
-    lo = 1.0 + 1e-12
-    if c1n_channel(lo, k) >= target:
-        return lo
-    if c1n_channel(beta_cap, k) < target:
-        raise DomainError(
-            f"target {target} unreachable below the beta cap {beta_cap:g}"
-        )
-    hi = beta_cap
-    while hi - lo > 1e-10 * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        if c1n_channel(mid, k) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import closed_forms
 from .chain import ChainSpec, SectorBasis, build_sector_basis, config_number
-from .channel import _check_channel, design_channel, ratio_profile
+from .channel import _check_channel, _ground_profile, _half_length, _ratios
 from .closed_forms import GroundRegime, c1n_channel
 from .eigensolver import DEGENERACY_RTOL, _degeneracy_tolerance, decompose
 from .entanglement import _pair_maps, _pair_rows, _pair_sites_checked, xstate_concurrences
@@ -478,24 +478,27 @@ def concurrence_curve(
 def channel_curve(
     n_values: tuple[int, ...], beta_axis: GridAxis, coupling: float = 1.0
 ):
-    """Rows (N, beta, numeric C1N, profile-formula C1N, max ratio deviation);
-    each N, J and bulk field beta J / 2 is checked before the first row."""
+    """Rows (N, beta, numeric C1N, profile-formula C1N, max ratio deviation),
+    read off the profile array, bit for bit those of ``design_channel`` and
+    ``ratio_profile``; each N (capped at channel.CHANNEL_SITE_CAP), J and
+    bulk field beta J / 2 is checked before the first row."""
     n_values = tuple(n_values)
     odd = [n for n in n_values if n % 2 or n < 4]
     if odd:
         raise DomainError(f"channel curve needs even N >= 4, got {odd}")
     check_grid_size(GridAxis(values=n_values), beta_axis)
+    _half_length(max(n_values))
     for beta in beta_axis.values:
         _check_channel(coupling, beta * coupling / 2.0)
 
     def rows():
         for n in n_values:
             for beta in beta_axis.values:
-                design = design_channel(n, coupling, beta * coupling / 2.0)
+                _, numeric, coeffs = _ground_profile(n, coupling, beta * coupling / 2.0)
                 closed = c1n_channel(beta, n // 2) if beta > 1.0 else nan
-                ratios = np.asarray(ratio_profile(design))
+                ratios = _ratios(coeffs)
                 deviation = float(np.max(np.abs(ratios - beta) / beta)) if beta > 0 else inf
-                yield (n, float(beta), design.boundary_concurrence, closed, deviation)
+                yield (n, float(beta), numeric, closed, deviation)
 
     return rows()
 
@@ -512,7 +515,8 @@ def design_report(n_sites: int, target: float, coupling: float = 1.0) -> dict:
         raise DomainError(f"target must lie in (0, 1), got {target}")
 
     def achieved(beta: float) -> float:
-        return design_channel(n_sites, coupling, beta * coupling / 2.0).boundary_concurrence
+        _check_channel(coupling, beta * coupling / 2.0)
+        return _ground_profile(n_sites, coupling, beta * coupling / 2.0)[1]
 
     def report(status: str, beta: float) -> dict:
         return {

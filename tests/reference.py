@@ -10,6 +10,7 @@ import numpy as np
 
 from xxzchain.chain import build_sector_basis, site_mask
 from xxzchain.channel import fold_single_excitation
+from xxzchain.closed_forms import BETA_CAP, c1n_channel
 from xxzchain.eigensolver import DEGENERACY_RTOL, decompose
 from xxzchain.entanglement import SPIN_FLIP, TwoQubitDensityMatrix, pair_xstate_data
 from xxzchain.errors import DomainError
@@ -128,3 +129,30 @@ def dense_sector_concurrence(spec, n_up: int) -> float:
     ground = w <= w[0] + DEGENERACY_RTOL * (1.0 + abs(w[0]))
     data = pair_xstate_data(basis, v[:, ground], 1, n).mean(axis=0)
     return xstate_concurrence(xstate_pair((1, n), data))
+
+
+def beta_for_target(target: float, k: int, beta_cap: float = BETA_CAP) -> float:
+    """Smallest beta with c1n_channel(beta, k) >= target, by bisection.
+
+    Converges to 1e-10 relative.  Targets at or above 1 are unreachable;
+    targets below the beta -> 1+ limit 1/k are reported as the lower edge.
+    """
+    if not 0.0 < target < 1.0:
+        raise DomainError(f"target must lie in (0, 1), got {target}")
+    if k < 2:
+        raise DomainError("the channel formula needs k >= 2")
+    lo = 1.0 + 1e-12
+    if c1n_channel(lo, k) >= target:
+        return lo
+    if c1n_channel(beta_cap, k) < target:
+        raise DomainError(
+            f"target {target} unreachable below the beta cap {beta_cap:g}"
+        )
+    hi = beta_cap
+    while hi - lo > 1e-10 * max(1.0, lo):
+        mid = 0.5 * (lo + hi)
+        if c1n_channel(mid, k) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -284,6 +284,32 @@ def test_ratio_profile_flags_underflowed_coefficients():
     assert np.all(np.abs(ratios[finite] - 20.0) <= 1e-12 * 20.0)
 
 
+def test_channel_length_cap_refuses_before_allocating(monkeypatch):
+    def unallocated(*args, **kwargs):
+        raise AssertionError("a profile was allocated before the cap check")
+
+    over = channel.CHANNEL_SITE_CAP + 2
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "arange", unallocated)
+        patched.setattr(np, "full", unallocated)
+        for call in (
+            lambda: design_channel(over, 1.0, 1.0),
+            lambda: fold_single_excitation(over, 1.0, 1.0),
+            lambda: sweep.design_report(over, 0.9),
+            lambda: sweep.channel_curve((4, over), sweep.GridAxis(values=(2.0,))),
+        ):
+            with pytest.raises(ResourceCapError, match=f"channel of {over} sites exceeds the cap"):
+                call()
+    # the cap is read when called, and a chain at the cap is solved
+    monkeypatch.setattr(channel, "CHANNEL_SITE_CAP", 100)
+    assert design_channel(100, 1.0, 1.0).n_sites == 100
+    assert len(list(sweep.channel_curve((100,), sweep.GridAxis(values=(2.0,))))) == 1
+    with pytest.raises(ResourceCapError):
+        design_channel(102, 1.0, 1.0)
+    with pytest.raises(ResourceCapError):
+        sweep.channel_curve((4, 102), sweep.GridAxis(values=(2.0,)))
+
+
 def test_design_builds_no_dense_block(monkeypatch):
     def dense(*args):
         raise AssertionError("dense path called")

@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import beta_for_target
+
 from xxzchain import closed_forms
 from xxzchain.chain import ChainSpec, build_sector_basis
 from xxzchain.closed_forms import (
-    beta_for_target,
     c13_ground,
     c14_channel,
     c14_ground_regimes,

@@ -11,7 +11,7 @@ from xxzchain import cli as cli_module
 from xxzchain import closed_forms, sweep
 from xxzchain.chain import ChainSpec
 from xxzchain.cli import main
-from xxzchain.channel import design_channel
+from xxzchain.channel import CHANNEL_SITE_CAP, design_channel, ratio_profile
 from xxzchain.closed_forms import c1n_channel, critical_field_3site
 from xxzchain.errors import DomainError, NumericError, ResourceCapError
 from xxzchain.hamiltonian import build_channel
@@ -269,6 +269,25 @@ def test_channel_curve_rejects_odd_n():
     assert "7" in str(err.value) and "9" in str(err.value)
 
 
+@pytest.mark.parametrize("coupling", [1.0, 0.37])
+def test_channel_curve_rows_equal_the_public_route_bit_for_bit(coupling):
+    # every regime edge of the folded blocks: beta = 1 for the antisymmetric
+    # block and (2k + 1)/(2k - 1) for the symmetric one, at each k = N/2
+    n_values = (4, 6, 20, 200, 1000, 2000)
+    edges = tuple((n + 1) / (n - 1) for n in n_values)
+    betas = (0.0, 0.5, 1.0, 1.0 + 1e-12, *edges, 2.0, 20.0, 1e8)
+    rows = list(channel_curve(n_values, GridAxis(values=betas), coupling))
+    assert len(rows) == len(n_values) * len(betas)
+    for n, beta, numeric, _, deviation in rows:
+        design = design_channel(n, coupling, beta * coupling / 2.0)
+        ratios = ratio_profile(design)
+        assert type(design.coefficients) is tuple and type(ratios) is tuple
+        assert numeric == design.boundary_concurrence
+        assert deviation == (max(abs(r - beta) / beta for r in ratios) if beta > 0 else math.inf)
+    # at N = 1000, beta = 20 the far coefficients underflow to 0
+    assert {row[4] for row in rows if row[:2] == (1000, 20.0)} == {math.inf}
+
+
 def test_design_report_four_sites():
     report = design_report(4, 0.99)
     assert report["status"] == "ok"
@@ -345,6 +364,7 @@ def test_design_report_beta_is_the_last_bit_crossing(n, target):
     assert report["achieved"] >= target
     below = design_channel(n, 1.0, np.nextafter(beta, 0.0) / 2.0).boundary_concurrence
     assert below < target
+    assert report["achieved"] == design_channel(n, 1.0, beta / 2.0).boundary_concurrence
     earlier = _EARLIER_BETA[n, target]
     assert abs(beta - earlier) <= 1e-10 * max(1.0, earlier)
 
@@ -579,6 +599,24 @@ def test_cli_resource_cap_exit_code(tmp_path):
     assert main(["phase-scan", "--config", config]) == 3
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("channel", {"n_sites_values": [4, CHANNEL_SITE_CAP + 2], "grid": {"beta": [2.0]}}),
+        ("design", {"n_sites": CHANNEL_SITE_CAP + 2, "target": 0.9}),
+    ],
+)
+def test_cli_over_cap_channel_exits_3_before_allocating(monkeypatch, tmp_path, capsys, command, config):
+    def unallocated(*args, **kwargs):
+        raise AssertionError("a profile was allocated before the cap check")
+
+    monkeypatch.setattr(np, "arange", unallocated)
+    assert main([command, "--config", _write_config(tmp_path, config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"resource cap exceeded: channel of {CHANNEL_SITE_CAP + 2} sites")
+
+
 def test_cli_table1_untabulated_delta_exits_2_without_output(tmp_path, capsys):
     out = tmp_path / "table.csv"
     config = _write_config(tmp_path, {"delta_values": [0.3]})
@@ -651,17 +689,18 @@ def test_cli_overflowing_scale_exits_2_before_any_block_is_built(
 
 @pytest.mark.parametrize("existing", [None, b"old bytes\n"])
 def test_cli_error_inside_the_rows_leaves_out_untouched(monkeypatch, tmp_path, capsys, existing):
-    # the second design fails while the rows are being written into the
-    # temporary file beside --out, after the header and the first row
+    # the second profile solve fails while the rows are being written into
+    # the temporary file beside --out, after the header and the first row
     calls = []
+    ground_profile = sweep._ground_profile
 
     def second_fails(*args):
         calls.append(args)
         if len(calls) == 2:
             raise NumericError("synthetic")
-        return design_channel(*args)
+        return ground_profile(*args)
 
-    monkeypatch.setattr(sweep, "design_channel", second_fails)
+    monkeypatch.setattr(sweep, "_ground_profile", second_fails)
     out = tmp_path / "out.csv"
     if existing is not None:
         out.write_bytes(existing)
