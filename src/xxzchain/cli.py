@@ -10,11 +10,14 @@ import argparse
 import json
 import os
 import sys
+from math import isfinite
+
+import numpy as np
 
 from .chain import ChainSpec, config_number
 from .errors import DomainError, NumericError, ResourceCapError
 from .sweep import (
-    GridAxis,
+    GRID_POINT_CAP,
     channel_curve,
     concurrence_curve,
     design_report,
@@ -26,15 +29,7 @@ _FLOAT_FMT = "%.17g"
 
 
 def _fmt(value) -> str:
-    if type(value) is float:  # nearly every printed value
-        return _FLOAT_FMT % value
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _FLOAT_FMT % value
-    return str(value)
+    return _FLOAT_FMT % value if isinstance(value, float) else str(value)
 
 
 def _emit(header: list[str], rows, out, fmt: str) -> None:
@@ -97,11 +92,34 @@ def _numbers(kind, values, what: str) -> tuple:
     return tuple(config_number(kind, v, what) for v in values)
 
 
-def _axis(config: dict, name: str) -> GridAxis:
+def _axis(config: dict, name: str) -> tuple[float, ...]:
+    """Grid axis ``name``: a ``{"values": [..]}`` object or a bare list, or
+    the inclusive range lo + m step up to hi of a ``{"min", "max", "step"}``
+    object, refused before any of its points is built.  The sweep it is
+    passed to checks the grid (``sweep.check_grid``)."""
     grid = _require(config, "grid")
     if not isinstance(grid, dict) or name not in grid:
         raise DomainError(f"config grid is missing axis {name!r}")
-    return GridAxis.from_config(grid[name])
+    axis = grid[name]
+    if not isinstance(axis, dict) or "values" in axis:
+        return _numbers(float, axis["values"] if isinstance(axis, dict) else axis, "grid values")
+    try:
+        lo, hi, step = [
+            config_number(float, axis[key], f"grid {key}") for key in ("min", "max", "step")
+        ]
+    except KeyError as exc:
+        raise DomainError(f"grid axis needs min/max/step or values: {exc}") from exc
+    if not all(isfinite(v) for v in (lo, hi, step)):
+        raise DomainError(f"grid min, max and step must be finite, got ({lo}, {hi}, {step})")
+    if step <= 0:
+        raise DomainError(f"grid step must be positive, got {step}")
+    if lo > hi:
+        raise DomainError(f"grid needs min <= max, got ({lo}, {hi})")
+    # a float count: (hi - lo) / step may overflow to inf
+    count = np.floor((hi - lo) / step + 1e-9) + 1
+    if count > GRID_POINT_CAP:
+        raise ResourceCapError(f"grid axis with {count:.0f} points exceeds the cap")
+    return tuple(lo + step * m for m in range(int(count)))
 
 
 def _cmd_phase_scan(config: dict):
@@ -155,7 +173,6 @@ def _cmd_design(config: dict):
 
 
 def _cmd_table1(config: dict):
-    deltas = _numbers(float, config.get("delta_values", (0.0, 0.5, 1.0, 2.0)), "delta_values")
     header = [
         "delta",
         "regime",
@@ -172,7 +189,9 @@ def _cmd_table1(config: dict):
         "two_up_energy_numeric",
         "two_up_energy_reference",
     ]
-    return header, table1_rows(deltas)
+    if "delta_values" not in config:
+        return header, table1_rows()
+    return header, table1_rows(_numbers(float, config["delta_values"], "delta_values"))
 
 
 _COMMANDS = {

@@ -35,8 +35,13 @@ The same shift makes the ground level over B the lower envelope of N + 1
 lines, which ``ground_regimes`` walks exactly, on the levels that can be
 ground up to the largest field the walk reads.  One sector's ground state
 (``sector_boundary_concurrence``) runs on one block of the same kind.
-Every block is refused above SECTOR_DIM_CAP states, and every delta or
-field at which the energy scale overflows, before anything is allocated.
+
+Every sweep takes its grid axes as plain sequences of numbers (a one-shot
+iterable too), which ``check_grid`` reads into tuples once, refusing an
+empty axis, a value that is not finite and a grid of more than
+GRID_POINT_CAP points.  Every block is refused above SECTOR_DIM_CAP
+states, and every delta or field at which the energy scale overflows,
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from math import comb, inf, isfinite, nan
 import numpy as np
 
 from . import closed_forms
-from .chain import ChainSpec, SectorBasis, build_sector_basis, config_number
+from .chain import ChainSpec, SectorBasis, build_sector_basis
 from .channel import _check_channel, _ground_profile, _half_length, _ratios
 from .closed_forms import GroundRegime, c1n_channel
 from .eigensolver import DEGENERACY_RTOL, _degeneracy_tolerance, decompose
@@ -64,60 +69,22 @@ SECTOR_DIM_CAP = 3432  # C(14, 7): the largest S^z block decomposed densely
 _CHUNK_ENTRIES = 1 << 12
 
 
-@dataclass(frozen=True)
-class GridAxis:
-    """Either an explicit value list or an inclusive (min, max, step) range."""
-
-    values: tuple[float, ...]
-
-    @classmethod
-    def from_range(cls, lo: float, hi: float, step: float) -> "GridAxis":
-        """The points lo + m step up to hi, refused before any is built."""
-        if not all(isfinite(v) for v in (lo, hi, step)):
-            raise DomainError(f"grid min, max and step must be finite, got ({lo}, {hi}, {step})")
-        if step <= 0:
-            raise DomainError(f"grid step must be positive, got {step}")
-        if lo > hi:
-            raise DomainError(f"grid needs min <= max, got ({lo}, {hi})")
-        # a float count: (hi - lo) / step may overflow to inf
-        count = np.floor((hi - lo) / step + 1e-9) + 1
-        if count > GRID_POINT_CAP:
-            raise ResourceCapError(f"grid axis with {count:.0f} points exceeds the cap")
-        return cls(values=tuple(lo + step * m for m in range(int(count))))
-
-    @classmethod
-    def from_config(cls, obj) -> "GridAxis":
-        if isinstance(obj, dict) and "values" not in obj:
-            try:
-                bounds = [
-                    config_number(float, obj[key], f"grid {key}") for key in ("min", "max", "step")
-                ]
-            except KeyError as exc:
-                raise DomainError(f"grid axis needs min/max/step or values: {exc}") from exc
-            return cls.from_range(*bounds)
-        values = obj["values"] if isinstance(obj, dict) else obj
-        if not isinstance(values, (list, tuple)):
-            raise DomainError(f"cannot interpret grid axis: {obj!r}")
-        return cls(values=tuple(config_number(float, v, "grid values") for v in values))
-
-    def __post_init__(self):
-        if not self.values:
-            raise DomainError("empty grid axis")
-        if not all(isfinite(v) for v in self.values):
-            raise DomainError("grid axis values must be finite")
-        if len(self.values) > GRID_POINT_CAP:
-            raise ResourceCapError(
-                f"grid axis with {len(self.values)} points exceeds the cap"
-            )
-
-
-def check_grid_size(*axes: GridAxis) -> int:
+def check_grid(*axes) -> tuple[tuple, ...]:
+    """Each axis, a sequence of numbers, as a tuple, refused when it is
+    empty or holds a value that is not finite, or when the grid they span
+    has more than GRID_POINT_CAP points."""
+    axes = tuple(map(tuple, axes))
     total = 1
     for axis in axes:
-        total *= len(axis.values)
+        if not axis:
+            raise DomainError("empty grid axis")
+        # an int is finite, and one past the float range would overflow isfinite
+        if not all(isinstance(v, int) or isfinite(v) for v in axis):
+            raise DomainError("grid axis values must be finite")
+        total *= len(axis)
     if total > GRID_POINT_CAP:
         raise ResourceCapError(f"grid of {total} points exceeds the cap of {GRID_POINT_CAP}")
-    return total
+    return axes
 
 
 @dataclass(frozen=True)
@@ -398,23 +365,24 @@ def _phase_points(spectrum: _SectorSpectrum, delta: float, fields):
         )
 
 
-def phase_scan(template: ChainSpec, delta_axis: GridAxis, field_axis: GridAxis):
-    """Classify the ground state over a (delta, B) grid, B a uniform field
-    added to the template's own site fields.
+def phase_scan(template: ChainSpec, deltas, fields):
+    """Classify the ground state over the grid of the sequences ``deltas``
+    and ``fields``, each field B a uniform field added to the template's
+    own site fields.
 
     The label records the magnetization sector of the ground level (the
     smallest one when levels of several sectors tie) plus its rank within
-    that sector, which is 0 by construction.  Caps are checked eagerly,
-    before any node is computed.  The result streams one delta at a time:
-    its whole field axis is evaluated when its first node is read.
+    that sector, which is 0 by construction.  The grid (``check_grid``) and
+    the caps are checked eagerly, before any node is computed.  The result
+    streams one delta at a time: its whole field axis is evaluated when its
+    first node is read.
     """
-    fields = field_axis.values
-    check_grid_size(delta_axis, field_axis)
-    _check_scale(template, delta_axis.values, fields)
+    deltas, fields = check_grid(deltas, fields)
+    _check_scale(template, deltas, fields)
     plan = _BlockPlan(template, (1, template.n_sites))
     return (
         point
-        for delta in delta_axis.values
+        for delta in deltas
         for point in _phase_points(plan.spectrum(delta, fields), delta, fields)
     )
 
@@ -425,7 +393,7 @@ def classify_ground_state(spec: ChainSpec) -> PhasePoint:
     uniform spec reproduces its phase_scan row bit for bit."""
     field = spec.fields[0]
     rest = replace(spec, fields=tuple(b - field for b in spec.fields))
-    (point,) = phase_scan(rest, GridAxis(values=(spec.delta,)), GridAxis(values=(field,)))
+    (point,) = phase_scan(rest, (spec.delta,), (field,))
     return point
 
 
@@ -445,55 +413,48 @@ def sector_boundary_concurrence(spec: ChainSpec, n_up: int) -> float:
     return float(value)
 
 
-def concurrence_curve(
-    template: ChainSpec,
-    pair: tuple[int, int],
-    field_axis: GridAxis,
-    delta_values: tuple[float, ...],
-):
-    """Rows (delta, field, concurrence) for the site pair over the grid, the
-    field a uniform B added to the template's own site fields.
+def concurrence_curve(template: ChainSpec, pair: tuple[int, int], fields, deltas):
+    """Rows (delta, field, concurrence) for the site pair over the grid of
+    the sequences ``fields`` and ``deltas``, each field a uniform B added to
+    the template's own site fields.
 
     Uses the ground-state density (equal mixture across degeneracies); a
     positive template temperature switches to the thermal state instead.
-    The cap and the pair are checked eagerly; rows stream one delta at a
-    time, as in ``phase_scan``.
+    The grid, the cap and the pair are checked eagerly; rows stream one
+    delta at a time, as in ``phase_scan``.
     """
-    fields, temperature = field_axis.values, template.temperature
-    delta_values = tuple(delta_values)
-    check_grid_size(field_axis, GridAxis(values=delta_values))
-    _check_scale(template, delta_values, fields)
+    fields, deltas = check_grid(fields, deltas)
+    temperature = template.temperature
+    _check_scale(template, deltas, fields)
     plan = _BlockPlan(template, pair)
     # a T = 0 row reads only the levels that can be ground at its field
     ground_fields = None if temperature > 0 else fields
     return (
         (float(delta), float(field), float(value))
-        for delta in delta_values
+        for delta in deltas
         for field, value in zip(
             fields, plan.spectrum(delta, ground_fields).field_rows(fields, temperature)[-1]
         )
     )
 
 
-def channel_curve(
-    n_values: tuple[int, ...], beta_axis: GridAxis, coupling: float = 1.0
-):
-    """Rows (N, beta, numeric C1N, profile-formula C1N, max ratio deviation),
-    read off the profile array, bit for bit those of ``design_channel`` and
-    ``ratio_profile``; each N (capped at channel.CHANNEL_SITE_CAP), J and
-    bulk field beta J / 2 is checked before the first row."""
-    n_values = tuple(n_values)
+def channel_curve(n_values, betas, coupling: float = 1.0):
+    """Rows (N, beta, numeric C1N, profile-formula C1N, max ratio deviation)
+    over the grid of the sequences ``n_values`` and ``betas``, read off the
+    profile array, bit for bit those of ``design_channel`` and
+    ``ratio_profile``; the grid, each N (capped at channel.CHANNEL_SITE_CAP),
+    J and bulk field beta J / 2 are checked before the first row."""
+    n_values, betas = check_grid(n_values, betas)
     odd = [n for n in n_values if n % 2 or n < 4]
     if odd:
         raise DomainError(f"channel curve needs even N >= 4, got {odd}")
-    check_grid_size(GridAxis(values=n_values), beta_axis)
     _half_length(max(n_values))
-    for beta in beta_axis.values:
+    for beta in betas:
         _check_channel(coupling, beta * coupling / 2.0)
 
     def rows():
         for n in n_values:
-            for beta in beta_axis.values:
+            for beta in betas:
                 _, numeric, coeffs = _ground_profile(n, coupling, beta * coupling / 2.0)
                 closed = c1n_channel(beta, n // 2) if beta > 1.0 else nan
                 ratios = _ratios(coeffs)
@@ -598,24 +559,24 @@ def _regimes(plan: _BlockPlan, delta: float) -> tuple[GroundRegime, ...]:
     )
 
 
-def table1_rows(delta_values: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)):
+def table1_rows(deltas=(0.0, 0.5, 1.0, 2.0)):
     """Numeric regime table printed beside the quoted reference values:
     ``ground_regimes`` of the uniform 4-site chain, one plan for every delta.
 
     Columns: delta, regime index, numeric/reference boundaries and maxima,
     two-up zero-field energies, and absolute deltas where both sides exist.
-    Every delta must be tabulated (closed_forms.TABLE_4SITE); that is
-    checked before the first row is computed.
+    ``deltas`` is a sequence; every delta must be tabulated
+    (closed_forms.TABLE_4SITE), which is checked with the grid before the
+    first row is computed.
     """
-    delta_values = tuple(delta_values)
-    check_grid_size(GridAxis(values=delta_values))
-    references = [closed_forms.c14_ground_regimes(delta) for delta in delta_values]
+    (deltas,) = check_grid(deltas)
+    references = [closed_forms.c14_ground_regimes(delta) for delta in deltas]
     plan = _BlockPlan(ChainSpec.uniform(4), (1, 4))
     return (
         (float(delta), r, num.n_up, num.b_min, num.b_max, ref.b_min, ref.b_max,
          abs(num.b_min - ref.b_min), abs(num.b_max - ref.b_max) if ref.b_max != inf else 0.0,
          num.c14_max, ref.c14_max, abs(num.c14_max - ref.c14_max),
          *(nan if e is None else e for e in (num.energy_at_zero_field, ref.energy_at_zero_field)))
-        for delta, reference in zip(delta_values, references)
+        for delta, reference in zip(deltas, references)
         for r, (num, ref) in enumerate(zip(_regimes(plan, delta), reference))
     )

@@ -4,7 +4,10 @@ import contextlib
 import io
 import math
 import re
+import types
 from pathlib import Path
+
+import xxzchain
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +38,15 @@ def test_quick_start_prints_the_values_its_comments_state():
     for got, want in zip(printed, stated):
         assert len(got.split()) == len(want.split()), (got, want)
         assert all(_same_token(a, b) for a, b in zip(got.split(), want.split())), (got, want)
+
+
+def test_namespace_sentence_names_exactly_the_public_package_attributes():
+    text = README.read_text(encoding="utf-8")
+    (sentence,) = re.findall(r"^The package namespace .*?;", text, re.M | re.S)
+    named = set(re.findall(r"`(\w+)`", sentence))
+    public = {
+        name
+        for name, value in vars(xxzchain).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert named == public

@@ -16,9 +16,8 @@ from xxzchain.closed_forms import c1n_channel, critical_field_3site
 from xxzchain.errors import DomainError, NumericError, ResourceCapError
 from xxzchain.hamiltonian import build_channel
 from xxzchain.sweep import (
-    GridAxis,
     channel_curve,
-    check_grid_size,
+    check_grid,
     classify_ground_state,
     concurrence_curve,
     design_report,
@@ -30,30 +29,39 @@ from xxzchain.sweep import (
 SQRT5 = math.sqrt(5.0)
 
 
+def _config_axis(obj):
+    """The CLI's reading of one grid axis config ``obj``."""
+    return cli_module._axis({"grid": {"B": obj}}, "B")
+
+
+def _range(lo, hi, step):
+    return _config_axis({"min": lo, "max": hi, "step": step})
+
+
 def test_grid_axis_from_range_inclusive():
-    axis = GridAxis.from_range(0.0, 1.0, 0.25)
-    assert axis.values == (0.0, 0.25, 0.5, 0.75, 1.0)
+    axis = _range(0.0, 1.0, 0.25)
+    assert axis == (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def test_grid_axis_validation():
     with pytest.raises(DomainError):
-        GridAxis.from_range(0.0, 1.0, 0.0)
+        _range(0.0, 1.0, 0.0)
     with pytest.raises(DomainError):
-        GridAxis.from_range(1.0, 0.0, 0.5)
+        _range(1.0, 0.0, 0.5)
     with pytest.raises(DomainError):
-        GridAxis(values=())
+        check_grid(())
     with pytest.raises(DomainError):
-        GridAxis.from_config({"min": 0.0, "max": 1.0})
+        _config_axis({"min": 0.0, "max": 1.0})
     with pytest.raises(DomainError):
-        GridAxis.from_config([0.5, True])
+        _config_axis([0.5, True])
     with pytest.raises(DomainError):
-        GridAxis.from_config({"min": False, "max": 1.0, "step": 0.5})
+        _config_axis({"min": False, "max": 1.0, "step": 0.5})
 
 
 def test_grid_axis_from_config_forms():
-    assert GridAxis.from_config([1, 2]).values == (1.0, 2.0)
-    assert GridAxis.from_config({"values": [3]}).values == (3.0,)
-    assert GridAxis.from_config({"min": 0, "max": 1, "step": 0.5}).values == (
+    assert _config_axis([1, 2]) == (1.0, 2.0)
+    assert _config_axis({"values": [3]}) == (3.0,)
+    assert _config_axis({"min": 0, "max": 1, "step": 0.5}) == (
         0.0,
         0.5,
         1.0,
@@ -72,7 +80,7 @@ def test_grid_axis_from_config_forms():
 )
 def test_grid_axis_from_range_refuses_non_finite_bounds(bounds):
     with pytest.raises(DomainError):
-        GridAxis.from_range(*bounds)
+        _range(*bounds)
 
 
 @pytest.mark.parametrize("bounds", [(0.0, 2e6, 1.0), (-1e308, 1e308, 1e-300)])
@@ -80,7 +88,7 @@ def test_grid_axis_from_range_refuses_a_huge_range_before_building_it(bounds):
     tracemalloc.start()
     try:
         with pytest.raises(ResourceCapError):
-            GridAxis.from_range(*bounds)
+            _range(*bounds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -89,9 +97,9 @@ def test_grid_axis_from_range_refuses_a_huge_range_before_building_it(bounds):
 
 
 def test_grid_size_cap():
-    axis = GridAxis.from_range(0.0, 1.0, 0.001)
+    axis = _range(0.0, 1.0, 0.001)
     with pytest.raises(ResourceCapError):
-        check_grid_size(axis, axis)
+        check_grid(axis, axis)
 
 
 def test_phase_scan_three_site_label_flip():
@@ -100,8 +108,8 @@ def test_phase_scan_three_site_label_flip():
     points = list(
         phase_scan(
             template,
-            GridAxis(values=(1.0,)),
-            GridAxis.from_range(0.0, 2.0, step),
+            (1.0,),
+            tuple(step * m for m in range(41)),
         )
     )
     flips = [p.field for p in points if p.n_up == 0]
@@ -119,8 +127,8 @@ def test_phase_scan_four_site_flips_at_table_boundaries():
     points = list(
         phase_scan(
             template,
-            GridAxis(values=(0.0,)),
-            GridAxis.from_range(0.0, 1.2, step),
+            (0.0,),
+            tuple(step * m for m in range(61)),
         )
     )
     first_one_up = next(p.field for p in points if p.n_up == 1)
@@ -131,19 +139,13 @@ def test_phase_scan_four_site_flips_at_table_boundaries():
 
 def test_phase_scan_respects_full_space_cap():
     with pytest.raises(ResourceCapError):
-        next(
-            phase_scan(
-                ChainSpec.uniform(15),
-                GridAxis(values=(0.0,)),
-                GridAxis(values=(0.0,)),
-            )
-        )
+        next(phase_scan(ChainSpec.uniform(15), (0.0,), (0.0,)))
 
 
 def test_sweeps_cap_sites_by_their_largest_sector(monkeypatch):
     # C(14, 7) = 3432 states pass; C(15, 7) = 6435 are refused before any
     # basis is built (rows are lazy, so the 14-site calls decompose nothing)
-    axis = GridAxis(values=(0.0,))
+    axis = (0.0,)
     phase_scan(ChainSpec.uniform(14), axis, axis)
     concurrence_curve(ChainSpec.uniform(14), (1, 14), axis, (0.0,))
 
@@ -165,7 +167,7 @@ def test_curve_checks_its_pair_when_called(monkeypatch):
         raise AssertionError("a basis was built before the pair check")
 
     monkeypatch.setattr(sweep, "build_sector_basis", unbuilt)
-    axis = GridAxis(values=(0.0,))
+    axis = (0.0,)
     for pair in ((1, 9), (2, 2), (0, 3)):
         with pytest.raises(DomainError):
             concurrence_curve(ChainSpec.uniform(4), pair, axis, (0.0,))
@@ -196,7 +198,7 @@ def test_curve_three_site_plateau():
     template = ChainSpec.uniform(3)
     rows = list(
         concurrence_curve(
-            template, (1, 3), GridAxis.from_range(0.1, 1.0, 0.1), (0.0,)
+            template, (1, 3), tuple(0.1 + 0.1 * m for m in range(10)), (0.0,)
         )
     )
     for _, b, c in rows:
@@ -210,7 +212,7 @@ def test_curve_four_site_plateau_matches_table():
     template = ChainSpec.uniform(4)
     rows = list(
         concurrence_curve(
-            template, (1, 4), GridAxis.from_range(0.8, 1.6, 0.2), (1.0,)
+            template, (1, 4), tuple(0.8 + 0.2 * m for m in range(5)), (1.0,)
         )
     )
     for _, b, c in rows:
@@ -220,22 +222,20 @@ def test_curve_four_site_plateau_matches_table():
 def test_curve_strong_field_kills_concurrence():
     template = ChainSpec.uniform(3)
     rows = list(
-        concurrence_curve(template, (1, 3), GridAxis(values=(10.0,)), (0.5,))
+        concurrence_curve(template, (1, 3), (10.0,), (0.5,))
     )
     assert rows[0][2] == 0.0
 
 
 def test_curve_thermal_template():
     template = ChainSpec.uniform(3, temperature=0.2)
-    ((_, _, c_hot),) = concurrence_curve(
-        template, (1, 3), GridAxis(values=(0.5,)), (0.0,)
-    )
+    ((_, _, c_hot),) = concurrence_curve(template, (1, 3), (0.5,), (0.0,))
     assert 0.0 < c_hot < 0.5
 
 
 def test_curve_at_a_subnormal_temperature_is_its_ground_curve():
     # every gap over T = 1e-310 overflows to inf, with no RuntimeWarning
-    fields, deltas = GridAxis.from_range(0.0, 2.0, 0.25), (0.0, 0.5, 1.0)
+    fields, deltas = tuple(0.25 * m for m in range(9)), (0.0, 0.5, 1.0)
     cold = list(concurrence_curve(ChainSpec.uniform(4, temperature=1e-310), (1, 4), fields, deltas))
     ground = list(concurrence_curve(ChainSpec.uniform(4), (1, 4), fields, deltas))
     assert [row[:2] for row in cold] == [row[:2] for row in ground]
@@ -243,7 +243,7 @@ def test_curve_at_a_subnormal_temperature_is_its_ground_curve():
 
 
 def test_channel_curve_rows():
-    rows = list(channel_curve((4, 8), GridAxis(values=(5.0, 10.0, 12.0))))
+    rows = list(channel_curve((4, 8), (5.0, 10.0, 12.0)))
     assert len(rows) == 6
     for n, beta, numeric, closed, deviation in rows:
         assert closed == pytest.approx(c1n_channel(beta, n // 2), abs=1e-15)
@@ -256,16 +256,14 @@ def test_channel_curve_rows():
 
 
 def test_channel_curve_near_flat_beta():
-    ((_, _, numeric, closed, _),) = channel_curve(
-        (8,), GridAxis(values=(1.0 + 1e-6,))
-    )
+    ((_, _, numeric, closed, _),) = channel_curve((8,), (1.0 + 1e-6,))
     assert closed == pytest.approx(0.25, abs=1e-5)  # 1/k at beta -> 1+
     assert 0.0 < numeric < 1.0
 
 
 def test_channel_curve_rejects_odd_n():
     with pytest.raises(DomainError) as err:
-        list(channel_curve((4, 7, 9), GridAxis(values=(5.0,))))
+        list(channel_curve((4, 7, 9), (5.0,)))
     assert "7" in str(err.value) and "9" in str(err.value)
 
 
@@ -276,7 +274,7 @@ def test_channel_curve_rows_equal_the_public_route_bit_for_bit(coupling):
     n_values = (4, 6, 20, 200, 1000, 2000)
     edges = tuple((n + 1) / (n - 1) for n in n_values)
     betas = (0.0, 0.5, 1.0, 1.0 + 1e-12, *edges, 2.0, 20.0, 1e8)
-    rows = list(channel_curve(n_values, GridAxis(values=betas), coupling))
+    rows = list(channel_curve(n_values, betas, coupling))
     assert len(rows) == len(n_values) * len(betas)
     for n, beta, numeric, _, deviation in rows:
         design = design_channel(n, coupling, beta * coupling / 2.0)
@@ -457,17 +455,24 @@ def test_regimes_of_seeded_chains_tile_the_field_axis_as_classified(n):
 @pytest.mark.parametrize(
     "rows_of, values",
     [
-        (lambda v: concurrence_curve(ChainSpec.uniform(4), (1, 4), GridAxis(values=(0.0, 0.5)), v),
+        (lambda v: concurrence_curve(ChainSpec.uniform(4), (1, 4), (0.0, 0.5), v),
          (0.0, 1.0)),
         (table1_rows, (0.0, 0.5)),
-        (lambda v: channel_curve(v, GridAxis(values=(5.0, 10.0))), (4, 8)),
+        (lambda v: channel_curve(v, (5.0, 10.0)), (4, 8)),
+        (lambda v: phase_scan(ChainSpec.uniform(4), v, (0.0, 0.5)), (0.0, 1.0)),
+        (lambda v: phase_scan(ChainSpec.uniform(4), (0.0, 1.0), v), (0.0, 0.5)),
+        (lambda v: concurrence_curve(ChainSpec.uniform(4), (1, 4), v, (0.0, 1.0)), (0.0, 0.5)),
+        (lambda v: channel_curve((4, 8), v), (5.0, 10.0)),
     ],
-    ids=["concurrence_curve", "table1_rows", "channel_curve"],
+    ids=["concurrence_curve", "table1_rows", "channel_curve", "phase_scan_deltas",
+         "phase_scan_fields", "concurrence_curve_fields", "channel_curve_betas"],
 )
 def test_sweeps_read_a_one_shot_iterable_like_a_tuple(rows_of, values):
     expected = list(rows_of(values))
     assert len(expected) in (4, 6)
     assert repr(list(rows_of(iter(values)))) == repr(expected)
+    assert repr(list(rows_of(v for v in values))) == repr(expected)
+    assert repr(list(rows_of(list(values)))) == repr(expected)
 
 
 def test_table1_rows_check_every_delta_before_the_first_row():
@@ -523,9 +528,7 @@ def test_cli_curve_csv_deterministic_and_exact(tmp_path):
     template = ChainSpec.uniform(3)
     for line in lines[1:]:
         delta, b, c = (float(x) for x in line.split(","))
-        ((_, _, fresh),) = concurrence_curve(
-            template, (1, 3), GridAxis(values=(b,)), (delta,)
-        )
+        ((_, _, fresh),) = concurrence_curve(template, (1, 3), (b,), (delta,))
         assert c == fresh
 
 
@@ -615,6 +618,16 @@ def test_cli_over_cap_channel_exits_3_before_allocating(monkeypatch, tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"resource cap exceeded: channel of {CHANNEL_SITE_CAP + 2} sites")
+
+
+def test_cli_channel_length_past_the_float_range_exits_3(tmp_path, capsys):
+    # a JSON integer too large for a float: the grid check reads it as finite
+    # (isfinite would raise OverflowError), and the length cap refuses it
+    config = {"n_sites_values": [4, 10**400], "grid": {"beta": [2.0]}}
+    assert main(["channel", "--config", _write_config(tmp_path, config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"resource cap exceeded: channel of {10**400} sites")
 
 
 def test_cli_table1_untabulated_delta_exits_2_without_output(tmp_path, capsys):
@@ -766,13 +779,13 @@ class _Writes(io.StringIO):
 
 
 def test_csv_emission_bytes_and_one_write_per_row():
-    row = (True, False, 7, -3, "ok", -0.0, 1e-300, math.nan, math.inf, -math.inf, 0.1,
-           np.float64(0.1), np.int64(5))
+    row = (7, -3, "ok", -0.0, 1e-300, math.nan, math.inf, -math.inf, 0.1, np.float64(0.1),
+           np.int64(5))
     out = _Writes()
     cli_module._emit(["h1", "h2"], [row, (1.5,)], out, "csv")
     assert out.getvalue() == (
         "h1,h2\n"
-        "1,0,7,-3,ok,-0,1e-300,nan,inf,-inf,0.10000000000000001,"
+        "7,-3,ok,-0,1e-300,nan,inf,-inf,0.10000000000000001,"
         "0.10000000000000001,5\n"
         "1.5\n"
     )

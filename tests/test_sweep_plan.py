@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from xxzchain import sweep
 from xxzchain.chain import ChainSpec
 from xxzchain.sweep import (
-    GridAxis,
     _BlockPlan,
     classify_ground_state,
     concurrence_curve,
@@ -60,7 +59,7 @@ def test_a_phase_scan_builds_each_block_once(monkeypatch, couplings):
     bases = _count(monkeypatch, "build_sector_basis")
     blocks = _count(monkeypatch, "_hopping")
     solves = _count(monkeypatch, "decompose")
-    rows = list(phase_scan(template, GridAxis(values=deltas), GridAxis(values=(0.0, 0.8, 2.5))))
+    rows = list(phase_scan(template, deltas, (0.0, 0.8, 2.5)))
     assert len(rows) == 12
     # zero field: the spin flip leaves blocks k = 0..3 to decompose
     assert [args[1] for args in bases] == [0, 1, 2, 3]
@@ -77,7 +76,7 @@ def test_a_curve_builds_each_block_once(monkeypatch, couplings, temperature):
     bases = _count(monkeypatch, "build_sector_basis")
     blocks = _count(monkeypatch, "_hopping")
     solves = _count(monkeypatch, "decompose")
-    rows = list(concurrence_curve(template, (6, 2), GridAxis(values=(0.0, 0.4, 1.2)), deltas))
+    rows = list(concurrence_curve(template, (6, 2), (0.0, 0.4, 1.2), deltas))
     assert len(rows) == 9
     assert len(bases) == len(blocks) == 4
     assert len(solves) == len(deltas) * per_delta
@@ -179,7 +178,7 @@ def test_a_many_fold_ground_space_classifies_as_its_phase_scan_row():
     # sectors, whose mixture sums many distinct pair-data rows
     template = ChainSpec.uniform(6, delta=-1.0)
     fields = (0.0, 0.7, 2.5)
-    scan = list(phase_scan(template, GridAxis(values=(-1.0,)), GridAxis(values=fields)))
+    scan = list(phase_scan(template, (-1.0,), fields))
     point = classify_ground_state(template)
     assert point == scan[0]
     assert (point.n_up, point.degeneracy) == (0, 7)
@@ -196,8 +195,8 @@ def test_a_many_fold_ground_space_keeps_its_curve_row_whatever_the_grid(weak):
     # degeneracy window, so the window must keep them all
     template = ChainSpec(6, (1.0, weak, 1.0, weak, 1.0), (0.0,) * 6, 0.0)
     grid = (-1.0, 0.25, 0.5, 3.0)
-    rows = list(concurrence_curve(template, (1, 2), GridAxis(values=grid), (0.0,)))
-    ((_, _, single),) = concurrence_curve(template, (1, 2), GridAxis(values=(0.5,)), (0.0,))
+    rows = list(concurrence_curve(template, (1, 2), grid, (0.0,)))
+    ((_, _, single),) = concurrence_curve(template, (1, 2), (0.5,), (0.0,))
     assert rows[2][2] == single
     assert abs(single - 0.5) <= 1e-10
     full = _BlockPlan(template, (1, 2)).spectrum(0.0)

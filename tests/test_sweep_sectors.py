@@ -23,7 +23,7 @@ from xxzchain.entanglement import (
     thermal_state,
 )
 from xxzchain.hamiltonian import build_full, build_sector
-from xxzchain.sweep import GridAxis, classify_ground_state, concurrence_curve, phase_scan
+from xxzchain.sweep import classify_ground_state, concurrence_curve, phase_scan
 
 ENERGY_TOL = 1e-12  # times (1 + |E|)
 CONCURRENCE_TOL = 1e-12
@@ -93,7 +93,7 @@ def test_cross_sector_tie_takes_the_smallest_sector(n, delta, n_up):
     spec = replace(template, fields=(0.0,) * n)
     points = [classify_ground_state(spec) for _ in range(2)]
     points += [
-        next(iter(phase_scan(template, GridAxis(values=(delta,)), GridAxis(values=(0.0,)))))
+        next(iter(phase_scan(template, (delta,), (0.0,))))
         for _ in range(2)
     ]
     assert all(p == points[0] for p in points)
@@ -111,7 +111,7 @@ def test_phase_scan_matches_dense_diagonalization():
         delta = float(rng.choice([0.0, 1.0, rng.uniform(-1.0, 2.0)]))
         fields = sorted({0.0, *_crossing_fields(template, delta)[: n // 2 + 1],
                          float(rng.uniform(0.0, 2.0))})
-        points = list(phase_scan(template, GridAxis(values=(delta,)), GridAxis(values=tuple(fields))))
+        points = list(phase_scan(template, (delta,), fields))
         assert [p.field for p in points] == fields
         for p in points:
             spec = replace(template, delta=delta, fields=(p.field,) * n)
@@ -133,7 +133,7 @@ def test_concurrence_curve_matches_dense_diagonalization(temperature):
         i = int(rng.integers(1, n))
         j = int(rng.integers(i + 1, n + 1))
         for pair in ((i, j), (j, i), (1, n)):
-            rows = list(concurrence_curve(template, pair, GridAxis(values=tuple(fields)), (delta,)))
+            rows = list(concurrence_curve(template, pair, fields, (delta,)))
             for d, b, c in rows:
                 spec = replace(template, delta=d, fields=(b,) * n)
                 assert abs(c - _dense(spec, pair)[3]) <= CONCURRENCE_TOL
@@ -143,7 +143,7 @@ def test_thermal_noise_floor_row_is_exact():
     # the pair state's |00> population is ~1e-13 here; the Wootters kernel
     # clips it to zero and reports 6.65e-07
     template = ChainSpec.uniform(6, temperature=0.1)
-    ((_, _, value),) = concurrence_curve(template, (1, 6), GridAxis(values=(1.5,)), (0.0,))
+    ((_, _, value),) = concurrence_curve(template, (1, 6), (1.5,), (0.0,))
     spec = replace(template, fields=(1.5,) * 6)
     rho = reduce_pair_mixed(thermal_state(spec, decompose(build_full(spec))), 1, 6)
     assert abs(_xstate_value(rho.matrix) - 5.139275261744773e-07) <= 1e-12
@@ -179,7 +179,7 @@ def test_cli_phase_scan_rows_equal_single_point_recomputation(tmp_path):
         delta, b, n_up, rank, energy, ties, c = line.split(",")
         delta, b = float(delta), float(b)
         point = classify_ground_state(replace(template, delta=delta, fields=(b,) * 5))
-        (fresh,) = phase_scan(template, GridAxis(values=(delta,)), GridAxis(values=(b,)))
+        (fresh,) = phase_scan(template, (delta,), (b,))
         assert point == fresh
         assert (point.n_up, point.sector_rank, point.degeneracy) == (int(n_up), int(rank), int(ties))
         assert (point.ground_energy, point.boundary_concurrence) == (float(energy), float(c))
@@ -198,5 +198,5 @@ def test_cli_thermal_curve_rows_equal_single_point_recomputation(tmp_path):
     template = ChainSpec.from_dict(spec)
     for line in lines[1:]:
         delta, b, c = (float(x) for x in line.split(","))
-        ((_, _, fresh),) = concurrence_curve(template, (2, 5), GridAxis(values=(b,)), (delta,))
+        ((_, _, fresh),) = concurrence_curve(template, (2, 5), (b,), (delta,))
         assert c == fresh

@@ -19,7 +19,6 @@ from xxzchain.channel import impurity_profile_chain
 from xxzchain.eigensolver import decompose
 from xxzchain.hamiltonian import build_channel
 from xxzchain.sweep import (
-    GridAxis,
     _BlockPlan,
     _phase_points,
     classify_ground_state,
@@ -141,7 +140,7 @@ def test_classify_with_a_palindromic_field_splits_every_block(monkeypatch):
 def test_uniform_ten_site_delta_decomposes_eleven_halves(monkeypatch):
     dims = _record_dims(monkeypatch)
     template = ChainSpec.uniform(10)
-    points = list(phase_scan(template, GridAxis(values=(1.0,)), GridAxis(values=(0.0, 0.5, 2.0))))
+    points = list(phase_scan(template, (1.0,), (0.0, 0.5, 2.0)))
     assert len(points) == 3
     # blocks k = 0..5 only; block 0 is one self-mirror state
     assert len(dims) == 11 and max(dims) == 126
@@ -202,10 +201,10 @@ def test_sweeps_add_the_field_to_the_specs_own_site_fields(shape):
         spec = ChainSpec(n, couplings, tuple(fields), float(rng.uniform(-1.0, 2.0)))
     deltas = (spec.delta, float(rng.uniform(-1.0, 2.0)))
     fields = (0.0, 0.125, float(rng.uniform(0.2, 1.5)))
-    points = iter(phase_scan(spec, GridAxis(values=deltas), GridAxis(values=fields)))
+    points = iter(phase_scan(spec, deltas, fields))
     for temperature in (0.0, 0.3):
         template = replace(spec, temperature=temperature)
-        curve = iter(concurrence_curve(template, (2, 5), GridAxis(values=fields), deltas))
+        curve = iter(concurrence_curve(template, (2, 5), fields, deltas))
         for delta in deltas:
             for b in fields:
                 shifted = replace(spec, delta=delta, fields=tuple(f + b for f in spec.fields))
