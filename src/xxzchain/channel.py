@@ -182,14 +182,14 @@ def _block_ground(
     return x - 2.0 * coupling * (math.cosh(q) if bound else math.cos(q)), q, bound
 
 
-def _ground_profile(
-    n_sites: int, coupling: float, bulk_field: float
-) -> tuple[float, float, np.ndarray]:
-    """Ground energy, boundary concurrence and half-profile coefficients
-    (those below the smallest normal float stored as 0) of the antisymmetric
-    block, for parameters ``_check_channel`` accepted.
+def _ground_profiles(
+    n_sites: int, coupling: float, bulk_fields
+) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """Ground energies, boundary concurrences and half-profile coefficients
+    (one row per field; those below the smallest normal float stored as 0)
+    of the antisymmetric block, for parameters ``_check_channel`` accepted.
 
-    Both blocks are k x k tridiagonal with a uniform bulk, so the ground
+    Both blocks are k x k tridiagonal with a uniform bulk, so each ground
     energy is the root of one scalar secular equation (bisection to the last
     bit) and the ground vector has the closed form
     s_j = cosh((k + 1/2 - j) p) (beta > 1), 1 (beta = 1) or
@@ -198,33 +198,36 @@ def _ground_profile(
     e^{-(j-1) p} (1 + e^{-(2k+1-2j) p}), so every coefficient carries full
     relative accuracy, however far below the boundary amplitude it falls.
     No dense matrix is built.
+
+    The roots stay scalar ``math`` bisections, as numpy's exp and expm1 differ
+    from libm's in the last bit on a few percent of inputs; the profiles of
+    all fields are then built as one (fields, k) array, each row bit for bit
+    the one a single field gives.
     """
     k = _half_length(n_sites)
-    e_anti, q, bound = _block_ground(k, coupling, bulk_field, antisymmetric=True)
+    energies, q, bound = zip(*[_block_ground(k, coupling, b, True) for b in bulk_fields])
     # the symmetric ground energy lies between e_anti and x + 2J, so a finite
     # e_anti bounds it too
-    if not math.isfinite(e_anti):
+    if not all(map(math.isfinite, energies)):
         raise DomainError("channel parameters exceed the floating-point range")
-
-    sites = np.arange(k)
-    if bound:
-        s = np.exp(-q * sites) * (1.0 + np.exp(-q * (2 * k - 1 - 2 * sites)))
-    else:
-        s = np.cos(q * (k - 0.5 - sites))
-    v = s / math.sqrt(float(s @ s))
-    v[1::2] *= -1.0
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
+    q, bound, sites = np.array(q)[:, None], np.array(bound), np.arange(k)
+    s = np.empty((len(energies), k))
+    s[bound] = np.exp(-q[bound] * sites) * (1.0 + np.exp(-q[bound] * (2 * k - 1 - 2 * sites)))
+    s[~bound] = np.cos(q[~bound] * (k - 0.5 - sites))
+    v = s / np.array([math.sqrt(float(row @ row)) for row in s])[:, None]
+    v[:, 1::2] *= -1.0
+    v[v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)] < 0] *= -1.0
     coeffs = v / math.sqrt(2.0)
     coeffs[np.abs(coeffs) < np.finfo(float).tiny] = 0.0
-    return e_anti, float(v[0] * v[0]), coeffs
+    return energies, v[:, 0] * v[:, 0], coeffs
 
 
 def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelDesign:
     """Solve the folded channel exactly and read off the boundary concurrence.
 
-    The profile is ``_ground_profile``'s, packed into a tuple; the sweeps
-    read the same array unpacked, so they print the same bits.
+    The profile is row 0 of a one-field ``_ground_profiles`` call, packed
+    into a tuple; the sweeps read the rows of the same kernel unpacked, so
+    they print the same bits.
 
     For J > 0 the antisymmetric block's ground energy is strictly below the
     symmetric one (its fold corner is lower by 2J and the ground vector has
@@ -240,7 +243,7 @@ def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelD
     """
     _check_channel(coupling, bulk_field)
     j, b = float(coupling), float(bulk_field)
-    e_anti, c1n, coeffs = _ground_profile(n_sites, j, b)
+    (e_anti,), (c1n,), (coeffs,) = _ground_profiles(n_sites, j, (b,))
     return ChannelDesign(
         n_sites=n_sites,
         coupling=j,
@@ -248,15 +251,15 @@ def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelD
         beta=2.0 * b / j,
         ground_energy=e_anti,
         coefficients=tuple(coeffs.tolist()),
-        boundary_concurrence=c1n,
+        boundary_concurrence=float(c1n),
     )
 
 
 def _ratios(coefficients: np.ndarray) -> np.ndarray:
-    """|c_j / c_{j+1}| of a coefficient array; inf where c_{j+1} is 0."""
+    """|c_j / c_{j+1}| along the last axis of an array; inf where c_{j+1} is 0."""
     c = np.abs(coefficients)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(c[1:] > 0.0, c[:-1] / c[1:], np.inf)
+        return np.where(c[..., 1:] > 0.0, c[..., :-1] / c[..., 1:], np.inf)
 
 
 def ratio_profile(design: ChannelDesign) -> tuple[float, ...]:

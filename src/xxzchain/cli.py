@@ -73,7 +73,7 @@ def _load_config(path: str | None) -> dict:
             obj = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8, an integer past 4300 digits
         raise DomainError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DomainError("config must be a JSON object")

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import closed_forms
 from .chain import ChainSpec, SectorBasis, build_sector_basis
-from .channel import _check_channel, _ground_profile, _half_length, _ratios
+from .channel import _check_channel, _ground_profiles, _half_length, _ratios
 from .closed_forms import GroundRegime, c1n_channel
 from .eigensolver import DEGENERACY_RTOL, _degeneracy_tolerance, decompose
 from .entanglement import _pair_maps, _pair_rows, _pair_sites_checked, xstate_concurrences
@@ -443,7 +443,13 @@ def channel_curve(n_values, betas, coupling: float = 1.0):
     over the grid of the sequences ``n_values`` and ``betas``, read off the
     profile array, bit for bit those of ``design_channel`` and
     ``ratio_profile``; the grid, each N (capped at channel.CHANNEL_SITE_CAP),
-    J and bulk field beta J / 2 are checked before the first row."""
+    J and bulk field beta J / 2 are checked before the first row.
+
+    Each N solves its betas in chunks of _CHUNK_ENTRIES // k (at least one):
+    one ``_ground_profiles`` call gives the chunk's profiles as one array,
+    and its ratio deviations follow in one pass, so memory stays bounded by
+    the chunk, not the beta axis.  An error of that kernel (a bulk field at
+    which the energy overflows) is raised before the chunk's first row."""
     n_values, betas = check_grid(n_values, betas)
     odd = [n for n in n_values if n % 2 or n < 4]
     if odd:
@@ -454,12 +460,17 @@ def channel_curve(n_values, betas, coupling: float = 1.0):
 
     def rows():
         for n in n_values:
-            for beta in betas:
-                _, numeric, coeffs = _ground_profile(n, coupling, beta * coupling / 2.0)
-                closed = c1n_channel(beta, n // 2) if beta > 1.0 else nan
-                ratios = _ratios(coeffs)
-                deviation = float(np.max(np.abs(ratios - beta) / beta)) if beta > 0 else inf
-                yield (n, float(beta), numeric, closed, deviation)
+            step = max(1, _CHUNK_ENTRIES // (n // 2))
+            for start in range(0, len(betas), step):
+                chunk = betas[start : start + step]
+                fields = [beta * coupling / 2.0 for beta in chunk]
+                _, numeric, coeffs = _ground_profiles(n, coupling, fields)
+                b = np.array(chunk, dtype=float)[:, None]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    deviations = np.max(np.abs(_ratios(coeffs) - b) / b, axis=1)
+                for beta, c1n, deviation in zip(chunk, numeric.tolist(), deviations.tolist()):
+                    closed = c1n_channel(beta, n // 2) if beta > 1.0 else nan
+                    yield (n, float(beta), c1n, closed, deviation if beta > 0 else inf)
 
     return rows()
 
@@ -477,7 +488,7 @@ def design_report(n_sites: int, target: float, coupling: float = 1.0) -> dict:
 
     def achieved(beta: float) -> float:
         _check_channel(coupling, beta * coupling / 2.0)
-        return _ground_profile(n_sites, coupling, beta * coupling / 2.0)[1]
+        return float(_ground_profiles(n_sites, coupling, (beta * coupling / 2.0,))[1][0])
 
     def report(status: str, beta: float) -> dict:
         return {

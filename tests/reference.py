@@ -5,11 +5,12 @@ direct route, something the library obtains another way.
 """
 
 import io
+import math
 
 import numpy as np
 
 from xxzchain.chain import build_sector_basis, site_mask
-from xxzchain.channel import fold_single_excitation
+from xxzchain.channel import _block_ground, fold_single_excitation
 from xxzchain.closed_forms import BETA_CAP, c1n_channel
 from xxzchain.eigensolver import DEGENERACY_RTOL, decompose
 from xxzchain.entanglement import SPIN_FLIP, TwoQubitDensityMatrix, pair_xstate_data
@@ -156,3 +157,24 @@ def beta_for_target(target: float, k: int, beta_cap: float = BETA_CAP) -> float:
         else:
             lo = mid
     return hi
+
+
+def scalar_ground_profile(n_sites: int, coupling: float, bulk_field: float):
+    """Ground energy, boundary concurrence and half-profile coefficients of
+    one field by the one-dimensional route: the profile closed form on a
+    length-k vector, normalised by its own dot product, sign-fixed and
+    scaled, with nothing shared between fields."""
+    k = n_sites // 2
+    e_anti, q, bound = _block_ground(k, coupling, bulk_field, antisymmetric=True)
+    sites = np.arange(k)
+    if bound:
+        s = np.exp(-q * sites) * (1.0 + np.exp(-q * (2 * k - 1 - 2 * sites)))
+    else:
+        s = np.cos(q * (k - 0.5 - sites))
+    v = s / math.sqrt(float(s @ s))
+    v[1::2] *= -1.0
+    if v[np.argmax(np.abs(v))] < 0:
+        v = -v
+    coeffs = v / math.sqrt(2.0)
+    coeffs[np.abs(coeffs) < np.finfo(float).tiny] = 0.0
+    return e_anti, float(v[0] * v[0]), coeffs

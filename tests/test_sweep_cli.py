@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import scalar_ground_profile
+
 from xxzchain import cli as cli_module
-from xxzchain import closed_forms, sweep
+from xxzchain import channel, closed_forms, sweep
 from xxzchain.chain import ChainSpec
 from xxzchain.cli import main
 from xxzchain.channel import CHANNEL_SITE_CAP, design_channel, ratio_profile
@@ -284,6 +286,51 @@ def test_channel_curve_rows_equal_the_public_route_bit_for_bit(coupling):
         assert deviation == (max(abs(r - beta) / beta for r in ratios) if beta > 0 else math.inf)
     # at N = 1000, beta = 20 the far coefficients underflow to 0
     assert {row[4] for row in rows if row[:2] == (1000, 20.0)} == {math.inf}
+
+
+def _bits(row):
+    return tuple(v.hex() if isinstance(v, float) else v for v in row)
+
+
+def test_channel_curve_rows_equal_per_beta_designs_across_chunk_edges():
+    # N = 2000 (k = 1000) spreads the betas over chunks of four; N = 10000
+    # and 20002 have k > _CHUNK_ENTRIES, so each of their chunks holds one beta
+    n_values = (4, 6, 40, 1000, 2000, 10000, 20002)
+    betas = (0.0, 0.3, 0.99, 1.0, 1.0 + 1e-7, 1.5, 2.0, 3.0, 10.0, 1e4, 1e8)
+    assert len(betas) > 2 * (sweep._CHUNK_ENTRIES // 1000)
+    assert 10000 // 2 > sweep._CHUNK_ENTRIES
+    rows = iter(channel_curve(n_values, betas))
+    for n in n_values:
+        fields = [beta / 2.0 for beta in betas]
+        _, numeric, chunk = channel._ground_profiles(n, 1.0, fields)
+        for beta, c1n, row in zip(betas, numeric.tolist(), chunk):
+            design = design_channel(n, 1.0, beta / 2.0)
+            _, (single_c1n,), (single,) = channel._ground_profiles(n, 1.0, (beta / 2.0,))
+            assert design.coefficients == tuple(single.tolist())
+            assert design.boundary_concurrence == single_c1n == c1n
+            e_ref, c1n_ref, row_ref = scalar_ground_profile(n, 1.0, beta / 2.0)
+            assert (design.ground_energy, c1n) == (e_ref, c1n_ref)
+            assert row.tobytes() == single.tobytes() == row_ref.tobytes()
+            deviation = (
+                max(abs(r - beta) / beta for r in ratio_profile(design)) if beta > 0 else math.inf
+            )
+            closed = c1n_channel(beta, n // 2) if beta > 1.0 else math.nan
+            expected = (n, beta, design.boundary_concurrence, closed, deviation)
+            assert _bits(next(rows)) == _bits(expected)
+    assert next(rows, None) is None
+
+
+def test_channel_curve_memory_follows_the_chunk_not_the_beta_axis():
+    betas = tuple(1.5 + 0.01 * m for m in range(1000))
+    tracemalloc.start()
+    try:
+        for _ in channel_curve((1000,), betas):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one unchunked 1000 x 500 profile array alone would take about 4 MB
+    assert peak < 1024 * 1024
 
 
 def test_design_report_four_sites():
@@ -630,6 +677,28 @@ def test_cli_channel_length_past_the_float_range_exits_3(tmp_path, capsys):
     assert captured.err.startswith(f"resource cap exceeded: channel of {10**400} sites")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # an integer of more than 4300 digits
+        b'{"n_sites_values": [' + b"1" * 5000 + b'], "grid": {"beta": [2.0]}}',
+        b'{"n_sites_values": [4], "grid": {"beta": [2.0]}}\xff',
+    ],
+    ids=["integer_past_the_digit_limit", "invalid_utf8"],
+)
+def test_cli_config_value_errors_of_json_load_exit_2(tmp_path, capsys, text):
+    # json.load raises a plain ValueError or UnicodeDecodeError here, not
+    # JSONDecodeError
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    out = tmp_path / "out.csv"
+    assert main(["channel", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: config is not valid JSON: ")
+    assert not out.exists()
+
+
 def test_cli_table1_untabulated_delta_exits_2_without_output(tmp_path, capsys):
     out = tmp_path / "table.csv"
     config = _write_config(tmp_path, {"delta_values": [0.3]})
@@ -702,22 +771,23 @@ def test_cli_overflowing_scale_exits_2_before_any_block_is_built(
 
 @pytest.mark.parametrize("existing", [None, b"old bytes\n"])
 def test_cli_error_inside_the_rows_leaves_out_untouched(monkeypatch, tmp_path, capsys, existing):
-    # the second profile solve fails while the rows are being written into
-    # the temporary file beside --out, after the header and the first row
+    # the second profile solve (N = 6's chunk of betas) fails while the rows
+    # are being written into the temporary file beside --out, after the
+    # header and N = 4's rows
     calls = []
-    ground_profile = sweep._ground_profile
+    ground_profiles = sweep._ground_profiles
 
     def second_fails(*args):
         calls.append(args)
         if len(calls) == 2:
             raise NumericError("synthetic")
-        return ground_profile(*args)
+        return ground_profiles(*args)
 
-    monkeypatch.setattr(sweep, "_ground_profile", second_fails)
+    monkeypatch.setattr(sweep, "_ground_profiles", second_fails)
     out = tmp_path / "out.csv"
     if existing is not None:
         out.write_bytes(existing)
-    config = {"n_sites_values": [4], "grid": {"beta": [2.0, 3.0, 4.0]}}
+    config = {"n_sites_values": [4, 6], "grid": {"beta": [2.0, 3.0, 4.0]}}
     assert main(["channel", "--config", _write_config(tmp_path, config), "--out", str(out)]) == 4
     assert len(calls) == 2
     assert "numeric failure: synthetic" in capsys.readouterr().err
