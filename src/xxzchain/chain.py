@@ -28,18 +28,25 @@ def config_number(kind, value, what: str):
     """``value`` from a config document converted by ``kind`` (int or float).
 
     Anything that is not a number of that kind is a config error rather than
-    a silent conversion: booleans (JSON true would read as 1), and for int a
-    value with a fractional part (int() would truncate it).
+    a silent conversion: strings (int("3") would parse one), booleans (JSON
+    true would read as 1), and for int a fractional value (int() truncates).
     """
-    if isinstance(value, bool) or (
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
         kind is int and isinstance(value, float) and not value.is_integer()
     ):
         noun = "an integer" if kind is int else "a number"
         raise DomainError(f"config {what!r} must be {noun}, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:  # an integer past the float range
         raise DomainError(f"config {what!r} must be a number, got {value!r}") from exc
+
+
+def config_numbers(kind, values, what: str) -> tuple:
+    """A config list of numbers, each read by ``config_number``."""
+    if not isinstance(values, (list, tuple)):
+        raise DomainError(f"config {what!r} must be a list of numbers, got {values!r}")
+    return tuple(config_number(kind, v, what) for v in values)
 
 
 def site_mask(site: int, n_sites: int) -> int:
@@ -117,8 +124,8 @@ class ChainSpec:
     def from_dict(cls, obj: dict) -> "ChainSpec":
         try:
             n_sites = config_number(int, obj["n_sites"], "n_sites")
-            couplings = tuple(config_number(float, j, "couplings") for j in obj["couplings"])
-            fields = tuple(config_number(float, b, "fields") for b in obj["fields"])
+            couplings = config_numbers(float, obj["couplings"], "couplings")
+            fields = config_numbers(float, obj["fields"], "fields")
             delta = config_number(float, obj["delta"], "delta")
             temperature = config_number(float, obj.get("temperature", 0.0), "temperature")
         except (KeyError, TypeError) as exc:
@@ -129,7 +136,7 @@ class ChainSpec:
     def from_json(cls, text: str) -> "ChainSpec":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, an integer past 4300 digits
             raise DomainError(f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise DomainError("chain document must be a JSON object")

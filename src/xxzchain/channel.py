@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec
-from .eigensolver import DEGENERACY_RTOL
+from .eigensolver import _degeneracy_tolerance
 from .errors import DomainError, ResourceCapError
 
 # a design and its ratio profile peak at 36 B per site (tracemalloc): 360 MB
@@ -63,7 +63,7 @@ class ChannelDesign:
         k = _half_length(self.n_sites)
         e_sym, _, _ = _block_ground(k, self.coupling, self.bulk_field, antisymmetric=False)
         e_anti = self.ground_energy
-        return abs(e_sym - e_anti) <= DEGENERACY_RTOL * (1.0 + abs(min(e_sym, e_anti)))
+        return bool(abs(e_sym - e_anti) <= _degeneracy_tolerance(min(e_sym, e_anti)))
 
 
 def _half_length(n_sites: int) -> int:
@@ -185,16 +185,17 @@ def _block_ground(
 def _ground_profiles(
     n_sites: int, coupling: float, bulk_fields
 ) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
-    """Ground energies, boundary concurrences and half-profile coefficients
+    """Ground energies, boundary concurrences and unsigned half-profiles |c_j|
     (one row per field; those below the smallest normal float stored as 0)
     of the antisymmetric block, for parameters ``_check_channel`` accepted.
 
     Both blocks are k x k tridiagonal with a uniform bulk, so each ground
     energy is the root of one scalar secular equation (bisection to the last
-    bit) and the ground vector has the closed form
+    bit) and the ground vector has the closed form (-1)^j s_j, s_j >= 0:
     s_j = cosh((k + 1/2 - j) p) (beta > 1), 1 (beta = 1) or
-    cos((k + 1/2 - j) theta) (beta < 1), with alternating signs and the
-    largest-magnitude entry positive.  The profile is evaluated in O(k) as
+    cos((k + 1/2 - j) theta) (beta < 1).  The sweeps read only c_0^2 and
+    |c_j / c_{j+1}|; ``design_channel`` signs its one row.  The profile is
+    evaluated in O(k) as
     e^{-(j-1) p} (1 + e^{-(2k+1-2j) p}), so every coefficient carries full
     relative accuracy, however far below the boundary amplitude it falls.
     No dense matrix is built.
@@ -215,8 +216,6 @@ def _ground_profiles(
     s[bound] = np.exp(-q[bound] * sites) * (1.0 + np.exp(-q[bound] * (2 * k - 1 - 2 * sites)))
     s[~bound] = np.cos(q[~bound] * (k - 0.5 - sites))
     v = s / np.array([math.sqrt(float(row @ row)) for row in s])[:, None]
-    v[:, 1::2] *= -1.0
-    v[v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)] < 0] *= -1.0
     coeffs = v / math.sqrt(2.0)
     coeffs[np.abs(coeffs) < np.finfo(float).tiny] = 0.0
     return energies, v[:, 0] * v[:, 0], coeffs
@@ -225,9 +224,10 @@ def _ground_profiles(
 def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelDesign:
     """Solve the folded channel exactly and read off the boundary concurrence.
 
-    The profile is row 0 of a one-field ``_ground_profiles`` call, packed
-    into a tuple; the sweeps read the rows of the same kernel unpacked, so
-    they print the same bits.
+    The profile is row 0 of a one-field ``_ground_profiles`` call, given
+    the library's one sign rule (signs alternate, the first largest-magnitude
+    coefficient positive) and packed into a tuple; the sweeps read the
+    unsigned rows of the same kernel, so they print the same bits.
 
     For J > 0 the antisymmetric block's ground energy is strictly below the
     symmetric one (its fold corner is lower by 2J and the ground vector has
@@ -244,6 +244,9 @@ def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelD
     _check_channel(coupling, bulk_field)
     j, b = float(coupling), float(bulk_field)
     (e_anti,), (c1n,), (coeffs,) = _ground_profiles(n_sites, j, (b,))
+    # signs alternate, the first largest entry positive; 0 - c keeps a 0 at +0
+    flip = slice(1 - int(np.argmax(coeffs)) % 2, None, 2)
+    coeffs[flip] = 0.0 - coeffs[flip]
     return ChannelDesign(
         n_sites=n_sites,
         coupling=j,

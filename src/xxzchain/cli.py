@@ -14,7 +14,7 @@ from math import isfinite
 
 import numpy as np
 
-from .chain import ChainSpec, config_number
+from .chain import ChainSpec, config_number, config_numbers
 from .errors import DomainError, NumericError, ResourceCapError
 from .sweep import (
     GRID_POINT_CAP,
@@ -86,12 +86,6 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _numbers(kind, values, what: str) -> tuple:
-    if not isinstance(values, (list, tuple)):
-        raise DomainError(f"config {what!r} must be a list of numbers, got {values!r}")
-    return tuple(config_number(kind, v, what) for v in values)
-
-
 def _axis(config: dict, name: str) -> tuple[float, ...]:
     """Grid axis ``name``: a ``{"values": [..]}`` object or a bare list, or
     the inclusive range lo + m step up to hi of a ``{"min", "max", "step"}``
@@ -102,7 +96,8 @@ def _axis(config: dict, name: str) -> tuple[float, ...]:
         raise DomainError(f"config grid is missing axis {name!r}")
     axis = grid[name]
     if not isinstance(axis, dict) or "values" in axis:
-        return _numbers(float, axis["values"] if isinstance(axis, dict) else axis, "grid values")
+        values = axis["values"] if isinstance(axis, dict) else axis
+        return config_numbers(float, values, "grid values")
     try:
         lo, hi, step = [
             config_number(float, axis[key], f"grid {key}") for key in ("min", "max", "step")
@@ -144,16 +139,16 @@ def _cmd_phase_scan(config: dict):
 
 def _cmd_curve(config: dict):
     template = ChainSpec.from_dict(_require(config, "spec"))
-    pair = _require(config, "pair")
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+    pair = config_numbers(int, _require(config, "pair"), "pair")
+    if len(pair) != 2:
         raise DomainError("config 'pair' must be a two-element list [i, j]")
-    deltas = _numbers(float, config.get("delta_values", [template.delta]), "delta_values")
-    rows = concurrence_curve(template, _numbers(int, pair, "pair"), _axis(config, "B"), deltas)
+    deltas = config_numbers(float, config.get("delta_values", [template.delta]), "delta_values")
+    rows = concurrence_curve(template, pair, _axis(config, "B"), deltas)
     return ["delta", "B", "concurrence"], rows
 
 
 def _cmd_channel(config: dict):
-    n_values = _numbers(int, _require(config, "n_sites_values"), "n_sites_values")
+    n_values = config_numbers(int, _require(config, "n_sites_values"), "n_sites_values")
     coupling = config_number(float, config.get("coupling", 1.0), "coupling")
     rows = channel_curve(n_values, _axis(config, "beta"), coupling)
     return (
@@ -191,7 +186,7 @@ def _cmd_table1(config: dict):
     ]
     if "delta_values" not in config:
         return header, table1_rows()
-    return header, table1_rows(_numbers(float, config["delta_values"], "delta_values"))
+    return header, table1_rows(config_numbers(float, config["delta_values"], "delta_values"))
 
 
 _COMMANDS = {

@@ -1,9 +1,9 @@
 """Deterministic real-symmetric eigendecomposition.
 
 numpy.linalg.eigh (LAPACK) does the factorization; this wrapper pins the
-contract the physics modules rely on: eigenvalues ascending, eigenvectors
-sign-canonicalized (largest-magnitude entry positive), and bit-for-bit
-reproducibility for identical input.
+contract: eigenvalues ascending, LAPACK's eigenvectors with no sign chosen
+(every state built from one is a sum of products of its entries, exact under
+negation), bit-for-bit reproducible for identical input and thread count.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class SpectralDecomposition:
 
 
 def decompose(matrix: np.ndarray) -> SpectralDecomposition:
-    """Full decomposition of a real symmetric matrix."""
+    """Full decomposition of a real symmetric matrix, read-only arrays."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
@@ -43,13 +43,6 @@ def decompose(matrix: np.ndarray) -> SpectralDecomposition:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-
-    # sign canonicalization: largest-magnitude entry of each vector positive
-    # (argmax takes the first maximum, so ties resolve deterministically)
-    cols = np.arange(v.shape[1])
-    pivots = np.argmax(np.abs(v), axis=0)
-    v[:, v[pivots, cols] < 0] *= -1.0
-
     w.setflags(write=False)
     v.setflags(write=False)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)

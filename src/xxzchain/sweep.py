@@ -55,7 +55,7 @@ from . import closed_forms
 from .chain import ChainSpec, SectorBasis, build_sector_basis
 from .channel import _check_channel, _ground_profiles, _half_length, _ratios
 from .closed_forms import GroundRegime, c1n_channel
-from .eigensolver import DEGENERACY_RTOL, _degeneracy_tolerance, decompose
+from .eigensolver import _degeneracy_tolerance, decompose
 from .entanglement import _pair_maps, _pair_rows, _pair_sites_checked, xstate_concurrences
 from .errors import DomainError, ResourceCapError
 from .hamiltonian import _dense, _diagonal_terms, _hopping
@@ -215,17 +215,17 @@ def _ground_window(spec: ChainSpec, delta: float, ground_fields) -> float:
     can lie and still be ground at one of the uniform ``ground_fields``.
 
     At a uniform field B the ground test keeps the levels within
-    DEGENERACY_RTOL (1 + |E0(B)|) of the lowest, E0(B), and
+    ``_degeneracy_tolerance(E0(B))`` of the lowest, E0(B), and
     E0(B) <= min_k + B (2k - N) for the lowest level min_k of each block k.
     A level more than that window above its own block's lowest, or its own
     part's, which lies at or above the block's, can never be ground.
-    |E0(B)| is at most the operator norm (``_norm_bound``); twice the window
-    of that bound leaves a wide margin for the rounding of the shifted
-    levels.  A pruned level only ever added exact zeros to a row, so the
-    rows are those of every level kept, bit for bit.
+    |E0(B)| is at most the operator norm (``_norm_bound``); twice the
+    tolerance at that bound leaves a wide margin for the rounding of the
+    shifted levels.  A pruned level only ever added exact zeros to a row, so
+    the rows are those of every level kept, bit for bit.
     """
     reach = max(map(abs, ground_fields), default=0.0)
-    return 2.0 * DEGENERACY_RTOL * (1.0 + _norm_bound(spec, delta, reach))
+    return 2.0 * _degeneracy_tolerance(_norm_bound(spec, delta, reach))
 
 
 def _check_scale(spec: ChainSpec, deltas, fields) -> None:

@@ -162,8 +162,9 @@ def beta_for_target(target: float, k: int, beta_cap: float = BETA_CAP) -> float:
 def scalar_ground_profile(n_sites: int, coupling: float, bulk_field: float):
     """Ground energy, boundary concurrence and half-profile coefficients of
     one field by the one-dimensional route: the profile closed form on a
-    length-k vector, normalised by its own dot product, sign-fixed and
-    scaled, with nothing shared between fields."""
+    length-k vector, normalised by its own dot product, scaled and then
+    signed (alternating, largest-magnitude coefficient positive), with
+    nothing shared between fields."""
     k = n_sites // 2
     e_anti, q, bound = _block_ground(k, coupling, bulk_field, antisymmetric=True)
     sites = np.arange(k)
@@ -172,9 +173,9 @@ def scalar_ground_profile(n_sites: int, coupling: float, bulk_field: float):
     else:
         s = np.cos(q * (k - 0.5 - sites))
     v = s / math.sqrt(float(s @ s))
-    v[1::2] *= -1.0
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
     coeffs = v / math.sqrt(2.0)
+    coeffs[1::2] *= -1.0
+    if coeffs[np.argmax(np.abs(coeffs))] < 0:
+        coeffs = -coeffs
     coeffs[np.abs(coeffs) < np.finfo(float).tiny] = 0.0
     return e_anti, float(v[0] * v[0]), coeffs

@@ -111,3 +111,19 @@ def test_chain_spec_from_json_rejects_garbage():
                 {"fields": [0, False, 0]}, {"delta": True}, {"temperature": False}):
         with pytest.raises(DomainError):
             ChainSpec.from_dict({**good, **bad})
+
+
+def test_chain_spec_from_dict_refuses_strings():
+    # int("3") and float("0.5") would parse these, and a string list would
+    # be read one character at a time
+    good = {"n_sites": 3, "couplings": [1, 1], "fields": [0, 0, 0], "delta": 0}
+    for bad in ({"n_sites": "3"}, {"couplings": "11"}, {"fields": "000"},
+                {"couplings": [1, "1"]}, {"delta": "0.5"}, {"temperature": "0"}):
+        with pytest.raises(DomainError, match="must be"):
+            ChainSpec.from_dict({**good, **bad})
+
+
+def test_chain_spec_from_json_refuses_an_integer_past_the_digit_limit():
+    # json.loads raises a plain ValueError here, not JSONDecodeError
+    with pytest.raises(DomainError, match="invalid JSON"):
+        ChainSpec.from_json('{"n_sites": ' + "1" * 5000 + "}")

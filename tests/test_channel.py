@@ -233,13 +233,36 @@ def test_design_vector_matches_dense_vector(n):
 
 
 def test_design_signs_alternate_with_largest_entry_positive():
-    for beta in (0.5, 1.0, 3.0):
-        coeffs = np.asarray(design_channel(12, 1.0, beta / 2).coefficients)
+    # just below beta = 1 the largest coefficients tie after scaling, though
+    # the unscaled profile still ranks them by an ulp: the rule reads the
+    # stored coefficients, so the first of the tied ones is positive
+    cases = [(12, 0.5), (12, 1.0), (12, 3.0),
+             (10, 0.9999999999999997), (256, 0.99999999999997), (1000, 0.99999999999999)]
+    for n, beta in cases:
+        coeffs = np.asarray(design_channel(n, 1.0, beta / 2).coefficients)
         assert np.all(coeffs[:-1] * coeffs[1:] < 0)
         assert coeffs[np.argmax(np.abs(coeffs))] > 0
     # beta < 1 piles the weight up at the fold, beta > 1 at the boundary
     assert np.argmax(np.abs(design_channel(12, 1.0, 0.25).coefficients)) == 5
     assert np.argmax(np.abs(design_channel(12, 1.0, 1.5).coefficients)) == 0
+
+
+def test_design_stores_underflowed_coefficients_as_positive_zero():
+    coeffs = np.asarray(design_channel(2000, 1.0, 1e8 / 2).coefficients)
+    assert np.any(coeffs[1::2] == 0.0)
+    assert not np.any(np.signbit(coeffs[coeffs == 0.0]))
+
+
+def test_ground_profiles_are_unsigned():
+    # the rows the sweeps read are the profile magnitudes: no entry, not
+    # even a zero, carries a sign bit
+    n_values = (4, 6, 40, 1000, 2000, 10000, 20002)
+    betas = (0.0, 0.3, 0.99, 1.0, 1.0 + 1e-7, 1.5, 2.0, 3.0, 10.0, 1e4, 1e8)
+    for coupling in (1.0, 0.37):
+        fields = [beta * coupling / 2.0 for beta in betas]
+        for n in n_values:
+            _, _, coeffs = channel._ground_profiles(n, coupling, fields)
+            assert not np.any(np.signbit(coeffs)), (n, coupling)
 
 
 @pytest.mark.parametrize("n,beta", [(40, 20.0), (1000, 5.0)])
@@ -462,4 +485,4 @@ def test_sector_routes_import_no_dense_path(module):
 def test_channel_takes_only_the_degeneracy_tolerance_from_the_numeric_layers():
     imports = _package_imports(channel)
     assert "hamiltonian" not in imports and "entanglement" not in imports
-    assert imports["eigensolver"] == {"DEGENERACY_RTOL"}
+    assert imports["eigensolver"] == {"_degeneracy_tolerance"}

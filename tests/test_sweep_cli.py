@@ -306,11 +306,13 @@ def test_channel_curve_rows_equal_per_beta_designs_across_chunk_edges():
         for beta, c1n, row in zip(betas, numeric.tolist(), chunk):
             design = design_channel(n, 1.0, beta / 2.0)
             _, (single_c1n,), (single,) = channel._ground_profiles(n, 1.0, (beta / 2.0,))
-            assert design.coefficients == tuple(single.tolist())
             assert design.boundary_concurrence == single_c1n == c1n
             e_ref, c1n_ref, row_ref = scalar_ground_profile(n, 1.0, beta / 2.0)
+            assert design.coefficients == tuple(row_ref.tolist())
+            assert np.array(design.coefficients).tobytes() == row_ref.tobytes()
             assert (design.ground_energy, c1n) == (e_ref, c1n_ref)
-            assert row.tobytes() == single.tobytes() == row_ref.tobytes()
+            # the kernel rows are the unsigned profile
+            assert row.tobytes() == single.tobytes() == np.abs(row_ref).tobytes()
             deviation = (
                 max(abs(r - beta) / beta for r in ratio_profile(design)) if beta > 0 else math.inf
             )
@@ -739,6 +741,31 @@ def test_cli_bad_config_values_exit_2(tmp_path, capsys, command, config):
     assert main([command, "--config", _write_config(tmp_path, config), "--out", str(out)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("phase-scan",
+         {"spec": {"n_sites": "3", "couplings": "11", "fields": "000", "delta": "0.5"},
+          "grid": _SCAN_GRID}),
+        ("phase-scan", {"spec": {**_SCAN_SPEC, "couplings": "11"}, "grid": _SCAN_GRID}),
+        ("channel", {"n_sites_values": ["4"], "grid": {"beta": ["2"]}}),
+        ("channel", {"n_sites_values": [4], "grid": {"beta": {"min": "1", "max": 2, "step": 1}}}),
+        ("design", {"n_sites": 20, "target": "0.99"}),
+    ],
+)
+def test_cli_string_config_values_exit_2(tmp_path, capsys, command, config):
+    # numeric strings used to be parsed, and a string list read character by
+    # character: these ran and exited 0
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", _write_config(tmp_path, config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert not out.exists()
+    assert main([command, "--config", _write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

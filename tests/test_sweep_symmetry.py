@@ -6,7 +6,7 @@ symmetry-blocked decomposition alone: same rows to roundoff, the same
 labels, and the symmetry used exactly when the spec has it.
 """
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 from math import comb
 
 import numpy as np
@@ -16,13 +16,14 @@ from reference import dense_sector_concurrence, plain_block_spectrum
 from xxzchain import sweep
 from xxzchain.chain import ChainSpec
 from xxzchain.channel import impurity_profile_chain
-from xxzchain.eigensolver import decompose
+from xxzchain.eigensolver import SpectralDecomposition, decompose
 from xxzchain.hamiltonian import build_channel
 from xxzchain.sweep import (
     _BlockPlan,
     _phase_points,
     classify_ground_state,
     concurrence_curve,
+    ground_regimes,
     phase_scan,
     sector_boundary_concurrence,
 )
@@ -218,3 +219,47 @@ def test_sweeps_add_the_field_to_the_specs_own_site_fields(shape):
                     assert abs(p.ground_energy - q.ground_energy) <= ROW_TOL * scale
                     assert abs(p.boundary_concurrence - q.boundary_concurrence) <= ROW_TOL
     assert next(points, None) is None
+
+
+def _sweep_rows(spec: ChainSpec) -> str:
+    """Every row kind the block core prints for ``spec``, as the repr of its
+    floats (exact to the last bit, signed zeros included)."""
+    n = spec.n_sites
+    deltas = (spec.delta, -0.5, 1.0)
+    fields = (0.0, 0.125, 0.9, 2.5)
+    rows = [astuple(p) for p in phase_scan(spec, deltas, fields)]
+    for temperature in (0.0, 0.3):
+        template = replace(spec, temperature=temperature)
+        for pair in ((1, n), (2, n - 1)):
+            rows += list(concurrence_curve(template, pair, fields, deltas))
+    rows += [astuple(r) for r in ground_regimes(spec)]
+    rows += [sector_boundary_concurrence(spec, k) for k in range(n + 1)]
+    return repr(rows)
+
+
+@pytest.mark.parametrize("shape", ["palindromic", "generic"])
+def test_sweep_rows_ignore_the_sign_of_every_eigenvector(monkeypatch, shape):
+    # each row is a sum of products of one vector's entries, so negating any
+    # set of eigenvector columns leaves every bit of it
+    n = 6
+    rng = np.random.default_rng(["palindromic", "generic"].index(shape) + 40)
+    if shape == "palindromic":
+        spec = ChainSpec(n, _palindrome(rng, n - 1), (0.0,) * n, 0.4)
+    else:
+        spec = ChainSpec(
+            n, tuple(rng.uniform(0.3, 1.5, n - 1)), tuple(rng.uniform(-1.0, 1.0, n)), 0.4
+        )
+    expected = _sweep_rows(spec)
+    flips = np.random.default_rng(7)
+    flipped = []
+
+    def negating(matrix):
+        dec = decompose(matrix)
+        negate = flips.random(dec.order) < 0.5
+        flipped.append(int(np.count_nonzero(negate)))
+        vectors = np.where(negate, -dec.eigenvectors, dec.eigenvectors)
+        return SpectralDecomposition(dec.eigenvalues, vectors)
+
+    monkeypatch.setattr(sweep, "decompose", negating)
+    assert _sweep_rows(spec) == expected
+    assert sum(flipped) > 0
