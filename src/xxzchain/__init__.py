@@ -6,9 +6,8 @@ types; everything else, the sweeps and the dense full-space path included,
 is imported from its submodule (``xxzchain.sweep``, ...)."""
 
 from .chain import ChainSpec
-from .channel import design_channel
+from .channel import design_channel, design_report
 from .closed_forms import c1n_channel
 from .errors import DomainError, NumericError, ResourceCapError
-from .sweep import design_report
 
 __version__ = "0.1.0"

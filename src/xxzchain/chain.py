@@ -1,4 +1,4 @@
-"""Chain specifications, the global spin convention, and magnetization sectors.
+"""Chain specifications, spin convention, sectors, and config and grid checks.
 
 Spin convention, fixed once for the whole library:
 
@@ -18,10 +18,24 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceCapError
 
 # Default cap on n_sites whenever a full 2^N-dimensional object is built.
 FULL_SPACE_CAP = 14
+GRID_POINT_CAP = 10**6
+
+# Most entries one temporary of ``sweep._SectorSpectrum.field_rows`` (levels x
+# fields) or ``channel.channel_curve`` (betas x k) holds; an axis is walked in
+# chunks of that size, so memory does not grow with the grid.
+_CHUNK_ENTRIES = 1 << 12
+
+
+def as_float(value, what: str) -> float:
+    """``value`` as a float; an int past the float range is a DomainError."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise DomainError(f"{what} must lie in the float range, got {value!r}") from exc
 
 
 def config_number(kind, value, what: str):
@@ -36,10 +50,7 @@ def config_number(kind, value, what: str):
     ):
         noun = "an integer" if kind is int else "a number"
         raise DomainError(f"config {what!r} must be {noun}, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError as exc:  # an integer past the float range
-        raise DomainError(f"config {what!r} must be a number, got {value!r}") from exc
+    return int(value) if kind is int else as_float(value, f"config {what!r}")
 
 
 def config_numbers(kind, values, what: str) -> tuple:
@@ -47,6 +58,24 @@ def config_numbers(kind, values, what: str) -> tuple:
     if not isinstance(values, (list, tuple)):
         raise DomainError(f"config {what!r} must be a list of numbers, got {values!r}")
     return tuple(config_number(kind, v, what) for v in values)
+
+
+def check_grid(*axes) -> tuple[tuple, ...]:
+    """Each axis, a sequence of numbers, as a tuple, refused when it is
+    empty or holds a value that is not finite, or when the grid they span
+    has more than GRID_POINT_CAP points."""
+    axes = tuple(map(tuple, axes))
+    total = 1
+    for axis in axes:
+        if not axis:
+            raise DomainError("empty grid axis")
+        # an int is finite, and one past the float range would overflow isfinite
+        if not all(isinstance(v, int) or isfinite(v) for v in axis):
+            raise DomainError("grid axis values must be finite")
+        total *= len(axis)
+    if total > GRID_POINT_CAP:
+        raise ResourceCapError(f"grid of {total} points exceeds the cap of {GRID_POINT_CAP}")
+    return axes
 
 
 def site_mask(site: int, n_sites: int) -> int:
@@ -72,10 +101,11 @@ class ChainSpec:
     def __post_init__(self):
         if self.n_sites < 2:
             raise DomainError(f"n_sites must be >= 2, got {self.n_sites}")
-        object.__setattr__(self, "couplings", tuple(float(j) for j in self.couplings))
-        object.__setattr__(self, "fields", tuple(float(b) for b in self.fields))
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "temperature", float(self.temperature))
+        for name in ("couplings", "fields"):
+            values = tuple(as_float(v, name) for v in getattr(self, name))
+            object.__setattr__(self, name, values)
+        for name in ("delta", "temperature"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         if len(self.couplings) != self.n_sites - 1:
             raise DomainError(
                 f"expected {self.n_sites - 1} couplings, got {len(self.couplings)}"

@@ -6,9 +6,11 @@ boundary concurrence that approaches 1 as 2B/J grows.  The single-
 excitation sector splits under the mirror symmetry of the chain into two
 k x k tridiagonal blocks (N = 2k) with a uniform bulk, whose ground states
 have closed forms: a design is one scalar secular equation plus an O(k)
-profile, so any chain up to CHANNEL_SITE_CAP sites is routine.  Arbitrary
-coupling profiles, such as ``impurity_profile_chain``, go through the sector
-ground-state route of the sweep core (``sweep.sector_boundary_concurrence``).
+profile, so any chain up to CHANNEL_SITE_CAP sites is routine.  One kernel
+(``_ground_profiles``) serves ``design_channel`` and the two CLI routes,
+``channel_curve`` and ``design_report``.  Arbitrary coupling profiles,
+such as ``impurity_profile_chain``, go through the sector ground-state route
+of the sweep core (``sweep.sector_boundary_concurrence``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec
+from . import closed_forms
+from .chain import _CHUNK_ENTRIES, ChainSpec, as_float, check_grid
+from .closed_forms import c1n_channel
 from .eigensolver import _degeneracy_tolerance
 from .errors import DomainError, ResourceCapError
 
@@ -193,12 +197,11 @@ def _ground_profiles(
     energy is the root of one scalar secular equation (bisection to the last
     bit) and the ground vector has the closed form (-1)^j s_j, s_j >= 0:
     s_j = cosh((k + 1/2 - j) p) (beta > 1), 1 (beta = 1) or
-    cos((k + 1/2 - j) theta) (beta < 1).  The sweeps read only c_0^2 and
+    cos((k + 1/2 - j) theta) (beta < 1).  The CLI routes read only c_0^2 and
     |c_j / c_{j+1}|; ``design_channel`` signs its one row.  The profile is
-    evaluated in O(k) as
-    e^{-(j-1) p} (1 + e^{-(2k+1-2j) p}), so every coefficient carries full
-    relative accuracy, however far below the boundary amplitude it falls.
-    No dense matrix is built.
+    evaluated in O(k) as e^{-(j-1) p} (1 + e^{-(2k+1-2j) p}), so every
+    coefficient carries full relative accuracy, however far below the
+    boundary amplitude it falls.  No dense matrix is built.
 
     The roots stay scalar ``math`` bisections, as numpy's exp and expm1 differ
     from libm's in the last bit on a few percent of inputs; the profiles of
@@ -226,7 +229,7 @@ def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelD
 
     The profile is row 0 of a one-field ``_ground_profiles`` call, given
     the library's one sign rule (signs alternate, the first largest-magnitude
-    coefficient positive) and packed into a tuple; the sweeps read the
+    coefficient positive) and packed into a tuple; the CLI routes read the
     unsigned rows of the same kernel, so they print the same bits.
 
     For J > 0 the antisymmetric block's ground energy is strictly below the
@@ -241,8 +244,8 @@ def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelD
     limit, plainly flagged, not roundoff.  A chain over CHANNEL_SITE_CAP
     sites raises ResourceCapError.
     """
-    _check_channel(coupling, bulk_field)
-    j, b = float(coupling), float(bulk_field)
+    j, b = as_float(coupling, "coupling"), as_float(bulk_field, "bulk field")
+    _check_channel(j, b)
     (e_anti,), (c1n,), (coeffs,) = _ground_profiles(n_sites, j, (b,))
     # signs alternate, the first largest entry positive; 0 - c keeps a 0 at +0
     flip = slice(1 - int(np.argmax(coeffs)) % 2, None, 2)
@@ -279,6 +282,87 @@ def ratio_profile(design: ChannelDesign) -> tuple[float, ...]:
     if len(design.coefficients) < 2:
         raise DomainError("ratio profile needs at least two coefficients")
     return tuple(_ratios(np.asarray(design.coefficients)).tolist())
+
+
+def channel_curve(n_values, betas, coupling: float = 1.0):
+    """Rows (N, beta, numeric C1N, profile-formula C1N, max ratio deviation)
+    over the grid of the sequences ``n_values`` and ``betas``, read off the
+    profile array, bit for bit those of ``design_channel`` and
+    ``ratio_profile``; the grid, each N (capped at CHANNEL_SITE_CAP), J and
+    bulk field beta J / 2 are checked before the first row.
+
+    Each N solves its betas in chunks of chain._CHUNK_ENTRIES // k (at least
+    one): one ``_ground_profiles`` call gives the chunk's profiles as one
+    array, and its ratio deviations follow in one pass, so memory stays
+    bounded by the chunk, not the beta axis.  An error of that kernel (a bulk
+    field at which the energy overflows) is raised before the chunk's first
+    row."""
+    n_values, betas = check_grid(n_values, betas)
+    odd = [n for n in n_values if n % 2 or n < 4]
+    if odd:
+        raise DomainError(f"channel curve needs even N >= 4, got {odd}")
+    _half_length(max(n_values))
+    coupling = as_float(coupling, "coupling")
+    for beta in betas:
+        _check_channel(coupling, as_float(beta, "beta") * coupling / 2.0)
+
+    def rows():
+        for n in n_values:
+            step = max(1, _CHUNK_ENTRIES // (n // 2))
+            for start in range(0, len(betas), step):
+                chunk = betas[start : start + step]
+                fields = [beta * coupling / 2.0 for beta in chunk]
+                _, numeric, coeffs = _ground_profiles(n, coupling, fields)
+                b = np.array(chunk, dtype=float)[:, None]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    deviations = np.max(np.abs(_ratios(coeffs) - b) / b, axis=1)
+                for beta, c1n, deviation in zip(chunk, numeric.tolist(), deviations.tolist()):
+                    closed = c1n_channel(beta, n // 2) if beta > 1.0 else math.nan
+                    yield (n, float(beta), c1n, closed, deviation if beta > 0 else math.inf)
+
+    return rows()
+
+
+def design_report(n_sites: int, target: float, coupling: float = 1.0) -> dict:
+    """Size the bulk field that reaches a target boundary concurrence.
+
+    beta is the last-bit crossing of the exact folded design, found without
+    the profile formula: design_channel(N, J, beta J / 2) reaches the target
+    and the float below beta does not.  A bracket doubles from beta = 2 up
+    to closed_forms.BETA_CAP (read at each call), the cap included, then
+    [0, hi] is halved until the midpoint equals an endpoint."""
+    if not 0.0 < target < 1.0:
+        raise DomainError(f"target must lie in (0, 1), got {target}")
+    coupling = as_float(coupling, "coupling")
+
+    def achieved(beta: float) -> float:
+        _check_channel(coupling, beta * coupling / 2.0)
+        return float(_ground_profiles(n_sites, coupling, (beta * coupling / 2.0,))[1][0])
+
+    def report(status: str, beta: float) -> dict:
+        return {
+            "n_sites": n_sites,
+            "target": target,
+            "status": status,
+            "beta": beta,
+            "bulk_field": beta * coupling / 2.0,
+            "achieved": achieved(beta),
+        }
+
+    if achieved(0.0) >= target:
+        return report("already-achieved-at-zero-field", 0.0)
+    hi = 2.0
+    while achieved(hi) < target:
+        if hi == closed_forms.BETA_CAP:
+            return report("unreachable-below-beta-cap", hi)
+        hi = min(2.0 * hi, closed_forms.BETA_CAP)
+    lo = 0.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if achieved(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return report("ok", hi)
 
 
 def impurity_profile_chain(n_sites: int, base: float) -> ChainSpec:

@@ -14,16 +14,10 @@ from math import isfinite
 
 import numpy as np
 
-from .chain import ChainSpec, config_number, config_numbers
+from .chain import GRID_POINT_CAP, ChainSpec, config_number, config_numbers
+from .channel import channel_curve, design_report
 from .errors import DomainError, NumericError, ResourceCapError
-from .sweep import (
-    GRID_POINT_CAP,
-    channel_curve,
-    concurrence_curve,
-    design_report,
-    phase_scan,
-    table1_rows,
-)
+from .sweep import concurrence_curve, phase_scan, table1_rows
 
 _FLOAT_FMT = "%.17g"
 
@@ -90,7 +84,7 @@ def _axis(config: dict, name: str) -> tuple[float, ...]:
     """Grid axis ``name``: a ``{"values": [..]}`` object or a bare list, or
     the inclusive range lo + m step up to hi of a ``{"min", "max", "step"}``
     object, refused before any of its points is built.  The sweep it is
-    passed to checks the grid (``sweep.check_grid``)."""
+    passed to checks the grid (``chain.check_grid``)."""
     grid = _require(config, "grid")
     if not isinstance(grid, dict) or name not in grid:
         raise DomainError(f"config grid is missing axis {name!r}")

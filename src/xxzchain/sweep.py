@@ -1,4 +1,4 @@
-"""Parameter sweeps: phase scans, concurrence curves, channel sizing.
+"""Parameter sweeps on S^z blocks: phase scans, concurrence curves, ground regimes.
 
 Phase scans, concurrence curves and ground regimes run on S^z blocks of
 the spec they are given, and read a row at B as the spec's own site fields
@@ -37,8 +37,8 @@ ground up to the largest field the walk reads.  One sector's ground state
 (``sector_boundary_concurrence``) runs on one block of the same kind.
 
 Every sweep takes its grid axes as plain sequences of numbers (a one-shot
-iterable too), which ``check_grid`` reads into tuples once, refusing an
-empty axis, a value that is not finite and a grid of more than
+iterable too), which ``chain.check_grid`` reads into tuples once, refusing
+an empty axis, a value that is not finite and a grid of more than
 GRID_POINT_CAP points.  Every block is refused above SECTOR_DIM_CAP
 states, and every delta or field at which the energy scale overflows,
 before anything is allocated.
@@ -52,39 +52,15 @@ from math import comb, inf, isfinite, nan
 import numpy as np
 
 from . import closed_forms
-from .chain import ChainSpec, SectorBasis, build_sector_basis
-from .channel import _check_channel, _ground_profiles, _half_length, _ratios
-from .closed_forms import GroundRegime, c1n_channel
+from .chain import _CHUNK_ENTRIES, ChainSpec, SectorBasis, as_float, build_sector_basis, check_grid
+from .channel import channel_curve  # unused: perfbench's tracer wraps it from here
+from .closed_forms import GroundRegime
 from .eigensolver import _degeneracy_tolerance, decompose
 from .entanglement import _pair_maps, _pair_rows, _pair_sites_checked, xstate_concurrences
 from .errors import DomainError, ResourceCapError
 from .hamiltonian import _dense, _diagonal_terms, _hopping
 
-GRID_POINT_CAP = 10**6
 SECTOR_DIM_CAP = 3432  # C(14, 7): the largest S^z block decomposed densely
-
-# Most level x field entries one temporary of ``_SectorSpectrum.field_rows``
-# holds; the field axis is walked in chunks of that size, so its memory does
-# not grow with the grid.
-_CHUNK_ENTRIES = 1 << 12
-
-
-def check_grid(*axes) -> tuple[tuple, ...]:
-    """Each axis, a sequence of numbers, as a tuple, refused when it is
-    empty or holds a value that is not finite, or when the grid they span
-    has more than GRID_POINT_CAP points."""
-    axes = tuple(map(tuple, axes))
-    total = 1
-    for axis in axes:
-        if not axis:
-            raise DomainError("empty grid axis")
-        # an int is finite, and one past the float range would overflow isfinite
-        if not all(isinstance(v, int) or isfinite(v) for v in axis):
-            raise DomainError("grid axis values must be finite")
-        total *= len(axis)
-    if total > GRID_POINT_CAP:
-        raise ResourceCapError(f"grid of {total} points exceeds the cap of {GRID_POINT_CAP}")
-    return axes
 
 
 @dataclass(frozen=True)
@@ -198,7 +174,9 @@ def _norm_bound(spec: ChainSpec, delta: float, field: float) -> float:
     """A bound on the operator norm of H of ``spec`` at ``delta`` plus a
     uniform ``field``: sum |J| + |delta| (N - 1) / 2 + sum |B_i| + N |field|.
     Every level, gap and field a sweep computes lies within a few times it,
-    so a scale at which 16 times it overflows is refused."""
+    so a scale at which 16 times it overflows is refused, as is an int
+    ``delta`` or ``field`` past the float range."""
+    delta, field = as_float(delta, "delta"), as_float(field, "B")
     bound = (
         sum(map(abs, spec.couplings))
         + 0.5 * abs(delta) * (spec.n_sites - 1)
@@ -438,84 +416,6 @@ def concurrence_curve(template: ChainSpec, pair: tuple[int, int], fields, deltas
     )
 
 
-def channel_curve(n_values, betas, coupling: float = 1.0):
-    """Rows (N, beta, numeric C1N, profile-formula C1N, max ratio deviation)
-    over the grid of the sequences ``n_values`` and ``betas``, read off the
-    profile array, bit for bit those of ``design_channel`` and
-    ``ratio_profile``; the grid, each N (capped at channel.CHANNEL_SITE_CAP),
-    J and bulk field beta J / 2 are checked before the first row.
-
-    Each N solves its betas in chunks of _CHUNK_ENTRIES // k (at least one):
-    one ``_ground_profiles`` call gives the chunk's profiles as one array,
-    and its ratio deviations follow in one pass, so memory stays bounded by
-    the chunk, not the beta axis.  An error of that kernel (a bulk field at
-    which the energy overflows) is raised before the chunk's first row."""
-    n_values, betas = check_grid(n_values, betas)
-    odd = [n for n in n_values if n % 2 or n < 4]
-    if odd:
-        raise DomainError(f"channel curve needs even N >= 4, got {odd}")
-    _half_length(max(n_values))
-    for beta in betas:
-        _check_channel(coupling, beta * coupling / 2.0)
-
-    def rows():
-        for n in n_values:
-            step = max(1, _CHUNK_ENTRIES // (n // 2))
-            for start in range(0, len(betas), step):
-                chunk = betas[start : start + step]
-                fields = [beta * coupling / 2.0 for beta in chunk]
-                _, numeric, coeffs = _ground_profiles(n, coupling, fields)
-                b = np.array(chunk, dtype=float)[:, None]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    deviations = np.max(np.abs(_ratios(coeffs) - b) / b, axis=1)
-                for beta, c1n, deviation in zip(chunk, numeric.tolist(), deviations.tolist()):
-                    closed = c1n_channel(beta, n // 2) if beta > 1.0 else nan
-                    yield (n, float(beta), c1n, closed, deviation if beta > 0 else inf)
-
-    return rows()
-
-
-def design_report(n_sites: int, target: float, coupling: float = 1.0) -> dict:
-    """Size the bulk field that reaches a target boundary concurrence.
-
-    beta is the last-bit crossing of the exact folded design, found without
-    the profile formula: design_channel(N, J, beta J / 2) reaches the target
-    and the float below beta does not.  A bracket doubles from beta = 2 up
-    to closed_forms.BETA_CAP, the cap included, then [0, hi] is halved
-    until the midpoint equals an endpoint."""
-    if not 0.0 < target < 1.0:
-        raise DomainError(f"target must lie in (0, 1), got {target}")
-
-    def achieved(beta: float) -> float:
-        _check_channel(coupling, beta * coupling / 2.0)
-        return float(_ground_profiles(n_sites, coupling, (beta * coupling / 2.0,))[1][0])
-
-    def report(status: str, beta: float) -> dict:
-        return {
-            "n_sites": n_sites,
-            "target": target,
-            "status": status,
-            "beta": beta,
-            "bulk_field": beta * coupling / 2.0,
-            "achieved": achieved(beta),
-        }
-
-    if achieved(0.0) >= target:
-        return report("already-achieved-at-zero-field", 0.0)
-    hi = 2.0
-    while achieved(hi) < target:
-        if hi == closed_forms.BETA_CAP:
-            return report("unreachable-below-beta-cap", hi)
-        hi = min(2.0 * hi, closed_forms.BETA_CAP)
-    lo = 0.0
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if achieved(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return report("ok", hi)
-
-
 def ground_regimes(spec: ChainSpec) -> tuple[GroundRegime, ...]:
     """T = 0 ground-state regimes of ``spec`` under a uniform field B >= 0
     added to its site fields: each regime's ground sector and C_1N.
@@ -581,7 +481,7 @@ def table1_rows(deltas=(0.0, 0.5, 1.0, 2.0)):
     first row is computed.
     """
     (deltas,) = check_grid(deltas)
-    references = [closed_forms.c14_ground_regimes(delta) for delta in deltas]
+    references = [closed_forms.c14_ground_regimes(as_float(delta, "delta")) for delta in deltas]
     plan = _BlockPlan(ChainSpec.uniform(4), (1, 4))
     return (
         (float(delta), r, num.n_up, num.b_min, num.b_max, ref.b_min, ref.b_max,

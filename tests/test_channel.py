@@ -1,5 +1,7 @@
 import ast
+import importlib.util
 import math
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 
 from reference import unfold_consistency
 
+import xxzchain
 from xxzchain import channel, sweep
 from xxzchain.chain import ChainSpec, build_sector_basis
 from xxzchain.channel import (
@@ -318,19 +321,19 @@ def test_channel_length_cap_refuses_before_allocating(monkeypatch):
         for call in (
             lambda: design_channel(over, 1.0, 1.0),
             lambda: fold_single_excitation(over, 1.0, 1.0),
-            lambda: sweep.design_report(over, 0.9),
-            lambda: sweep.channel_curve((4, over), (2.0,)),
+            lambda: channel.design_report(over, 0.9),
+            lambda: channel.channel_curve((4, over), (2.0,)),
         ):
             with pytest.raises(ResourceCapError, match=f"channel of {over} sites exceeds the cap"):
                 call()
     # the cap is read when called, and a chain at the cap is solved
     monkeypatch.setattr(channel, "CHANNEL_SITE_CAP", 100)
     assert design_channel(100, 1.0, 1.0).n_sites == 100
-    assert len(list(sweep.channel_curve((100,), (2.0,)))) == 1
+    assert len(list(channel.channel_curve((100,), (2.0,)))) == 1
     with pytest.raises(ResourceCapError):
         design_channel(102, 1.0, 1.0)
     with pytest.raises(ResourceCapError):
-        sweep.channel_curve((4, 102), (2.0,))
+        channel.channel_curve((4, 102), (2.0,))
 
 
 def test_design_builds_no_dense_block(monkeypatch):
@@ -486,3 +489,52 @@ def test_channel_takes_only_the_degeneracy_tolerance_from_the_numeric_layers():
     imports = _package_imports(channel)
     assert "hamiltonian" not in imports and "entanglement" not in imports
     assert imports["eigensolver"] == {"_degeneracy_tolerance"}
+
+
+def _src_modules():
+    """Every module of the package, imported."""
+    names = [info.name for info in pkgutil.iter_modules(xxzchain.__path__)]
+    return [xxzchain] + [importlib.import_module(f"xxzchain.{name}") for name in names]
+
+
+def test_the_channel_is_one_module():
+    # the channel's CLI routes live beside its kernel: nothing else reads a
+    # private channel name, and sweep keeps only the tracer's binding
+    assert "sweep" not in _package_imports(channel)
+    assert _package_imports(sweep)["channel"] == {"channel_curve"}
+    for module in _src_modules():
+        if module is not channel:
+            names = _package_imports(module).get("channel", set())
+            assert not {name for name in names if name.startswith("_")}, module.__name__
+
+
+def _load_by_path(monkeypatch, path: Path):
+    """Execute a benchmark file as a module of its own, without editing it or
+    leaving it in sys.modules."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_looks_up_is_one_object_across_the_package(monkeypatch):
+    # the tracer wraps ``getattr(xxzchain.<module>, name)`` in every module
+    # bound to that very object, so a stale lookup would break the traced
+    # run and a second object would escape its patch; the oracles import
+    # their names, so loading them checks those lookups too
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    tracing = _load_by_path(monkeypatch, bench / "tracing.py")
+    oracles = _load_by_path(monkeypatch, bench / "oracles.py")
+    imported = [
+        (node.module.removeprefix("xxzchain."), alias.name)
+        for node in ast.walk(ast.parse(Path(oracles.__file__).read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("xxzchain.")
+        for alias in node.names
+    ]
+    assert imported
+    modules = _src_modules()
+    for module, name in (*tracing.TRACED, *tracing.TRACED_GENERATORS, *imported):
+        original = getattr(importlib.import_module(f"xxzchain.{module}"), name)
+        holders = [m for m in modules if hasattr(m, name)]
+        assert all(getattr(m, name) is original for m in holders), (module, name)

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reference import per_row_point, xstate_concurrence, xstate_pair
-from xxzchain import sweep
+from xxzchain import chain
 from xxzchain.chain import ChainSpec
 from xxzchain.entanglement import xstate_concurrences
 from xxzchain.errors import DomainError
@@ -87,7 +87,7 @@ def test_batched_rows_are_batch_invariant_and_match_the_per_row_path(case):
 @pytest.mark.parametrize("temperature", [0.0, 0.2])
 def test_a_field_axis_longer_than_one_chunk_matches_one_field_at_a_time(temperature):
     spectrum = _BlockPlan(ChainSpec.uniform(10), (1, 10)).spectrum(0.7)
-    step = sweep._CHUNK_ENTRIES // len(spectrum.energies)
+    step = chain._CHUNK_ENTRIES // len(spectrum.energies)
     lows = [float(spectrum.energies[spectrum.sector == k].min()) for k in range(11)]
     crossings = [0.5 * (lows[k] - lows[k + 1]) for k in range(10)]
     fields = sorted({0.0, *crossings, *np.linspace(-2.5, 2.5, 7).tolist()})

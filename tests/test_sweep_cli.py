@@ -10,19 +10,22 @@ import pytest
 from reference import scalar_ground_profile
 
 from xxzchain import cli as cli_module
-from xxzchain import channel, closed_forms, sweep
-from xxzchain.chain import ChainSpec
+from xxzchain import chain, channel, closed_forms, sweep
+from xxzchain.chain import ChainSpec, check_grid
 from xxzchain.cli import main
-from xxzchain.channel import CHANNEL_SITE_CAP, design_channel, ratio_profile
+from xxzchain.channel import (
+    CHANNEL_SITE_CAP,
+    channel_curve,
+    design_channel,
+    design_report,
+    ratio_profile,
+)
 from xxzchain.closed_forms import c1n_channel, critical_field_3site
 from xxzchain.errors import DomainError, NumericError, ResourceCapError
 from xxzchain.hamiltonian import build_channel
 from xxzchain.sweep import (
-    channel_curve,
-    check_grid,
     classify_ground_state,
     concurrence_curve,
-    design_report,
     ground_regimes,
     phase_scan,
     table1_rows,
@@ -297,8 +300,8 @@ def test_channel_curve_rows_equal_per_beta_designs_across_chunk_edges():
     # and 20002 have k > _CHUNK_ENTRIES, so each of their chunks holds one beta
     n_values = (4, 6, 40, 1000, 2000, 10000, 20002)
     betas = (0.0, 0.3, 0.99, 1.0, 1.0 + 1e-7, 1.5, 2.0, 3.0, 10.0, 1e4, 1e8)
-    assert len(betas) > 2 * (sweep._CHUNK_ENTRIES // 1000)
-    assert 10000 // 2 > sweep._CHUNK_ENTRIES
+    assert len(betas) > 2 * (chain._CHUNK_ENTRIES // 1000)
+    assert 10000 // 2 > chain._CHUNK_ENTRIES
     rows = iter(channel_curve(n_values, betas))
     for n in n_values:
         fields = [beta / 2.0 for beta in betas]
@@ -679,6 +682,33 @@ def test_cli_channel_length_past_the_float_range_exits_3(tmp_path, capsys):
     assert captured.err.startswith(f"resource cap exceeded: channel of {10**400} sites")
 
 
+PAST_FLOAT = 10**400
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: phase_scan(ChainSpec.uniform(4), (PAST_FLOAT,), (0.0,)),
+        lambda: phase_scan(ChainSpec.uniform(4), (0.0,), (PAST_FLOAT,)),
+        lambda: concurrence_curve(ChainSpec.uniform(4), (1, 4), (0.5,), (PAST_FLOAT,)),
+        lambda: table1_rows((PAST_FLOAT,)),
+        lambda: channel_curve((4,), (PAST_FLOAT,)),
+        lambda: channel_curve((4,), (2.0,), PAST_FLOAT),
+        lambda: design_report(4, 0.9, PAST_FLOAT),
+        lambda: design_channel(4, PAST_FLOAT, 1.0),
+        lambda: ChainSpec.uniform(4, delta=PAST_FLOAT),
+    ],
+    ids=["phase_scan_delta", "phase_scan_field", "concurrence_curve_delta", "table1_rows",
+         "channel_curve_beta", "channel_curve_coupling", "design_report_coupling",
+         "design_channel_coupling", "chain_spec_delta"],
+)
+def test_an_int_past_the_float_range_is_a_domain_error(call):
+    # float() of such an int raises OverflowError; every float input reads
+    # it as a config error, as the CLI does
+    with pytest.raises(DomainError, match="must lie in the float range"):
+        call()
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -802,7 +832,7 @@ def test_cli_error_inside_the_rows_leaves_out_untouched(monkeypatch, tmp_path, c
     # are being written into the temporary file beside --out, after the
     # header and N = 4's rows
     calls = []
-    ground_profiles = sweep._ground_profiles
+    ground_profiles = channel._ground_profiles
 
     def second_fails(*args):
         calls.append(args)
@@ -810,7 +840,7 @@ def test_cli_error_inside_the_rows_leaves_out_untouched(monkeypatch, tmp_path, c
             raise NumericError("synthetic")
         return ground_profiles(*args)
 
-    monkeypatch.setattr(sweep, "_ground_profiles", second_fails)
+    monkeypatch.setattr(channel, "_ground_profiles", second_fails)
     out = tmp_path / "out.csv"
     if existing is not None:
         out.write_bytes(existing)
