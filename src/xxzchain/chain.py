@@ -1,4 +1,4 @@
-"""Chain specifications, spin convention, sectors, and config and grid checks.
+"""Chain specifications, spin convention, sectors, and the one number rule.
 
 Spin convention, fixed once for the whole library:
 
@@ -8,13 +8,18 @@ Spin convention, fixed once for the whole library:
 
 Every module builds on this single convention, so full-space and
 sector-restricted code paths index tensor factors identically.
+
+Number rule, also fixed once: every entry point reads each value where it
+first reads it, by ``as_float`` or ``as_int`` (a grid axis by ``check_grid``).
+A string, a boolean, None or any other non-number is a DomainError, as are a
+fractional integer and an int too large for a float where a float is read.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb, isfinite
+from numbers import Integral, Rational, Real
 
 import numpy as np
 
@@ -30,47 +35,49 @@ GRID_POINT_CAP = 10**6
 _CHUNK_ENTRIES = 1 << 12
 
 
+def _real(value, what: str, noun: str = "a number"):
+    """``value`` itself, refused unless it is a real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise DomainError(f"{what} must be {noun}, got {value!r}")
+    return value
+
+
 def as_float(value, what: str) -> float:
     """``value`` as a float; an int past the float range is a DomainError."""
     try:
-        return float(value)
+        return float(_real(value, what))
     except OverflowError as exc:
         raise DomainError(f"{what} must lie in the float range, got {value!r}") from exc
 
 
-def config_number(kind, value, what: str):
-    """``value`` from a config document converted by ``kind`` (int or float).
-
-    Anything that is not a number of that kind is a config error rather than
-    a silent conversion: strings (int("3") would parse one), booleans (JSON
-    true would read as 1), and for int a fractional value (int() truncates).
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        kind is int and isinstance(value, float) and not value.is_integer()
-    ):
-        noun = "an integer" if kind is int else "a number"
-        raise DomainError(f"config {what!r} must be {noun}, got {value!r}")
-    return int(value) if kind is int else as_float(value, f"config {what!r}")
+def as_int(value, what: str) -> int:
+    """``value`` as an int; an integral float such as 20.0 reads as 20.  An
+    int of any size is kept, so the cap that bounds it refuses one too large."""
+    if isinstance(_real(value, what, "an integer"), Integral) or as_float(value, what).is_integer():
+        return int(value)
+    raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
-def config_numbers(kind, values, what: str) -> tuple:
-    """A config list of numbers, each read by ``config_number``."""
-    if not isinstance(values, (list, tuple)):
-        raise DomainError(f"config {what!r} must be a list of numbers, got {values!r}")
-    return tuple(config_number(kind, v, what) for v in values)
+def _as_tuple(values, what: str) -> tuple:
+    """A sequence of values as a tuple; anything not iterable is a DomainError."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise DomainError(f"{what} must be a list of numbers, got {values!r}") from None
 
 
 def check_grid(*axes) -> tuple[tuple, ...]:
-    """Each axis, a sequence of numbers, as a tuple, refused when it is
-    empty or holds a value that is not finite, or when the grid they span
-    has more than GRID_POINT_CAP points."""
-    axes = tuple(map(tuple, axes))
+    """Each axis, a sequence of numbers, as a tuple of its values unchanged,
+    refused when it is not iterable, is empty or holds a value that is not a
+    finite number, or when the grid they span has more than GRID_POINT_CAP
+    points.  Ints stay ints, so an N too large for a float reaches its cap."""
+    axes = tuple(_as_tuple(axis, "grid axis") for axis in axes)
     total = 1
     for axis in axes:
         if not axis:
             raise DomainError("empty grid axis")
-        # an int is finite, and one past the float range would overflow isfinite
-        if not all(isinstance(v, int) or isfinite(v) for v in axis):
+        # a rational is finite, and one past the float range would overflow isfinite
+        if not all(isinstance(_real(v, "grid value"), Rational) or isfinite(v) for v in axis):
             raise DomainError("grid axis values must be finite")
         total *= len(axis)
     if total > GRID_POINT_CAP:
@@ -89,7 +96,8 @@ class ChainSpec:
 
     ``couplings[i]`` couples sites i+1 and i+2 (bond i+1 in 1-based terms),
     ``fields[i]`` acts on site i+1.  ``temperature`` of 0 means ground-state
-    analysis.  Instances are immutable and safe to share across workers.
+    analysis.  Each value is read by the number rule (``as_int`` for
+    ``n_sites``, ``as_float`` for the rest); instances are immutable.
     """
 
     n_sites: int
@@ -99,10 +107,11 @@ class ChainSpec:
     temperature: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_sites", as_int(self.n_sites, "n_sites"))
         if self.n_sites < 2:
             raise DomainError(f"n_sites must be >= 2, got {self.n_sites}")
         for name in ("couplings", "fields"):
-            values = tuple(as_float(v, name) for v in getattr(self, name))
+            values = tuple(as_float(v, name) for v in _as_tuple(getattr(self, name), name))
             object.__setattr__(self, name, values)
         for name in ("delta", "temperature"):
             object.__setattr__(self, name, as_float(getattr(self, name), name))
@@ -130,6 +139,7 @@ class ChainSpec:
         temperature: float = 0.0,
     ) -> "ChainSpec":
         """Uniform couplings and a uniform field on every site."""
+        n_sites = as_int(n_sites, "n_sites")
         return cls(
             n_sites=n_sites,
             couplings=(coupling,) * (n_sites - 1),
@@ -138,39 +148,14 @@ class ChainSpec:
             temperature=temperature,
         )
 
-    def to_json(self) -> str:
-        """Serialize with the exact wire keys; arrays in site order."""
-        return json.dumps(
-            {
-                "n_sites": self.n_sites,
-                "couplings": list(self.couplings),
-                "fields": list(self.fields),
-                "delta": self.delta,
-                "temperature": self.temperature,
-            }
-        )
-
     @classmethod
     def from_dict(cls, obj: dict) -> "ChainSpec":
         try:
-            n_sites = config_number(int, obj["n_sites"], "n_sites")
-            couplings = config_numbers(float, obj["couplings"], "couplings")
-            fields = config_numbers(float, obj["fields"], "fields")
-            delta = config_number(float, obj["delta"], "delta")
-            temperature = config_number(float, obj.get("temperature", 0.0), "temperature")
+            values = [obj[key] for key in ("n_sites", "couplings", "fields", "delta")]
+            temperature = obj.get("temperature", 0.0)
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed chain document: {exc}") from exc
-        return cls(n_sites, couplings, fields, delta, temperature)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChainSpec":
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, an integer past 4300 digits
-            raise DomainError(f"invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise DomainError("chain document must be a JSON object")
-        return cls.from_dict(obj)
+        return cls(*values, temperature)
 
 
 @dataclass(frozen=True)
@@ -201,6 +186,7 @@ def build_sector_basis(n_sites: int, n_up: int) -> SectorBasis:
     there is no sort and each label costs one addition.  A sector with
     k > N/2 is the bitwise complement of the (N - k)-up sector, reversed.
     """
+    n_sites, n_up = as_int(n_sites, "n_sites"), as_int(n_up, "n_up")
     if n_sites < 1:
         raise DomainError(f"n_sites must be positive, got {n_sites}")
     if not 0 <= n_up <= n_sites:

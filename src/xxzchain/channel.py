@@ -8,9 +8,9 @@ k x k tridiagonal blocks (N = 2k) with a uniform bulk, whose ground states
 have closed forms: a design is one scalar secular equation plus an O(k)
 profile, so any chain up to CHANNEL_SITE_CAP sites is routine.  One kernel
 (``_ground_profiles``) serves ``design_channel`` and the two CLI routes,
-``channel_curve`` and ``design_report``.  Arbitrary coupling profiles,
-such as ``impurity_profile_chain``, go through the sector ground-state route
-of the sweep core (``sweep.sector_boundary_concurrence``).
+``channel_curve`` and ``design_report``.  The channel's chain (``build_channel``)
+and other coupling profiles, such as ``impurity_profile_chain``, are specs for
+the sector ground-state route (``sweep.sector_boundary_concurrence``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_forms
-from .chain import _CHUNK_ENTRIES, ChainSpec, as_float, check_grid
+from .chain import _CHUNK_ENTRIES, ChainSpec, as_float, as_int, check_grid
 from .closed_forms import c1n_channel
 from .eigensolver import _degeneracy_tolerance
 from .errors import DomainError, ResourceCapError
@@ -73,6 +73,7 @@ class ChannelDesign:
 def _half_length(n_sites: int) -> int:
     """k = N/2 for the even chains (N >= 4) that fold into two k x k blocks;
     a chain over CHANNEL_SITE_CAP sites is refused before anything is built."""
+    n_sites = as_int(n_sites, "n_sites")
     if n_sites < 4 or n_sites % 2:
         raise DomainError(
             f"folding needs an even chain with at least 4 sites, got {n_sites}"
@@ -84,14 +85,17 @@ def _half_length(n_sites: int) -> int:
     return n_sites // 2
 
 
-def _check_channel(coupling: float, bulk_field: float) -> None:
-    """Refuse a coupling that is not finite and > 0, or a bulk field not finite and >= 0."""
+def _check_channel(coupling: float, bulk_field: float) -> tuple[float, float]:
+    """The coupling and bulk field as floats, refused unless the coupling is
+    finite and > 0 and the bulk field finite and >= 0."""
+    coupling, bulk_field = as_float(coupling, "coupling"), as_float(bulk_field, "bulk field")
     if not (math.isfinite(coupling) and math.isfinite(bulk_field)):
         raise DomainError("channel design needs a finite coupling and bulk field")
     if coupling <= 0:
         raise DomainError("channel design needs a positive coupling")
     if bulk_field < 0:
         raise DomainError("channel design needs a nonnegative bulk field")
+    return coupling, bulk_field
 
 
 def fold_single_excitation(
@@ -99,7 +103,7 @@ def fold_single_excitation(
 ) -> FoldedChannelMatrices:
     """Fold the one-up sector of the bulk-field channel by mirror parity."""
     k = _half_length(n_sites)
-    j, b = float(coupling), float(bulk_field)
+    j, b = as_float(coupling, "coupling"), as_float(bulk_field, "bulk field")
     diag = np.full(k, -(2.0 * k - 4.0) * b)
     diag[0] = -(2.0 * k - 2.0) * b
     base = np.diag(diag)
@@ -187,11 +191,12 @@ def _block_ground(
 
 
 def _ground_profiles(
-    n_sites: int, coupling: float, bulk_fields
+    k: int, coupling: float, bulk_fields
 ) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
     """Ground energies, boundary concurrences and unsigned half-profiles |c_j|
     (one row per field; those below the smallest normal float stored as 0)
-    of the antisymmetric block, for parameters ``_check_channel`` accepted.
+    of the antisymmetric block of a chain of 2k sites, for a k from
+    ``_half_length`` and parameters ``_check_channel`` accepted.
 
     Both blocks are k x k tridiagonal with a uniform bulk, so each ground
     energy is the root of one scalar secular equation (bisection to the last
@@ -208,7 +213,6 @@ def _ground_profiles(
     all fields are then built as one (fields, k) array, each row bit for bit
     the one a single field gives.
     """
-    k = _half_length(n_sites)
     energies, q, bound = zip(*[_block_ground(k, coupling, b, True) for b in bulk_fields])
     # the symmetric ground energy lies between e_anti and x + 2J, so a finite
     # e_anti bounds it too
@@ -244,14 +248,14 @@ def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelD
     limit, plainly flagged, not roundoff.  A chain over CHANNEL_SITE_CAP
     sites raises ResourceCapError.
     """
-    j, b = as_float(coupling, "coupling"), as_float(bulk_field, "bulk field")
-    _check_channel(j, b)
-    (e_anti,), (c1n,), (coeffs,) = _ground_profiles(n_sites, j, (b,))
+    j, b = _check_channel(coupling, bulk_field)
+    k = _half_length(n_sites)
+    (e_anti,), (c1n,), (coeffs,) = _ground_profiles(k, j, (b,))
     # signs alternate, the first largest entry positive; 0 - c keeps a 0 at +0
     flip = slice(1 - int(np.argmax(coeffs)) % 2, None, 2)
     coeffs[flip] = 0.0 - coeffs[flip]
     return ChannelDesign(
-        n_sites=n_sites,
+        n_sites=2 * k,
         coupling=j,
         bulk_field=b,
         beta=2.0 * b / j,
@@ -298,27 +302,25 @@ def channel_curve(n_values, betas, coupling: float = 1.0):
     field at which the energy overflows) is raised before the chunk's first
     row."""
     n_values, betas = check_grid(n_values, betas)
-    odd = [n for n in n_values if n % 2 or n < 4]
-    if odd:
-        raise DomainError(f"channel curve needs even N >= 4, got {odd}")
-    _half_length(max(n_values))
+    halves = [_half_length(n) for n in n_values]
     coupling = as_float(coupling, "coupling")
+    betas = [as_float(beta, "beta") for beta in betas]
     for beta in betas:
-        _check_channel(coupling, as_float(beta, "beta") * coupling / 2.0)
+        _check_channel(coupling, beta * coupling / 2.0)
 
     def rows():
-        for n in n_values:
-            step = max(1, _CHUNK_ENTRIES // (n // 2))
+        for k in halves:
+            step = max(1, _CHUNK_ENTRIES // k)
             for start in range(0, len(betas), step):
                 chunk = betas[start : start + step]
                 fields = [beta * coupling / 2.0 for beta in chunk]
-                _, numeric, coeffs = _ground_profiles(n, coupling, fields)
+                _, numeric, coeffs = _ground_profiles(k, coupling, fields)
                 b = np.array(chunk, dtype=float)[:, None]
                 with np.errstate(divide="ignore", invalid="ignore"):
                     deviations = np.max(np.abs(_ratios(coeffs) - b) / b, axis=1)
                 for beta, c1n, deviation in zip(chunk, numeric.tolist(), deviations.tolist()):
-                    closed = c1n_channel(beta, n // 2) if beta > 1.0 else math.nan
-                    yield (n, float(beta), c1n, closed, deviation if beta > 0 else math.inf)
+                    closed = c1n_channel(beta, k) if beta > 1.0 else math.nan
+                    yield (2 * k, beta, c1n, closed, deviation if beta > 0 else math.inf)
 
     return rows()
 
@@ -331,17 +333,19 @@ def design_report(n_sites: int, target: float, coupling: float = 1.0) -> dict:
     and the float below beta does not.  A bracket doubles from beta = 2 up
     to closed_forms.BETA_CAP (read at each call), the cap included, then
     [0, hi] is halved until the midpoint equals an endpoint."""
+    target = as_float(target, "target")
     if not 0.0 < target < 1.0:
         raise DomainError(f"target must lie in (0, 1), got {target}")
-    coupling = as_float(coupling, "coupling")
+    coupling, _ = _check_channel(coupling, 0.0)
+    k = _half_length(n_sites)
 
     def achieved(beta: float) -> float:
         _check_channel(coupling, beta * coupling / 2.0)
-        return float(_ground_profiles(n_sites, coupling, (beta * coupling / 2.0,))[1][0])
+        return float(_ground_profiles(k, coupling, (beta * coupling / 2.0,))[1][0])
 
     def report(status: str, beta: float) -> dict:
         return {
-            "n_sites": n_sites,
+            "n_sites": 2 * k,
             "target": target,
             "status": status,
             "beta": beta,
@@ -365,16 +369,31 @@ def design_report(n_sites: int, target: float, coupling: float = 1.0) -> dict:
     return report("ok", hi)
 
 
+def build_channel(n_sites: int, coupling: float, bulk_field: float) -> ChainSpec:
+    """Uniform XX chain with a field on the bulk sites only.
+
+    Sites 1 and N see zero field; sites 2..N-1 see ``bulk_field``.
+    """
+    n_sites = as_int(n_sites, "n_sites")
+    if n_sites < 3:
+        raise DomainError(f"channel needs at least 3 sites, got {n_sites}")
+    return ChainSpec(
+        n_sites=n_sites,
+        couplings=(coupling,) * (n_sites - 1),
+        fields=(0.0, *(bulk_field,) * (n_sites - 2), 0.0),
+        delta=0.0,
+    )
+
+
 def impurity_profile_chain(n_sites: int, base: float) -> ChainSpec:
     """XX chain with the mirror-symmetric geometric coupling profile
     J_i = base^(i-1) up to the midpoint: (1, J, J^2, ..., J^2, J, 1)."""
+    n_sites, base = as_int(n_sites, "n_sites"), as_float(base, "profile base")
     if n_sites < 3:
         raise DomainError(f"profile chain needs at least 3 sites, got {n_sites}")
     if base <= 0:
         raise DomainError("profile base must be positive")
-    couplings = tuple(
-        float(base) ** (min(i, n_sites - i) - 1) for i in range(1, n_sites)
-    )
+    couplings = tuple(base ** (min(i, n_sites - i) - 1) for i in range(1, n_sites))
     return ChainSpec(
         n_sites=n_sites,
         couplings=couplings,

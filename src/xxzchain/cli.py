@@ -1,5 +1,9 @@
 """Command-line front end: deterministic CSV/JSONL emission of sweeps.
 
+Config values go to the library as they are, which reads each one by its
+number rule; this module reads only the config's grammar: required keys,
+the two-element ``pair`` and the ``{"min", "max", "step"}`` grid axis.
+
 Exit codes: 0 success, 2 config error, 3 resource-cap error, 4 numeric
 failure.
 """
@@ -10,11 +14,10 @@ import argparse
 import json
 import os
 import sys
-from math import isfinite
 
 import numpy as np
 
-from .chain import GRID_POINT_CAP, ChainSpec, config_number, config_numbers
+from .chain import GRID_POINT_CAP, ChainSpec, check_grid
 from .channel import channel_curve, design_report
 from .errors import DomainError, NumericError, ResourceCapError
 from .sweep import concurrence_curve, phase_scan, table1_rows
@@ -80,35 +83,34 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _axis(config: dict, name: str) -> tuple[float, ...]:
+def _axis(config: dict, name: str):
     """Grid axis ``name``: a ``{"values": [..]}`` object or a bare list, or
     the inclusive range lo + m step up to hi of a ``{"min", "max", "step"}``
-    object, refused before any of its points is built.  The sweep it is
-    passed to checks the grid (``chain.check_grid``)."""
+    object, whose three numbers are checked as a grid axis and which is
+    refused before any of its points is built.  The sweep it is passed to
+    reads the values and checks the grid (``chain.check_grid``)."""
     grid = _require(config, "grid")
     if not isinstance(grid, dict) or name not in grid:
         raise DomainError(f"config grid is missing axis {name!r}")
     axis = grid[name]
     if not isinstance(axis, dict) or "values" in axis:
-        values = axis["values"] if isinstance(axis, dict) else axis
-        return config_numbers(float, values, "grid values")
+        return axis["values"] if isinstance(axis, dict) else axis
     try:
-        lo, hi, step = [
-            config_number(float, axis[key], f"grid {key}") for key in ("min", "max", "step")
-        ]
+        ((lo, hi, step),) = check_grid([axis[key] for key in ("min", "max", "step")])
     except KeyError as exc:
         raise DomainError(f"grid axis needs min/max/step or values: {exc}") from exc
-    if not all(isfinite(v) for v in (lo, hi, step)):
-        raise DomainError(f"grid min, max and step must be finite, got ({lo}, {hi}, {step})")
     if step <= 0:
         raise DomainError(f"grid step must be positive, got {step}")
     if lo > hi:
         raise DomainError(f"grid needs min <= max, got ({lo}, {hi})")
-    # a float count: (hi - lo) / step may overflow to inf
-    count = np.floor((hi - lo) / step + 1e-9) + 1
-    if count > GRID_POINT_CAP:
-        raise ResourceCapError(f"grid axis with {count:.0f} points exceeds the cap")
-    return tuple(lo + step * m for m in range(int(count)))
+    try:
+        # a float count: (hi - lo) / step may overflow to inf
+        count = np.floor((hi - lo) / step + 1e-9) + 1
+        if count > GRID_POINT_CAP:
+            raise ResourceCapError(f"grid axis with {count:.0f} points exceeds the cap")
+        return tuple(lo + step * m for m in range(int(count)))
+    except OverflowError as exc:  # an int too large for a float meets a float
+        raise DomainError(f"grid min, max and step must lie in the float range: {exc}") from exc
 
 
 def _cmd_phase_scan(config: dict):
@@ -133,18 +135,17 @@ def _cmd_phase_scan(config: dict):
 
 def _cmd_curve(config: dict):
     template = ChainSpec.from_dict(_require(config, "spec"))
-    pair = config_numbers(int, _require(config, "pair"), "pair")
-    if len(pair) != 2:
+    pair = _require(config, "pair")
+    if not isinstance(pair, list) or len(pair) != 2:
         raise DomainError("config 'pair' must be a two-element list [i, j]")
-    deltas = config_numbers(float, config.get("delta_values", [template.delta]), "delta_values")
+    deltas = config.get("delta_values", [template.delta])
     rows = concurrence_curve(template, pair, _axis(config, "B"), deltas)
     return ["delta", "B", "concurrence"], rows
 
 
 def _cmd_channel(config: dict):
-    n_values = config_numbers(int, _require(config, "n_sites_values"), "n_sites_values")
-    coupling = config_number(float, config.get("coupling", 1.0), "coupling")
-    rows = channel_curve(n_values, _axis(config, "beta"), coupling)
+    n_values = _require(config, "n_sites_values")
+    rows = channel_curve(n_values, _axis(config, "beta"), config.get("coupling", 1.0))
     return (
         ["n_sites", "beta", "c1n_numeric", "c1n_closed_form", "max_ratio_deviation"],
         rows,
@@ -153,9 +154,7 @@ def _cmd_channel(config: dict):
 
 def _cmd_design(config: dict):
     report = design_report(
-        config_number(int, _require(config, "n_sites"), "n_sites"),
-        config_number(float, _require(config, "target"), "target"),
-        config_number(float, config.get("coupling", 1.0), "coupling"),
+        _require(config, "n_sites"), _require(config, "target"), config.get("coupling", 1.0)
     )
     header = ["n_sites", "target", "status", "beta", "bulk_field", "achieved"]
     return header, [tuple(report[k] for k in header)]
@@ -180,7 +179,7 @@ def _cmd_table1(config: dict):
     ]
     if "delta_values" not in config:
         return header, table1_rows()
-    return header, table1_rows(config_numbers(float, config["delta_values"], "delta_values"))
+    return header, table1_rows(config["delta_values"])
 
 
 _COMMANDS = {

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, SectorBasis, site_mask
+from .chain import ChainSpec, SectorBasis, as_int, site_mask
 from .eigensolver import SpectralDecomposition, ground_space
 from .errors import DomainError
 
@@ -95,7 +95,13 @@ class ConcurrenceResult:
     lambdas: tuple[float, float, float, float]
 
 
-def _pair_sites_checked(n_sites: int, i: int, j: int) -> tuple[int, int]:
+def _pair_sites_checked(n_sites: int, pair) -> tuple[int, int]:
+    """The two distinct sites of ``pair`` as ints, ascending."""
+    try:
+        i, j = pair
+    except (TypeError, ValueError):
+        raise DomainError(f"a site pair must be two sites (i, j), got {pair!r}") from None
+    i, j = as_int(i, "site"), as_int(j, "site")
     if not (1 <= i <= n_sites and 1 <= j <= n_sites):
         raise DomainError(f"sites ({i}, {j}) out of range for {n_sites} sites")
     if i == j:
@@ -125,7 +131,7 @@ def _reduce_pair_sector(basis: SectorBasis, amps: np.ndarray, i: int, j: int) ->
 
 def reduce_pair(state: PureState, i: int, j: int) -> TwoQubitDensityMatrix:
     """Partial trace of |psi><psi| onto sites (i, j)."""
-    i, j = _pair_sites_checked(state.basis.n_sites, i, j)
+    i, j = _pair_sites_checked(state.basis.n_sites, (i, j))
     rho = _reduce_pair_sector(state.basis, state.amplitudes, i, j)
     return TwoQubitDensityMatrix(sites=(i, j), matrix=rho)
 
@@ -137,7 +143,7 @@ def reduce_pair_mixed(rho_full: np.ndarray, i: int, j: int) -> TwoQubitDensityMa
     if rho_full.shape != (dim, dim) or dim & (dim - 1):
         raise DomainError(f"expected a 2^N x 2^N matrix, got shape {rho_full.shape}")
     n = dim.bit_length() - 1
-    i, j = _pair_sites_checked(n, i, j)
+    i, j = _pair_sites_checked(n, (i, j))
     t = rho_full.reshape([2] * (2 * n))
     t = np.moveaxis(t, [i - 1, j - 1, n + i - 1, n + j - 1], [0, 1, 2, 3])
     env = 1 << (n - 2)
@@ -156,7 +162,7 @@ def pair_xstate_data(basis: SectorBasis, vectors: np.ndarray, i: int, j: int) ->
     different popcount.  Mixtures of sector states keep that shape, so these
     five numbers fix any pair state the library computes.
     """
-    i, j = _pair_sites_checked(basis.n_sites, i, j)
+    i, j = _pair_sites_checked(basis.n_sites, (i, j))
     v = np.asarray(vectors, dtype=float)
     if v.ndim != 2 or v.shape[0] != len(basis):
         raise DomainError(

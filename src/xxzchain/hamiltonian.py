@@ -95,18 +95,3 @@ def build_sector(spec: ChainSpec, basis: SectorBasis) -> np.ndarray:
         )
     return _assemble(spec, basis.state_array())
 
-
-def build_channel(n_sites: int, coupling: float, bulk_field: float) -> ChainSpec:
-    """Uniform XX chain with a field on the bulk sites only.
-
-    Sites 1 and N see zero field; sites 2..N-1 see ``bulk_field``.
-    """
-    if n_sites < 3:
-        raise DomainError(f"channel needs at least 3 sites, got {n_sites}")
-    fields = (0.0,) + (float(bulk_field),) * (n_sites - 2) + (0.0,)
-    return ChainSpec(
-        n_sites=n_sites,
-        couplings=(float(coupling),) * (n_sites - 1),
-        fields=fields,
-        delta=0.0,
-    )

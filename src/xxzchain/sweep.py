@@ -38,7 +38,7 @@ ground up to the largest field the walk reads.  One sector's ground state
 
 Every sweep takes its grid axes as plain sequences of numbers (a one-shot
 iterable too), which ``chain.check_grid`` reads into tuples once, refusing
-an empty axis, a value that is not finite and a grid of more than
+an empty axis, a value that is not a finite number and a grid of more than
 GRID_POINT_CAP points.  Every block is refused above SECTOR_DIM_CAP
 states, and every delta or field at which the energy scale overflows,
 before anything is allocated.
@@ -52,7 +52,8 @@ from math import comb, inf, isfinite, nan
 import numpy as np
 
 from . import closed_forms
-from .chain import _CHUNK_ENTRIES, ChainSpec, SectorBasis, as_float, build_sector_basis, check_grid
+from .chain import _CHUNK_ENTRIES, ChainSpec, SectorBasis, as_float, as_int
+from .chain import build_sector_basis, check_grid
 from .channel import channel_curve  # unused: perfbench's tracer wraps it from here
 from .closed_forms import GroundRegime
 from .eigensolver import _degeneracy_tolerance, decompose
@@ -212,15 +213,17 @@ def _check_scale(spec: ChainSpec, deltas, fields) -> None:
     _norm_bound(spec, max(map(abs, deltas)), max(map(abs, fields), default=0.0))
 
 
-def _check_sector(n_sites: int, n_up: int) -> None:
-    """Refuse, before anything is allocated, an ``n_up`` outside 0..N and a
-    block of more than SECTOR_DIM_CAP states.  A sweep decomposes every
-    block, so it checks the largest, k = N // 2."""
+def _check_sector(n_sites: int, n_up: int) -> int:
+    """``n_up`` as an int, refused, before anything is allocated, outside
+    0..N or when its block has more than SECTOR_DIM_CAP states.  A sweep
+    decomposes every block, so it checks the largest, k = N // 2."""
+    n_up = as_int(n_up, "n_up")
     if not 0 <= n_up <= n_sites:
         raise DomainError(f"n_up must lie in [0, {n_sites}], got {n_up}")
     dim = comb(n_sites, n_up)
     if dim > SECTOR_DIM_CAP:
         raise ResourceCapError(f"sector dimension {dim} exceeds the cap of {SECTOR_DIM_CAP}")
+    return n_up
 
 
 class _BlockPlan:
@@ -240,7 +243,7 @@ class _BlockPlan:
         n = template.n_sites
         _check_sector(n, n // 2)
         self.template = template
-        self.pair = _pair_sites_checked(n, *pair)
+        self.pair = _pair_sites_checked(n, pair)
         self.flip = not any(template.fields)
         self.blocks = [
             _Block(template, build_sector_basis(n, k), self.pair)
@@ -382,7 +385,7 @@ def sector_boundary_concurrence(spec: ChainSpec, n_up: int) -> float:
     ``field_rows`` within the spec's own ground window, so a degenerate
     sector ground space is the sweeps' equal mixture."""
     n = spec.n_sites
-    _check_sector(n, n_up)
+    n_up = _check_sector(n, n_up)
     pair = (1, n)
     window = _ground_window(spec, spec.delta, (0.0,))
     block = _Block(spec, build_sector_basis(n, n_up), pair)

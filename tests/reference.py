@@ -10,12 +10,12 @@ import math
 import numpy as np
 
 from xxzchain.chain import build_sector_basis, site_mask
-from xxzchain.channel import _block_ground, fold_single_excitation
+from xxzchain.channel import _block_ground, build_channel, fold_single_excitation
 from xxzchain.closed_forms import BETA_CAP, c1n_channel
 from xxzchain.eigensolver import DEGENERACY_RTOL, decompose
 from xxzchain.entanglement import SPIN_FLIP, TwoQubitDensityMatrix, pair_xstate_data
 from xxzchain.errors import DomainError
-from xxzchain.hamiltonian import build_channel, build_sector
+from xxzchain.hamiltonian import build_sector
 from xxzchain.sweep import _SectorSpectrum
 
 # Entries of a pair state that vanish when it is a mixture of magnetization

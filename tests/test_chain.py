@@ -1,4 +1,3 @@
-import json
 from math import comb
 
 import numpy as np
@@ -82,28 +81,10 @@ def test_chain_spec_uniform():
     assert spec.fields == (0.5, 0.5, 0.5, 0.5)
 
 
-def test_chain_spec_json_round_trip():
-    spec = ChainSpec(
-        n_sites=3,
-        couplings=(1.0, 0.5),
-        fields=(0.1, 0.2, 0.3),
-        delta=0.7,
-        temperature=0.25,
-    )
-    text = spec.to_json()
-    obj = json.loads(text)
-    assert set(obj) == {"n_sites", "couplings", "fields", "delta", "temperature"}
-    assert obj["couplings"] == [1.0, 0.5]
-    assert ChainSpec.from_json(text) == spec
-
-
-def test_chain_spec_from_json_rejects_garbage():
-    with pytest.raises(DomainError):
-        ChainSpec.from_json("not json")
-    with pytest.raises(DomainError):
-        ChainSpec.from_json('{"n_sites": 3}')
-    with pytest.raises(DomainError):
-        ChainSpec.from_json("[1, 2]")
+def test_chain_spec_from_dict_rejects_garbage():
+    for document in ("not json", {"n_sites": 3}, [1, 2]):
+        with pytest.raises(DomainError):
+            ChainSpec.from_dict(document)
     # a fractional site count or a boolean is refused, not truncated or read as 1
     good = {"n_sites": 3, "couplings": [1, 1], "fields": [0, 0, 0], "delta": 0}
     assert ChainSpec.from_dict({**good, "n_sites": 3.0}) == ChainSpec.from_dict(good)
@@ -122,8 +103,3 @@ def test_chain_spec_from_dict_refuses_strings():
         with pytest.raises(DomainError, match="must be"):
             ChainSpec.from_dict({**good, **bad})
 
-
-def test_chain_spec_from_json_refuses_an_integer_past_the_digit_limit():
-    # json.loads raises a plain ValueError here, not JSONDecodeError
-    with pytest.raises(DomainError, match="invalid JSON"):
-        ChainSpec.from_json('{"n_sites": ' + "1" * 5000 + "}")

@@ -11,11 +11,12 @@ import pytest
 from reference import unfold_consistency
 
 import xxzchain
-from xxzchain import channel, sweep
+from xxzchain import chain, channel, cli, closed_forms, sweep
 from xxzchain.chain import ChainSpec, build_sector_basis
 from xxzchain.channel import (
     ChannelDesign,
     _block_ground,
+    build_channel,
     design_channel,
     fold_single_excitation,
     impurity_profile_chain,
@@ -30,7 +31,7 @@ from xxzchain.closed_forms import (
 )
 from xxzchain.eigensolver import decompose
 from xxzchain.errors import DomainError, ResourceCapError
-from xxzchain.hamiltonian import build_channel, build_sector
+from xxzchain.hamiltonian import build_sector
 from xxzchain.sweep import sector_boundary_concurrence
 
 
@@ -264,7 +265,7 @@ def test_ground_profiles_are_unsigned():
     for coupling in (1.0, 0.37):
         fields = [beta * coupling / 2.0 for beta in betas]
         for n in n_values:
-            _, _, coeffs = channel._ground_profiles(n, coupling, fields)
+            _, _, coeffs = channel._ground_profiles(n // 2, coupling, fields)
             assert not np.any(np.signbit(coeffs)), (n, coupling)
 
 
@@ -506,6 +507,36 @@ def test_the_channel_is_one_module():
         if module is not channel:
             names = _package_imports(module).get("channel", set())
             assert not {name for name in names if name.startswith("_")}, module.__name__
+
+
+def _bare_conversions(module) -> list[str]:
+    """Public functions of ``module`` that call a bare float() or int() on
+    one of their own parameters."""
+    found = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        params = {a.arg for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}
+        found += [
+            f"{node.name}: {ast.unparse(call)}"
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id in ("float", "int") and len(call.args) == 1
+            and isinstance(call.args[0], ast.Name) and call.args[0].id in params
+        ]
+    return found
+
+
+def test_numbers_are_read_only_by_the_chain_rule():
+    # the CLI hands config values to the library, which reads each one by
+    # chain.as_float / chain.as_int where it first reads it; closed_forms,
+    # the analytic oracle, takes plain floats
+    readers = {name for name in vars(chain) if name.startswith("as_")}
+    assert readers == {"as_float", "as_int"}
+    assert not _package_imports(cli).get("chain", set()) & readers
+    for module in _src_modules():
+        if module not in (chain, closed_forms):
+            assert not _bare_conversions(module), module.__name__
 
 
 def _load_by_path(monkeypatch, path: Path):

@@ -6,9 +6,10 @@ import pytest
 from reference import diagonal_energy, matrix_to_csv
 
 from xxzchain.chain import ChainSpec, build_sector_basis
+from xxzchain.channel import build_channel
 from xxzchain.closed_forms import spectrum_3site
 from xxzchain.errors import DomainError, ResourceCapError
-from xxzchain.hamiltonian import build_channel, build_full, build_sector
+from xxzchain.hamiltonian import build_full, build_sector
 
 
 def _random_spec(rng, n):

@@ -1,33 +1,39 @@
 import io
 import json
 import math
+import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import scalar_ground_profile
 
 from xxzchain import cli as cli_module
 from xxzchain import chain, channel, closed_forms, sweep
-from xxzchain.chain import ChainSpec, check_grid
+from xxzchain.chain import ChainSpec, build_sector_basis, check_grid
 from xxzchain.cli import main
 from xxzchain.channel import (
     CHANNEL_SITE_CAP,
+    build_channel,
     channel_curve,
     design_channel,
     design_report,
+    impurity_profile_chain,
     ratio_profile,
 )
 from xxzchain.closed_forms import c1n_channel, critical_field_3site
 from xxzchain.errors import DomainError, NumericError, ResourceCapError
-from xxzchain.hamiltonian import build_channel
 from xxzchain.sweep import (
     classify_ground_state,
     concurrence_curve,
     ground_regimes,
     phase_scan,
+    sector_boundary_concurrence,
     table1_rows,
 )
 
@@ -58,14 +64,15 @@ def test_grid_axis_validation():
     with pytest.raises(DomainError):
         _config_axis({"min": 0.0, "max": 1.0})
     with pytest.raises(DomainError):
-        _config_axis([0.5, True])
+        check_grid(_config_axis([0.5, True]))
     with pytest.raises(DomainError):
         _config_axis({"min": False, "max": 1.0, "step": 0.5})
 
 
 def test_grid_axis_from_config_forms():
-    assert _config_axis([1, 2]) == (1.0, 2.0)
-    assert _config_axis({"values": [3]}) == (3.0,)
+    # a list of values goes to the sweep as it is; the sweep reads it
+    assert _config_axis([1, 2]) == [1, 2]
+    assert _config_axis({"values": [3]}) == [3]
     assert _config_axis({"min": 0, "max": 1, "step": 0.5}) == (
         0.0,
         0.5,
@@ -267,9 +274,9 @@ def test_channel_curve_near_flat_beta():
 
 
 def test_channel_curve_rejects_odd_n():
-    with pytest.raises(DomainError) as err:
+    # each N is checked in turn, so the first odd one is named
+    with pytest.raises(DomainError, match="got 7$"):
         list(channel_curve((4, 7, 9), (5.0,)))
-    assert "7" in str(err.value) and "9" in str(err.value)
 
 
 @pytest.mark.parametrize("coupling", [1.0, 0.37])
@@ -305,10 +312,10 @@ def test_channel_curve_rows_equal_per_beta_designs_across_chunk_edges():
     rows = iter(channel_curve(n_values, betas))
     for n in n_values:
         fields = [beta / 2.0 for beta in betas]
-        _, numeric, chunk = channel._ground_profiles(n, 1.0, fields)
+        _, numeric, chunk = channel._ground_profiles(n // 2, 1.0, fields)
         for beta, c1n, row in zip(betas, numeric.tolist(), chunk):
             design = design_channel(n, 1.0, beta / 2.0)
-            _, (single_c1n,), (single,) = channel._ground_profiles(n, 1.0, (beta / 2.0,))
+            _, (single_c1n,), (single,) = channel._ground_profiles(n // 2, 1.0, (beta / 2.0,))
             assert design.boundary_concurrence == single_c1n == c1n
             e_ref, c1n_ref, row_ref = scalar_ground_profile(n, 1.0, beta / 2.0)
             assert design.coefficients == tuple(row_ref.tolist())
@@ -708,6 +715,181 @@ def test_an_int_past_the_float_range_is_a_domain_error(call):
     with pytest.raises(DomainError, match="must lie in the float range"):
         call()
 
+
+_SPEC4 = ChainSpec.uniform(4)
+
+
+def _curve(pair=(1, 4), fields=(0.5,), deltas=(0.0,)):
+    return concurrence_curve(_SPEC4, pair, fields, deltas)
+
+
+# Every public entry point with one value slot open, by what the slot reads:
+# an integer ("int"), a float ("float"), either inside a grid axis, or a
+# sequence ("seq").
+NUMBER_SLOTS = {
+    "ChainSpec.n_sites": ("int", lambda v: ChainSpec(v, (1, 1), (0, 0, 0), 0)),
+    "ChainSpec.couplings": ("float", lambda v: ChainSpec(3, (1, v), (0, 0, 0), 0)),
+    "ChainSpec.fields": ("float", lambda v: ChainSpec(3, (1, 1), (0, v, 0), 0)),
+    "ChainSpec.delta": ("float", lambda v: ChainSpec(3, (1, 1), (0, 0, 0), v)),
+    "ChainSpec.temperature": ("float", lambda v: ChainSpec(3, (1, 1), (0, 0, 0), 0, v)),
+    "uniform.n_sites": ("int", lambda v: ChainSpec.uniform(v)),
+    "uniform.coupling": ("float", lambda v: ChainSpec.uniform(4, coupling=v)),
+    "uniform.field": ("float", lambda v: ChainSpec.uniform(4, field=v)),
+    "build_channel.n_sites": ("int", lambda v: build_channel(v, 1, 1)),
+    "build_channel.coupling": ("float", lambda v: build_channel(4, v, 1)),
+    "build_channel.bulk_field": ("float", lambda v: build_channel(4, 1, v)),
+    "impurity_profile_chain.n_sites": ("int", lambda v: impurity_profile_chain(v, 1.5)),
+    "impurity_profile_chain.base": ("float", lambda v: impurity_profile_chain(6, v)),
+    "design_channel.n_sites": ("int", lambda v: design_channel(v, 1, 1)),
+    "design_channel.coupling": ("float", lambda v: design_channel(4, v, 1)),
+    "design_channel.bulk_field": ("float", lambda v: design_channel(4, 1, v)),
+    "design_report.n_sites": ("int", lambda v: design_report(v, 0.9)),
+    "design_report.target": ("float", lambda v: design_report(4, v)),
+    "design_report.coupling": ("float", lambda v: design_report(4, 0.9, v)),
+    "channel_curve.n_values": ("int", lambda v: channel_curve((4, v), (2.0,))),
+    "channel_curve.betas": ("float", lambda v: channel_curve((4,), (2.0, v))),
+    "channel_curve.coupling": ("float", lambda v: channel_curve((4,), (2.0,), v)),
+    "phase_scan.deltas": ("float", lambda v: phase_scan(_SPEC4, (0.0, v), (0.0,))),
+    "phase_scan.fields": ("float", lambda v: phase_scan(_SPEC4, (0.0,), (v,))),
+    "concurrence_curve.pair": ("int", lambda v: _curve(pair=(v, 4))),
+    "concurrence_curve.fields": ("float", lambda v: _curve(fields=(v,))),
+    "concurrence_curve.deltas": ("float", lambda v: _curve(deltas=(v,))),
+    "sector_boundary_concurrence.n_up": ("int", lambda v: sector_boundary_concurrence(_SPEC4, v)),
+    # a spec is all ground_regimes reads, so its values come through ChainSpec
+    "ground_regimes.spec": ("float", lambda v: ground_regimes(replace(_SPEC4, delta=v))),
+    "table1_rows.deltas": ("float", lambda v: table1_rows((0.0, v))),
+    "build_sector_basis.n_sites": ("int", lambda v: build_sector_basis(v, 1)),
+    "build_sector_basis.n_up": ("int", lambda v: build_sector_basis(4, v)),
+    "ChainSpec.couplings[]": ("seq", lambda v: ChainSpec(3, v, (0, 0, 0), 0)),
+    "channel_curve.n_values[]": ("seq", lambda v: channel_curve(v, (2.0,))),
+    "phase_scan.deltas[]": ("seq", lambda v: phase_scan(_SPEC4, v, (0.0,))),
+    "concurrence_curve.pair[]": ("seq", lambda v: _curve(pair=v)),
+    "table1_rows.deltas[]": ("seq", lambda v: table1_rows(v)),
+}
+# an int of any size is an integer, refused by its slot's own range or cap
+# (test_cli_channel_length_past_the_float_range_exits_3); a float slot
+# refuses one too large for a float
+WRONG_KIND = {
+    "int": ("4", True, None, 4.5),
+    "float": ("1.0", True, None, PAST_FLOAT),
+    "seq": (None, 5, 2.5),
+}
+
+
+@pytest.mark.parametrize("slot", NUMBER_SLOTS)
+def test_every_entry_point_reads_its_numbers_by_one_rule(slot):
+    kind, call = NUMBER_SLOTS[slot]
+    for value in WRONG_KIND[kind]:
+        with pytest.raises(DomainError):
+            call(value)
+
+
+def test_an_integral_float_reads_as_its_int():
+    assert design_channel(20.0, 1, 1) == design_channel(20, 1, 1)
+    report = design_report(20.0, 0.99)
+    assert report == design_report(20, 0.99) and type(report["n_sites"]) is int
+    assert ChainSpec.uniform(4.0) == ChainSpec.uniform(4)
+    assert type(ChainSpec.uniform(4.0).n_sites) is int
+    assert build_sector_basis(4.0, 2.0) == build_sector_basis(4, 2)
+    assert sector_boundary_concurrence(_SPEC4, 2.0) == sector_boundary_concurrence(_SPEC4, 2)
+    assert list(_curve(pair=(1.0, 4.0), deltas=(0,))) == list(_curve())
+    # the rows carry the int N and float betas whatever the inputs were
+    rows = list(channel_curve((4.0, 6), (2, 3.0), 1))
+    assert [repr(row) for row in rows] == [
+        repr(row) for row in channel_curve((4, 6), (2.0, 3.0), 1.0)
+    ]
+
+
+_WRONG_VALUES = st.one_of(
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=1),
+)
+_NOT_A_LIST = st.one_of(
+    st.text(max_size=3), st.booleans(), st.none(), st.integers(-2, 6), st.floats(-2, 6)
+)
+_NOT_AN_INTEGER = st.one_of(
+    _WRONG_VALUES, st.floats(allow_nan=False).filter(lambda x: not x.is_integer())
+)
+
+_CLI_SPEC = {"n_sites": 3, "couplings": [1, 1], "fields": [0, 0, 0], "delta": 0, "temperature": 0}
+_RANGE = {"min": 0, "max": 1, "step": 0.5}
+# a small valid config of each subcommand, and the kind each of its keys
+# reads: "float", "int", or a list of either
+_CLI_CASES = [
+    ("phase-scan", {"spec": _CLI_SPEC, "grid": {"delta": [0], "B": {"values": [0, 0.5]}}}),
+    ("phase-scan", {"spec": _CLI_SPEC, "grid": {"delta": _RANGE, "B": _RANGE}}),
+    ("curve", {"spec": _CLI_SPEC, "pair": [1, 3], "delta_values": [0], "grid": {"B": [0.5]}}),
+    ("channel", {"n_sites_values": [4, 6], "coupling": 1, "grid": {"beta": [2.0]}}),
+    ("channel", {"n_sites_values": [4], "coupling": 1.0, "grid": {"beta": _RANGE}}),
+    ("design", {"n_sites": 4, "target": 0.5, "coupling": 1}),
+    ("table1", {"delta_values": [0]}),
+]
+_KEY_KINDS = {
+    "n_sites": "int", "couplings": ["float"], "fields": ["float"], "delta": "float",
+    "temperature": "float", "pair": ["int"], "delta_values": ["float"], "B": ["float"],
+    "n_sites_values": ["int"], "coupling": "float", "beta": ["float"], "target": "float",
+    "min": "float", "max": "float", "step": "float", "values": ["float"],
+}
+
+
+def _number_paths(obj, path=()):
+    """(path, kind) of every number and number list in a config, by key."""
+    for key, value in obj.items():
+        kind = _KEY_KINDS.get(key)
+        if isinstance(value, dict):
+            yield from _number_paths(value, (*path, key))
+        elif isinstance(kind, list):
+            yield (*path, key), "list"
+            for i in range(len(value)):
+                yield (*path, key, i), kind[0]
+        elif kind is not None:
+            yield (*path, key), kind
+
+
+_CLI_SLOTS = [
+    (command, config, path, kind)
+    for command, config in _CLI_CASES
+    for path, kind in _number_paths(config)
+]
+
+
+def _replaced(obj, path, value):
+    """A deep copy of a config with the value at ``path`` replaced."""
+    obj = json.loads(json.dumps(obj))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+@st.composite
+def _wrong_configs(draw):
+    command, config, path, kind = draw(st.sampled_from(_CLI_SLOTS))
+    strategy = {"list": _NOT_A_LIST, "int": _NOT_AN_INTEGER, "float": _WRONG_VALUES}[kind]
+    return command, _replaced(config, path, draw(strategy))
+
+
+def test_every_cli_config_case_runs():
+    for command, config in _CLI_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.csv"
+            args = [command, "--config", _write_config(Path(tmp), config), "--out", str(out)]
+            assert main(args) == 0 and out.exists(), (command, config)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_wrong_configs())
+def test_cli_refuses_a_value_of_the_wrong_kind_in_every_config_key(case):
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        code = main([command, "--config", _write_config(Path(tmp), config), "--out", str(out)])
+        assert code in (2, 3), (command, config)
+        assert [p.name for p in Path(tmp).iterdir()] == ["config.json"]
 
 @pytest.mark.parametrize(
     "text",

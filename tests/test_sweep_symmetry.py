@@ -15,9 +15,8 @@ import pytest
 from reference import dense_sector_concurrence, plain_block_spectrum
 from xxzchain import sweep
 from xxzchain.chain import ChainSpec
-from xxzchain.channel import impurity_profile_chain
+from xxzchain.channel import build_channel, impurity_profile_chain
 from xxzchain.eigensolver import SpectralDecomposition, decompose
-from xxzchain.hamiltonian import build_channel
 from xxzchain.sweep import (
     _BlockPlan,
     _phase_points,
