@@ -18,7 +18,7 @@ fractional integer and an int too large for a float where a float is read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isfinite
+from math import comb, isfinite, log10
 from numbers import Integral, Rational, Real
 
 import numpy as np
@@ -35,10 +35,23 @@ GRID_POINT_CAP = 10**6
 _CHUNK_ENTRIES = 1 << 12
 
 
+def _shown(value) -> str:
+    """``value`` for an error message that never fails: its repr, or for an int
+    too long for repr (sys.get_int_max_str_digits()) "10^(d-1) or more"."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):  # a value that holds such an int
+            return f"a {type(value).__name__} too long to print"
+        d = int(abs(value).bit_length() * log10(2))  # d or d - 1 digits
+        d += abs(value) >= 10**d
+        return f"-10^{d - 1} or less" if value < 0 else f"10^{d - 1} or more"
+
+
 def _real(value, what: str, noun: str = "a number"):
     """``value`` itself, refused unless it is a real number and not a bool."""
     if isinstance(value, bool) or not isinstance(value, Real):
-        raise DomainError(f"{what} must be {noun}, got {value!r}")
+        raise DomainError(f"{what} must be {noun}, got {_shown(value)}")
     return value
 
 
@@ -47,7 +60,7 @@ def as_float(value, what: str) -> float:
     try:
         return float(_real(value, what))
     except OverflowError as exc:
-        raise DomainError(f"{what} must lie in the float range, got {value!r}") from exc
+        raise DomainError(f"{what} must lie in the float range, got {_shown(value)}") from exc
 
 
 def as_int(value, what: str) -> int:
@@ -55,7 +68,7 @@ def as_int(value, what: str) -> int:
     int of any size is kept, so the cap that bounds it refuses one too large."""
     if isinstance(_real(value, what, "an integer"), Integral) or as_float(value, what).is_integer():
         return int(value)
-    raise DomainError(f"{what} must be an integer, got {value!r}")
+    raise DomainError(f"{what} must be an integer, got {_shown(value)}")
 
 
 def _as_tuple(values, what: str) -> tuple:
@@ -63,7 +76,7 @@ def _as_tuple(values, what: str) -> tuple:
     try:
         return tuple(values)
     except TypeError:
-        raise DomainError(f"{what} must be a list of numbers, got {values!r}") from None
+        raise DomainError(f"{what} must be a list of numbers, got {_shown(values)}") from None
 
 
 def check_grid(*axes) -> tuple[tuple, ...]:
@@ -109,20 +122,15 @@ class ChainSpec:
     def __post_init__(self):
         object.__setattr__(self, "n_sites", as_int(self.n_sites, "n_sites"))
         if self.n_sites < 2:
-            raise DomainError(f"n_sites must be >= 2, got {self.n_sites}")
+            raise DomainError(f"n_sites must be >= 2, got {_shown(self.n_sites)}")
         for name in ("couplings", "fields"):
             values = tuple(as_float(v, name) for v in _as_tuple(getattr(self, name), name))
             object.__setattr__(self, name, values)
         for name in ("delta", "temperature"):
             object.__setattr__(self, name, as_float(getattr(self, name), name))
-        if len(self.couplings) != self.n_sites - 1:
-            raise DomainError(
-                f"expected {self.n_sites - 1} couplings, got {len(self.couplings)}"
-            )
-        if len(self.fields) != self.n_sites:
-            raise DomainError(
-                f"expected {self.n_sites} fields, got {len(self.fields)}"
-            )
+        for name, count in (("couplings", self.n_sites - 1), ("fields", self.n_sites)):
+            if (got := len(getattr(self, name))) != count:
+                raise DomainError(f"expected {_shown(count)} {name}, got {got}")
         values = (*self.couplings, *self.fields, self.delta, self.temperature)
         if not all(isfinite(v) for v in values):
             raise DomainError("chain parameters must be finite")
@@ -188,9 +196,9 @@ def build_sector_basis(n_sites: int, n_up: int) -> SectorBasis:
     """
     n_sites, n_up = as_int(n_sites, "n_sites"), as_int(n_up, "n_up")
     if n_sites < 1:
-        raise DomainError(f"n_sites must be positive, got {n_sites}")
+        raise DomainError(f"n_sites must be positive, got {_shown(n_sites)}")
     if not 0 <= n_up <= n_sites:
-        raise DomainError(f"n_up must lie in [0, {n_sites}], got {n_up}")
+        raise DomainError(f"n_up must lie in [0, {_shown(n_sites)}], got {_shown(n_up)}")
     states = [0]
     for j in range(1, min(n_up, n_sites - n_up) + 1):
         below, states = states, []

@@ -5,8 +5,8 @@ its single-excitation ground state pinned to the boundary pair, giving a
 boundary concurrence that approaches 1 as 2B/J grows.  The single-
 excitation sector splits under the mirror symmetry of the chain into two
 k x k tridiagonal blocks (N = 2k) with a uniform bulk, whose ground states
-have closed forms: a design is one scalar secular equation plus an O(k)
-profile, so any chain up to CHANNEL_SITE_CAP sites is routine.  One kernel
+have closed forms: a design is one scalar secular root (``_root``) plus an
+O(k) profile, so any chain up to CHANNEL_SITE_CAP sites is routine.  One kernel
 (``_ground_profiles``) serves ``design_channel`` and the two CLI routes,
 ``channel_curve`` and ``design_report``.  The channel's chain (``build_channel``)
 and other coupling profiles, such as ``impurity_profile_chain``, are specs for
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_forms
-from .chain import _CHUNK_ENTRIES, ChainSpec, as_float, as_int, check_grid
+from .chain import _CHUNK_ENTRIES, ChainSpec, _shown, as_float, as_int, check_grid
 from .closed_forms import c1n_channel
 from .eigensolver import _degeneracy_tolerance
 from .errors import DomainError, ResourceCapError
@@ -76,13 +76,18 @@ def _half_length(n_sites: int) -> int:
     n_sites = as_int(n_sites, "n_sites")
     if n_sites < 4 or n_sites % 2:
         raise DomainError(
-            f"folding needs an even chain with at least 4 sites, got {n_sites}"
+            f"folding needs an even chain with at least 4 sites, got {_shown(n_sites)}"
         )
+    return _capped(n_sites) // 2
+
+
+def _capped(n_sites: int) -> int:
+    """``n_sites``, refused over CHANNEL_SITE_CAP before anything is built."""
     if n_sites > CHANNEL_SITE_CAP:
         raise ResourceCapError(
-            f"channel of {n_sites} sites exceeds the cap of {CHANNEL_SITE_CAP}"
+            f"channel of {_shown(n_sites)} sites exceeds the cap of {CHANNEL_SITE_CAP}"
         )
-    return n_sites // 2
+    return n_sites
 
 
 def _check_channel(coupling: float, bulk_field: float) -> tuple[float, float]:
@@ -117,19 +122,35 @@ def fold_single_excitation(
     return FoldedChannelMatrices(k=k, symmetric=sym, antisymmetric=anti)
 
 
-def _bisect(fn, lo: float, hi: float) -> float:
-    """The sign change of ``fn`` in (lo, hi), where fn < 0 below it and
-    fn >= 0 above.  Halving stops when the midpoint equals an endpoint, so the
-    root is resolved to the last bit and identical inputs give identical
-    bits."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        if fn(mid) < 0.0:
-            lo = mid
+def _root(fn, lo: float, hi: float) -> float:
+    """The sign change of ``fn`` in (lo, hi), fn < 0 below and >= 0 above, as
+    bisection finds it: it narrows the bracket until the midpoint equals an
+    end and returns that midpoint, so where the computed fn changes sign once
+    the bits are bisection's.  Each end's inner neighbour is probed (not an
+    end at 0: the symmetric forms vanish there, their sign next to it noise),
+    then Illinois regula falsi steps (M. Dowell and P. Jarratt, BIT 11, 168
+    (1971)) are kept a float inside: about 10 calls a root, not 50.  It halves
+    while a side has no value, where fn overflowed and once hi read 0 twice."""
+    f_lo, f_hi, side, flat = math.nan, math.nan, 0, False  # nan: no value yet
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if math.isnan(f_lo) and lo > 0.0:
+            x = math.nextafter(lo, hi)
+        elif math.isnan(f_hi):
+            x = math.nextafter(hi, lo)
+        elif flat or not -math.inf < f_lo < f_hi:
+            x = mid
         else:
-            hi = mid
+            x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+            x = min(max(x, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        fx = fn(x)  # Illinois: an end kept twice running has its value halved
+        if fx < 0.0:
+            f_hi *= 0.5 if side < 0 else 1.0
+            lo, f_lo, side = x, fx, -1
+        else:
+            f_lo *= 0.5 if side > 0 else 1.0
+            flat = fx == f_hi == 0.0
+            hi, f_hi, side = x, fx, 1
+    return mid
 
 
 def _ground_wavenumber(k: int, beta: float, antisymmetric: bool) -> tuple[float, bool]:
@@ -157,13 +178,13 @@ def _ground_wavenumber(k: int, beta: float, antisymmetric: bool) -> tuple[float,
                 1.0 + math.exp(-(2 * k - 1) * p)
             )
 
-        return _bisect(secular, math.log(beta), math.log1p(beta)), True
+        return _root(secular, math.log(beta), math.log1p(beta)), True
     if antisymmetric:
         # cos((k + 1/2) t) = beta cos((k - 1/2) t), root in (0, pi/(2k+1)]
         def secular(t):
             return 2.0 * math.sin(k * t) * math.sin(0.5 * t) + b1 * math.cos((k - 0.5) * t)
 
-        return _bisect(secular, 0.0, math.pi / (2 * k + 1)), False
+        return _root(secular, 0.0, math.pi / (2 * k + 1)), False
     if beta > (2.0 * k + 1.0) / (2.0 * k - 1.0):
         # sinh((k + 1/2) p) = beta sinh((k - 1/2) p), root in (0, ln beta)
         def secular(p):
@@ -171,13 +192,13 @@ def _ground_wavenumber(k: int, beta: float, antisymmetric: bool) -> tuple[float,
                 -(2 * k - 1) * p
             )
 
-        return _bisect(secular, 0.0, math.log(beta)), True
+        return _root(secular, 0.0, math.log(beta)), True
 
     # sin((k + 1/2) t) = beta sin((k - 1/2) t), root in (0, 2 pi/(2k+1)]
     def secular(t):
         return b1 * math.sin((k - 0.5) * t) - 2.0 * math.cos(k * t) * math.sin(0.5 * t)
 
-    return _bisect(secular, 0.0, 2.0 * math.pi / (2 * k + 1)), False
+    return _root(secular, 0.0, 2.0 * math.pi / (2 * k + 1)), False
 
 
 def _block_ground(
@@ -199,8 +220,8 @@ def _ground_profiles(
     ``_half_length`` and parameters ``_check_channel`` accepted.
 
     Both blocks are k x k tridiagonal with a uniform bulk, so each ground
-    energy is the root of one scalar secular equation (bisection to the last
-    bit) and the ground vector has the closed form (-1)^j s_j, s_j >= 0:
+    energy is the root of one scalar secular equation (``_root``) and the
+    ground vector has the closed form (-1)^j s_j, s_j >= 0:
     s_j = cosh((k + 1/2 - j) p) (beta > 1), 1 (beta = 1) or
     cos((k + 1/2 - j) theta) (beta < 1).  The CLI routes read only c_0^2 and
     |c_j / c_{j+1}|; ``design_channel`` signs its one row.  The profile is
@@ -208,7 +229,7 @@ def _ground_profiles(
     coefficient carries full relative accuracy, however far below the
     boundary amplitude it falls.  No dense matrix is built.
 
-    The roots stay scalar ``math`` bisections, as numpy's exp and expm1 differ
+    The roots stay scalar ``math`` calls, as numpy's exp and expm1 differ
     from libm's in the last bit on a few percent of inputs; the profiles of
     all fields are then built as one (fields, k) array, each row bit for bit
     the one a single field gives.
@@ -332,7 +353,7 @@ def design_report(n_sites: int, target: float, coupling: float = 1.0) -> dict:
     the profile formula: design_channel(N, J, beta J / 2) reaches the target
     and the float below beta does not.  A bracket doubles from beta = 2 up
     to closed_forms.BETA_CAP (read at each call), the cap included, then
-    [0, hi] is halved until the midpoint equals an endpoint."""
+    ``_root`` finds the two floats that straddle it in [0, hi]."""
     target = as_float(target, "target")
     if not 0.0 < target < 1.0:
         raise DomainError(f"target must lie in (0, 1), got {target}")
@@ -360,23 +381,18 @@ def design_report(n_sites: int, target: float, coupling: float = 1.0) -> dict:
         if hi == closed_forms.BETA_CAP:
             return report("unreachable-below-beta-cap", hi)
         hi = min(2.0 * hi, closed_forms.BETA_CAP)
-    lo = 0.0
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if achieved(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return report("ok", hi)
+    beta = _root(lambda b: achieved(b) - target, 0.0, hi)  # either float of the crossing
+    return report("ok", beta if achieved(beta) >= target else math.nextafter(beta, hi))
 
 
 def build_channel(n_sites: int, coupling: float, bulk_field: float) -> ChainSpec:
     """Uniform XX chain with a field on the bulk sites only.
 
-    Sites 1 and N see zero field; sites 2..N-1 see ``bulk_field``.
-    """
-    n_sites = as_int(n_sites, "n_sites")
+    Sites 1 and N see zero field; sites 2..N-1 see ``bulk_field``; a chain
+    over CHANNEL_SITE_CAP sites is refused before any tuple is built."""
+    n_sites = _capped(as_int(n_sites, "n_sites"))
     if n_sites < 3:
-        raise DomainError(f"channel needs at least 3 sites, got {n_sites}")
+        raise DomainError(f"channel needs at least 3 sites, got {_shown(n_sites)}")
     return ChainSpec(
         n_sites=n_sites,
         couplings=(coupling,) * (n_sites - 1),
@@ -387,10 +403,11 @@ def build_channel(n_sites: int, coupling: float, bulk_field: float) -> ChainSpec
 
 def impurity_profile_chain(n_sites: int, base: float) -> ChainSpec:
     """XX chain with the mirror-symmetric geometric coupling profile
-    J_i = base^(i-1) up to the midpoint: (1, J, J^2, ..., J^2, J, 1)."""
-    n_sites, base = as_int(n_sites, "n_sites"), as_float(base, "profile base")
+    J_i = base^(i-1) up to the midpoint: (1, J, J^2, ..., J^2, J, 1); a chain
+    over CHANNEL_SITE_CAP sites is refused before any tuple is built."""
+    n_sites, base = _capped(as_int(n_sites, "n_sites")), as_float(base, "profile base")
     if n_sites < 3:
-        raise DomainError(f"profile chain needs at least 3 sites, got {n_sites}")
+        raise DomainError(f"profile chain needs at least 3 sites, got {_shown(n_sites)}")
     if base <= 0:
         raise DomainError("profile base must be positive")
     couplings = tuple(base ** (min(i, n_sites - i) - 1) for i in range(1, n_sites))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, SectorBasis, as_int, site_mask
+from .chain import ChainSpec, SectorBasis, _shown, as_int, site_mask
 from .eigensolver import SpectralDecomposition, ground_space
 from .errors import DomainError
 
@@ -100,10 +100,10 @@ def _pair_sites_checked(n_sites: int, pair) -> tuple[int, int]:
     try:
         i, j = pair
     except (TypeError, ValueError):
-        raise DomainError(f"a site pair must be two sites (i, j), got {pair!r}") from None
+        raise DomainError(f"a site pair must be two sites (i, j), got {_shown(pair)}") from None
     i, j = as_int(i, "site"), as_int(j, "site")
     if not (1 <= i <= n_sites and 1 <= j <= n_sites):
-        raise DomainError(f"sites ({i}, {j}) out of range for {n_sites} sites")
+        raise DomainError(f"sites ({_shown(i)}, {_shown(j)}) out of range for {n_sites} sites")
     if i == j:
         raise DomainError("need two distinct sites")
     return (i, j) if i < j else (j, i)

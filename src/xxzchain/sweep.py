@@ -52,7 +52,7 @@ from math import comb, inf, isfinite, nan
 import numpy as np
 
 from . import closed_forms
-from .chain import _CHUNK_ENTRIES, ChainSpec, SectorBasis, as_float, as_int
+from .chain import _CHUNK_ENTRIES, ChainSpec, SectorBasis, _shown, as_float, as_int
 from .chain import build_sector_basis, check_grid
 from .channel import channel_curve  # unused: perfbench's tracer wraps it from here
 from .closed_forms import GroundRegime
@@ -219,7 +219,7 @@ def _check_sector(n_sites: int, n_up: int) -> int:
     decomposes every block, so it checks the largest, k = N // 2."""
     n_up = as_int(n_up, "n_up")
     if not 0 <= n_up <= n_sites:
-        raise DomainError(f"n_up must lie in [0, {n_sites}], got {n_up}")
+        raise DomainError(f"n_up must lie in [0, {n_sites}], got {_shown(n_up)}")
     dim = comb(n_sites, n_up)
     if dim > SECTOR_DIM_CAP:
         raise ResourceCapError(f"sector dimension {dim} exceeds the cap of {SECTOR_DIM_CAP}")

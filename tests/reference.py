@@ -87,6 +87,20 @@ def per_row_point(spectrum, field: float, temperature: float = 0.0):
     return e0, int(spectrum.sector[ground].min()), len(ground), xstate_concurrence(rho)
 
 
+def _bisect(fn, lo: float, hi: float) -> float:
+    """The sign change of ``fn`` in (lo, hi), where fn < 0 below it and
+    fn >= 0 above, by halving until the midpoint equals an endpoint: the
+    last-bit root ``channel._root`` must return, about 50 calls a root."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if fn(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 def unfold_consistency(
     n_sites: int, coupling: float, bulk_field: float, tol: float = 1e-10
 ) -> bool:

@@ -1,11 +1,14 @@
+from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 from reference import spin_sign
 
-from xxzchain.chain import ChainSpec, build_sector_basis, site_mask
-from xxzchain.errors import DomainError
+from xxzchain.chain import ChainSpec, _shown, build_sector_basis, site_mask
+from xxzchain.channel import build_channel, design_channel
+from xxzchain.errors import DomainError, ResourceCapError
+from xxzchain.sweep import concurrence_curve, phase_scan, sector_boundary_concurrence
 
 
 def test_sector_basis_trivial_all_down():
@@ -103,3 +106,31 @@ def test_chain_spec_from_dict_refuses_strings():
         with pytest.raises(DomainError, match="must be"):
             ChainSpec.from_dict({**good, **bad})
 
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: design_channel(4, 10**5000, 1),
+        lambda: design_channel(10**5000, 1, 1),
+        lambda: phase_scan(ChainSpec.uniform(4), (10**5000,), (0.0,)),
+        lambda: build_channel(-(10**5000), 1, 1),
+        lambda: ChainSpec(4, 10**5000, (0.0,) * 4, 0.0),
+        lambda: build_sector_basis(3, 10**5000),
+        lambda: sector_boundary_concurrence(ChainSpec.uniform(4), 10**5000),
+        lambda: list(concurrence_curve(ChainSpec.uniform(4), (10**5000, 1), (0.0,), (0.0,))),
+    ],
+)
+def test_an_int_too_long_to_print_is_shown_by_its_digit_count(call):
+    # repr of an int past 4,300 digits raises ValueError, so each message
+    # shows the digit count instead and the library's own error is raised
+    with pytest.raises((DomainError, ResourceCapError), match=r"10\^5000 or (more|less)"):
+        call()
+
+
+def test_shown_gives_an_exact_digit_count_or_the_type_of_an_over_long_value():
+    assert _shown(10**4300 - 1) == "9" * 4300
+    assert _shown(10**4300) == _shown(10**4301 - 1) == "10^4300 or more"
+    assert _shown(-(10**6000)) == "-10^6000 or less"
+    assert _shown(Fraction(10**5000, 3)) == "a Fraction too long to print"
+    with pytest.raises(DomainError, match="got a tuple too long to print"):
+        list(concurrence_curve(ChainSpec.uniform(4), (10**5000,), (0.0,), (0.0,)))

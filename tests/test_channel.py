@@ -3,6 +3,7 @@ import importlib.util
 import math
 import pkgutil
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +336,24 @@ def test_channel_length_cap_refuses_before_allocating(monkeypatch):
         design_channel(102, 1.0, 1.0)
     with pytest.raises(ResourceCapError):
         channel.channel_curve((4, 102), (2.0,))
+
+
+def test_channel_builders_refuse_a_length_over_the_cap_before_building(monkeypatch):
+    # the cap is read before any tuple of the spec is built, so an N past
+    # the float range is a cap error and nothing of size N is allocated
+    for call in (lambda n: build_channel(n, 1.0, 1.0), lambda n: impurity_profile_chain(n, 0.5)):
+        with pytest.raises(ResourceCapError, match="exceeds the cap"):
+            call(10**400)
+        monkeypatch.setattr(channel, "CHANNEL_SITE_CAP", 100)
+        assert call(100).n_sites == 100
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match="channel of 1000000 sites exceeds the cap of 100"):
+                call(10**6)
+            assert tracemalloc.get_traced_memory()[1] < 100_000
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
 
 
 def test_design_builds_no_dense_block(monkeypatch):
