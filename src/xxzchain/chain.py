@@ -28,6 +28,10 @@ from .errors import DomainError, ResourceCapError
 # Default cap on n_sites whenever a full 2^N-dimensional object is built.
 FULL_SPACE_CAP = 14
 GRID_POINT_CAP = 10**6
+# Most sites of any chain, checked before a tuple of that length is built: a
+# channel design and its ratio profile peak at 36 B per site (tracemalloc),
+# 360 MB at the cap
+SITE_CAP = 10**7
 
 # Most entries one temporary of ``sweep._SectorSpectrum.field_rows`` (levels x
 # fields) or ``channel.channel_curve`` (betas x k) holds; an axis is walked in
@@ -46,6 +50,14 @@ def _shown(value) -> str:
         d = int(abs(value).bit_length() * log10(2))  # d or d - 1 digits
         d += abs(value) >= 10**d
         return f"-10^{d - 1} or less" if value < 0 else f"10^{d - 1} or more"
+
+
+def _capped(n_sites: int, what: str = "chain") -> int:
+    """``n_sites``, refused over SITE_CAP (read when called) before anything
+    of that length is built."""
+    if n_sites > SITE_CAP:
+        raise ResourceCapError(f"{what} of {_shown(n_sites)} sites exceeds the cap of {SITE_CAP}")
+    return n_sites
 
 
 def _real(value, what: str, noun: str = "a number"):
@@ -146,8 +158,9 @@ class ChainSpec:
         delta: float = 0.0,
         temperature: float = 0.0,
     ) -> "ChainSpec":
-        """Uniform couplings and a uniform field on every site."""
-        n_sites = as_int(n_sites, "n_sites")
+        """Uniform couplings and a uniform field on every site; a chain over
+        SITE_CAP sites is refused before any tuple is built."""
+        n_sites = _capped(as_int(n_sites, "n_sites"))
         return cls(
             n_sites=n_sites,
             couplings=(coupling,) * (n_sites - 1),
@@ -193,10 +206,12 @@ def build_sector_basis(n_sites: int, n_up: int) -> SectorBasis:
     (j - 1)-up labels; taking p upward lists them in ascending order, so
     there is no sort and each label costs one addition.  A sector with
     k > N/2 is the bitwise complement of the (N - k)-up sector, reversed.
+    A chain over SITE_CAP sites is refused before any label is built.
     """
     n_sites, n_up = as_int(n_sites, "n_sites"), as_int(n_up, "n_up")
     if n_sites < 1:
         raise DomainError(f"n_sites must be positive, got {_shown(n_sites)}")
+    _capped(n_sites)
     if not 0 <= n_up <= n_sites:
         raise DomainError(f"n_up must lie in [0, {_shown(n_sites)}], got {_shown(n_up)}")
     states = [0]

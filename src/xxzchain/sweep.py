@@ -20,7 +20,9 @@ with its entries as (row, col, value) lists.  A delta then only puts its
 diagonal together and decomposes.  At T = 0 each part keeps only the
 levels close enough to its own lowest to be ground at some field the call
 reads (``_BlockPlan.spectrum``); only their eigenvectors are unfolded and
-reduced to pair-state entries, and the rest are dropped.
+reduced to pair-state entries, and the rest are dropped.  A part whose
+levels one Cholesky factorization proves to lie beyond that window of its
+block's lowest is not decomposed at all (``_Block.levels``).
 
 The field axis of a delta is then evaluated in one vectorized pass
 (``_SectorSpectrum.field_rows``): the shifted levels, the ground space and
@@ -96,7 +98,8 @@ class _Block:
     the index of R(r), span them through c (|r> +/- |m>), c = f / sqrt(2),
     f = 1/sqrt(2) for a self-mirror state and 1 otherwise.  Under the
     identity every state is self-mirror, the even half is the plain block
-    and there is no odd half.
+    and there is no odd half.  ``lead`` is the index of the part that held
+    the block's lowest level at the last delta read (see ``levels``).
     """
 
     def __init__(self, spec: ChainSpec, basis: SectorBasis, pair):
@@ -143,26 +146,74 @@ class _Block:
             sign = np.sign(mirrored - states).astype(float)
             entries = index[a[odd]], index[b[odd]], sign[cols[odd]] * values[odd]
             self.parts.append((reps[~own], entries, index[orbit], root_half * sign[:, None]))
+        self.lead = 0
 
     def levels(self, delta: float, window: float) -> tuple[np.ndarray, np.ndarray]:
-        """Levels at ``delta`` within ``window`` of their own part's lowest
-        (a superset of those within ``window`` of the block's), and the pair
-        data of their eigenvectors, the only ones unfolded and reduced."""
+        """Levels at ``delta`` within ``window`` of their own part's lowest,
+        and the pair data of their eigenvectors, the only ones unfolded and
+        reduced, part by part in part order; together a superset of the
+        levels within ``window`` of the block's lowest.
+
+        With a finite window the part that held the block's lowest level at
+        the last delta (``lead``, at first the even half) is decomposed
+        first.  Each other part is skipped where ``_above`` proves all its
+        levels more than ``window`` above the lowest decomposed so far, and
+        so above the block's lowest, and decomposed as before where it
+        cannot.  A skipped level is one the window would never keep at the
+        block level, so the rows keep their bits (``_ground_window``)."""
         diagonal = 0.5 * delta * self.zz + self.zeeman
-        energies, data = [], []
-        for reps, entries, orbit, amp in self.parts:
-            dec = decompose(_dense(len(reps), entries, diagonal[reps]))
+        kept, floor = {}, inf
+        for i in sorted(range(len(self.parts)), key=lambda i: i != self.lead):
+            reps, entries, orbit, amp = self.parts[i]
+            matrix = _dense(len(reps), entries, diagonal[reps])
+            if floor < inf and _above(matrix, floor):
+                continue
+            dec = decompose(matrix)
+            del matrix
             w = dec.eigenvalues
+            floor = min(floor, w[0] + window)
             top = np.count_nonzero(w - w[0] <= window)
             # the gather copies, so the part's own vectors can go first; the
             # gathered ones go before the next part is decomposed
             x = dec.eigenvectors[orbit, :top]
             del dec
             x *= amp
-            energies.append(w[:top])
-            data.append(_pair_rows(self.pair_maps, x))
+            kept[i] = w[:top], _pair_rows(self.pair_maps, x)
             del x
+        self.lead = min(kept, key=lambda i: kept[i][0][0])
+        energies, data = zip(*(kept[i] for i in sorted(kept)))
         return np.concatenate(energies), np.concatenate(data)
+
+
+def _above(matrix: np.ndarray, floor: float) -> bool:
+    """Whether every eigenvalue of the symmetric ``matrix`` provably lies
+    above ``floor``: whether numpy's Cholesky factors it shifted down by
+    sigma = floor + d (d + 1) eps (max |m_ii| + |floor|).  The matrix is
+    left as it came.
+
+    A floating-point Cholesky that runs to completion on a d x d matrix A
+    factors A + E exactly, with |E| <= gamma_{d+1} |R^T| |R| componentwise
+    and gamma_{d+1} = (d + 1) (eps / 2) / (1 - (d + 1) eps / 2) (N. J.
+    Higham, Accuracy and Stability of Numerical Algorithms, SIAM 2002,
+    ch. 10), so ||E|| <= gamma_{d+1} / (1 - gamma_{d+1}) trace |A|; its use
+    as a proof of definiteness is S. M. Rump's (Acta Numerica 19, 287
+    (2010)).  Here trace |A| <= d (max |m_ii| + |sigma|), so ||E|| is about
+    half of sigma - floor at most, and the other half leaves room for the
+    rounding of the shift and LAPACK's blocked order.  A + E = R^T R is
+    positive semidefinite, so no eigenvalue of A lies below -||E||, and none
+    of ``matrix`` at or below ``floor``.
+    """
+    d = len(matrix)
+    diagonal = matrix.diagonal().copy()
+    sigma = floor + d * (d + 1) * np.finfo(float).eps * (np.abs(diagonal).max() + abs(floor))
+    matrix.flat[:: d + 1] -= sigma
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        matrix.flat[:: d + 1] = diagonal
+    return True
 
 
 def _palindromic(spec: ChainSpec) -> bool:

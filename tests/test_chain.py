@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from reference import spin_sign
 
+from xxzchain import chain
 from xxzchain.chain import ChainSpec, _shown, build_sector_basis, site_mask
 from xxzchain.channel import build_channel, design_channel
 from xxzchain.errors import DomainError, ResourceCapError
@@ -134,3 +136,27 @@ def test_shown_gives_an_exact_digit_count_or_the_type_of_an_over_long_value():
     assert _shown(Fraction(10**5000, 3)) == "a Fraction too long to print"
     with pytest.raises(DomainError, match="got a tuple too long to print"):
         list(concurrence_curve(ChainSpec.uniform(4), (10**5000,), (0.0,), (0.0,)))
+
+
+def test_chain_builders_refuse_a_length_over_the_site_cap_before_building(monkeypatch):
+    # one cap, read when called, bounds every builder before a tuple of
+    # length N exists: an N past the float range is a cap error, not an
+    # OverflowError, and nothing of size N is allocated
+    with pytest.raises(ResourceCapError, match="chain of 1000+ sites exceeds the cap of 10000000"):
+        ChainSpec.uniform(10**400)
+    monkeypatch.setattr(chain, "SITE_CAP", 100)
+    assert ChainSpec.uniform(100).n_sites == 100
+    assert len(build_sector_basis(100, 1)) == 100
+    # 5000 one-up labels of up to 5000 bits would take about 1.6 MB
+    for call, n, what in (
+        (ChainSpec.uniform, 10**6, "chain"),
+        (lambda n: build_sector_basis(n, 1), 5000, "chain"),
+        (lambda n: build_channel(n, 1.0, 1.0), 10**6, "channel"),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match=f"{what} of {n} sites exceeds the cap of 100"):
+                call(n)
+            assert tracemalloc.get_traced_memory()[1] < 100_000
+        finally:
+            tracemalloc.stop()

@@ -329,7 +329,7 @@ def test_channel_length_cap_refuses_before_allocating(monkeypatch):
             with pytest.raises(ResourceCapError, match=f"channel of {over} sites exceeds the cap"):
                 call()
     # the cap is read when called, and a chain at the cap is solved
-    monkeypatch.setattr(channel, "CHANNEL_SITE_CAP", 100)
+    monkeypatch.setattr(chain, "SITE_CAP", 100)
     assert design_channel(100, 1.0, 1.0).n_sites == 100
     assert len(list(channel.channel_curve((100,), (2.0,)))) == 1
     with pytest.raises(ResourceCapError):
@@ -344,7 +344,7 @@ def test_channel_builders_refuse_a_length_over_the_cap_before_building(monkeypat
     for call in (lambda n: build_channel(n, 1.0, 1.0), lambda n: impurity_profile_chain(n, 0.5)):
         with pytest.raises(ResourceCapError, match="exceeds the cap"):
             call(10**400)
-        monkeypatch.setattr(channel, "CHANNEL_SITE_CAP", 100)
+        monkeypatch.setattr(chain, "SITE_CAP", 100)
         assert call(100).n_sites == 100
         tracemalloc.start()
         try:

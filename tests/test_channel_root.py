@@ -145,3 +145,48 @@ def test_design_report_is_the_reference_bisection_search(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(channel, "_root", _bisect)
         assert found == [channel.design_report(n, t) for n, t in cases]
+
+
+def _flat_above(edge: float, shape: str):
+    """A function < 0 below ``edge`` (a smooth curve of ``shape``) and exactly
+    0 from it up, with a count of its calls."""
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        d = x - edge
+        if d >= 0.0:
+            return 0.0
+        return {"convex": math.expm1(d), "cubic": d * (1.0 + d * d),
+                "concave": -math.expm1(-d), "sqrt": -math.sqrt(-d)}[shape]
+
+    return fn, calls
+
+
+@pytest.mark.parametrize("edge", [1.2345678901234567, 0.1, 3.999, 1e-3, 2.0, 0.7])
+@pytest.mark.parametrize("shape", ["convex", "cubic", "concave", "sqrt"])
+def test_a_flat_stretch_above_the_root_keeps_the_reference_bits(edge, shape):
+    # the secant from the negative side aims at the stretch's lower edge: it
+    # saves evaluations where it lands at or below it (concave, cubic) and
+    # costs at most a few where it overshoots (convex, sqrt)
+    fn, calls = _flat_above(edge, shape)
+    reference, reference_calls = _flat_above(edge, shape)
+    assert channel._root(fn, 0.0, 4.0) == _bisect(reference, 0.0, 4.0)
+    assert len(calls) <= len(reference_calls) + 4
+    if shape in ("cubic", "concave") and edge != 2.0:
+        assert len(calls) <= 0.65 * len(reference_calls)
+
+
+@pytest.mark.parametrize("n", [20, 250, 1000])
+def test_design_report_crosses_its_flat_stretch_in_few_solves(monkeypatch, n):
+    # achieved(beta) - 0.99 reads exactly 0 over tens of floats above the
+    # crossing; halving down to its lower edge took 55 exact solves
+    solves, kernel = [], channel._ground_profiles
+
+    def counted(*args):
+        solves.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(channel, "_ground_profiles", counted)
+    assert channel.design_report(n, 0.99)["status"] == "ok"
+    assert len(solves) <= 32

@@ -1,0 +1,206 @@
+"""The Cholesky certificate of the sweep core's T = 0 blocks.
+
+With a finite level window ``sweep._Block.levels`` decomposes the part that
+held the block's lowest level at the last delta first, and skips another
+part when ``sweep._above`` proves by one Cholesky factorization that all its
+levels lie more than the window above that lowest.  These tests pin that a
+skipped part changes no bit of a row, that the certificate fails over to
+the decomposition wherever the halves share the lowest level, that T > 0
+never tries it, and that what it proves holds.
+"""
+
+from dataclasses import astuple, replace
+
+import numpy as np
+import pytest
+
+from xxzchain import sweep
+from xxzchain.chain import ChainSpec
+from xxzchain.channel import build_channel, impurity_profile_chain
+from xxzchain.eigensolver import decompose
+from xxzchain.sweep import (
+    _above,
+    _BlockPlan,
+    concurrence_curve,
+    ground_regimes,
+    phase_scan,
+    sector_boundary_concurrence,
+)
+
+
+def _palindrome(rng, length: int) -> tuple[float, ...]:
+    half = rng.uniform(0.3, 1.5, (length + 1) // 2).tolist()
+    return tuple(half + half[: length // 2][::-1])
+
+
+def _spec(rng, shape: str, n: int) -> ChainSpec:
+    """A seeded spec: palindromic couplings with zero, palindromic or
+    generic fields, an impurity chain, a generic zero-field chain or the
+    channel."""
+    delta = float(rng.uniform(-1.0, 2.0))
+    if shape == "impurity":
+        return replace(impurity_profile_chain(n, float(rng.uniform(0.5, 2.0))), delta=delta)
+    if shape == "channel":
+        return build_channel(n, 1.0, float(rng.uniform(0.5, 3.0)))
+    couplings = tuple(rng.uniform(0.3, 1.5, n - 1)) if shape == "generic" else _palindrome(rng, n - 1)
+    fields = {
+        "zero": (0.0,) * n,
+        "generic": (0.0,) * n,
+        "palindromic field": _palindrome(rng, n),
+        "generic field": tuple(rng.uniform(-1.0, 1.0, n)),
+    }[shape]
+    return ChainSpec(n, couplings, fields, delta)
+
+
+def _crossings(spec: ChainSpec, delta: float) -> list[float]:
+    """The fields at which the lowest levels of adjacent sectors cross:
+    exact cross-sector ties of the ground space."""
+    full = _BlockPlan(spec, (1, spec.n_sites)).spectrum(delta)
+    lows = [float(full.energies[full.sector == k].min()) for k in range(spec.n_sites + 1)]
+    return [0.5 * (lows[k] - lows[k + 1]) for k in range(spec.n_sites)]
+
+
+def _zero_temperature_rows(spec: ChainSpec, deltas) -> str:
+    """Every T = 0 row kind of ``spec``, over the crossing fields of its
+    first delta and a few others, as the repr of its floats (exact to the
+    last bit, signed zeros included)."""
+    n = spec.n_sites
+    fields = sorted({0.0, 0.3, 2.5, *_crossings(spec, deltas[0])})
+    rows = [astuple(p) for p in phase_scan(spec, deltas, fields)]
+    for pair in ((1, n), (2, n - 1)) if n > 3 else ((1, n),):
+        rows += list(concurrence_curve(replace(spec, temperature=0.0), pair, fields, deltas))
+    rows += [astuple(r) for r in ground_regimes(spec)]
+    rows += [sector_boundary_concurrence(spec, k) for k in range(n + 1)]
+    return repr(rows)
+
+
+def _failing(matrix):
+    raise np.linalg.LinAlgError("certificate disabled")
+
+
+def _record(monkeypatch) -> tuple[list, list]:
+    """Patch the sweep core to record each certificate's result and the size
+    of each matrix it decomposes."""
+    results, dims = [], []
+
+    def certifying(matrix, floor):
+        results.append(_above(matrix, floor))
+        return results[-1]
+
+    def recording(matrix):
+        dims.append(len(matrix))
+        return decompose(matrix)
+
+    monkeypatch.setattr(sweep, "_above", certifying)
+    monkeypatch.setattr(sweep, "decompose", recording)
+    return results, dims
+
+
+_SHAPES = ["zero", "palindromic field", "generic field", "impurity", "generic", "channel"]
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_rows_with_every_certificate_failing_are_the_certified_rows(monkeypatch, shape):
+    rng = np.random.default_rng(_SHAPES.index(shape) + 2200)
+    certified = 0
+    for n in (2, 3, 4, 5, 6, 7, 8, 10):
+        if shape in ("impurity", "channel") and n < 4:
+            continue
+        spec = _spec(rng, shape, n)
+        deltas = (spec.delta, float(rng.uniform(-1.0, 2.0)), spec.delta)
+        with monkeypatch.context() as patch:
+            results, _ = _record(patch)
+            expected = _zero_temperature_rows(spec, deltas)
+        certified += sum(results)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "cholesky", _failing)
+            assert _zero_temperature_rows(spec, deltas) == expected
+    # a palindromic spec has halves to skip (a generic one, whole blocks)
+    assert certified > 0 or shape in ("generic", "generic field")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ChainSpec.uniform(5),  # B = 0: sectors 2 and 3 tie
+        ChainSpec.uniform(3, delta=1.0),  # B = 0: sectors 1 and 2 tie
+        ChainSpec.uniform(7, delta=-1.0),  # the ferromagnet: all 8 sectors tie at B = 0
+        ChainSpec(6, (1.0, 0.0, 1.0, 0.0, 1.0), (0.0,) * 6, 0.0),  # split dimers
+        ChainSpec(6, (1.0, 1e-11, 1.0, 1e-11, 1.0), (0.0,) * 6, 0.0),  # weakly linked dimers
+        ChainSpec(8, (1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0), (0.0,) * 8, 0.4),  # zero middle bond
+    ],
+)
+def test_exact_degeneracies_keep_the_certified_rows(monkeypatch, spec):
+    deltas = (spec.delta, 0.5)
+    expected = _zero_temperature_rows(spec, deltas)
+    monkeypatch.setattr(np.linalg, "cholesky", _failing)
+    assert _zero_temperature_rows(spec, deltas) == expected
+
+
+def test_halves_that_share_the_lowest_level_are_both_decomposed(monkeypatch):
+    # with the middle bond at 0 the mirror swaps two identical chains, so a
+    # block of odd k has its lowest level, |g_m>|g_m+1> +/- |g_m+1>|g_m>, in
+    # both halves; three split dimers have every block's lowest level in
+    # both halves (the outer dimers' states swap, the middle one is even)
+    results, dims = _record(monkeypatch)
+    zero_middle = ChainSpec(8, (1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0), (0.0,) * 8, 0.4)
+    list(phase_scan(zero_middle, (0.4, 1.0), (0.0, 0.5)))
+    # blocks k = 0..4 have 1, 4 + 4, 16 + 12, 28 + 28 and 38 + 32 states
+    assert dims == [1, 4, 4, 16, 28, 28, 38] * 2
+    assert results == [False, True, False, True] * 2
+    results.clear()
+    dims.clear()
+    dimers = ChainSpec(6, (1.0, 0.0, 1.0, 0.0, 1.0), (0.0,) * 6, 0.0)
+    list(phase_scan(dimers, (0.0,), (0.0, 0.5)))
+    assert dims == [1, 3, 3, 9, 6, 10, 10]
+    assert results == [False] * 3
+
+
+def test_a_thermal_curve_never_tries_the_certificate(monkeypatch):
+    calls = []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda matrix: calls.append(matrix))
+    for spec in (ChainSpec.uniform(8, temperature=0.2), impurity_profile_chain(8, 2.0)):
+        spec = replace(spec, temperature=0.2)
+        rows = list(concurrence_curve(spec, (1, 8), (0.0, 0.5, 2.0), (0.0, 1.0)))
+        assert len(rows) == 6
+    assert calls == []
+
+
+@pytest.mark.parametrize("shape", ["zero", "palindromic field", "impurity", "channel"])
+def test_every_certified_part_lies_above_the_kept_lowest_plus_the_window(monkeypatch, shape):
+    rng = np.random.default_rng(["zero", "palindromic field", "impurity", "channel"].index(shape))
+    proved = []
+
+    def checking(matrix, floor):
+        result = _above(matrix, floor)
+        if result:
+            proved.append(float(np.linalg.eigvalsh(matrix)[0]) - floor)
+        return result
+
+    monkeypatch.setattr(sweep, "_above", checking)
+    for n in (4, 6, 7, 8, 10):
+        spec = _spec(rng, shape, n)
+        fields = sorted({0.0, 0.7, *_crossings(spec, spec.delta)})
+        list(phase_scan(spec, (spec.delta, float(rng.uniform(-1.0, 2.0))), fields))
+        ground_regimes(spec)
+    assert proved and min(proved) > 0.0
+
+
+@pytest.mark.parametrize("floor", [-3.5, 0.0, 1e-300, 2.0])
+def test_the_certificate_proves_only_levels_past_the_floor_and_its_margin(floor):
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    scale = 1.0 + abs(floor)
+    # a diagonal matrix holds its levels exactly: one at the floor, or a few
+    # ulps above it (inside the Cholesky error margin), is not proved
+    for lowest, proved in ((floor - 1e-9 * scale, False), (floor, False),
+                           (floor + 8 * np.spacing(scale), False), (floor + 1e-6 * scale, True)):
+        levels = np.linspace(lowest, lowest + 4.0, 12)
+        for matrix in (np.diag(levels), (q * levels) @ q.T):
+            if matrix.any() and not np.array_equal(matrix, np.diag(levels)):
+                if abs(lowest - floor) < 1e-9 * scale:
+                    continue  # a rotated level this close is only known to roundoff
+                matrix = 0.5 * (matrix + matrix.T)
+            before = matrix.copy()
+            assert _above(matrix, floor) is proved
+            assert np.array_equal(matrix, before)

@@ -3,8 +3,10 @@
 A sweep builds its S^z blocks once (``sweep._BlockPlan``) and only puts
 each delta's diagonal together; at T = 0 every block keeps just the levels
 within the window of its own lowest that can ever be ground.  These tests
-pin that the blocks are built once, that nothing else changes how often a
-matrix is decomposed, and that dropping levels changes no bit of a row.
+pin that the blocks are built once, that each part is assembled once per
+delta, how many of them are decomposed (at T = 0 the certificate of
+``tests/test_sweep_certificate.py`` spares some), and that dropping levels
+changes no bit of a row.
 """
 
 import copy
@@ -40,8 +42,9 @@ def _count(monkeypatch, name: str) -> list:
     return calls
 
 
-def _decompositions_per_delta(monkeypatch, spec: ChainSpec, pair) -> int:
-    """How many matrices one delta decomposes: those of a one-off spectrum."""
+def _parts_per_delta(monkeypatch, spec: ChainSpec, pair) -> int:
+    """How many parts one delta assembles: the matrices a one-off spectrum,
+    which keeps every level, decomposes."""
     with monkeypatch.context() as patch:
         calls = _count(patch, "decompose")
         _BlockPlan(spec, pair).spectrum(spec.delta)
@@ -55,16 +58,20 @@ _COUPLINGS = [(1.0,) * 6, (1.0, 0.7, 1.3, 0.9, 1.1, 0.6)]  # palindromic, generi
 def test_a_phase_scan_builds_each_block_once(monkeypatch, couplings):
     template = ChainSpec(7, couplings, (0.0,) * 7, 0.0)
     deltas = (-0.5, 0.0, 0.5, 1.0)
-    per_delta = _decompositions_per_delta(monkeypatch, template, (1, 7))
+    per_delta = _parts_per_delta(monkeypatch, template, (1, 7))
     bases = _count(monkeypatch, "build_sector_basis")
     blocks = _count(monkeypatch, "_hopping")
+    parts = _count(monkeypatch, "_dense")
     solves = _count(monkeypatch, "decompose")
     rows = list(phase_scan(template, deltas, (0.0, 0.8, 2.5)))
     assert len(rows) == 12
     # zero field: the spin flip leaves blocks k = 0..3 to decompose
     assert [args[1] for args in bases] == [0, 1, 2, 3]
     assert len(blocks) == 4
-    assert len(solves) == len(deltas) * per_delta
+    assert len(parts) == len(deltas) * per_delta
+    # one per block: at T = 0 the certificate spares every odd half of the
+    # palindromic chain, whose blocks have their lowest level in the even half
+    assert len(solves) == len(deltas) * 4
 
 
 @pytest.mark.parametrize("temperature", [0.0, 0.3])
@@ -72,14 +79,17 @@ def test_a_phase_scan_builds_each_block_once(monkeypatch, couplings):
 def test_a_curve_builds_each_block_once(monkeypatch, couplings, temperature):
     template = ChainSpec(7, couplings, (0.0,) * 7, 0.0, temperature)
     deltas = (0.0, 0.5, 1.0)
-    per_delta = _decompositions_per_delta(monkeypatch, template, (2, 6))
+    per_delta = _parts_per_delta(monkeypatch, template, (2, 6))
     bases = _count(monkeypatch, "build_sector_basis")
     blocks = _count(monkeypatch, "_hopping")
+    parts = _count(monkeypatch, "_dense")
     solves = _count(monkeypatch, "decompose")
     rows = list(concurrence_curve(template, (6, 2), (0.0, 0.4, 1.2), deltas))
     assert len(rows) == 9
     assert len(bases) == len(blocks) == 4
-    assert len(solves) == len(deltas) * per_delta
+    assert len(parts) == len(deltas) * per_delta
+    # T > 0 decomposes every part; T = 0 one per block, as in the phase scan
+    assert len(solves) == len(deltas) * (per_delta if temperature > 0 else 4)
 
 
 @pytest.mark.parametrize("couplings", [(1.0,) * 11, (1.0, 0.7, 1.3, 0.9, 1.1, 0.6, 0.8, 1.2, 0.9, 1.1, 0.7)])

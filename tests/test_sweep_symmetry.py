@@ -17,6 +17,7 @@ from xxzchain import sweep
 from xxzchain.chain import ChainSpec
 from xxzchain.channel import build_channel, impurity_profile_chain
 from xxzchain.eigensolver import SpectralDecomposition, decompose
+from xxzchain.hamiltonian import _dense
 from xxzchain.sweep import (
     _BlockPlan,
     _phase_points,
@@ -36,16 +37,22 @@ def _palindrome(rng, length: int) -> tuple[float, ...]:
     return tuple(half + half[: length // 2][::-1])
 
 
-def _record_dims(monkeypatch) -> list[int]:
-    """Patch the decompose the sweep core calls to record each block size."""
-    dims = []
+def _record_dims(monkeypatch) -> tuple[list[int], list[int]]:
+    """Patch the sweep core to record the size of each part it assembles and
+    of each matrix it decomposes."""
+    assembled, dims = [], []
+
+    def assembling(size, *args):
+        assembled.append(size)
+        return _dense(size, *args)
 
     def recording(matrix):
         dims.append(len(matrix))
         return decompose(matrix)
 
+    monkeypatch.setattr(sweep, "_dense", assembling)
     monkeypatch.setattr(sweep, "decompose", recording)
-    return dims
+    return assembled, dims
 
 
 def _test_fields(spec: ChainSpec, rng) -> list[float]:
@@ -104,9 +111,9 @@ def test_symmetric_specs_match_plain_blocks(n):
 def test_reflection_breaking_spec_is_flip_folded_but_not_split(monkeypatch):
     rng = np.random.default_rng(11)
     spec = ChainSpec(6, (1.0, 0.7, 1.3, 1.0, 0.9), (0.0,) * 6, 0.4)
-    dims = _record_dims(monkeypatch)
+    assembled, dims = _record_dims(monkeypatch)
     _BlockPlan(spec, (2, 5)).spectrum(spec.delta)
-    assert dims == [comb(6, k) for k in range(4)]
+    assert assembled == dims == [comb(6, k) for k in range(4)]
     for pair in ((2, 5), (5, 2), (1, 6)):
         _assert_same_rows(spec, pair, _test_fields(spec, rng))
 
@@ -114,20 +121,22 @@ def test_reflection_breaking_spec_is_flip_folded_but_not_split(monkeypatch):
 def test_classify_without_either_symmetry_is_the_plain_block_path(monkeypatch):
     # uniform couplings, but a field that is neither uniform nor palindromic
     spec = ChainSpec(6, (1.0,) * 5, (0.3, 0.1, 0.5, 0.2, 0.0, 0.4), 0.7)
-    dims = _record_dims(monkeypatch)
+    assembled, dims = _record_dims(monkeypatch)
     point = classify_ground_state(spec)
-    assert dims == [comb(6, k) for k in range(7)]
+    assert assembled == dims == [comb(6, k) for k in range(7)]
     rest = replace(spec, fields=tuple(b - 0.3 for b in spec.fields))
     assert [point] == list(_phase_points(plain_block_spectrum(rest, (1, 6)), spec.delta, (0.3,)))
 
 
 def test_classify_with_a_palindromic_field_splits_every_block(monkeypatch):
     spec = ChainSpec(6, (1.0, 0.8, 1.2, 0.8, 1.0), (0.2, 0.5, 0.1, 0.1, 0.5, 0.2), 0.7)
-    dims = _record_dims(monkeypatch)
+    assembled, dims = _record_dims(monkeypatch)
     point = classify_ground_state(spec)
     # all seven blocks, each as its even and odd halves (block 0 and 6 have
     # a single self-mirror state, so no odd half)
-    assert len(dims) == 12 and sum(dims) == 2**6 and max(dims) == 10
+    assert len(assembled) == 12 and sum(assembled) == 2**6 and max(assembled) == 10
+    # the certificate spares the 6-state odd halves of blocks 2 and 4
+    assert len(dims) == 10 and sum(dims) == 2**6 - 12
     rest = replace(spec, fields=tuple(b - 0.2 for b in spec.fields))
     (expected,) = _phase_points(plain_block_spectrum(rest, (1, 6)), spec.delta, (0.2,))
     assert (point.n_up, point.degeneracy) == (expected.n_up, expected.degeneracy)
@@ -138,13 +147,23 @@ def test_classify_with_a_palindromic_field_splits_every_block(monkeypatch):
 
 
 def test_uniform_ten_site_delta_decomposes_eleven_halves(monkeypatch):
-    dims = _record_dims(monkeypatch)
+    assembled, dims = _record_dims(monkeypatch)
     template = ChainSpec.uniform(10)
     points = list(phase_scan(template, (1.0,), (0.0, 0.5, 2.0)))
     assert len(points) == 3
     # blocks k = 0..5 only; block 0 is one self-mirror state
-    assert len(dims) == 11 and max(dims) == 126
-    assert sum(dims) == sum(comb(10, k) for k in range(6))
+    assert len(assembled) == 11 and max(assembled) == 126
+    assert sum(assembled) == sum(comb(10, k) for k in range(6))
+    # the first delta decomposes the even half first; block k has its lowest
+    # level in the half of parity k, so the certificate spares the odd half
+    # of blocks 2 and 4 and fails on blocks 1, 3 and 5
+    assert dims == [1, 5, 5, 25, 60, 60, 110, 126, 126]
+    assembled.clear()
+    dims.clear()
+    points = list(phase_scan(template, (0.0, 0.5, 1.0, 1.5), (0.0, 0.5, 2.0)))
+    assert len(assembled) == 4 * 11
+    # each later delta starts from the half that held the ground: one a block
+    assert len(dims) == 9 + 3 * 6
 
 
 @pytest.mark.parametrize("delta", [-0.5, 0.0, 0.3, 1.0])
@@ -156,13 +175,16 @@ def test_mirror_unfolding_keeps_a_singlet_at_most_one(delta):
 
 
 def test_sector_route_splits_a_palindromic_block_and_keeps_others_whole(monkeypatch):
-    dims = _record_dims(monkeypatch)
+    assembled, dims = _record_dims(monkeypatch)
     sector_boundary_concurrence(impurity_profile_chain(6, 2.0), 2)
-    # 15 two-up states, 3 of them their own mirror image
-    assert dims == [9, 6]
+    # 15 two-up states, 3 of them their own mirror image; the sector's
+    # ground lies in the even half, so the odd half is certified, not solved
+    assert assembled == [9, 6]
+    assert dims == [9]
+    assembled.clear()
     dims.clear()
     sector_boundary_concurrence(ChainSpec(6, (1.0, 2.0, 3.0, 2.0, 1.5), (0.0,) * 6, 0.5), 2)
-    assert dims == [15]
+    assert assembled == dims == [15]
 
 
 def test_sector_route_matches_the_dense_sector_route():
