@@ -6,23 +6,26 @@ plus a uniform B.  The Hamiltonian conserves total S^z, and a uniform B
 shifts the k-up block by B (2k - N) without changing its eigenvectors, so
 each delta decomposes its N + 1 blocks once and every B reuses them.  Two
 more symmetries cut that work.  When every site field is 0 the global spin
-flip maps block k onto block N - k, so only the blocks k <= N/2 are
-decomposed and the others reuse their levels and flipped pair data.  When
-couplings and fields are palindromic, mirror reflection splits each block
-into even and odd halves of about half the size; any other spec takes the
-identity as its reflection, whose even half is the whole block.
+flip F maps block k onto block N - k, so only the blocks k <= N/2 are
+decomposed and the others reuse their levels and flipped pair data.  Each
+block is then split by one small group of bit maps that commute with H and
+keep it: mirror reflection R when couplings and fields are palindromic, F
+on the half-filled block when every field is 0, and their product.  Each
+character of the group is one part of about 1/|G| of the block; a spec with
+neither symmetry keeps the block whole (``_Block``).
 
 Delta enters H only through the Ising diagonal, so a sweep builds what its
 deltas share once, when it is called (``_BlockPlan``): each block's basis,
 its Zeeman diagonal and Ising bond sums, the index maps of its pair data,
-and the parts it is decomposed in (its halves under its reflection), each
-with its entries as (row, col, value) lists.  A delta then only puts its
-diagonal together and decomposes.  At T = 0 each part keeps only the
-levels close enough to its own lowest to be ground at some field the call
-reads (``_BlockPlan.spectrum``); only their eigenvectors are unfolded and
-reduced to pair-state entries, and the rest are dropped.  A part whose
-levels one Cholesky factorization proves to lie beyond that window of its
-block's lowest is not decomposed at all (``_Block.levels``).
+and its parts, each with its entries as (row, col, value) lists.  A delta
+then only puts its diagonal together and decomposes.  At T = 0 each part
+keeps only the levels close enough to its own lowest to be ground at some
+field the call reads (``_BlockPlan.spectrum``); only their eigenvectors are
+unfolded and reduced to pair-state entries, and the rest are dropped.  The
+part that holds the block's lowest level is named from the spec by the
+Perron-Frobenius rule and decomposed first, and a part whose levels one
+Cholesky factorization proves to lie beyond that window of the block's
+lowest is not decomposed at all (``_Block.levels``).
 
 The field axis of a delta is then evaluated in one vectorized pass
 (``_SectorSpectrum.field_rows``): the shifted levels, the ground space and
@@ -83,70 +86,102 @@ class PhasePoint:
 # image: populations swap 00 <-> 11 and 01 <-> 10, the coherence stays
 _FLIPPED_COLUMNS = [3, 2, 1, 0, 4]
 
+# the characters of {1}, {1, g} and {1, g, h, gh}, one row each, on the
+# elements in that order (the leading square of the table):
+# chi_c(e) = (-1)^(the number of bits c and e share)
+_CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
+# 1 / sqrt(|orbit|) by orbit size, with 1/sqrt(2) rounded down: the squared
+# amplitudes of an orbit sum to at most 1 in floating point, so unfolding
+# never scales a squared amplitude up (a singlet's concurrence stays <= 1)
+_ORBIT_AMP = np.array([nan, 1.0, np.nextafter(np.sqrt(0.5), 0.0), nan, 0.5])
+
 
 class _Block:
     """One S^z block of a sweep, built once per plan (at any delta): its
     Ising bond sums zz, Zeeman diagonal, pair-data index maps and parts.
 
+    The parts are the characters chi of one abelian group G of bit maps
+    that commute with H and keep the block: mirror reflection R (bit
+    reversal) when couplings and fields are palindromic, and the global
+    flip F (bit complement) on the half-filled block when every field is 0,
+    with their product; G = {1} when neither applies.  Each orbit of G has
+    its smallest state r as representative; the part of chi holds the r
+    whose stabilizer chi maps to 1, each spanning sum chi(h_s) |s> /
+    sqrt(|orbit|) over its orbit, h_s the map taking r to s (A. W.
+    Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  A character that holds no
+    r is dropped.
+
     A part is (representatives, entries, orbit, amp).  Its matrix at a delta
     is the (row, col, value) entries, summed where a position repeats, plus
     the block diagonal 0.5 delta zz + Zeeman (the expression
     ``build_sector`` evaluates) at the representatives; amp * x[orbit] maps
-    its eigenvector x to sector amplitudes, O(d) per vector.  The parts are
-    the even and odd halves under a reflection R: bit reversal for a
-    palindromic spec, the identity otherwise.  Representatives r <= R(r), m
-    the index of R(r), span them through c (|r> +/- |m>), c = f / sqrt(2),
-    f = 1/sqrt(2) for a self-mirror state and 1 otherwise.  Under the
-    identity every state is self-mirror, the even half is the plain block
-    and there is no odd half.  ``lead`` is the index of the part that held
-    the block's lowest level at the last delta read (see ``levels``).
+    its eigenvector x to sector amplitudes, O(d) per vector.  ``lead`` is
+    the index of the part that holds the block's lowest level when every
+    coupling is nonzero (Perron-Frobenius, below), and 0 otherwise.
     """
 
     def __init__(self, spec: ChainSpec, basis: SectorBasis, pair):
         states = basis.state_array()
-        size = len(states)
+        size, n = len(states), basis.n_sites
         self.zz, self.zeeman = _diagonal_terms(spec, states)
         self.pair_maps = _pair_maps(basis, *pair)
-        mirrored = states
+        generators = []
         if _palindromic(spec):
-            n = basis.n_sites
-            mirrored = np.zeros_like(states)
-            for s in range(n):
-                mirrored |= ((states >> s) & 1) << (n - 1 - s)
-        reps = np.flatnonzero(states <= mirrored)
-        partners = np.searchsorted(states, mirrored[reps])
-        own = partners == reps
-        orbit = np.empty(size, dtype=np.int64)
-        orbit[partners] = orbit[reps] = np.arange(len(reps))
+            generators.append(lambda m: sum(((m >> s) & 1) << (n - 1 - s) for s in range(n)))
+        if 2 * basis.n_up == n and not any(spec.fields):
+            generators.append(lambda m: m ^ ((1 << n) - 1))
+        # the labels of every element's images, the generators' products in
+        # binary order (1, R, F, RF, or a leading part of that)
+        maps = [states]
+        for generator in generators:
+            maps += [generator(m) for m in maps]
+        chars = _CHARACTERS[: len(maps), : len(maps)]
+        image = np.array([np.searchsorted(states, m) for m in maps])
+        rep = image.min(axis=0)
+        reps = np.flatnonzero(rep == np.arange(size))
+        orbit = np.searchsorted(reps, rep)
+        stabilizer = image[:, reps] == reps
+        # held[c, a]: chi_c is 1 on the stabilizer of representative a
+        held = chars @ stabilizer == stabilizer.sum(axis=0)
+        orbit_size = (len(maps) // stabilizer.sum(axis=0))[orbit]
+        sign = chars[:, (image == rep).argmax(axis=0)]  # chi(h_s), h_s r = s
 
-        # each hopping entry H[r_a, j] out of a representative adds to half
-        # entry (a, b = orbit(j)), on the diagonal when j = m_a: weighted
-        # f_a f_b in the even half, twice when j is self-mirror (it is both
-        # r_b and m_b), and by the sign of j in the odd half
+        # each hopping entry H[r_a, j] out of a representative adds
+        # chi(h_j) sqrt(|orbit a| / |orbit b|) H[r_a, j] to part entry
+        # (a, b = orbit(j)) where chi holds both orbits
         rows, cols, values = _hopping(spec, states)
-        out = np.zeros(size, dtype=bool)
-        out[reps] = True
-        rows, cols, values = rows[out[rows]], cols[out[rows]], values[out[rows]]
+        out = rep[rows] == rows
+        rows, cols, values = rows[out], cols[out], values[out]
         a, b = orbit[rows], orbit[cols]
-        f = np.where(own, np.sqrt(0.5), 1.0)
-        ff = np.where(own[a] & own[b], 0.5, f[a] * f[b])  # 0.5 exactly; sqrt(0.5)**2 is not
-        even = values * np.where(own[b], 2.0 * ff, ff)
-        # c = 1/sqrt(2) rounded down: 2 c^2 <= 1 in floating point, so the
-        # map never scales a squared amplitude up (a singlet's concurrence
-        # stays <= 1); a self-mirror state is |r> itself in the even half
-        root_half = np.nextafter(np.sqrt(0.5), 0.0)
-        amp = np.where(own[orbit], 1.0, root_half)[:, None]
-        self.parts = [(reps, (a, b, even), orbit, amp)]
-        if not own.all():
-            odd = ~own[a] & ~own[b]
-            index = np.cumsum(~own) - 1
-            # sign +1 at r, -1 at m and 0 at a self-mirror state (whose
-            # index[orbit] is any entry, times 0); cast, because labels of
-            # more than 63 sites are Python ints and their sign an object
-            sign = np.sign(mirrored - states).astype(float)
-            entries = index[a[odd]], index[b[odd]], sign[cols[odd]] * values[odd]
-            self.parts.append((reps[~own], entries, index[orbit], root_half * sign[:, None]))
+        values = values * (sign[:, cols] * np.sqrt(orbit_size[rows] / orbit_size[cols]))
+        amp = np.where(held[:, orbit], sign * _ORBIT_AMP[orbit_size], 0.0)
+        # the index of each representative in its part (the last held one's
+        # for one not held, whose amp is 0)
+        index = np.cumsum(held, axis=1) - 1
+        characters = np.flatnonzero(held.any(axis=1)).tolist()
+        self.parts = []
+        for c in characters:
+            keep = held[c, a] & held[c, b]
+            entries = index[c, a[keep]], index[c, b[keep]], values[c, keep]
+            self.parts.append((reps[held[c]], entries, index[c, orbit], amp[c, :, None]))
+
+        # With every coupling nonzero the block's hopping graph is connected,
+        # and the gauge u(s) = product of theta_i over the up sites of s, with
+        # theta_i theta_i+1 = -sign(J_i), makes every off-diagonal entry
+        # -|J_i|: the lowest level is simple, with vector u(s) phi(s), phi > 0
+        # (E. Lieb and D. Mattis, J. Math. Phys. 3, 749 (1962)).  So its
+        # character is chi(g) = u(g s) u(s) at any one state s: the table row
+        # with bit j set where that is -1 on generator j (element 2^j).
         self.lead = 0
+        if all(spec.couplings):
+            mask, negative = 0, False  # the bits of the sites with theta -1
+            for bit, coupling in zip(range(n - 2, -1, -1), spec.couplings):
+                negative ^= coupling > 0
+                mask |= negative << bit
+            # u(g s) = -1 where g s has an odd number of up sites in the mask
+            odd = [bin(label & mask).count("1") % 2 for label in states[image[:, 0]].tolist()]
+            lead = sum((odd[1 << j] != odd[0]) << j for j in range(len(generators)))
+            self.lead = characters.index(lead)
 
     def levels(self, delta: float, window: float) -> tuple[np.ndarray, np.ndarray]:
         """Levels at ``delta`` within ``window`` of their own part's lowest,
@@ -154,13 +189,13 @@ class _Block:
         reduced, part by part in part order; together a superset of the
         levels within ``window`` of the block's lowest.
 
-        With a finite window the part that held the block's lowest level at
-        the last delta (``lead``, at first the even half) is decomposed
-        first.  Each other part is skipped where ``_above`` proves all its
-        levels more than ``window`` above the lowest decomposed so far, and
-        so above the block's lowest, and decomposed as before where it
-        cannot.  A skipped level is one the window would never keep at the
-        block level, so the rows keep their bits (``_ground_window``)."""
+        With a finite window the ``lead`` part is decomposed first.  Each
+        other part is skipped where ``_above`` proves all its levels more
+        than ``window`` above the lowest decomposed so far, and so above the
+        block's lowest, and decomposed as before where it cannot.  A skipped
+        level is one the window would never keep at the block level, so the
+        rows keep their bits (``_ground_window``); the calls made depend on
+        ``delta`` alone."""
         diagonal = 0.5 * delta * self.zz + self.zeeman
         kept, floor = {}, inf
         for i in sorted(range(len(self.parts)), key=lambda i: i != self.lead):
@@ -180,7 +215,6 @@ class _Block:
             x *= amp
             kept[i] = w[:top], _pair_rows(self.pair_maps, x)
             del x
-        self.lead = min(kept, key=lambda i: kept[i][0][0])
         energies, data = zip(*(kept[i] for i in sorted(kept)))
         return np.concatenate(energies), np.concatenate(data)
 
@@ -284,10 +318,8 @@ class _BlockPlan:
 
     With every field exactly 0 the global spin flip maps block k onto block
     N - k, so only blocks k <= N/2 are kept and block N - k reuses their
-    levels (the very same numbers) and flipped pair data.  With palindromic
-    couplings and fields the reflection splits each kept block into even
-    and odd halves (see ``_Block``); otherwise a block is the identity's
-    even half, itself.
+    levels (the very same numbers) and flipped pair data.  Each kept block
+    is split into the characters of its symmetry group (see ``_Block``).
     """
 
     def __init__(self, template: ChainSpec, pair):
@@ -431,8 +463,8 @@ def classify_ground_state(spec: ChainSpec) -> PhasePoint:
 
 def sector_boundary_concurrence(spec: ChainSpec, n_up: int) -> float:
     """Concurrence between the end sites of the ground state of the
-    ``n_up`` sector: one ``_Block`` of the sweeps (mirror halves for a
-    palindromic spec, such as every impurity chain) read at zero field by
+    ``n_up`` sector: one ``_Block`` of the sweeps (split by the spec's
+    symmetries, such as every impurity chain's mirror) read at zero field by
     ``field_rows`` within the spec's own ground window, so a degenerate
     sector ground space is the sweeps' equal mixture."""
     n = spec.n_sites

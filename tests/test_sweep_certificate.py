@@ -1,12 +1,14 @@
 """The Cholesky certificate of the sweep core's T = 0 blocks.
 
-With a finite level window ``sweep._Block.levels`` decomposes the part that
-held the block's lowest level at the last delta first, and skips another
-part when ``sweep._above`` proves by one Cholesky factorization that all its
-levels lie more than the window above that lowest.  These tests pin that a
-skipped part changes no bit of a row, that the certificate fails over to
-the decomposition wherever the halves share the lowest level, that T > 0
-never tries it, and that what it proves holds.
+With a finite level window ``sweep._Block.levels`` decomposes first the
+part that the Perron-Frobenius rule names as holding the block's lowest
+level (``_Block.lead``), and skips another part when ``sweep._above``
+proves by one Cholesky factorization that all its levels lie more than the
+window above that lowest.  These tests pin that the rule names the right
+part, that a skipped part changes no bit of a row, that the certificate
+fails over to the decomposition wherever parts share the lowest level, that
+T > 0 never tries it, that what it proves holds, and that the calls made at
+a delta do not depend on the deltas read before it.
 """
 
 from dataclasses import astuple, replace
@@ -15,9 +17,10 @@ import numpy as np
 import pytest
 
 from xxzchain import sweep
-from xxzchain.chain import ChainSpec
+from xxzchain.chain import ChainSpec, build_sector_basis
 from xxzchain.channel import build_channel, impurity_profile_chain
 from xxzchain.eigensolver import decompose
+from xxzchain.hamiltonian import _dense, build_sector
 from xxzchain.sweep import (
     _above,
     _BlockPlan,
@@ -138,22 +141,117 @@ def test_exact_degeneracies_keep_the_certified_rows(monkeypatch, spec):
 
 
 def test_halves_that_share_the_lowest_level_are_both_decomposed(monkeypatch):
-    # with the middle bond at 0 the mirror swaps two identical chains, so a
-    # block of odd k has its lowest level, |g_m>|g_m+1> +/- |g_m+1>|g_m>, in
-    # both halves; three split dimers have every block's lowest level in
-    # both halves (the outer dimers' states swap, the middle one is even)
+    # with a zero coupling the lead is the first part.  With the middle bond
+    # at 0 the mirror swaps two identical chains, so a block of odd k has
+    # its lowest level, |g_m>|g_m+1> +/- |g_m+1>|g_m>, in both halves; three
+    # split dimers have the lowest level of blocks 1 and 2 in both halves
+    # (the outer dimers' states swap, the middle one is even)
     results, dims = _record(monkeypatch)
     zero_middle = ChainSpec(8, (1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0), (0.0,) * 8, 0.4)
     list(phase_scan(zero_middle, (0.4, 1.0), (0.0, 0.5)))
-    # blocks k = 0..4 have 1, 4 + 4, 16 + 12, 28 + 28 and 38 + 32 states
-    assert dims == [1, 4, 4, 16, 28, 28, 38] * 2
-    assert results == [False, True, False, True] * 2
+    # blocks k = 0..3 have 1, 4 + 4, 16 + 12 and 28 + 28 states; in block 4
+    # R fixes 6 of the 70 states, F none and RF 2^4 = 16, so its parts have
+    # (70 + 6 + 16)/4 = 23, (70 - 6 - 16)/4 = 12, (70 + 6 - 16)/4 = 15 and
+    # (70 - 6 + 16)/4 = 20 states, and the first holds its lowest level
+    assert dims == [1, 4, 4, 16, 28, 28, 23] * 2
+    assert results == [False, True, False, True, True, True] * 2
     results.clear()
     dims.clear()
     dimers = ChainSpec(6, (1.0, 0.0, 1.0, 0.0, 1.0), (0.0,) * 6, 0.0)
     list(phase_scan(dimers, (0.0,), (0.0, 0.5)))
-    assert dims == [1, 3, 3, 9, 6, 10, 10]
-    assert results == [False] * 3
+    # block 3 splits into (20 +/- 8)/4 = 7, 3, 3 and 7 states (RF fixes 2^3
+    # of them); the first part's lowest level, -1, is shared by the next
+    # two, and the last holds the block's lowest, -3 (three singlets)
+    assert dims == [1, 3, 3, 9, 6, 7, 3, 3, 7]
+    assert results == [False] * 5
+
+
+_SIGNS = ["positive", "negative", "mixed"]
+
+
+@pytest.mark.parametrize("signs", _SIGNS)
+def test_the_lead_part_holds_every_blocks_lowest_level(signs):
+    # every coupling nonzero: the block's lowest level is simple, and the
+    # part _Block names from the spec alone holds it, below every other part
+    rng = np.random.default_rng(_SIGNS.index(signs) + 2300)
+    split = 0
+    for n in range(2, 11):
+        for shape in ("palindromic", "generic"):
+            for field_shape in ("zero", "palindromic", "generic"):
+                if shape == "palindromic":
+                    magnitude = np.array(_palindrome(rng, n - 1))
+                else:
+                    magnitude = rng.uniform(0.3, 1.5, n - 1)
+                sign = {"positive": np.ones(n - 1), "negative": -np.ones(n - 1)}.get(signs)
+                if sign is None:
+                    sign = rng.choice([-1.0, 1.0], n - 1)
+                    if shape == "palindromic":
+                        sign = np.minimum(sign, sign[::-1])
+                fields = {
+                    "zero": (0.0,) * n,
+                    "palindromic": _palindrome(rng, n),
+                    "generic": tuple(rng.uniform(-1.0, 1.0, n)),
+                }[field_shape]
+                spec = ChainSpec(n, tuple(sign * magnitude), fields, float(rng.uniform(-1.5, 2.0)))
+                for k in range(n + 1):
+                    basis = build_sector_basis(n, k)
+                    block = sweep._Block(spec, basis, (1, n))
+                    diagonal = 0.5 * spec.delta * block.zz + block.zeeman
+                    lows = [
+                        np.linalg.eigvalsh(_dense(len(reps), entries, diagonal[reps]))[0]
+                        for reps, entries, _, _ in block.parts
+                    ]
+                    lowest = np.linalg.eigvalsh(build_sector(spec, basis))[0]
+                    split += len(lows) == 4
+                    assert abs(lows[block.lead] - lowest) <= 1e-12 * (1.0 + abs(lowest))
+                    lead = lows.pop(block.lead)
+                    assert all(low > lead for low in lows)
+    assert split > 0
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_a_single_uniform_delta_makes_no_failed_certificate(monkeypatch, n):
+    # the lead part holds every block's lowest level at the first delta, so
+    # every other part is certified and each block decomposes one part
+    results, dims = _record(monkeypatch)
+    for delta in (-0.5, 0.0, 1.0, 2.0):
+        list(phase_scan(ChainSpec.uniform(n), (delta,), (0.0, 0.5, 1.5)))
+    assert results and all(results)
+    assert len(dims) == 4 * (n // 2 + 1)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ChainSpec.uniform(10),
+        ChainSpec(6, (1.0, 0.8, 1.2, 0.8, 1.0), (0.2, 0.5, 0.1, 0.1, 0.5, 0.2), 0.7),
+        ChainSpec(7, (1.0, -0.7, 1.3, 0.9, -1.1, 0.6), (0.3, 0.1, 0.5, 0.2, 0.0, 0.4, 0.1), 0.2),
+        ChainSpec(8, (1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0), (0.0,) * 8, 0.4),  # zero middle bond
+        ChainSpec(6, (1.0, 0.0, 1.0, 0.0, 1.0), (0.0,) * 6, 0.0),  # split dimers
+    ],
+)
+def test_the_calls_at_a_delta_do_not_depend_on_the_deltas_read_before(monkeypatch, spec):
+    calls = []
+
+    def certifying(matrix, floor):
+        calls.append(("above", len(matrix), _above(matrix, floor)))
+        return calls[-1][-1]
+
+    def recording(matrix):
+        calls.append(("decompose", len(matrix)))
+        return decompose(matrix)
+
+    monkeypatch.setattr(sweep, "_above", certifying)
+    monkeypatch.setattr(sweep, "decompose", recording)
+    fields, seen = (0.0, 0.5, 2.0), []
+    for before in ((), (-0.5,), (1.5, -1.0)):
+        plan = _BlockPlan(spec, (1, spec.n_sites))
+        for delta in before:
+            plan.spectrum(delta, fields)
+        calls.clear()
+        plan.spectrum(0.7, fields)
+        seen.append(list(calls))
+    assert seen[0] and seen[0] == seen[1] == seen[2]
 
 
 def test_a_thermal_curve_never_tries_the_certificate(monkeypatch):

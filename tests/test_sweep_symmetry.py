@@ -14,7 +14,7 @@ import pytest
 
 from reference import dense_sector_concurrence, plain_block_spectrum
 from xxzchain import sweep
-from xxzchain.chain import ChainSpec
+from xxzchain.chain import ChainSpec, build_sector_basis
 from xxzchain.channel import build_channel, impurity_profile_chain
 from xxzchain.eigensolver import SpectralDecomposition, decompose
 from xxzchain.hamiltonian import _dense
@@ -55,18 +55,18 @@ def _record_dims(monkeypatch) -> tuple[list[int], list[int]]:
     return assembled, dims
 
 
-def _test_fields(spec: ChainSpec, rng) -> list[float]:
+def _test_fields(spec: ChainSpec, rng, plain=None) -> list[float]:
     """B = 0, every field where the ground levels of adjacent sectors cross
     (exact cross-sector ties), and one generic field."""
-    plain = plain_block_spectrum(spec, (1, spec.n_sites))
+    plain = plain or plain_block_spectrum(spec, (1, spec.n_sites))
     lows = [float(plain.energies[plain.sector == k].min()) for k in range(spec.n_sites + 1)]
     crossings = [0.5 * (lows[k] - lows[k + 1]) for k in range(spec.n_sites)]
     return sorted({0.0, *crossings, float(rng.uniform(0.0, 2.0))})
 
 
-def _assert_same_rows(spec: ChainSpec, pair, fields, temperatures=(0.1, 0.4)):
+def _assert_same_rows(spec: ChainSpec, pair, fields, temperatures=(0.1, 0.4), plain=None):
     new = _BlockPlan(spec, pair).spectrum(spec.delta)
-    plain = plain_block_spectrum(spec, pair)
+    plain = plain or plain_block_spectrum(spec, pair)
     for b in fields:
         (p,), (q,) = _phase_points(new, spec.delta, (b,)), _phase_points(plain, spec.delta, (b,))
         assert (p.n_up, p.degeneracy, p.sector_rank) == (q.n_up, q.degeneracy, q.sector_rank)
@@ -113,7 +113,9 @@ def test_reflection_breaking_spec_is_flip_folded_but_not_split(monkeypatch):
     spec = ChainSpec(6, (1.0, 0.7, 1.3, 1.0, 0.9), (0.0,) * 6, 0.4)
     assembled, dims = _record_dims(monkeypatch)
     _BlockPlan(spec, (2, 5)).spectrum(spec.delta)
-    assert assembled == dims == [comb(6, k) for k in range(4)]
+    # no mirror halves; the flip F fixes no state of the half-filled block,
+    # so its characters split it into (20 +/- 0)/2 = 10 and 10 states
+    assert assembled == dims == [1, 6, 15, 10, 10]
     for pair in ((2, 5), (5, 2), (1, 6)):
         _assert_same_rows(spec, pair, _test_fields(spec, rng))
 
@@ -135,8 +137,11 @@ def test_classify_with_a_palindromic_field_splits_every_block(monkeypatch):
     # all seven blocks, each as its even and odd halves (block 0 and 6 have
     # a single self-mirror state, so no odd half)
     assert len(assembled) == 12 and sum(assembled) == 2**6 and max(assembled) == 10
-    # the certificate spares the 6-state odd halves of blocks 2 and 4
-    assert len(dims) == 10 and sum(dims) == 2**6 - 12
+    # block k has its lowest level in the half of parity k (the lead), so
+    # the certificate spares the other half of every block but 0 and 6: the
+    # 3-, 9-, 10-, 9- and 3-state halves decomposed, next to the two single
+    # states, sum to 36 of the 64
+    assert len(dims) == 7 and sum(dims) == 36
     rest = replace(spec, fields=tuple(b - 0.2 for b in spec.fields))
     (expected,) = _phase_points(plain_block_spectrum(rest, (1, 6)), spec.delta, (0.2,))
     assert (point.n_up, point.degeneracy) == (expected.n_up, expected.degeneracy)
@@ -151,19 +156,84 @@ def test_uniform_ten_site_delta_decomposes_eleven_halves(monkeypatch):
     template = ChainSpec.uniform(10)
     points = list(phase_scan(template, (1.0,), (0.0, 0.5, 2.0)))
     assert len(points) == 3
-    # blocks k = 0..5 only; block 0 is one self-mirror state
-    assert len(assembled) == 11 and max(assembled) == 126
+    # blocks k = 0..5 only; block 0 is one self-mirror state, blocks 1..4
+    # have mirror halves, and the group {1, R, F, RF} splits block 5 by
+    # character counting: R and F fix none of its 252 states and RF fixes
+    # 2^5 = 32, so its parts have (252 +/- 32)/4 = 71, 71, 55 and 55 states
+    assert len(assembled) == 13 and max(assembled) == 110
     assert sum(assembled) == sum(comb(10, k) for k in range(6))
-    # the first delta decomposes the even half first; block k has its lowest
-    # level in the half of parity k, so the certificate spares the odd half
-    # of blocks 2 and 4 and fails on blocks 1, 3 and 5
-    assert dims == [1, 5, 5, 25, 60, 60, 110, 126, 126]
+    assert sorted(assembled[-4:]) == [55, 55, 71, 71]
+    # the lead part (R = (-1)^k, F = (-1)^5 on the uniform chain) holds each
+    # block's lowest level, so every certificate succeeds from the first
+    # delta on: one part a block
+    assert dims == [1, 5, 25, 60, 110, 71]
     assembled.clear()
     dims.clear()
     points = list(phase_scan(template, (0.0, 0.5, 1.0, 1.5), (0.0, 0.5, 2.0)))
-    assert len(assembled) == 4 * 11
-    # each later delta starts from the half that held the ground: one a block
-    assert len(dims) == 9 + 3 * 6
+    assert len(assembled) == 4 * 13
+    assert len(dims) == 4 * 6
+
+
+def _assert_same_windowed_rows(spec: ChainSpec, pair, fields, plain):
+    """The T = 0 rows of the level window (a phase scan's spectrum) against
+    the plain blocks: the same labels, rows to roundoff."""
+    windowed = _BlockPlan(spec, pair).spectrum(spec.delta, fields)
+    rows = zip(_phase_points(windowed, spec.delta, fields), _phase_points(plain, spec.delta, fields))
+    for p, q in rows:
+        assert (p.n_up, p.degeneracy, p.sector_rank) == (q.n_up, q.degeneracy, q.sector_rank)
+        assert abs(p.ground_energy - q.ground_energy) <= ROW_TOL * (1.0 + abs(q.ground_energy))
+        assert abs(p.boundary_concurrence - q.boundary_concurrence) <= ROW_TOL
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_zero_field_parts_match_plain_blocks(n):
+    # zero fields: the half-filled block of an even chain splits by
+    # {1, R, F, RF} (palindromic couplings) or {1, F} (generic ones); an odd
+    # chain has no half-filled block.  T = 0 with and without the window,
+    # and T > 0, at the end pair and an interior one
+    rng = np.random.default_rng(2400 + n)
+    for couplings in (_palindrome(rng, n - 1), tuple(rng.uniform(0.3, 1.5, n - 1))):
+        spec = ChainSpec(n, couplings, (0.0,) * n, float(rng.uniform(-1.0, 2.0)))
+        ends = plain_block_spectrum(spec, (1, n))
+        fields = _test_fields(spec, rng, ends)
+        for pair in ((1, n), (2, n - 1) if n > 3 else (1, 2)):
+            plain = ends if pair == (1, n) else plain_block_spectrum(spec, pair)
+            _assert_same_rows(spec, pair, fields, plain=plain)
+            _assert_same_windowed_rows(spec, pair, fields, plain)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ChainSpec.uniform(5),  # B = 0: sectors 2 and 3 tie
+        ChainSpec.uniform(3, delta=1.0),  # B = 0: sectors 1 and 2 tie
+        ChainSpec.uniform(6, delta=-1.0),  # the ferromagnet: all 7 sectors tie at B = 0
+        ChainSpec(6, (1.0, 0.0, 1.0, 0.0, 1.0), (0.0,) * 6, 0.0),  # split dimers
+        ChainSpec(6, (1.0, 1e-11, 1.0, 1e-11, 1.0), (0.0,) * 6, 0.0),  # weakly linked dimers
+        ChainSpec(8, (1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0), (0.0,) * 8, 0.4),  # zero middle bond
+    ],
+)
+def test_exact_degeneracies_of_the_parts_match_plain_blocks(spec):
+    n = spec.n_sites
+    fields = _test_fields(spec, np.random.default_rng(n))
+    for pair in ((1, n), (2, n - 1) if n > 3 else (1, 2)):
+        plain = plain_block_spectrum(spec, pair)
+        _assert_same_rows(spec, pair, fields, plain=plain)
+        _assert_same_windowed_rows(spec, pair, fields, plain)
+
+
+def test_an_empty_character_is_dropped_not_decomposed(monkeypatch):
+    # n = 4, k = 2: R fixes 2 of the 6 states (0110 and 1001), F none and RF
+    # 2^2 = 4, so the characters hold (6 + 2 + 4)/4 = 3, (6 - 2 - 4)/4 = 0,
+    # (6 + 2 - 4)/4 = 1 and (6 - 2 + 4)/4 = 2 states; the empty one is no part
+    spec = ChainSpec.uniform(4, delta=0.5)
+    block = sweep._Block(spec, build_sector_basis(4, 2), (1, 4))
+    assert [len(part[0]) for part in block.parts] == [3, 1, 2]
+    assembled, dims = _record_dims(monkeypatch)
+    rows = list(concurrence_curve(replace(spec, temperature=0.2), (1, 4), (0.0, 1.0), (0.5,)))
+    assert len(rows) == 2
+    assert assembled == dims == [1, 2, 2, 3, 1, 2]
+    _assert_same_rows(spec, (1, 4), (0.0, 1.0, 1.5))
 
 
 @pytest.mark.parametrize("delta", [-0.5, 0.0, 0.3, 1.0])
@@ -258,14 +328,17 @@ def _sweep_rows(spec: ChainSpec) -> str:
     return repr(rows)
 
 
-@pytest.mark.parametrize("shape", ["palindromic", "generic"])
+@pytest.mark.parametrize("shape", ["palindromic", "generic", "flip only"])
 def test_sweep_rows_ignore_the_sign_of_every_eigenvector(monkeypatch, shape):
     # each row is a sum of products of one vector's entries, so negating any
-    # set of eigenvector columns leaves every bit of it
+    # set of eigenvector columns leaves every bit of it; the zero-field
+    # shapes split the half-filled block by {1, R, F, RF} and by {1, F}
     n = 6
-    rng = np.random.default_rng(["palindromic", "generic"].index(shape) + 40)
+    rng = np.random.default_rng(["palindromic", "generic", "flip only"].index(shape) + 40)
     if shape == "palindromic":
         spec = ChainSpec(n, _palindrome(rng, n - 1), (0.0,) * n, 0.4)
+    elif shape == "flip only":
+        spec = ChainSpec(n, tuple(rng.uniform(0.3, 1.5, n - 1)), (0.0,) * n, 0.4)
     else:
         spec = ChainSpec(
             n, tuple(rng.uniform(0.3, 1.5, n - 1)), tuple(rng.uniform(-1.0, 1.0, n)), 0.4
