@@ -18,12 +18,12 @@ fractional integer and an int too large for a float where a float is read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isfinite, log10
+from math import comb, isfinite
 from numbers import Integral, Rational, Real
 
 import numpy as np
 
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError, ResourceCapError, _shown
 
 # Default cap on n_sites whenever a full 2^N-dimensional object is built.
 FULL_SPACE_CAP = 14
@@ -37,19 +37,6 @@ SITE_CAP = 10**7
 # fields) or ``channel.channel_curve`` (betas x k) holds; an axis is walked in
 # chunks of that size, so memory does not grow with the grid.
 _CHUNK_ENTRIES = 1 << 12
-
-
-def _shown(value) -> str:
-    """``value`` for an error message that never fails: its repr, or for an int
-    too long for repr (sys.get_int_max_str_digits()) "10^(d-1) or more"."""
-    try:
-        return repr(value)
-    except ValueError:
-        if not isinstance(value, int):  # a value that holds such an int
-            return f"a {type(value).__name__} too long to print"
-        d = int(abs(value).bit_length() * log10(2))  # d or d - 1 digits
-        d += abs(value) >= 10**d
-        return f"-10^{d - 1} or less" if value < 0 else f"10^{d - 1} or more"
 
 
 def _capped(n_sites: int, what: str = "chain") -> int:

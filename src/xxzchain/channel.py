@@ -6,11 +6,13 @@ boundary concurrence that approaches 1 as 2B/J grows.  The single-
 excitation sector splits under the mirror symmetry of the chain into two
 k x k tridiagonal blocks (N = 2k) with a uniform bulk, whose ground states
 have closed forms: a design is one scalar secular root (``_root``) plus an
-O(k) profile, so any chain up to CHANNEL_SITE_CAP sites is routine.  One kernel
+O(k) profile, so any chain up to chain.SITE_CAP sites is routine.  One kernel
 (``_ground_profiles``) serves ``design_channel`` and the two CLI routes,
-``channel_curve`` and ``design_report``.  The channel's chain (``build_channel``)
-and other coupling profiles, such as ``impurity_profile_chain``, are specs for
-the sector ground-state route (``sweep.sector_boundary_concurrence``).
+``channel_curve`` (beside the closed-form ``c1n_channel`` column) and
+``design_report`` (a bracket on beta up to ``BETA_CAP``, read at each
+call).  The channel's chain (``build_channel``) and other coupling
+profiles, such as ``impurity_profile_chain``, are specs for the sector
+ground-state route (``sweep.sector_boundary_concurrence``).
 """
 
 from __future__ import annotations
@@ -20,16 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import closed_forms
-from .chain import _CHUNK_ENTRIES, SITE_CAP, ChainSpec, _capped, _shown, as_float, as_int
+from .chain import _CHUNK_ENTRIES, ChainSpec, _capped, _shown, as_float, as_int
 from .chain import check_grid
 from .closed_forms import c1n_channel
 from .eigensolver import _degeneracy_tolerance
 from .errors import DomainError
 
-# chain.SITE_CAP, the one site cap, by the name the channel's callers import;
-# the checks read SITE_CAP itself
-CHANNEL_SITE_CAP = SITE_CAP
+# the top of design_report's bracket on beta = 2B/J, read at each call
+BETA_CAP = 1e8
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class ChannelDesign:
 
 def _half_length(n_sites: int) -> int:
     """k = N/2 for the even chains (N >= 4) that fold into two k x k blocks;
-    a chain over CHANNEL_SITE_CAP sites is refused before anything is built."""
+    a chain over chain.SITE_CAP sites is refused before anything is built."""
     n_sites = as_int(n_sites, "n_sites")
     if n_sites < 4 or n_sites % 2:
         raise DomainError(
@@ -273,7 +273,7 @@ def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelD
 
     Coefficients below the smallest normal float (about 2.2e-308) are
     stored as 0, so their ratios in ``ratio_profile`` read inf: a float-range
-    limit, plainly flagged, not roundoff.  A chain over CHANNEL_SITE_CAP
+    limit, plainly flagged, not roundoff.  A chain over chain.SITE_CAP
     sites raises ResourceCapError.
     """
     j, b = _check_channel(coupling, bulk_field)
@@ -320,7 +320,7 @@ def channel_curve(n_values, betas, coupling: float = 1.0):
     """Rows (N, beta, numeric C1N, profile-formula C1N, max ratio deviation)
     over the grid of the sequences ``n_values`` and ``betas``, read off the
     profile array, bit for bit those of ``design_channel`` and
-    ``ratio_profile``; the grid, each N (capped at CHANNEL_SITE_CAP), J and
+    ``ratio_profile``; the grid, each N (capped at chain.SITE_CAP), J and
     bulk field beta J / 2 are checked before the first row.
 
     Each N solves its betas in chunks of chain._CHUNK_ENTRIES // k (at least
@@ -359,8 +359,8 @@ def design_report(n_sites: int, target: float, coupling: float = 1.0) -> dict:
     beta is the last-bit crossing of the exact folded design, found without
     the profile formula: design_channel(N, J, beta J / 2) reaches the target
     and the float below beta does not.  A bracket doubles from beta = 2 up
-    to closed_forms.BETA_CAP (read at each call), the cap included, then
-    ``_root`` finds the two floats that straddle it in [0, hi]."""
+    to BETA_CAP (read at each call), the cap included, then ``_root`` finds
+    the two floats that straddle it in [0, hi]."""
     target = as_float(target, "target")
     if not 0.0 < target < 1.0:
         raise DomainError(f"target must lie in (0, 1), got {target}")
@@ -385,9 +385,9 @@ def design_report(n_sites: int, target: float, coupling: float = 1.0) -> dict:
         return report("already-achieved-at-zero-field", 0.0)
     hi = 2.0
     while achieved(hi) < target:
-        if hi == closed_forms.BETA_CAP:
+        if hi == BETA_CAP:
             return report("unreachable-below-beta-cap", hi)
-        hi = min(2.0 * hi, closed_forms.BETA_CAP)
+        hi = min(2.0 * hi, BETA_CAP)
     beta = _root(lambda b: achieved(b) - target, 0.0, hi)  # either float of the crossing
     return report("ok", beta if achieved(beta) >= target else math.nextafter(beta, hi))
 
@@ -396,7 +396,7 @@ def build_channel(n_sites: int, coupling: float, bulk_field: float) -> ChainSpec
     """Uniform XX chain with a field on the bulk sites only.
 
     Sites 1 and N see zero field; sites 2..N-1 see ``bulk_field``; a chain
-    over CHANNEL_SITE_CAP sites is refused before any tuple is built."""
+    over chain.SITE_CAP sites is refused before any tuple is built."""
     n_sites = _capped(as_int(n_sites, "n_sites"), "channel")
     if n_sites < 3:
         raise DomainError(f"channel needs at least 3 sites, got {_shown(n_sites)}")
@@ -411,7 +411,7 @@ def build_channel(n_sites: int, coupling: float, bulk_field: float) -> ChainSpec
 def impurity_profile_chain(n_sites: int, base: float) -> ChainSpec:
     """XX chain with the mirror-symmetric geometric coupling profile
     J_i = base^(i-1) up to the midpoint: (1, J, J^2, ..., J^2, J, 1); a chain
-    over CHANNEL_SITE_CAP sites is refused before any tuple is built."""
+    over chain.SITE_CAP sites is refused before any tuple is built."""
     n_sites = _capped(as_int(n_sites, "n_sites"), "channel")
     base = as_float(base, "profile base")
     if n_sites < 3:

@@ -1,28 +1,16 @@
-"""Analytic results for small chains and the bulk-field channel.
-
-These standalone expressions double as the oracle layer for the numeric
-pipeline: every function here is checked against direct diagonalization in
-the test suite.  Concurrence expressions carry the Wootters max(0, .) clip.
+"""The paper's analytic results that the library prints: the quoted 4-site
+regime table (``TABLE_4SITE``, ``table1``'s reference columns) and the
+channel's profile formula (``c1n_channel``, the ``channel`` command's
+``c1n_closed_form`` column).  Nothing numeric is imported from the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
-from .errors import DomainError
-
-BETA_CAP = 1e8
-
-
-@dataclass(frozen=True)
-class PhaseBoundary3:
-    """Critical uniform field of the 3-site chain: below it the ground state
-    is the entangled one-up state, above it the polarized product state."""
-
-    delta: float
-    coupling: float
-    b_critical: float
+from .errors import DomainError, _shown
 
 
 @dataclass(frozen=True)
@@ -38,64 +26,6 @@ class GroundRegime:
     n_up: int
     c14_max: float
     energy_at_zero_field: float | None = None
-
-
-def _radical_3(delta: float, coupling: float) -> float:
-    return math.sqrt(8.0 * coupling * coupling + delta * delta)
-
-
-def c13_ground(delta: float, coupling: float) -> float:
-    """Boundary concurrence of the 3-site ground state below the critical
-    field: (D - r)^2 / (8J^2 + (D - r)^2) with r = sqrt(8J^2 + D^2)."""
-    if coupling == 0:
-        raise DomainError("c13_ground needs a nonzero coupling")
-    r = _radical_3(delta, coupling)
-    t = (delta - r) ** 2
-    return t / (8.0 * coupling * coupling + t)
-
-
-def critical_field_3site(delta: float, coupling: float) -> PhaseBoundary3:
-    """(3D + sqrt(8J^2 + D^2)) / 4."""
-    return PhaseBoundary3(
-        delta=delta,
-        coupling=coupling,
-        b_critical=(3.0 * delta + _radical_3(delta, coupling)) / 4.0,
-    )
-
-
-def spectrum_3site(delta: float, coupling: float, field: float) -> tuple[float, ...]:
-    """The eight 3-site eigenvalues for uniform parameters, indexed by the
-    conventional eigenstate ordering:
-
-    0: all-down product        4: two-up antisymmetric
-    1: one-up antisymmetric    5: two-up symmetric (lower)
-    2: one-up symmetric lower  6: two-up symmetric (upper)
-    3: one-up symmetric upper  7: all-up product
-
-    One-up states carry field energy -B, two-up states +B; this sign
-    assignment is what makes the critical field above come out right.
-    """
-    r = _radical_3(delta, coupling)
-    d_plus = delta + r
-    d_minus = delta - r
-    b = field
-    return (
-        delta - 3.0 * b,
-        -b,
-        -d_plus / 2.0 - b,
-        -d_minus / 2.0 - b,
-        b,
-        -d_plus / 2.0 + b,
-        -d_minus / 2.0 + b,
-        delta + 3.0 * b,
-    )
-
-
-def one_up_ground_energy_4site(delta: float, coupling: float, field: float) -> float:
-    """Lowest one-up eigenvalue of the uniform 4-site chain:
-    -(4B + J + sqrt(5J^2 + 2JD + D^2)) / 2."""
-    j, d = coupling, delta
-    return -0.5 * (4.0 * field + j + math.sqrt(5.0 * j * j + 2.0 * j * d + d * d))
 
 
 # Ground-state regime table of the uniform 4-site chain at J = 1, as quoted
@@ -131,52 +61,19 @@ def c14_ground_regimes(delta: float, coupling: float = 1.0) -> tuple[GroundRegim
 
     Only the tabulated deltas (0, 0.5, 1, 2 at J = 1) are known; they return
     the quoted rows verbatim.  Other parameters raise DomainError (the
-    numeric regimes of any chain are ``sweep.ground_regimes``).
+    numeric regimes of any chain are ``sweep.ground_regimes``).  A bool or a
+    non-number is refused before the lookup, as every entry point does.
     """
-    rows = TABLE_4SITE.get(float(delta)) if coupling == 1.0 else None
+    for value in (delta, coupling):
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise DomainError(f"4-site regimes need numbers, got {_shown(value)}")
+    rows = TABLE_4SITE.get(delta) if coupling == 1.0 else None
     if rows is None:
         raise DomainError(
-            f"no tabulated 4-site regimes for delta={delta}, J={coupling}; "
+            f"no tabulated 4-site regimes for delta={_shown(delta)}, J={_shown(coupling)}; "
             f"tabulated: delta in {sorted(TABLE_4SITE)} at J = 1"
         )
     return rows
-
-
-def c14_impurity_one_up(j_mid: float) -> float:
-    """Boundary concurrence of the 4-site one-up ground state with bonds
-    (1, j, 1): (j^2 - j sqrt(4 + j^2) + 2) / (j^2 - j sqrt(4 + j^2) + 4)."""
-    if j_mid < 0:
-        raise DomainError("middle coupling must be nonnegative")
-    t = j_mid * j_mid - j_mid * math.sqrt(4.0 + j_mid * j_mid)
-    return (t + 2.0) / (t + 4.0)
-
-
-def c14_impurity_two_up(j_mid: float) -> float:
-    """Boundary concurrence of the 4-site two-up ground state with bonds
-    (1, j, 1): max(0, (j sqrt(j^2 + 4) - 2) / (j^2 + 4))."""
-    if j_mid < 0:
-        raise DomainError("middle coupling must be nonnegative")
-    return max(0.0, (j_mid * math.sqrt(j_mid * j_mid + 4.0) - 2.0) / (j_mid * j_mid + 4.0))
-
-
-def c15_three_half(j_mid: float) -> float:
-    """Boundary concurrence of the 5-site one-up ground state with bonds
-    (1, j, j, 1): 1 / (2 + 4 j^2)."""
-    if j_mid < 0:
-        raise DomainError("middle coupling must be nonnegative")
-    return 1.0 / (2.0 + 4.0 * j_mid * j_mid)
-
-
-def c14_channel(field: float, coupling: float) -> float:
-    """Exact boundary concurrence of the 4-site bulk-field channel:
-    t^2 / (t^2 + 4J^2) with t = 2B - J + sqrt(4B^2 - 4BJ + 5J^2)."""
-    if coupling <= 0:
-        raise DomainError("channel coupling must be positive")
-    if field < 0:
-        raise DomainError("bulk field must be nonnegative")
-    b, j = field, coupling
-    t = 2.0 * b - j + math.sqrt(4.0 * b * b - 4.0 * b * j + 5.0 * j * j)
-    return t * t / (t * t + 4.0 * j * j)
 
 
 def c1n_channel(beta: float, k: int) -> float:
@@ -196,4 +93,3 @@ def c1n_channel(beta: float, k: int) -> float:
     # equivalent to (1 - beta^-2) / (1 - beta^-2k), immune to overflow
     bm2 = beta ** -2.0
     return (1.0 - bm2) / (1.0 - bm2**k)
-

@@ -346,7 +346,7 @@ class _BlockPlan:
             for k in range(n // 2 + 1, n + 1):
                 energies.append(energies[n - k])
                 data.append(data[n - k][:, _FLIPPED_COLUMNS])
-        return _SectorSpectrum(n, self.pair, range(n + 1), energies, data)
+        return _SectorSpectrum(n, range(n + 1), energies, data)
 
 
 class _SectorSpectrum:
@@ -359,8 +359,7 @@ class _SectorSpectrum:
     block, so one instance serves every field at fixed delta.
     """
 
-    def __init__(self, n_sites: int, pair, sectors, energies, data):
-        self.pair = pair
+    def __init__(self, n_sites: int, sectors, energies, data):
         self.energies = np.concatenate(energies)
         self.pair_data = np.concatenate(data)
         self.sector = np.repeat(np.asarray(sectors), [len(e) for e in energies])
@@ -469,11 +468,10 @@ def sector_boundary_concurrence(spec: ChainSpec, n_up: int) -> float:
     sector ground space is the sweeps' equal mixture."""
     n = spec.n_sites
     n_up = _check_sector(n, n_up)
-    pair = (1, n)
     window = _ground_window(spec, spec.delta, (0.0,))
-    block = _Block(spec, build_sector_basis(n, n_up), pair)
+    block = _Block(spec, build_sector_basis(n, n_up), (1, n))
     energies, data = block.levels(spec.delta, window)
-    *_, (value,) = _SectorSpectrum(n, pair, [n_up], [energies], [data]).field_rows((0.0,))
+    *_, (value,) = _SectorSpectrum(n, [n_up], [energies], [data]).field_rows((0.0,))
     return float(value)
 
 

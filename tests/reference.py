@@ -10,8 +10,8 @@ import math
 import numpy as np
 
 from xxzchain.chain import build_sector_basis, site_mask
-from xxzchain.channel import _block_ground, build_channel, fold_single_excitation
-from xxzchain.closed_forms import BETA_CAP, c1n_channel
+from xxzchain.channel import BETA_CAP, _block_ground, build_channel, fold_single_excitation
+from xxzchain.closed_forms import c1n_channel
 from xxzchain.eigensolver import DEGENERACY_RTOL, decompose
 from xxzchain.entanglement import SPIN_FLIP, TwoQubitDensityMatrix, pair_xstate_data
 from xxzchain.errors import DomainError
@@ -70,7 +70,7 @@ def xstate_concurrence(rho: TwoQubitDensityMatrix) -> float:
     return 2.0 * max(0.0, abs(float(m[1, 2])) - float(np.sqrt(m[0, 0] * m[3, 3])))
 
 
-def per_row_point(spectrum, field: float, temperature: float = 0.0):
+def per_row_point(spectrum, pair, field: float, temperature: float = 0.0):
     """(ground energy, smallest ground sector, degeneracy, concurrence) of a
     ``_SectorSpectrum`` at one field, by the per-field route: shift the
     levels, mix the pair rows of the ground space (T = 0) or of every level
@@ -83,7 +83,7 @@ def per_row_point(spectrum, field: float, temperature: float = 0.0):
         data = (weights / weights.sum()) @ spectrum.pair_data
     else:
         data = spectrum.pair_data[ground].mean(axis=0)
-    rho = xstate_pair(spectrum.pair, data)
+    rho = xstate_pair(pair, data)
     return e0, int(spectrum.sector[ground].min()), len(ground), xstate_concurrence(rho)
 
 
@@ -130,7 +130,7 @@ def plain_block_spectrum(spec, pair) -> _SectorSpectrum:
         dec = decompose(build_sector(spec, basis))
         energies.append(dec.eigenvalues)
         data.append(pair_xstate_data(basis, dec.eigenvectors, *pair))
-    return _SectorSpectrum(n, (min(pair), max(pair)), range(n + 1), energies, data)
+    return _SectorSpectrum(n, range(n + 1), energies, data)
 
 
 def dense_sector_concurrence(spec, n_up: int) -> float:

@@ -12,19 +12,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from reference import concurrence_lambdas_direct, unfold_consistency
-
-from xxzchain.chain import ChainSpec, build_sector_basis
-from xxzchain.channel import design_channel, impurity_profile_chain, ratio_profile
-from xxzchain.closed_forms import (
+from analytic import (
     c13_ground,
     c14_channel,
     c14_impurity_one_up,
     c14_impurity_two_up,
     c15_three_half,
-    c1n_channel,
     critical_field_3site,
 )
+from reference import concurrence_lambdas_direct, unfold_consistency
+
+from xxzchain.chain import ChainSpec, build_sector_basis
+from xxzchain.channel import design_channel, impurity_profile_chain, ratio_profile
+from xxzchain.closed_forms import c1n_channel
 from xxzchain.eigensolver import decompose, ground_space
 from xxzchain.entanglement import (
     concurrence,

@@ -9,6 +9,7 @@ from reference import spin_sign
 from xxzchain import chain
 from xxzchain.chain import ChainSpec, _shown, build_sector_basis, site_mask
 from xxzchain.channel import build_channel, design_channel
+from xxzchain.closed_forms import c14_ground_regimes
 from xxzchain.errors import DomainError, ResourceCapError
 from xxzchain.sweep import concurrence_curve, phase_scan, sector_boundary_concurrence
 
@@ -120,6 +121,8 @@ def test_chain_spec_from_dict_refuses_strings():
         lambda: build_sector_basis(3, 10**5000),
         lambda: sector_boundary_concurrence(ChainSpec.uniform(4), 10**5000),
         lambda: list(concurrence_curve(ChainSpec.uniform(4), (10**5000, 1), (0.0,), (0.0,))),
+        lambda: c14_ground_regimes(10**5000),
+        lambda: c14_ground_regimes(0.5, -(10**5000)),
     ],
 )
 def test_an_int_too_long_to_print_is_shown_by_its_digit_count(call):

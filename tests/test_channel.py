@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from analytic import c14_channel, c14_impurity_one_up, c14_impurity_two_up, c15_three_half
 from reference import unfold_consistency
 
 import xxzchain
-from xxzchain import chain, channel, cli, closed_forms, sweep
+from xxzchain import chain, channel, cli, sweep
 from xxzchain.chain import ChainSpec, build_sector_basis
 from xxzchain.channel import (
     ChannelDesign,
@@ -23,13 +24,7 @@ from xxzchain.channel import (
     impurity_profile_chain,
     ratio_profile,
 )
-from xxzchain.closed_forms import (
-    c14_channel,
-    c14_impurity_one_up,
-    c14_impurity_two_up,
-    c15_three_half,
-    c1n_channel,
-)
+from xxzchain.closed_forms import c1n_channel
 from xxzchain.eigensolver import decompose
 from xxzchain.errors import DomainError, ResourceCapError
 from xxzchain.hamiltonian import build_sector
@@ -316,7 +311,7 @@ def test_channel_length_cap_refuses_before_allocating(monkeypatch):
     def unallocated(*args, **kwargs):
         raise AssertionError("a profile was allocated before the cap check")
 
-    over = channel.CHANNEL_SITE_CAP + 2
+    over = chain.SITE_CAP + 2
     with monkeypatch.context() as patched:
         patched.setattr(np, "arange", unallocated)
         patched.setattr(np, "full", unallocated)
@@ -548,13 +543,12 @@ def _bare_conversions(module) -> list[str]:
 
 def test_numbers_are_read_only_by_the_chain_rule():
     # the CLI hands config values to the library, which reads each one by
-    # chain.as_float / chain.as_int where it first reads it; closed_forms,
-    # the analytic oracle, takes plain floats
+    # chain.as_float / chain.as_int where it first reads it
     readers = {name for name in vars(chain) if name.startswith("as_")}
     assert readers == {"as_float", "as_int"}
     assert not _package_imports(cli).get("chain", set()) & readers
     for module in _src_modules():
-        if module not in (chain, closed_forms):
+        if module is not chain:
             assert not _bare_conversions(module), module.__name__
 
 

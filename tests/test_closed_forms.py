@@ -5,22 +5,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference import beta_for_target
-
-from xxzchain import closed_forms
-from xxzchain.chain import ChainSpec, build_sector_basis
-from xxzchain.closed_forms import (
+import analytic
+from analytic import (
     c13_ground,
     c14_channel,
-    c14_ground_regimes,
     c14_impurity_one_up,
     c14_impurity_two_up,
     c15_three_half,
-    c1n_channel,
     critical_field_3site,
     one_up_ground_energy_4site,
     spectrum_3site,
 )
+from reference import beta_for_target
+
+from xxzchain import closed_forms
+from xxzchain.chain import ChainSpec, build_sector_basis
+from xxzchain.closed_forms import c14_ground_regimes, c1n_channel
 from xxzchain.errors import DomainError
 from xxzchain.hamiltonian import build_sector
 from xxzchain.sweep import ground_regimes
@@ -133,24 +133,41 @@ def test_untabulated_regimes_are_a_domain_error(delta, coupling):
         c14_ground_regimes(delta, coupling)
 
 
+def _package_imports(module) -> list[str]:
+    """Every xxzchain module that ``module`` imports, relative or absolute,
+    anywhere in the file (a lazy import inside a function body counts)."""
+    found = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("xxzchain")):
+            found.append(node.module)
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("xxzchain")]
+    return found
+
+
 def test_closed_forms_imports_nothing_numeric_from_the_package():
-    # the oracle layer must not import the pipeline it checks, not even
-    # lazily inside a function body
+    # the printed reference must not import the pipeline it sits beside
+    assert _package_imports(closed_forms) == ["errors"]
+
+
+def test_the_oracles_import_nothing_numeric_from_the_package():
+    # the oracles must not import the pipeline they check, not even lazily
+    # inside a function body
+    assert _package_imports(analytic) == ["xxzchain.errors"]
+
+
+def test_closed_forms_holds_only_what_the_library_prints():
+    # the quoted 4-site table (table1) and the channel's profile formula
+    # (the channel column); the oracles only tests read live in analytic.py
     tree = ast.parse(Path(closed_forms.__file__).read_text())
-    package_imports = [
-        node.module
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level > 0
-    ]
-    assert package_imports == ["errors"]
-    absolute = [
-        alias.name
-        for node in ast.walk(tree)
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
-        if (getattr(node, "module", None) or alias.name).startswith("xxzchain")
-    ]
-    assert absolute == []
+    }
+    public = {name for name in vars(closed_forms) if not name.startswith("_")} - imported
+    assert public == {"GroundRegime", "TABLE_4SITE", "c14_ground_regimes", "c1n_channel"}
 
 
 def test_c14_impurity_one_up_reference_points():

@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from analytic import c13_ground, critical_field_3site
 from reference import concurrence_lambdas_direct, xstate_concurrence, xstate_pair
 
 from xxzchain.chain import ChainSpec, build_sector_basis
-from xxzchain.closed_forms import c13_ground, critical_field_3site
 from xxzchain.eigensolver import decompose
 from xxzchain.entanglement import (
     PureState,

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from analytic import spectrum_3site
 from reference import diagonal_energy, matrix_to_csv
 
 from xxzchain.chain import ChainSpec, build_sector_basis
 from xxzchain.channel import build_channel
-from xxzchain.closed_forms import spectrum_3site
 from xxzchain.errors import DomainError, ResourceCapError
 from xxzchain.hamiltonian import build_full, build_sector
 

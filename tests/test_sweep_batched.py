@@ -35,8 +35,9 @@ _unit = st.floats(0.2, 1.5, allow_nan=False)
 @st.composite
 def _spectra(draw):
     """A random spectrum (n <= 7; zero, palindromic or generic site fields;
-    palindromic or generic couplings), a temperature and a field list that
-    may include the exact crossings of adjacent sectors' ground levels."""
+    palindromic or generic couplings), its site pair, a temperature and a
+    field list that may include the exact crossings of adjacent sectors'
+    ground levels."""
     n = draw(st.integers(2, 7))
     if draw(st.booleans()):
         half = draw(st.lists(_unit, min_size=(n - 1) // 2, max_size=(n - 1) // 2))
@@ -54,13 +55,14 @@ def _spectra(draw):
         fields = tuple(draw(st.lists(site, min_size=n, max_size=n)))
     spec = ChainSpec(n, couplings, fields, draw(st.floats(-1.0, 2.0, allow_nan=False)))
     i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
-    spectrum = _BlockPlan(spec, (i, j)).spectrum(spec.delta)
+    plan = _BlockPlan(spec, (i, j))
+    spectrum = plan.spectrum(spec.delta)
     temperature = draw(st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.0]))
     fields_b = draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=40))
     if draw(st.booleans()):
         lows = [float(spectrum.energies[spectrum.sector == k].min()) for k in range(n + 1)]
         fields_b += [0.5 * (lows[k] - lows[k + 1]) for k in range(n)]
-    return spectrum, temperature, draw(st.permutations(fields_b))
+    return spectrum, plan.pair, temperature, draw(st.permutations(fields_b))
 
 
 @settings(
@@ -72,12 +74,12 @@ def _spectra(draw):
 )
 @given(_spectra())
 def test_batched_rows_are_batch_invariant_and_match_the_per_row_path(case):
-    spectrum, temperature, fields = case
+    spectrum, pair, temperature, fields = case
     batch = spectrum.field_rows(fields, temperature)
     for m, b in enumerate(fields):
         single = spectrum.field_rows([b], temperature)
         assert [a[m] for a in batch] == [a[0] for a in single]
-        e0, n_up, degeneracy, c = per_row_point(spectrum, b, temperature)
+        e0, n_up, degeneracy, c = per_row_point(spectrum, pair, b, temperature)
         assert (batch[1][m], batch[2][m]) == (n_up, degeneracy)
         assert abs(batch[0][m] - e0) <= ROW_TOL * (1.0 + abs(e0))
         assert abs(batch[3][m] - c) <= ROW_TOL

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from analytic import critical_field_3site
 from reference import scalar_ground_profile
 
 from xxzchain import cli as cli_module
-from xxzchain import chain, channel, closed_forms, sweep
+from xxzchain import chain, channel, sweep
 from xxzchain.chain import ChainSpec, build_sector_basis, check_grid
 from xxzchain.cli import main
 from xxzchain.channel import (
-    CHANNEL_SITE_CAP,
     build_channel,
     channel_curve,
     design_channel,
@@ -26,7 +26,7 @@ from xxzchain.channel import (
     impurity_profile_chain,
     ratio_profile,
 )
-from xxzchain.closed_forms import c1n_channel, critical_field_3site
+from xxzchain.closed_forms import c14_ground_regimes, c1n_channel
 from xxzchain.errors import DomainError, NumericError, ResourceCapError
 from xxzchain.sweep import (
     classify_ground_state,
@@ -368,7 +368,7 @@ def test_design_report_already_achieved():
 
 
 def test_design_report_unreachable(monkeypatch):
-    monkeypatch.setattr(closed_forms, "BETA_CAP", 20.0)
+    monkeypatch.setattr(channel, "BETA_CAP", 20.0)
     report = design_report(4, 0.9999)
     assert report["status"] == "unreachable-below-beta-cap"
     assert report["achieved"] < 0.9999
@@ -376,7 +376,7 @@ def test_design_report_unreachable(monkeypatch):
 
 def test_design_report_tries_the_cap_itself(monkeypatch):
     # doubling from 2 steps past 150 at 256; the cap reaches 0.99995
-    monkeypatch.setattr(closed_forms, "BETA_CAP", 150.0)
+    monkeypatch.setattr(channel, "BETA_CAP", 150.0)
     report = design_report(4, 0.9999)
     assert report["status"] == "ok"
     assert report["beta"] == pytest.approx(100.985, abs=1e-3)
@@ -664,8 +664,8 @@ def test_cli_resource_cap_exit_code(tmp_path):
 @pytest.mark.parametrize(
     "command, config",
     [
-        ("channel", {"n_sites_values": [4, CHANNEL_SITE_CAP + 2], "grid": {"beta": [2.0]}}),
-        ("design", {"n_sites": CHANNEL_SITE_CAP + 2, "target": 0.9}),
+        ("channel", {"n_sites_values": [4, chain.SITE_CAP + 2], "grid": {"beta": [2.0]}}),
+        ("design", {"n_sites": chain.SITE_CAP + 2, "target": 0.9}),
     ],
 )
 def test_cli_over_cap_channel_exits_3_before_allocating(monkeypatch, tmp_path, capsys, command, config):
@@ -676,7 +676,7 @@ def test_cli_over_cap_channel_exits_3_before_allocating(monkeypatch, tmp_path, c
     assert main([command, "--config", _write_config(tmp_path, config)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"resource cap exceeded: channel of {CHANNEL_SITE_CAP + 2} sites")
+    assert captured.err.startswith(f"resource cap exceeded: channel of {chain.SITE_CAP + 2} sites")
 
 
 def test_cli_channel_length_past_the_float_range_exits_3(tmp_path, capsys):
@@ -758,6 +758,8 @@ NUMBER_SLOTS = {
     # a spec is all ground_regimes reads, so its values come through ChainSpec
     "ground_regimes.spec": ("float", lambda v: ground_regimes(replace(_SPEC4, delta=v))),
     "table1_rows.deltas": ("float", lambda v: table1_rows((0.0, v))),
+    "c14_ground_regimes.delta": ("float", lambda v: c14_ground_regimes(v)),
+    "c14_ground_regimes.coupling": ("float", lambda v: c14_ground_regimes(0.5, v)),
     "build_sector_basis.n_sites": ("int", lambda v: build_sector_basis(v, 1)),
     "build_sector_basis.n_up": ("int", lambda v: build_sector_basis(4, v)),
     "ChainSpec.couplings[]": ("seq", lambda v: ChainSpec(3, v, (0, 0, 0), 0)),
