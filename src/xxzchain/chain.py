@@ -1,4 +1,4 @@
-"""Chain specifications, spin convention, sectors, and the one number rule.
+"""Chain specifications, spin convention, sectors and the grid check.
 
 Spin convention, fixed once for the whole library:
 
@@ -8,22 +8,16 @@ Spin convention, fixed once for the whole library:
 
 Every module builds on this single convention, so full-space and
 sector-restricted code paths index tensor factors identically.
-
-Number rule, also fixed once: every entry point reads each value where it
-first reads it, by ``as_float`` or ``as_int`` (a grid axis by ``check_grid``).
-A string, a boolean, None or any other non-number is a DomainError, as are a
-fractional integer and an int too large for a float where a float is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isfinite
-from numbers import Integral, Rational, Real
+from math import comb
 
 import numpy as np
 
-from .errors import DomainError, ResourceCapError, _shown
+from .errors import DomainError, ResourceCapError, _shown, as_float, as_int
 
 # Default cap on n_sites whenever a full 2^N-dimensional object is built.
 FULL_SPACE_CAP = 14
@@ -47,29 +41,6 @@ def _capped(n_sites: int, what: str = "chain") -> int:
     return n_sites
 
 
-def _real(value, what: str, noun: str = "a number"):
-    """``value`` itself, refused unless it is a real number and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise DomainError(f"{what} must be {noun}, got {_shown(value)}")
-    return value
-
-
-def as_float(value, what: str) -> float:
-    """``value`` as a float; an int past the float range is a DomainError."""
-    try:
-        return float(_real(value, what))
-    except OverflowError as exc:
-        raise DomainError(f"{what} must lie in the float range, got {_shown(value)}") from exc
-
-
-def as_int(value, what: str) -> int:
-    """``value`` as an int; an integral float such as 20.0 reads as 20.  An
-    int of any size is kept, so the cap that bounds it refuses one too large."""
-    if isinstance(_real(value, what, "an integer"), Integral) or as_float(value, what).is_integer():
-        return int(value)
-    raise DomainError(f"{what} must be an integer, got {_shown(value)}")
-
-
 def _as_tuple(values, what: str) -> tuple:
     """A sequence of values as a tuple; anything not iterable is a DomainError."""
     try:
@@ -88,9 +59,9 @@ def check_grid(*axes) -> tuple[tuple, ...]:
     for axis in axes:
         if not axis:
             raise DomainError("empty grid axis")
-        # a rational is finite, and one past the float range would overflow isfinite
-        if not all(isinstance(_real(v, "grid value"), Rational) or isfinite(v) for v in axis):
-            raise DomainError("grid axis values must be finite")
+        for v in axis:
+            if type(v) is not int:  # an int is finite, however large
+                as_float(v, "grid value")
         total *= len(axis)
     if total > GRID_POINT_CAP:
         raise ResourceCapError(f"grid of {total} points exceeds the cap of {GRID_POINT_CAP}")
@@ -130,9 +101,6 @@ class ChainSpec:
         for name, count in (("couplings", self.n_sites - 1), ("fields", self.n_sites)):
             if (got := len(getattr(self, name))) != count:
                 raise DomainError(f"expected {_shown(count)} {name}, got {got}")
-        values = (*self.couplings, *self.fields, self.delta, self.temperature)
-        if not all(isfinite(v) for v in values):
-            raise DomainError("chain parameters must be finite")
         if self.temperature < 0:
             raise DomainError("temperature must be nonnegative")
 

@@ -85,10 +85,8 @@ def _half_length(n_sites: int) -> int:
 
 def _check_channel(coupling: float, bulk_field: float) -> tuple[float, float]:
     """The coupling and bulk field as floats, refused unless the coupling is
-    finite and > 0 and the bulk field finite and >= 0."""
+    > 0 and the bulk field >= 0 (``as_float`` refuses a non-finite one)."""
     coupling, bulk_field = as_float(coupling, "coupling"), as_float(bulk_field, "bulk field")
-    if not (math.isfinite(coupling) and math.isfinite(bulk_field)):
-        raise DomainError("channel design needs a finite coupling and bulk field")
     if coupling <= 0:
         raise DomainError("channel design needs a positive coupling")
     if bulk_field < 0:
@@ -344,7 +342,7 @@ def channel_curve(n_values, betas, coupling: float = 1.0):
                 fields = [beta * coupling / 2.0 for beta in chunk]
                 _, numeric, coeffs = _ground_profiles(k, coupling, fields)
                 b = np.array(chunk, dtype=float)[:, None]
-                with np.errstate(divide="ignore", invalid="ignore"):
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     deviations = np.max(np.abs(_ratios(coeffs) - b) / b, axis=1)
                 for beta, c1n, deviation in zip(chunk, numeric.tolist(), deviations.tolist()):
                     closed = c1n_channel(beta, k) if beta > 1.0 else math.nan
@@ -418,7 +416,11 @@ def impurity_profile_chain(n_sites: int, base: float) -> ChainSpec:
         raise DomainError(f"profile chain needs at least 3 sites, got {_shown(n_sites)}")
     if base <= 0:
         raise DomainError("profile base must be positive")
-    couplings = tuple(base ** (min(i, n_sites - i) - 1) for i in range(1, n_sites))
+    try:  # refuse a base^(N//2 - 1) past the float range; a base < 1 only underflows
+        couplings = tuple(base ** (min(i, n_sites - i) - 1) for i in range(1, n_sites))
+    except OverflowError:
+        top = n_sites // 2 - 1
+        raise DomainError(f"profile base^{top} must lie in the float range, got {base!r}") from None
     return ChainSpec(
         n_sites=n_sites,
         couplings=couplings,

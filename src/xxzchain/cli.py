@@ -136,8 +136,6 @@ def _cmd_phase_scan(config: dict):
 def _cmd_curve(config: dict):
     template = ChainSpec.from_dict(_require(config, "spec"))
     pair = _require(config, "pair")
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise DomainError("config 'pair' must be a two-element list [i, j]")
     deltas = config.get("delta_values", [template.delta])
     rows = concurrence_curve(template, pair, _axis(config, "B"), deltas)
     return ["delta", "B", "concurrence"], rows

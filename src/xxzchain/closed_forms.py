@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
-from .errors import DomainError, _shown
+from .errors import DomainError, _shown, as_float, as_int
 
 
 @dataclass(frozen=True)
@@ -61,12 +60,10 @@ def c14_ground_regimes(delta: float, coupling: float = 1.0) -> tuple[GroundRegim
 
     Only the tabulated deltas (0, 0.5, 1, 2 at J = 1) are known; they return
     the quoted rows verbatim.  Other parameters raise DomainError (the
-    numeric regimes of any chain are ``sweep.ground_regimes``).  A bool or a
-    non-number is refused before the lookup, as every entry point does.
+    numeric regimes of any chain are ``sweep.ground_regimes``).  Both
+    values are read by the number rule before the lookup.
     """
-    for value in (delta, coupling):
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise DomainError(f"4-site regimes need numbers, got {_shown(value)}")
+    delta, coupling = as_float(delta, "delta"), as_float(coupling, "coupling")
     rows = TABLE_4SITE.get(delta) if coupling == 1.0 else None
     if rows is None:
         raise DomainError(
@@ -84,12 +81,16 @@ def c1n_channel(beta: float, k: int) -> float:
 
     The profile (hence this expression) is asymptotic in beta and k; the
     exact folded computation approaches it from below.  k = 1 degenerates
-    to a chain with no bulk and is rejected.
+    to a chain with no bulk and is rejected, as is what the number rule refuses.
     """
+    beta, k = as_float(beta, "beta"), as_int(k, "k")
     if k < 2:
         raise DomainError("the channel formula needs k >= 2 (at least 4 sites)")
     if beta <= 1.0:
         raise DomainError("the channel formula is valid for beta > 1 only")
     # equivalent to (1 - beta^-2) / (1 - beta^-2k), immune to overflow
     bm2 = beta ** -2.0
-    return (1.0 - bm2) / (1.0 - bm2**k)
+    try:
+        return (1.0 - bm2) / (1.0 - bm2**k)
+    except OverflowError:  # bm2 < 1, so only converting such a k overflows
+        raise DomainError(f"k must lie in the float range, got {_shown(k)}") from None

@@ -37,6 +37,8 @@ SPIN_FLIP = np.array(
 # treated as an exact zero before taking square roots.
 _NOISE_FLOOR = 64.0 * np.finfo(float).eps
 
+_TRACE_TOL, _EIGEN_TOL = 1e-12, 1e-10  # a two-qubit state's trace from 1, eigenvalues below 0
+
 
 @dataclass(frozen=True)
 class PureState:
@@ -83,9 +85,9 @@ class TwoQubitDensityMatrix:
             raise DomainError(f"sites must be ordered i < j, got {self.sites}")
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
             raise DomainError("reduced state is not symmetric")
-        if abs(np.trace(m) - 1.0) > 1e-12:
+        if abs(np.trace(m) - 1.0) > _TRACE_TOL:
             raise DomainError(f"reduced state trace is {float(np.trace(m))!r}, not 1")
-        if np.linalg.eigvalsh(m)[0] < -1e-10:
+        if np.linalg.eigvalsh(m)[0] < -_EIGEN_TOL:
             raise DomainError("reduced state has a significantly negative eigenvalue")
 
 
@@ -206,8 +208,8 @@ def xstate_concurrences(data) -> np.ndarray:
     (2007)), for an (m, 5) array of rows such as ``pair_xstate_data`` gives.
 
     Every row is checked as ``TwoQubitDensityMatrix`` checks a 4x4 state,
-    with the same tolerances, in closed form: trace 1 within 1e-12, and no
-    eigenvalue below -1e-10, the eigenvalues being p00, p11 and
+    with the same tolerances, in closed form: trace 1 within _TRACE_TOL, and
+    no eigenvalue below -_EIGEN_TOL, the eigenvalues being p00, p11 and
     (p01 + p10)/2 +/- sqrt(((p01 - p10)/2)^2 + c^2).  Its symmetry check
     and the check that nothing lies outside the populations and the 01<->10
     coherence hold by construction for a state built from these five
@@ -219,13 +221,13 @@ def xstate_concurrences(data) -> np.ndarray:
         raise DomainError(f"expected (m, 5) pair-state rows, got shape {d.shape}")
     p00, p01, p10, p11, c = d.T
     trace = p00 + p01 + p10 + p11
-    off = np.flatnonzero(~(np.abs(trace - 1.0) <= 1e-12))  # NaN fails too
+    off = np.flatnonzero(~(np.abs(trace - 1.0) <= _TRACE_TOL))  # NaN fails too
     if len(off):
         raise DomainError(f"reduced state trace is {float(trace[off[0]])!r}, not 1")
     middle = 0.5 * (p01 + p10) - np.sqrt((0.5 * (p01 - p10)) ** 2 + c * c)
-    if np.any(np.minimum(np.minimum(p00, p11), middle) < -1e-10):
+    if np.any(np.minimum(np.minimum(p00, p11), middle) < -_EIGEN_TOL):
         raise DomainError("reduced state has a significantly negative eigenvalue")
-    # fmax, not maximum: a population in [-1e-10, 0) makes sqrt NaN, which
+    # fmax, not maximum: a population in [-_EIGEN_TOL, 0) makes sqrt NaN, which
     # fmax maps to 0 as the scalar max(0.0, nan) of the 4x4 route did
     return 2.0 * np.fmax(0.0, np.abs(c) - np.sqrt(p00 * p11))
 
@@ -273,16 +275,12 @@ def concurrence(rho) -> ConcurrenceResult:
     symmetric matrix K = sqrt(rho) F sqrt(rho), so the lambdas are read off
     as |eig(K)| without ever squaring: exact zeros stay at roundoff size
     instead of being amplified to sqrt(eps).  The value is
-    max(0, l1 - l2 - l3 - l4).
+    max(0, l1 - l2 - l3 - l4).  A raw matrix is checked as the state of a
+    site pair (any pair: the check reads only the matrix).
     """
-    m = rho.matrix if isinstance(rho, TwoQubitDensityMatrix) else np.asarray(rho, dtype=float)
-    if m.shape != (4, 4):
-        raise DomainError(f"expected a 4x4 density matrix, got shape {m.shape}")
-    if abs(np.trace(m) - 1.0) > 1e-8:
-        raise DomainError(f"density matrix trace deviates from 1: {np.trace(m)!r}")
-    if np.linalg.eigvalsh(m)[0] < -1e-8:
-        raise DomainError("density matrix is significantly non-positive")
-    root = _sqrt_psd(m)
+    if not isinstance(rho, TwoQubitDensityMatrix):
+        rho = TwoQubitDensityMatrix(sites=(1, 2), matrix=rho)
+    root = _sqrt_psd(rho.matrix)
     lambdas = np.sort(np.abs(np.linalg.eigvalsh(root @ SPIN_FLIP @ root)))[::-1]
     value = lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]
     return ConcurrenceResult(

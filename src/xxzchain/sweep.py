@@ -554,7 +554,7 @@ def _regimes(plan: _BlockPlan, delta: float) -> tuple[GroundRegime, ...]:
     )
 
 
-def table1_rows(deltas=(0.0, 0.5, 1.0, 2.0)):
+def table1_rows(deltas=tuple(closed_forms.TABLE_4SITE)):
     """Numeric regime table printed beside the quoted reference values:
     ``ground_regimes`` of the uniform 4-site chain, one plan for every delta.
 
@@ -565,7 +565,7 @@ def table1_rows(deltas=(0.0, 0.5, 1.0, 2.0)):
     first row is computed.
     """
     (deltas,) = check_grid(deltas)
-    references = [closed_forms.c14_ground_regimes(as_float(delta, "delta")) for delta in deltas]
+    references = [closed_forms.c14_ground_regimes(delta) for delta in deltas]
     plan = _BlockPlan(ChainSpec.uniform(4), (1, 4))
     return (
         (float(delta), r, num.n_up, num.b_min, num.b_max, ref.b_min, ref.b_max,

@@ -13,7 +13,7 @@ from analytic import c14_channel, c14_impurity_one_up, c14_impurity_two_up, c15_
 from reference import unfold_consistency
 
 import xxzchain
-from xxzchain import chain, channel, cli, sweep
+from xxzchain import chain, channel, cli, errors, sweep
 from xxzchain.chain import ChainSpec, build_sector_basis
 from xxzchain.channel import (
     ChannelDesign,
@@ -543,13 +543,33 @@ def _bare_conversions(module) -> list[str]:
 
 def test_numbers_are_read_only_by_the_chain_rule():
     # the CLI hands config values to the library, which reads each one by
-    # chain.as_float / chain.as_int where it first reads it
+    # errors.as_float / errors.as_int (chain imports both) where it first
+    # reads it
     readers = {name for name in vars(chain) if name.startswith("as_")}
     assert readers == {"as_float", "as_int"}
+    assert all(getattr(chain, name) is getattr(errors, name) for name in readers)
     assert not _package_imports(cli).get("chain", set()) & readers
     for module in _src_modules():
-        if module is not chain:
+        if module is not errors:
             assert not _bare_conversions(module), module.__name__
+
+
+def _numbers_imports(module) -> set[str]:
+    """The names ``module`` imports from the standard ``numbers`` module."""
+    found = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {"numbers" for alias in node.names if alias.name == "numbers"}
+    return found
+
+
+def test_only_the_number_rule_asks_for_a_number_type():
+    # the type check is the rule's alone, so no module repeats it
+    for module in _src_modules():
+        expected = {"Integral", "Real"} if module is errors else set()
+        assert _numbers_imports(module) == expected, module.__name__
 
 
 def _load_by_path(monkeypatch, path: Path):

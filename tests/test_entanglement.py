@@ -314,6 +314,11 @@ def test_concurrence_rejects_invalid_density_matrices():
     bad = np.diag([1.5, -0.5, 0.0, 0.0])
     with pytest.raises(DomainError):
         concurrence(bad)
+    # a raw matrix meets the bounds of TwoQubitDensityMatrix, no looser ones
+    with pytest.raises(DomainError, match="trace"):
+        concurrence(np.diag([0.5, 0.0, 0.0, 0.5 + 1e-10]))
+    with pytest.raises(DomainError, match="symmetric"):
+        concurrence(np.diag([0.5, 0.0, 0.0, 0.5]) + np.diag([0.1, 0.0, 0.0], 1))
 
 
 def test_pure_state_normalization_enforced():

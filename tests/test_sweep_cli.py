@@ -704,14 +704,18 @@ PAST_FLOAT = 10**400
         lambda: design_report(4, 0.9, PAST_FLOAT),
         lambda: design_channel(4, PAST_FLOAT, 1.0),
         lambda: ChainSpec.uniform(4, delta=PAST_FLOAT),
+        lambda: c1n_channel(10.0, PAST_FLOAT),
+        lambda: impurity_profile_chain(10, 1e200),
     ],
     ids=["phase_scan_delta", "phase_scan_field", "concurrence_curve_delta", "table1_rows",
          "channel_curve_beta", "channel_curve_coupling", "design_report_coupling",
-         "design_channel_coupling", "chain_spec_delta"],
+         "design_channel_coupling", "chain_spec_delta", "c1n_channel_k",
+         "impurity_profile_chain_base"],
 )
 def test_an_int_past_the_float_range_is_a_domain_error(call):
     # float() of such an int raises OverflowError; every float input reads
-    # it as a config error, as the CLI does
+    # it as a config error, as the CLI does (and so does a profile base
+    # whose largest coupling, base^4 at N = 10, would overflow)
     with pytest.raises(DomainError, match="must lie in the float range"):
         call()
 
@@ -760,6 +764,8 @@ NUMBER_SLOTS = {
     "table1_rows.deltas": ("float", lambda v: table1_rows((0.0, v))),
     "c14_ground_regimes.delta": ("float", lambda v: c14_ground_regimes(v)),
     "c14_ground_regimes.coupling": ("float", lambda v: c14_ground_regimes(0.5, v)),
+    "c1n_channel.beta": ("float", lambda v: c1n_channel(v, 3)),
+    "c1n_channel.k": ("int", lambda v: c1n_channel(10.0, v)),
     "build_sector_basis.n_sites": ("int", lambda v: build_sector_basis(v, 1)),
     "build_sector_basis.n_up": ("int", lambda v: build_sector_basis(4, v)),
     "ChainSpec.couplings[]": ("seq", lambda v: ChainSpec(3, v, (0, 0, 0), 0)),
@@ -770,10 +776,10 @@ NUMBER_SLOTS = {
 }
 # an int of any size is an integer, refused by its slot's own range or cap
 # (test_cli_channel_length_past_the_float_range_exits_3); a float slot
-# refuses one too large for a float
+# refuses one too large for a float, and a NaN or an infinity
 WRONG_KIND = {
     "int": ("4", True, None, 4.5),
-    "float": ("1.0", True, None, PAST_FLOAT),
+    "float": ("1.0", True, None, PAST_FLOAT, math.nan, math.inf, -math.inf),
     "seq": (None, 5, 2.5),
 }
 
@@ -1039,18 +1045,33 @@ def test_cli_error_inside_the_rows_leaves_out_untouched(monkeypatch, tmp_path, c
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, message",
     [
-        {"n_sites_values": [4], "grid": {"beta": [2.0, -1.0]}},
-        {"n_sites_values": [4], "coupling": -1, "grid": {"beta": [2.0]}},
-        {"n_sites_values": [4], "coupling": 1e308, "grid": {"beta": [4.0]}},
+        ({"n_sites_values": [4], "grid": {"beta": [2.0, -1.0]}}, "channel design needs"),
+        ({"n_sites_values": [4], "coupling": -1, "grid": {"beta": [2.0]}}, "channel design needs"),
+        # the bulk field beta J / 2 overflows to inf, which the number rule refuses
+        ({"n_sites_values": [4], "coupling": 1e308, "grid": {"beta": [4.0]}},
+         "bulk field must be finite"),
     ],
+    ids=["config0", "config1", "config2"],
 )
-def test_cli_channel_refuses_what_design_channel_refuses_before_printing(tmp_path, capsys, config):
+def test_cli_channel_refuses_what_design_channel_refuses_before_printing(
+    tmp_path, capsys, config, message
+):
     assert main(["channel", "--config", _write_config(tmp_path, config)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("config error: channel design needs")
+    assert captured.err.startswith(f"config error: {message}")
+
+
+def test_cli_channel_subnormal_beta_prints_inf_without_a_warning(tmp_path, capsys):
+    # |ratio - beta| / beta overflows to inf, the row's true deviation; under
+    # the suite's error::RuntimeWarning a stray overflow warning would raise
+    config = {"n_sites_values": [8], "grid": {"beta": [1e-320]}}
+    assert main(["channel", "--config", _write_config(tmp_path, config)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].endswith(",nan,inf")
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("out", ["missing_dir/out.csv", "a_dir"])
