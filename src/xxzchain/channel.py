@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _CHUNK_ENTRIES, ChainSpec, _capped, _shown, as_float, as_int
-from .chain import check_grid
+from .chain import _CHUNK_ENTRIES, ChainSpec, _capped, check_grid
 from .closed_forms import c1n_channel
 from .eigensolver import _degeneracy_tolerance
-from .errors import DomainError
+from .errors import DomainError, _shown, as_float, as_int
 
 # the top of design_report's bracket on beta = 2B/J, read at each call
 BETA_CAP = 1e8
@@ -364,10 +363,13 @@ def design_report(n_sites: int, target: float, coupling: float = 1.0) -> dict:
         raise DomainError(f"target must lie in (0, 1), got {target}")
     coupling, _ = _check_channel(coupling, 0.0)
     k = _half_length(n_sites)
+    solved = {}  # beta -> achieved: the report reads the search's own solves
 
     def achieved(beta: float) -> float:
-        _check_channel(coupling, beta * coupling / 2.0)
-        return float(_ground_profiles(k, coupling, (beta * coupling / 2.0,))[1][0])
+        if beta not in solved:
+            _check_channel(coupling, beta * coupling / 2.0)
+            solved[beta] = float(_ground_profiles(k, coupling, (beta * coupling / 2.0,))[1][0])
+        return solved[beta]
 
     def report(status: str, beta: float) -> dict:
         return {

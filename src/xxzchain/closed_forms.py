@@ -55,19 +55,19 @@ TABLE_4SITE: dict[float, tuple[GroundRegime, ...]] = {
 }
 
 
-def c14_ground_regimes(delta: float, coupling: float = 1.0) -> tuple[GroundRegime, ...]:
-    """Ground-state regimes of the uniform 4-site chain as the field grows.
+def c14_ground_regimes(delta: float) -> tuple[GroundRegime, ...]:
+    """Ground-state regimes of the uniform 4-site chain (J = 1) as B grows.
 
-    Only the tabulated deltas (0, 0.5, 1, 2 at J = 1) are known; they return
-    the quoted rows verbatim.  Other parameters raise DomainError (the
-    numeric regimes of any chain are ``sweep.ground_regimes``).  Both
-    values are read by the number rule before the lookup.
+    Only the tabulated deltas (0, 0.5, 1, 2) are known; they return the
+    quoted rows verbatim.  Any other delta raises DomainError (the numeric
+    regimes of any chain are ``sweep.ground_regimes``).  Delta is read by
+    the number rule before the lookup.
     """
-    delta, coupling = as_float(delta, "delta"), as_float(coupling, "coupling")
-    rows = TABLE_4SITE.get(delta) if coupling == 1.0 else None
+    delta = as_float(delta, "delta")
+    rows = TABLE_4SITE.get(delta)
     if rows is None:
         raise DomainError(
-            f"no tabulated 4-site regimes for delta={_shown(delta)}, J={_shown(coupling)}; "
+            f"no tabulated 4-site regimes for delta={_shown(delta)}; "
             f"tabulated: delta in {sorted(TABLE_4SITE)} at J = 1"
         )
     return rows

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, SectorBasis, _shown, as_int, site_mask
+from .chain import ChainSpec, SectorBasis, site_mask
 from .eigensolver import SpectralDecomposition, ground_space
-from .errors import DomainError
+from .errors import DomainError, _shown, as_int
 
 # Spin-flip transform sigma_y (x) sigma_y for real states: constant
 # antidiagonal pattern; the overall sign is immaterial (applied twice).

@@ -20,12 +20,12 @@ its Zeeman diagonal and Ising bond sums, the index maps of its pair data,
 and its parts, each with its entries as (row, col, value) lists.  A delta
 then only puts its diagonal together and decomposes.  At T = 0 each part
 keeps only the levels close enough to its own lowest to be ground at some
-field the call reads (``_BlockPlan.spectrum``); only their eigenvectors are
-unfolded and reduced to pair-state entries, and the rest are dropped.  The
-part that holds the block's lowest level is named from the spec by the
-Perron-Frobenius rule and decomposed first, and a part whose levels one
-Cholesky factorization proves to lie beyond that window of the block's
-lowest is not decomposed at all (``_Block.levels``).
+|B| up to the largest the call reads (``_BlockPlan.spectrum``); only their
+eigenvectors are unfolded and reduced to pair-state entries, and the rest
+are dropped.  The part that holds the block's lowest level is named from
+the spec by the Perron-Frobenius rule and decomposed first, and a part
+whose levels one Cholesky factorization proves to lie beyond that window of
+the block's lowest is not decomposed at all (``_Block.levels``).
 
 The field axis of a delta is then evaluated in one vectorized pass
 (``_SectorSpectrum.field_rows``): the shifted levels, the ground space and
@@ -57,13 +57,12 @@ from math import comb, inf, isfinite, nan
 import numpy as np
 
 from . import closed_forms
-from .chain import _CHUNK_ENTRIES, ChainSpec, SectorBasis, _shown, as_float, as_int
-from .chain import build_sector_basis, check_grid
+from .chain import _CHUNK_ENTRIES, ChainSpec, SectorBasis, build_sector_basis, check_grid
 from .channel import channel_curve  # unused: perfbench's tracer wraps it from here
 from .closed_forms import GroundRegime
 from .eigensolver import _degeneracy_tolerance, decompose
 from .entanglement import _pair_maps, _pair_rows, _pair_sites_checked, xstate_concurrences
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError, ResourceCapError, _shown, as_float, as_int
 from .hamiltonian import _dense, _diagonal_terms, _hopping
 
 SECTOR_DIM_CAP = 3432  # C(14, 7): the largest S^z block decomposed densely
@@ -274,9 +273,9 @@ def _norm_bound(spec: ChainSpec, delta: float, field: float) -> float:
     return bound
 
 
-def _ground_window(spec: ChainSpec, delta: float, ground_fields) -> float:
+def _ground_window(spec: ChainSpec, delta: float, reach: float) -> float:
     """How far above its own part's lowest a level of ``spec`` at ``delta``
-    can lie and still be ground at one of the uniform ``ground_fields``.
+    can lie and still be ground at a uniform field B with |B| <= ``reach``.
 
     At a uniform field B the ground test keeps the levels within
     ``_degeneracy_tolerance(E0(B))`` of the lowest, E0(B), and
@@ -288,14 +287,7 @@ def _ground_window(spec: ChainSpec, delta: float, ground_fields) -> float:
     shifted levels.  A pruned level only ever added exact zeros to a row, so
     the rows are those of every level kept, bit for bit.
     """
-    reach = max(map(abs, ground_fields), default=0.0)
     return 2.0 * _degeneracy_tolerance(_norm_bound(spec, delta, reach))
-
-
-def _check_scale(spec: ChainSpec, deltas, fields) -> None:
-    """Refuse, before any block is built, a sweep at whose largest |delta|
-    and |B| ``_norm_bound`` overflows; the bound grows with both."""
-    _norm_bound(spec, max(map(abs, deltas)), max(map(abs, fields), default=0.0))
 
 
 def _check_sector(n_sites: int, n_up: int) -> int:
@@ -333,14 +325,12 @@ class _BlockPlan:
             for k in range(n // 2 + 1 if self.flip else n + 1)
         ]
 
-    def spectrum(self, delta: float, ground_fields=None) -> "_SectorSpectrum":
-        """The spectrum at ``delta``.  Given ``ground_fields``, the fields of
-        a T = 0 call, each part keeps only the levels that can be ground at
-        one of them (``_ground_window``)."""
+    def spectrum(self, delta: float, reach: float | None = None) -> "_SectorSpectrum":
+        """The spectrum at ``delta``.  Given ``reach``, the largest |B| of a
+        T = 0 call, each part keeps only the levels that can be ground at a
+        uniform field within it (``_ground_window``); None keeps every level."""
         n = self.template.n_sites
-        window = inf
-        if ground_fields is not None:
-            window = _ground_window(self.template, delta, ground_fields)
+        window = inf if reach is None else _ground_window(self.template, delta, reach)
         energies, data = map(list, zip(*(block.levels(delta, window) for block in self.blocks)))
         if self.flip:
             for k in range(n // 2 + 1, n + 1):
@@ -412,26 +402,26 @@ class _SectorSpectrum:
         return e0, n_up, degeneracy, concurrence
 
 
-def _phase_points(spectrum: _SectorSpectrum, delta: float, fields):
-    """The phase-scan nodes of one delta at every field of ``fields``."""
-    for field, e0, n_up, degeneracy, c in zip(fields, *spectrum.field_rows(fields)):
-        yield PhasePoint(
-            delta=float(delta),
-            field=float(field),
-            n_up=int(n_up),
-            # the ground level is the global minimum, so nothing in its own
-            # sector lies below it
-            sector_rank=0,
-            ground_energy=float(e0),
-            degeneracy=int(degeneracy),
-            boundary_concurrence=float(c),
-        )
+def _grid(template: ChainSpec, pair, deltas, fields, temperature: float):
+    """(delta, spectrum) for each delta of a checked grid, one at a time:
+    the one driver of ``phase_scan`` and ``concurrence_curve``.
+
+    Refused when it is called, before any block is built: a scale at which
+    ``_norm_bound`` overflows at the largest |delta| and |B| (it grows with
+    both), then the cap and the pair (``_BlockPlan``).  At T = 0 a delta
+    keeps only the levels that can be ground within the largest |B|."""
+    reach = max(map(abs, fields))
+    _norm_bound(template, max(map(abs, deltas)), reach)
+    plan = _BlockPlan(template, pair)
+    reach = None if temperature > 0 else reach
+    return ((delta, plan.spectrum(delta, reach)) for delta in deltas)
 
 
 def phase_scan(template: ChainSpec, deltas, fields):
     """Classify the ground state over the grid of the sequences ``deltas``
     and ``fields``, each field B a uniform field added to the template's
-    own site fields.
+    own site fields.  Every node is a T = 0 node: the template's
+    ``temperature`` is not read.
 
     The label records the magnetization sector of the ground level (the
     smallest one when levels of several sectors tie) plus its rank within
@@ -441,19 +431,20 @@ def phase_scan(template: ChainSpec, deltas, fields):
     first node is read.
     """
     deltas, fields = check_grid(deltas, fields)
-    _check_scale(template, deltas, fields)
-    plan = _BlockPlan(template, (1, template.n_sites))
+    # sector_rank is 0: the ground level is the global minimum, so nothing in
+    # its own sector lies below it
     return (
-        point
-        for delta in deltas
-        for point in _phase_points(plan.spectrum(delta, fields), delta, fields)
+        PhasePoint(float(delta), float(field), int(n_up), 0, float(e0), int(degeneracy), float(c))
+        for delta, spectrum in _grid(template, (1, template.n_sites), deltas, fields, 0.0)
+        for field, e0, n_up, degeneracy, c in zip(fields, *spectrum.field_rows(fields))
     )
 
 
 def classify_ground_state(spec: ChainSpec) -> PhasePoint:
     """One phase-scan node: the field on site 1 is the node's uniform B on
     top of the remaining profile (all zero for a uniform field), so a
-    uniform spec reproduces its phase_scan row bit for bit."""
+    uniform spec reproduces its phase_scan row bit for bit.  A T = 0 node,
+    as there: the spec's ``temperature`` is not read."""
     field = spec.fields[0]
     rest = replace(spec, fields=tuple(b - field for b in spec.fields))
     (point,) = phase_scan(rest, (spec.delta,), (field,))
@@ -465,10 +456,11 @@ def sector_boundary_concurrence(spec: ChainSpec, n_up: int) -> float:
     ``n_up`` sector: one ``_Block`` of the sweeps (split by the spec's
     symmetries, such as every impurity chain's mirror) read at zero field by
     ``field_rows`` within the spec's own ground window, so a degenerate
-    sector ground space is the sweeps' equal mixture."""
+    sector ground space is the sweeps' equal mixture.  The spec's
+    ``temperature`` is not read: the state is the T = 0 one."""
     n = spec.n_sites
     n_up = _check_sector(n, n_up)
-    window = _ground_window(spec, spec.delta, (0.0,))
+    window = _ground_window(spec, spec.delta, 0.0)
     block = _Block(spec, build_sector_basis(n, n_up), (1, n))
     energies, data = block.levels(spec.delta, window)
     *_, (value,) = _SectorSpectrum(n, [n_up], [energies], [data]).field_rows((0.0,))
@@ -482,21 +474,16 @@ def concurrence_curve(template: ChainSpec, pair: tuple[int, int], fields, deltas
 
     Uses the ground-state density (equal mixture across degeneracies); a
     positive template temperature switches to the thermal state instead.
-    The grid, the cap and the pair are checked eagerly; rows stream one
-    delta at a time, as in ``phase_scan``.
+    The only sweep that reads the temperature.  The grid, the cap and the
+    pair are checked eagerly; rows stream one delta at a time, as in
+    ``phase_scan``.
     """
     fields, deltas = check_grid(fields, deltas)
     temperature = template.temperature
-    _check_scale(template, deltas, fields)
-    plan = _BlockPlan(template, pair)
-    # a T = 0 row reads only the levels that can be ground at its field
-    ground_fields = None if temperature > 0 else fields
     return (
         (float(delta), float(field), float(value))
-        for delta in deltas
-        for field, value in zip(
-            fields, plan.spectrum(delta, ground_fields).field_rows(fields, temperature)[-1]
-        )
+        for delta, spectrum in _grid(template, pair, deltas, fields, temperature)
+        for field, value in zip(fields, spectrum.field_rows(fields, temperature)[-1])
     )
 
 
@@ -512,23 +499,24 @@ def ground_regimes(spec: ChainSpec) -> tuple[GroundRegime, ...]:
     smallest j).  Empty regimes are dropped.  C_1N is constant in a regime,
     as B leaves the eigenvectors alone; all are read in one ``field_rows``
     call at interior fields.  The regime holding B = 0 also carries the
-    ground energy there.
+    ground energy there.  The spec's ``temperature`` is not read.
     """
-    _check_scale(spec, (spec.delta,), _regime_fields(spec, spec.delta))
+    # the scale at the walk's reach is refused before the plan is built
+    _norm_bound(spec, abs(spec.delta), _regime_reach(spec, spec.delta))
     return _regimes(_BlockPlan(spec, (1, spec.n_sites)), spec.delta)
 
 
-def _regime_fields(spec: ChainSpec, delta: float) -> tuple[float]:
+def _regime_reach(spec: ChainSpec, delta: float) -> float:
     """The field up to which a regime walk at ``delta`` reads levels: every
     crossing, a level gap over 2 or more, lies within the zero-field norm
     bound, and every interior field within half a unit past it."""
-    return (_norm_bound(spec, delta, 0.0) + 0.5,)
+    return _norm_bound(spec, delta, 0.0) + 0.5
 
 
 def _regimes(plan: _BlockPlan, delta: float) -> tuple[GroundRegime, ...]:
     """``ground_regimes`` of the plan's template at ``delta``."""
     n = plan.template.n_sites
-    spectrum = plan.spectrum(delta, _regime_fields(plan.template, delta))
+    spectrum = plan.spectrum(delta, _regime_reach(plan.template, delta))
     lowest = [float(spectrum.energies[spectrum.sector == k].min()) for k in range(n + 1)]
     (e0,), (k,), *_ = spectrum.field_rows((0.0,))
     k, lo, regimes = int(k), 0.0, []

@@ -16,7 +16,7 @@ from xxzchain.eigensolver import DEGENERACY_RTOL, decompose
 from xxzchain.entanglement import SPIN_FLIP, TwoQubitDensityMatrix, pair_xstate_data
 from xxzchain.errors import DomainError
 from xxzchain.hamiltonian import build_sector
-from xxzchain.sweep import _SectorSpectrum
+from xxzchain.sweep import PhasePoint, _SectorSpectrum
 
 # Entries of a pair state that vanish when it is a mixture of magnetization
 # sector states: everything but the diagonal and the 01<->10 coherence.
@@ -85,6 +85,14 @@ def per_row_point(spectrum, pair, field: float, temperature: float = 0.0):
         data = spectrum.pair_data[ground].mean(axis=0)
     rho = xstate_pair(pair, data)
     return e0, int(spectrum.sector[ground].min()), len(ground), xstate_concurrence(rho)
+
+
+def phase_points(spectrum, delta: float, fields):
+    """The ``sweep.PhasePoint`` rows of one delta of a ``_SectorSpectrum`` at
+    every field of ``fields``, as ``phase_scan`` builds them."""
+    for field, e0, n_up, degeneracy, c in zip(fields, *spectrum.field_rows(fields)):
+        yield PhasePoint(float(delta), float(field), int(n_up), 0, float(e0), int(degeneracy),
+                         float(c))
 
 
 def _bisect(fn, lo: float, hi: float) -> float:

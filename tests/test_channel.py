@@ -13,7 +13,7 @@ from analytic import c14_channel, c14_impurity_one_up, c14_impurity_two_up, c15_
 from reference import unfold_consistency
 
 import xxzchain
-from xxzchain import chain, channel, cli, errors, sweep
+from xxzchain import chain, channel, errors, sweep
 from xxzchain.chain import ChainSpec, build_sector_basis
 from xxzchain.channel import (
     ChannelDesign,
@@ -543,13 +543,13 @@ def _bare_conversions(module) -> list[str]:
 
 def test_numbers_are_read_only_by_the_chain_rule():
     # the CLI hands config values to the library, which reads each one by
-    # errors.as_float / errors.as_int (chain imports both) where it first
-    # reads it
-    readers = {name for name in vars(chain) if name.startswith("as_")}
+    # errors.as_float / errors.as_int where it first reads it; every module
+    # imports the readers, and _shown, from errors itself
+    readers = {name for name in vars(errors) if name.startswith("as_")}
     assert readers == {"as_float", "as_int"}
-    assert all(getattr(chain, name) is getattr(errors, name) for name in readers)
-    assert not _package_imports(cli).get("chain", set()) & readers
     for module in _src_modules():
+        imported = _package_imports(module).get("chain", set())
+        assert not imported & {*readers, "_shown"}, module.__name__
         if module is not errors:
             assert not _bare_conversions(module), module.__name__
 

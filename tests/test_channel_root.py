@@ -190,3 +190,22 @@ def test_design_report_crosses_its_flat_stretch_in_few_solves(monkeypatch, n):
     monkeypatch.setattr(channel, "_ground_profiles", counted)
     assert channel.design_report(n, 0.99)["status"] == "ok"
     assert len(solves) <= 32
+
+
+@pytest.mark.parametrize(
+    "n, target",
+    [(n, t) for n in (4, 20, 250, 1000) for t in (0.5, 0.99, 0.999999)] + [(4, 0.1)],
+)
+def test_design_report_solves_no_bulk_field_twice(monkeypatch, n, target):
+    # the report reads the search's own solves, so neither the beta the
+    # search ends on nor a probe it repeats is solved a second time; (4, 0.1)
+    # is already achieved at zero field
+    fields, kernel = [], channel._ground_profiles
+
+    def counted(k, coupling, bulk_fields):
+        fields.extend(bulk_fields)
+        return kernel(k, coupling, bulk_fields)
+
+    monkeypatch.setattr(channel, "_ground_profiles", counted)
+    channel.design_report(n, target)
+    assert fields and len(fields) == len(set(fields))

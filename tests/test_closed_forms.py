@@ -127,10 +127,10 @@ def test_table_numeric_fallback_structure():
     assert 0.809 < rows[1].b_max < 1.251
 
 
-@pytest.mark.parametrize("delta, coupling", [(0.3, 1.0), (-0.5, 1.0), (1.0, 2.0)])
-def test_untabulated_regimes_are_a_domain_error(delta, coupling):
+@pytest.mark.parametrize("delta", [0.3, -0.5])
+def test_untabulated_regimes_are_a_domain_error(delta):
     with pytest.raises(DomainError):
-        c14_ground_regimes(delta, coupling)
+        c14_ground_regimes(delta)
 
 
 def _package_imports(module) -> list[str]:

@@ -247,9 +247,9 @@ def test_the_calls_at_a_delta_do_not_depend_on_the_deltas_read_before(monkeypatc
     for before in ((), (-0.5,), (1.5, -1.0)):
         plan = _BlockPlan(spec, (1, spec.n_sites))
         for delta in before:
-            plan.spectrum(delta, fields)
+            plan.spectrum(delta, max(map(abs, fields)))
         calls.clear()
-        plan.spectrum(0.7, fields)
+        plan.spectrum(0.7, max(map(abs, fields)))
         seen.append(list(calls))
     assert seen[0] and seen[0] == seen[1] == seen[2]
 

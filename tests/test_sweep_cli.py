@@ -763,7 +763,6 @@ NUMBER_SLOTS = {
     "ground_regimes.spec": ("float", lambda v: ground_regimes(replace(_SPEC4, delta=v))),
     "table1_rows.deltas": ("float", lambda v: table1_rows((0.0, v))),
     "c14_ground_regimes.delta": ("float", lambda v: c14_ground_regimes(v)),
-    "c14_ground_regimes.coupling": ("float", lambda v: c14_ground_regimes(0.5, v)),
     "c1n_channel.beta": ("float", lambda v: c1n_channel(v, 3)),
     "c1n_channel.k": ("int", lambda v: c1n_channel(10.0, v)),
     "build_sector_basis.n_sites": ("int", lambda v: build_sector_basis(v, 1)),

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference import phase_points
 from xxzchain import sweep
 from xxzchain.chain import ChainSpec
 from xxzchain.sweep import (
@@ -26,6 +27,7 @@ from xxzchain.sweep import (
     concurrence_curve,
     ground_regimes,
     phase_scan,
+    sector_boundary_concurrence,
 )
 
 
@@ -110,7 +112,7 @@ def test_the_window_drops_levels_only_at_zero_temperature():
     plan = _BlockPlan(ChainSpec.uniform(10), (1, 10))
     fields = np.linspace(0.0, 3.0, 26)
     assert len(plan.spectrum(1.0).energies) == 2**10
-    pruned = plan.spectrum(1.0, fields)
+    pruned = plan.spectrum(1.0, max(map(abs, fields)))
     assert len(pruned.energies) < 30
     assert sorted(set(pruned.sector.tolist())) == list(range(11))
 
@@ -173,12 +175,12 @@ def test_zero_temperature_rows_of_the_window_equal_every_level_rows(case):
     spec, pair, full, fields = case
     expected = [a.tobytes() for a in full.field_rows(fields)]
     plan = _BlockPlan(spec, pair)
-    grid = plan.spectrum(spec.delta, fields)
+    grid = plan.spectrum(spec.delta, max(map(abs, fields)))
     assert len(grid.energies) <= len(full.energies)
     assert [a.tobytes() for a in grid.field_rows(fields)] == expected
     for m, b in enumerate(fields):
         # a single field has a narrower window than the whole grid
-        single = plan.spectrum(spec.delta, (b,)).field_rows((b,))
+        single = plan.spectrum(spec.delta, abs(b)).field_rows((b,))
         assert [a[m] for a in full.field_rows(fields)] == [a[0] for a in single]
 
 
@@ -192,7 +194,7 @@ def test_a_many_fold_ground_space_classifies_as_its_phase_scan_row():
     point = classify_ground_state(template)
     assert point == scan[0]
     assert (point.n_up, point.degeneracy) == (0, 7)
-    (expected,) = sweep._phase_points(_BlockPlan(template, (1, 6)).spectrum(-1.0), -1.0, (0.0,))
+    (expected,) = phase_points(_BlockPlan(template, (1, 6)).spectrum(-1.0), -1.0, (0.0,))
     assert point == expected
 
 
@@ -215,6 +217,30 @@ def test_a_many_fold_ground_space_keeps_its_curve_row_whatever_the_grid(weak):
     assert [row[2] for row in rows] == c.tolist()
     rest = replace(template, fields=(0.5,) * 6)
     assert classify_ground_state(rest).degeneracy == 8
+
+
+@pytest.mark.parametrize(
+    "cold",
+    [
+        ChainSpec.uniform(6, delta=0.4),
+        ChainSpec(5, (1.0, 0.8, 0.8, 1.0), (0.1, 0.0, 0.2, 0.0, 0.1), 0.4),
+    ],
+)
+def test_only_the_curve_reads_the_template_temperature(cold):
+    # phase_scan, classify_ground_state, ground_regimes and
+    # sector_boundary_concurrence are T = 0 by definition: a spec's
+    # temperature changes no bit of them (repr shows every bit of a float)
+    warm = replace(cold, temperature=0.3)
+    deltas, fields = (-0.5, 0.4, 1.0), (0.0, 0.3, 1.2)
+    for read in (
+        lambda spec: list(phase_scan(spec, deltas, fields)),
+        classify_ground_state,
+        ground_regimes,
+        lambda spec: sector_boundary_concurrence(spec, 2),
+    ):
+        assert repr(read(warm)) == repr(read(cold))
+    curve = [list(concurrence_curve(spec, (1, 3), fields, deltas)) for spec in (cold, warm)]
+    assert curve[0] != curve[1]
 
 
 def test_levels_that_are_not_ground_change_no_bit_of_a_zero_temperature_row():

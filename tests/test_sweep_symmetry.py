@@ -12,7 +12,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from reference import dense_sector_concurrence, plain_block_spectrum
+from reference import dense_sector_concurrence, phase_points, plain_block_spectrum
 from xxzchain import sweep
 from xxzchain.chain import ChainSpec, build_sector_basis
 from xxzchain.channel import build_channel, impurity_profile_chain
@@ -20,7 +20,6 @@ from xxzchain.eigensolver import SpectralDecomposition, decompose
 from xxzchain.hamiltonian import _dense
 from xxzchain.sweep import (
     _BlockPlan,
-    _phase_points,
     classify_ground_state,
     concurrence_curve,
     ground_regimes,
@@ -68,7 +67,7 @@ def _assert_same_rows(spec: ChainSpec, pair, fields, temperatures=(0.1, 0.4), pl
     new = _BlockPlan(spec, pair).spectrum(spec.delta)
     plain = plain or plain_block_spectrum(spec, pair)
     for b in fields:
-        (p,), (q,) = _phase_points(new, spec.delta, (b,)), _phase_points(plain, spec.delta, (b,))
+        (p,), (q,) = phase_points(new, spec.delta, (b,)), phase_points(plain, spec.delta, (b,))
         assert (p.n_up, p.degeneracy, p.sector_rank) == (q.n_up, q.degeneracy, q.sector_rank)
         assert abs(p.ground_energy - q.ground_energy) <= ROW_TOL * (1.0 + abs(q.ground_energy))
         assert abs(p.boundary_concurrence - q.boundary_concurrence) <= ROW_TOL
@@ -127,7 +126,7 @@ def test_classify_without_either_symmetry_is_the_plain_block_path(monkeypatch):
     point = classify_ground_state(spec)
     assert assembled == dims == [comb(6, k) for k in range(7)]
     rest = replace(spec, fields=tuple(b - 0.3 for b in spec.fields))
-    assert [point] == list(_phase_points(plain_block_spectrum(rest, (1, 6)), spec.delta, (0.3,)))
+    assert [point] == list(phase_points(plain_block_spectrum(rest, (1, 6)), spec.delta, (0.3,)))
 
 
 def test_classify_with_a_palindromic_field_splits_every_block(monkeypatch):
@@ -143,7 +142,7 @@ def test_classify_with_a_palindromic_field_splits_every_block(monkeypatch):
     # states, sum to 36 of the 64
     assert len(dims) == 7 and sum(dims) == 36
     rest = replace(spec, fields=tuple(b - 0.2 for b in spec.fields))
-    (expected,) = _phase_points(plain_block_spectrum(rest, (1, 6)), spec.delta, (0.2,))
+    (expected,) = phase_points(plain_block_spectrum(rest, (1, 6)), spec.delta, (0.2,))
     assert (point.n_up, point.degeneracy) == (expected.n_up, expected.degeneracy)
     assert abs(point.ground_energy - expected.ground_energy) <= ROW_TOL * (
         1.0 + abs(expected.ground_energy)
@@ -177,8 +176,8 @@ def test_uniform_ten_site_delta_decomposes_eleven_halves(monkeypatch):
 def _assert_same_windowed_rows(spec: ChainSpec, pair, fields, plain):
     """The T = 0 rows of the level window (a phase scan's spectrum) against
     the plain blocks: the same labels, rows to roundoff."""
-    windowed = _BlockPlan(spec, pair).spectrum(spec.delta, fields)
-    rows = zip(_phase_points(windowed, spec.delta, fields), _phase_points(plain, spec.delta, fields))
+    windowed = _BlockPlan(spec, pair).spectrum(spec.delta, max(map(abs, fields)))
+    rows = zip(phase_points(windowed, spec.delta, fields), phase_points(plain, spec.delta, fields))
     for p, q in rows:
         assert (p.n_up, p.degeneracy, p.sector_rank) == (q.n_up, q.degeneracy, q.sector_rank)
         assert abs(p.ground_energy - q.ground_energy) <= ROW_TOL * (1.0 + abs(q.ground_energy))
@@ -304,7 +303,7 @@ def test_sweeps_add_the_field_to_the_specs_own_site_fields(shape):
                 assert abs(c - pair_plain.field_rows((0.0,), temperature)[3][0]) <= ROW_TOL
                 if temperature == 0.0:
                     p = next(points)
-                    (q,) = _phase_points(plain_block_spectrum(shifted, (1, n)), delta, (0.0,))
+                    (q,) = phase_points(plain_block_spectrum(shifted, (1, n)), delta, (0.0,))
                     assert (p.n_up, p.degeneracy) == (q.n_up, q.degeneracy)
                     scale = 1.0 + abs(q.ground_energy)
                     assert abs(p.ground_energy - q.ground_energy) <= ROW_TOL * scale
