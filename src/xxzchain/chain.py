@@ -27,9 +27,9 @@ GRID_POINT_CAP = 10**6
 # 360 MB at the cap
 SITE_CAP = 10**7
 
-# Most entries one temporary of ``sweep._SectorSpectrum.field_rows`` (levels x
-# fields) or ``channel.channel_curve`` (betas x k) holds; an axis is walked in
-# chunks of that size, so memory does not grow with the grid.
+# Most entries one temporary of ``sweep._SectorSpectrum.field_rows`` (fields x
+# the levels it reads) or ``channel.channel_curve`` (betas x k) holds; an axis
+# is walked in chunks of that size, so memory does not grow with the grid.
 _CHUNK_ENTRIES = 1 << 12
 
 

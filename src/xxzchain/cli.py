@@ -22,18 +22,20 @@ from .channel import channel_curve, design_report
 from .errors import DomainError, NumericError, ResourceCapError
 from .sweep import concurrence_curve, phase_scan, table1_rows
 
-_FLOAT_FMT = "%.17g"
-
-
-def _fmt(value) -> str:
-    return _FLOAT_FMT % value if isinstance(value, float) else str(value)
-
-
 def _emit(header: list[str], rows, out, fmt: str) -> None:
+    """Write ``rows`` as CSV (a float as %.17g, anything else as str(value))
+    or as JSON lines, one write per row.  A CSV row is one % operation,
+    with one line format per tuple of value types."""
     if fmt == "csv":
         out.write(",".join(header) + "\n")
+        lines = {}
         for row in rows:
-            out.write(",".join([_fmt(v) for v in row]) + "\n")
+            kinds = tuple(map(type, row))
+            line = lines.get(kinds)
+            if line is None:
+                fields = ("%.17g" if issubclass(kind, float) else "%s" for kind in kinds)
+                line = lines[kinds] = ",".join(fields) + "\n"
+            out.write(line % tuple(row))
     else:
         for row in rows:
             obj = {k: v for k, v in zip(header, row)}

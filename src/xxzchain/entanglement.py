@@ -173,33 +173,44 @@ def pair_xstate_data(basis: SectorBasis, vectors: np.ndarray, i: int, j: int) ->
     return _pair_rows(_pair_maps(basis, i, j), v)
 
 
-def _pair_maps(basis: SectorBasis, i: int, j: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Index maps of ``pair_xstate_data`` for the ordered pair i < j: the
-    basis rows of each pair slot 00, 01, 10, 11, and for each |01> row the
-    row of its partner with both pair bits flipped (same environment, same
-    sector)."""
+def _pair_maps(basis: SectorBasis, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index map of ``pair_xstate_data`` for the ordered pair i < j: a
+    (5, W) array whose rows 0-3 list, in order, the basis rows of pair slot
+    00, 01, 10 and 11, and whose row 4 lists the 01 rows again, each padded
+    at the end with -1; and the mask of those pads.
+
+    Flipping both pair bits maps the 01 rows one to one onto the 10 rows of
+    the same sector, and in order: each is its environment plus one fixed
+    bit, so both sort by environment.  So row 2 lists each 01 row's
+    partner."""
     n = basis.n_sites
     states = basis.state_array()
     mi, mj = site_mask(i, n), site_mask(j, n)
     slot = 2 * ((states & mi) != 0) + ((states & mj) != 0)
-    rows = [np.flatnonzero(slot == a) for a in range(4)]
-    return rows, np.searchsorted(states, states[rows[1]] ^ (mi | mj))
+    rows = [np.flatnonzero(slot == a) for a in (0, 1, 2, 3, 1)]
+    index = np.full((5, max(map(len, rows))), -1)
+    for a, r in enumerate(rows):
+        index[a, : len(r)] = r
+    return index, index < 0
 
 
-def _pair_rows(maps: tuple[list[np.ndarray], np.ndarray], v: np.ndarray) -> np.ndarray:
-    """``pair_xstate_data`` of the columns of ``v`` through ``_pair_maps``.
+def _pair_rows(maps: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
+    """``pair_xstate_data`` of the columns of ``v`` through ``_pair_maps``:
+    one gather of the five terms, each slot's squares and the 01 rows times
+    their partners formed in place, and one running sum down the rows of
+    each term.
 
-    Every sum starts at 0 and runs down the basis rows in order (a running
-    sum), so a column's row is the same bits whichever columns share the
-    call.
+    Every sum starts at 0 and runs down the basis rows in order, so a
+    column's row is the same bits whichever columns share the call; a pad
+    only adds exact zeros after the last row.
     """
-    rows, partners = maps
-    data = np.zeros((v.shape[1], 5))
-    terms = [v[r] * v[r] for r in rows] + [v[rows[1]] * v[partners]]
-    for a, t in enumerate(terms):
-        if len(t):
-            data[:, a] += np.cumsum(t, axis=0)[-1]
-    return data
+    index, pad = maps
+    terms = v[index]
+    terms[pad] = 0.0
+    terms[4] *= terms[2]
+    terms[:4] *= terms[:4]
+    np.cumsum(terms, axis=1, out=terms)
+    return 0.0 + terms[:, -1].T
 
 
 def xstate_concurrences(data) -> np.ndarray:

@@ -20,49 +20,58 @@ from .chain import FULL_SPACE_CAP, ChainSpec, SectorBasis
 from .errors import DomainError, ResourceCapError
 
 
+def _site_bits(n_sites: int, states: np.ndarray) -> np.ndarray:
+    """The (N, d) 0/1 array whose row s - 1 holds the bit of site s in each
+    of ``states``."""
+    if states.dtype == object:
+        # Python ints beyond 63 sites: unpacked from their big-endian bytes,
+        # so that no shifted copy of a long label is made
+        width = (n_sites + 7) // 8
+        raw = b"".join(state.to_bytes(width, "big") for state in states.tolist())
+        table = np.frombuffer(raw, dtype=np.uint8).reshape(len(states), width)
+        return np.unpackbits(table, axis=1)[:, 8 * width - n_sites :].T
+    return (states >> np.arange(n_sites - 1, -1, -1)[:, None]) & 1
+
+
 def _diagonal_terms(spec: ChainSpec, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two parts of the diagonal on ``states``: the Ising bond sum
     sum_i s_i s_{i+1} (int64, multiplied by Delta/2) and the Zeeman energy
     sum_i B_i s_i.
 
-    Both accumulate bond by bond and site by site in a fixed order, so a
-    sector block equals the same rows and columns of the full matrix bit
-    for bit.
+    The bond sum is exact; the Zeeman energy is a running sum site by site
+    from 0, so a sector block equals the same rows and columns of the full
+    matrix bit for bit.
     """
-    n = spec.n_sites
-    signs = [((states >> (n - s)) & 1).astype(np.int64) * 2 - 1 for s in range(1, n + 1)]
-    zz = np.zeros(len(states), dtype=np.int64)
-    for b in range(n - 1):
-        zz += signs[b] * signs[b + 1]
-    zeeman = np.zeros(len(states))
-    for s in range(n):
-        zeeman += spec.fields[s] * signs[s]
-    return zz, zeeman
+    bits = _site_bits(spec.n_sites, states)
+    # s_i s_(i+1) is -1 on a bond whose two bits differ and +1 elsewhere
+    zz = (spec.n_sites - 1) - 2 * (bits[:-1] ^ bits[1:]).sum(axis=0, dtype=np.int64)
+    fields = np.asarray(spec.fields, dtype=float)[:, None]
+    zeeman = np.where(bits, fields, -fields)
+    return zz, 0.0 + np.cumsum(zeeman, axis=0, out=zeeman)[-1]
 
 
 def _hopping(spec: ChainSpec, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Off-diagonal entries of H on the span of ``states`` (ascending,
     closed under hopping) as (row, col, value) arrays, bond by bond;
-    partners are located by binary search."""
+    partners are located by binary search.  Bond b couples sites b + 1 and
+    b + 2, and both hop directions get the same constant, so symmetry is
+    exact by construction."""
     n = spec.n_sites
-    rows, cols, values = [], [], []
-    for b in range(n - 1):
-        # bond b couples sites b+1 and b+2; both hop directions get the
-        # same constant, so symmetry is exact by construction
-        movers = np.flatnonzero(((states >> (n - 1 - b)) ^ (states >> (n - 2 - b))) & 1)
-        flip = (1 << (n - 1 - b)) | (1 << (n - 2 - b))
-        rows.append(movers)
-        cols.append(np.searchsorted(states, states[movers] ^ flip))
-        values.append(np.full(len(movers), spec.couplings[b]))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+    bits = _site_bits(n, states)
+    bonds, rows = np.nonzero(bits[:-1] != bits[1:])
+    # exact Python ints for labels beyond 63 sites
+    flips = np.array([3 << (n - 2 - b) for b in range(n - 1)], dtype=states.dtype)
+    cols = np.searchsorted(states, states[rows] ^ flips[bonds])
+    return rows, cols, np.asarray(spec.couplings, dtype=float)[bonds]
 
 
 def _dense(size: int, entries, diagonal: np.ndarray) -> np.ndarray:
     """Symmetric matrix from (row, col, value) lists, summed in list order
     where a position repeats, plus a diagonal."""
     rows, cols, values = entries
-    m = np.zeros((size, size))
-    np.add.at(m, (rows, cols), values)
+    m = np.bincount(rows * size + cols, weights=values, minlength=size * size)
+    # float: bincount gives int64 for an empty list
+    m = m.astype(float, copy=False).reshape(size, size)
     m.flat[:: size + 1] += diagonal
     return m
 

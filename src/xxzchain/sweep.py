@@ -34,7 +34,10 @@ through the batched X-state kernel, which checks every row in closed form.
 Rows stay pure functions of (template, delta, B): every reduction runs
 along one field's levels, and a level outside the ground space changes no
 bit of a T = 0 row, so a single-point call reproduces its grid row bit for
-bit.
+bit.  At T > 0 the same shift makes the Boltzmann mixture one over N + 1
+sector sums, formed once per call, so a field costs O(N + 1) instead of
+O(levels); its reductions run in a fixed order with no BLAS product, so T >
+0 rows do not depend on the BLAS thread count either.
 
 The same shift makes the ground level over B the lower envelope of N + 1
 lines, which ``ground_regimes`` walks exactly, on the levels that can be
@@ -366,40 +369,73 @@ class _SectorSpectrum:
         across sectors is labelled by its smallest sector, by rule.  The pair
         state is the equal mixture over the ground space at T = 0 (the
         T -> 0+ limit), summed level by level in order, so levels that are
-        not ground change no bit of it; and the Boltzmann mixture over every
-        level at T > 0, with weights shifted by the ground energy so that
-        large gaps underflow instead of overflowing.  Every reduction runs
-        along the level axis of one field, so a field's row is the same bits
-        whichever fields share the call.
+        not ground change no bit of it.  At T > 0 it is the Boltzmann
+        mixture over every level, sum_k w_k P_k / sum_k w_k Z_k with the
+        sector sums of ``_sector_sums`` and w_k = exp(-(e_k + B s_k - E0) / T),
+        O(N + 1) a field.  No exponent is above 0 and the ground sector weighs
+        1, so nothing overflows, and a gap over a tiny T underflows to its
+        exact T -> 0 weight of 0.  Every reduction runs along one field's
+        levels or sectors, in a fixed order and with no BLAS product, so a
+        field's row is the same bits whichever fields share the call and
+        whatever the BLAS thread count.
         """
         fields = np.asarray(fields, dtype=float)
         m = len(fields)
+        levels = slice(None)
+        if temperature > 0:
+            levels, lows, shifts, sums = self._sector_sums(fields, temperature)
+        energies, shift, sector = self.energies[levels], self.shift[levels], self.sector[levels]
         e0, concurrence = np.empty(m), np.empty(m)
         n_up, degeneracy = np.empty(m, dtype=int), np.empty(m, dtype=int)
-        columns = np.ascontiguousarray(self.pair_data.T)
-        step = max(1, _CHUNK_ENTRIES // len(self.energies))
+        step = max(1, _CHUNK_ENTRIES // len(energies))
         for start in range(0, m, step):
             rows = slice(start, start + step)
-            e = self.energies + fields[rows, None] * self.shift
+            e = energies + fields[rows, None] * shift
             lowest = e.min(axis=1)
             ground = e <= (lowest + _degeneracy_tolerance(lowest))[:, None]
             e0[rows] = lowest
             # levels are stored by ascending sector, so the first ground
             # level has the smallest ground sector
-            n_up[rows] = self.sector[ground.argmax(axis=1)]
+            n_up[rows] = sector[ground.argmax(axis=1)]
             count = np.count_nonzero(ground, axis=1)
             degeneracy[rows] = count
             if temperature > 0:
+                shifted = lows + fields[rows, None] * shifts
                 # a gap over a tiny T overflows to inf; exp(-inf) = 0 is its exact T -> 0 weight
                 with np.errstate(over="ignore"):
-                    weights = np.exp(-(e - lowest[:, None]) / temperature)
-                weights /= weights.sum(axis=1, keepdims=True)
-                data = np.stack([(weights * column).sum(axis=1) for column in columns], axis=1)
+                    weights = np.exp(-(shifted - lowest[:, None]) / temperature)
+                z, *p = [(weights * column).sum(axis=1) for column in sums]
+                data = np.stack(p, axis=1) / z[:, None]
             else:
                 total = np.cumsum(ground[:, :, None] * self.pair_data, axis=1)[:, -1]
                 data = total / count[:, None]
             concurrence[rows] = xstate_concurrences(data)
         return e0, n_up, degeneracy, concurrence
+
+    def _sector_sums(self, fields: np.ndarray, temperature: float):
+        """What the T > 0 pass over ``fields`` reads: the levels that can be
+        ground at one of them, each sector's lowest level e_k and shift s_k,
+        and the rows (Z, p00, p01, p10, p11, c) of the sector sums
+        Z_k = sum_l exp(-(E_l - e_k) / T) and P_k = sum_l exp(-(E_l - e_k) / T)
+        d_l over the levels l of sector k, one C-contiguous (6, sectors) array.
+
+        Rounding is monotone, so the lowest shifted level of a sector is its
+        lowest, shifted, with the same bits.  A level within the degeneracy
+        tolerance of E0(B) lies that close to its sector's lowest too, and
+        |E0(B)| <= max |e_k| + max |B| max |s_k|: twice the tolerance there
+        leaves a wide margin for rounding, as in ``_ground_window``."""
+        starts = np.flatnonzero(np.diff(self.sector, prepend=-1))
+        lows = np.minimum.reduceat(self.energies, starts)
+        gap = self.energies - np.repeat(lows, np.diff(starts, append=len(self.energies)))
+        with np.errstate(over="ignore"):
+            weights = np.exp(-gap / temperature)
+        terms = np.column_stack((weights, weights[:, None] * self.pair_data))
+        sums = np.ascontiguousarray(np.add.reduceat(terms, starts).T)
+        shifts = self.shift[starts]
+        reach = max(fields.max(initial=0.0), -fields.min(initial=0.0))
+        bound = np.abs(lows).max() + reach * np.abs(shifts).max()
+        near = np.flatnonzero(gap <= 2.0 * _degeneracy_tolerance(bound))
+        return near, lows, shifts, sums
 
 
 def _grid(template: ChainSpec, pair, deltas, fields, temperature: float):
@@ -481,9 +517,9 @@ def concurrence_curve(template: ChainSpec, pair: tuple[int, int], fields, deltas
     fields, deltas = check_grid(fields, deltas)
     temperature = template.temperature
     return (
-        (float(delta), float(field), float(value))
+        (float(delta), float(field), value)
         for delta, spectrum in _grid(template, pair, deltas, fields, temperature)
-        for field, value in zip(fields, spectrum.field_rows(fields, temperature)[-1])
+        for field, value in zip(fields, spectrum.field_rows(fields, temperature)[-1].tolist())
     )
 
 

@@ -13,7 +13,12 @@ from xxzchain.chain import build_sector_basis, site_mask
 from xxzchain.channel import BETA_CAP, _block_ground, build_channel, fold_single_excitation
 from xxzchain.closed_forms import c1n_channel
 from xxzchain.eigensolver import DEGENERACY_RTOL, decompose
-from xxzchain.entanglement import SPIN_FLIP, TwoQubitDensityMatrix, pair_xstate_data
+from xxzchain.entanglement import (
+    SPIN_FLIP,
+    TwoQubitDensityMatrix,
+    pair_xstate_data,
+    xstate_concurrences,
+)
 from xxzchain.errors import DomainError
 from xxzchain.hamiltonian import build_sector
 from xxzchain.sweep import PhasePoint, _SectorSpectrum
@@ -85,6 +90,27 @@ def per_row_point(spectrum, pair, field: float, temperature: float = 0.0):
         data = spectrum.pair_data[ground].mean(axis=0)
     rho = xstate_pair(pair, data)
     return e0, int(spectrum.sector[ground].min()), len(ground), xstate_concurrence(rho)
+
+
+def thermal_rows_by_level(spectrum, fields, temperature: float):
+    """``_SectorSpectrum.field_rows(fields, temperature)`` at T > 0 level by
+    level, one field at a time: every level shifted by B (2k - N), the ground
+    test on every level, and every level's Boltzmann weight relative to the
+    ground energy, normalized and summed with its pair row.  The sweep's own
+    pass works by sector sums instead; this is the O(fields x levels) mixture
+    it replaced."""
+    rows = []
+    for field in fields:
+        e = spectrum.energies + field * spectrum.shift
+        e0 = e.min()
+        ground = e <= e0 + DEGENERACY_RTOL * (1.0 + abs(e0))
+        with np.errstate(over="ignore"):
+            weights = np.exp(-(e - e0) / temperature)
+        weights /= weights.sum()
+        data = [(weights * column).sum() for column in spectrum.pair_data.T]
+        (c,) = xstate_concurrences([data])
+        rows.append((e0, spectrum.sector[ground.argmax()], np.count_nonzero(ground), c))
+    return tuple(np.array(column) for column in zip(*rows))
 
 
 def phase_points(spectrum, delta: float, fields):

@@ -4,8 +4,10 @@
 and ``entanglement.xstate_concurrences`` turns the resulting pair-data rows
 into concurrences.  These tests pin what the batching must not change: a
 row is the same bits whichever fields share its call, it agrees with the
-per-field 4x4 route kept in ``reference.per_row_point``, and the kernel
-rejects every row the 4x4 state rejects.
+per-field 4x4 route kept in ``reference.per_row_point`` (at T > 0 also with
+the level-by-level mixture ``reference.thermal_rows_by_level``, which the
+sector sums replaced), and the kernel rejects every row the 4x4 state
+rejects.
 """
 
 import os
@@ -19,8 +21,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import per_row_point, xstate_concurrence, xstate_pair
-from xxzchain import chain
+from reference import per_row_point, thermal_rows_by_level, xstate_concurrence, xstate_pair
+from xxzchain import chain, sweep
 from xxzchain.chain import ChainSpec
 from xxzchain.entanglement import xstate_concurrences
 from xxzchain.errors import DomainError
@@ -32,18 +34,21 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 _unit = st.floats(0.2, 1.5, allow_nan=False)
 
 
+_TEMPERATURES = st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.0])
+
+
 @st.composite
-def _spectra(draw):
-    """A random spectrum (n <= 7; zero, palindromic or generic site fields;
-    palindromic or generic couplings), its site pair, a temperature and a
-    field list that may include the exact crossings of adjacent sectors'
-    ground levels."""
-    n = draw(st.integers(2, 7))
+def _spectra(draw, max_sites=7, temperatures=_TEMPERATURES, coupling=_unit):
+    """A random spectrum (n <= ``max_sites``; zero, palindromic or generic
+    site fields; palindromic or generic couplings, each drawn from
+    ``coupling``), its site pair, a temperature and a field list that may
+    include the exact crossings of adjacent sectors' ground levels."""
+    n = draw(st.integers(2, max_sites))
     if draw(st.booleans()):
-        half = draw(st.lists(_unit, min_size=(n - 1) // 2, max_size=(n - 1) // 2))
-        couplings = tuple(half + ([draw(_unit)] if (n - 1) % 2 else []) + half[::-1])
+        half = draw(st.lists(coupling, min_size=(n - 1) // 2, max_size=(n - 1) // 2))
+        couplings = tuple(half + ([draw(coupling)] if (n - 1) % 2 else []) + half[::-1])
     else:
-        couplings = tuple(draw(st.lists(_unit, min_size=n - 1, max_size=n - 1)))
+        couplings = tuple(draw(st.lists(coupling, min_size=n - 1, max_size=n - 1)))
     shape = draw(st.sampled_from(["zero", "palindromic", "generic"]))
     site = st.floats(-1.0, 1.0, allow_nan=False)
     if shape == "zero":
@@ -57,7 +62,7 @@ def _spectra(draw):
     i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
     plan = _BlockPlan(spec, (i, j))
     spectrum = plan.spectrum(spec.delta)
-    temperature = draw(st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.0]))
+    temperature = draw(temperatures)
     fields_b = draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=40))
     if draw(st.booleans()):
         lows = [float(spectrum.energies[spectrum.sector == k].min()) for k in range(n + 1)]
@@ -86,15 +91,47 @@ def test_batched_rows_are_batch_invariant_and_match_the_per_row_path(case):
         assert 0.0 <= batch[3][m] <= 1.0
 
 
+# T from 1e-4, where most gaps' weights underflow to 0, to 1e2
+_THERMAL = st.floats(-4.0, 2.0).map(lambda x: 10.0**x)
+# a zero bond cuts the chain, and equal pieces give levels that tie within a
+# sector, so the ground test must see more than each sector's lowest
+_CUT = st.sampled_from([0.0, 0.0, 1.0]) | _unit
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_spectra(max_sites=8, temperatures=_THERMAL, coupling=_CUT))
+def test_thermal_rows_by_sector_match_the_level_by_level_mixture(case):
+    spectrum, _, temperature, fields = case
+    e0, n_up, degeneracy, c = spectrum.field_rows(fields, temperature)
+    expected = thermal_rows_by_level(spectrum, fields, temperature)
+    assert [a.tobytes() for a in (e0, n_up, degeneracy)] == [a.tobytes() for a in expected[:3]]
+    assert np.abs(c - expected[3]).max() <= 1e-15
+
+
 @pytest.mark.parametrize("temperature", [0.0, 0.2])
-def test_a_field_axis_longer_than_one_chunk_matches_one_field_at_a_time(temperature):
+def test_a_field_axis_longer_than_one_chunk_matches_one_field_at_a_time(
+    monkeypatch, temperature
+):
+    kernel = sweep.xstate_concurrences
     spectrum = _BlockPlan(ChainSpec.uniform(10), (1, 10)).spectrum(0.7)
-    step = chain._CHUNK_ENTRIES // len(spectrum.energies)
+    # a T = 0 chunk spans every level; a T > 0 chunk spans the sectors' 11
+    # lowest levels here, each simple and far from the next one up
+    step = chain._CHUNK_ENTRIES // (11 if temperature > 0 else len(spectrum.energies))
     lows = [float(spectrum.energies[spectrum.sector == k].min()) for k in range(11)]
     crossings = [0.5 * (lows[k] - lows[k + 1]) for k in range(10)]
-    fields = sorted({0.0, *crossings, *np.linspace(-2.5, 2.5, 7).tolist()})
+    fields = sorted({0.0, *crossings, *np.linspace(-2.5, 2.5, 3 * step + 1).tolist()})
     assert len(fields) > 3 * step
-    batch = spectrum.field_rows(fields, temperature)
+    chunks = []  # the kernel runs once per chunk
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "xstate_concurrences", lambda d: chunks.append(d) or kernel(d))
+        batch = spectrum.field_rows(fields, temperature)
+    assert len(chunks) > 3
     for m, b in enumerate(fields):
         assert [a[m] for a in batch] == [a[0] for a in spectrum.field_rows([b], temperature)]
     assert max(batch[2]) >= 2  # the crossings are exact cross-sector ties

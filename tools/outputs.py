@@ -14,6 +14,14 @@ the same lines exactly when they print the same bytes and exit codes:
     python tools/outputs.py --src path/to/other/src > other.txt
     python tools/outputs.py > this.txt
     diff other.txt this.txt
+
+For a change that moves printed numbers on purpose, ``--against OTHER_SRC``
+runs both trees and compares them instead.  It prints one line per case:
+``identical``, or how many rows differ and the largest absolute difference
+in each numeric column.  A differing header, row count, exit code, stderr or
+non-numeric field is named on that line, and the script then exits 1:
+
+    python tools/outputs.py --against path/to/other/src
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -76,34 +85,128 @@ def run(main, argv) -> tuple[bytes, bytes, int]:
     return out.getvalue().encode(), err.getvalue().encode(), code
 
 
+def outputs(src: Path) -> dict[str, tuple[bytes, bytes, int]]:
+    """(stdout, stderr, exit code) of every case in each format, keyed by
+    "<case> <format>", with ``xxzchain`` imported from ``src``; the package
+    is unloaded afterwards, so another tree can be run next."""
+    sys.path.insert(0, str(src))
+    try:
+        from xxzchain.cli import main as cli_main
+
+        results = {}
+        # a relative config path keeps any message that names it the same in
+        # every run
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            for name, command, config in cases():
+                argv = [command]
+                if config is not None:
+                    Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+                    argv += ["--config", "config.json"]
+                for fmt in ("csv", "jsonl"):
+                    results[f"{name} {fmt}"] = run(cli_main, [*argv, "--format", fmt])
+        return results
+    finally:
+        sys.path.remove(str(src))
+        for module in [m for m in sys.modules if m.split(".")[0] == "xxzchain"]:
+            del sys.modules[module]
+
+
+def _table(out: bytes, fmt: str) -> tuple[list | None, list[list]]:
+    """Header and rows of one output: CSV fields as strings, JSON values as
+    parsed; the header is None when the JSON lines do not all have the
+    same keys or do not parse."""
+    lines = out.decode().splitlines()
+    if fmt == "csv":
+        return (lines[0].split(",") if lines else []), [line.split(",") for line in lines[1:]]
+    try:
+        objects = [json.loads(line) for line in lines]
+    except ValueError:
+        return None, []
+    header = list(objects[0]) if objects else []
+    if any(list(obj) != header for obj in objects):
+        return None, []
+    return header, [list(obj.values()) for obj in objects]
+
+
+def _number(value) -> float | None:
+    """A CSV field or JSON value as a float, or None if it is not a number."""
+    if isinstance(value, bool) or value is None:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def compare(case: str, this, other) -> tuple[str, bool]:
+    """One report line for ``case`` (this tree against the other) and
+    whether it differs in more than the values of numeric fields."""
+    if this == other:
+        return f"{case} identical", False
+    fmt = case.rsplit(" ", 1)[1]
+    (out, err, code), (other_out, other_err, other_code) = this, other
+    header, rows = _table(out, fmt)
+    other_header, other_rows = _table(other_out, fmt)
+    problems = []
+    if code != other_code:
+        problems.append(f"exit code {other_code} -> {code}")
+    if err != other_err:
+        problems.append("stderr")
+    if header is None or header != other_header:
+        problems.append("header")
+        rows = other_rows = []
+    elif len(rows) != len(other_rows):
+        problems.append(f"row count {len(other_rows)} -> {len(rows)}")
+        rows = other_rows = []
+    numeric = [_number(value) is not None for value in (rows[0] if rows else [])]
+    largest = {column: 0.0 for column, number in zip(header, numeric) if number}
+    changed = 0
+    for row, other_row in zip(rows, other_rows):
+        changed += row != other_row
+        for column, a, b in zip(header, row, other_row):
+            x, y = _number(a), _number(b)
+            if a == b or (x is not None and y is not None and math.isnan(x) and math.isnan(y)):
+                continue
+            if column not in largest or x is None or y is None or math.isnan(x - y):
+                problems.append(f"field {column!r}")
+            else:
+                largest[column] = max(largest[column], abs(x - y))
+    report = []
+    if rows:
+        diffs = " ".join(f"{column}={value:.3g}" for column, value in largest.items())
+        report.append(f"{changed} of {len(rows)} rows differ, max |diff| {diffs}")
+    if problems:
+        report.append("differs in " + ", ".join(dict.fromkeys(problems)))
+    return f"{case} " + "; ".join(report), bool(problems)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="the source tree to import xxzchain from (default: this repo's src)")
+    parser.add_argument("--against", metavar="OTHER_SRC",
+                        help="compare with this other source tree instead of printing digests")
     args = parser.parse_args()
-    src = Path(args.src).resolve()
-    if not (src / "xxzchain" / "__init__.py").is_file():
-        parser.error(f"--src {src} holds no xxzchain package")
+    trees = [Path(p).resolve() for p in (args.src, args.against) if p is not None]
+    for src in trees:
+        if not (src / "xxzchain" / "__init__.py").is_file():
+            parser.error(f"{src} holds no xxzchain package")
     # the BLAS thread count can move the last bits of an eigh, so it is
     # pinned before the package loads numpy
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[name] = "1"
-    sys.path.insert(0, str(src))
-    from xxzchain.cli import main as cli_main
-
-    # a relative config path keeps any message that names it the same in
-    # every run
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        for name, command, config in cases():
-            argv = [command]
-            if config is not None:
-                Path("config.json").write_text(json.dumps(config), encoding="utf-8")
-                argv += ["--config", "config.json"]
-            for fmt in ("csv", "jsonl"):
-                out, err, code = run(cli_main, [*argv, "--format", fmt])
-                digests = (hashlib.sha256(b).hexdigest() for b in (out, err))
-                print(f"{name} {fmt}", *digests, code)
-    return 0
+    this = outputs(trees[0])
+    if args.against is None:
+        for case, (out, err, code) in this.items():
+            print(case, *(hashlib.sha256(b).hexdigest() for b in (out, err)), code)
+        return 0
+    other = outputs(trees[1])
+    failed = False
+    for case, result in this.items():
+        line, bad = compare(case, result, other[case])
+        print(line)
+        failed |= bad
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
