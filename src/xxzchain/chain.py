@@ -28,8 +28,9 @@ GRID_POINT_CAP = 10**6
 SITE_CAP = 10**7
 
 # Most entries one temporary of ``sweep._SectorSpectrum.field_rows`` (fields x
-# the levels it reads) or ``channel.channel_curve`` (betas x k) holds; an axis
-# is walked in chunks of that size, so memory does not grow with the grid.
+# the levels it reads) or ``channel.channel_curve`` (betas x k) holds, and
+# most rows of one block of a sweep's table (``_rows``); an axis is walked in
+# chunks of that size, so memory does not grow with the grid.
 _CHUNK_ENTRIES = 1 << 12
 
 
@@ -66,6 +67,19 @@ def check_grid(*axes) -> tuple[tuple, ...]:
     if total > GRID_POINT_CAP:
         raise ResourceCapError(f"grid of {total} points exceeds the cap of {GRID_POINT_CAP}")
     return axes
+
+
+def _rows(axis, blocks):
+    """The rows of a table given as blocks, the form in which the sweeps
+    compute them and the CLI writes them.  A block (head, start, columns)
+    is a tuple of values shared by its rows, the index of its first row on
+    the shared ``axis`` and equal-length lists of values, one per column;
+    its i-th row is (*head, axis[start + i], *(column[i] for column in
+    columns)).  A table with ``axis`` None has no axis column."""
+    cells = [()] if axis is None else [(x,) for x in axis]
+    for head, start, columns in blocks:
+        for cell, row in zip(cells[start : start + len(columns[0])], zip(*columns)):
+            yield (*head, *cell, *row)
 
 
 def site_mask(site: int, n_sites: int) -> int:

@@ -8,11 +8,12 @@ k x k tridiagonal blocks (N = 2k) with a uniform bulk, whose ground states
 have closed forms: a design is one scalar secular root (``_root``) plus an
 O(k) profile, so any chain up to chain.SITE_CAP sites is routine.  One kernel
 (``_ground_profiles``) serves ``design_channel`` and the two CLI routes,
-``channel_curve`` (beside the closed-form ``c1n_channel`` column) and
-``design_report`` (a bracket on beta up to ``BETA_CAP``, read at each
-call).  The channel's chain (``build_channel``) and other coupling
-profiles, such as ``impurity_profile_chain``, are specs for the sector
-ground-state route (``sweep.sector_boundary_concurrence``).
+``channel_blocks`` (the table whose rows ``channel_curve`` yields, beside
+the closed-form ``c1n_channel`` column) and ``design_report`` (a bracket on
+beta up to ``BETA_CAP``, read at each call).  The channel's chain
+(``build_channel``) and other coupling profiles, such as
+``impurity_profile_chain``, are specs for the sector ground-state route
+(``sweep.sector_boundary_concurrence``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _CHUNK_ENTRIES, ChainSpec, _capped, check_grid
+from .chain import _CHUNK_ENTRIES, ChainSpec, _capped, _rows, check_grid
 from .closed_forms import c1n_channel
 from .eigensolver import _degeneracy_tolerance
 from .errors import DomainError, _shown, as_float, as_int
@@ -318,14 +319,23 @@ def channel_curve(n_values, betas, coupling: float = 1.0):
     over the grid of the sequences ``n_values`` and ``betas``, read off the
     profile array, bit for bit those of ``design_channel`` and
     ``ratio_profile``; the grid, each N (capped at chain.SITE_CAP), J and
-    bulk field beta J / 2 are checked before the first row.
+    bulk field beta J / 2 are checked before the first row.  The rows of
+    ``channel_blocks``, flattened."""
+    return _rows(*channel_blocks(n_values, betas, coupling))
+
+
+def channel_blocks(n_values, betas, coupling: float = 1.0):
+    """The checked betas and the blocks (see ``chain._rows``) of
+    ``channel_curve``'s rows, ((N,), start, [numeric, closed form,
+    deviation]) each, on the betas from betas[start]: the table the CLI
+    writes.
 
     Each N solves its betas in chunks of chain._CHUNK_ENTRIES // k (at least
-    one): one ``_ground_profiles`` call gives the chunk's profiles as one
-    array, and its ratio deviations follow in one pass, so memory stays
-    bounded by the chunk, not the beta axis.  An error of that kernel (a bulk
-    field at which the energy overflows) is raised before the chunk's first
-    row."""
+    one), one block each: one ``_ground_profiles`` call gives the chunk's
+    profiles as one array, and its ratio deviations follow in one pass, so
+    memory stays bounded by the chunk, not the beta axis.  An error of that
+    kernel (a bulk field at which the energy overflows) is raised before the
+    chunk's first row."""
     n_values, betas = check_grid(n_values, betas)
     halves = [_half_length(n) for n in n_values]
     coupling = as_float(coupling, "coupling")
@@ -333,7 +343,7 @@ def channel_curve(n_values, betas, coupling: float = 1.0):
     for beta in betas:
         _check_channel(coupling, beta * coupling / 2.0)
 
-    def rows():
+    def blocks():
         for k in halves:
             step = max(1, _CHUNK_ENTRIES // k)
             for start in range(0, len(betas), step):
@@ -343,11 +353,13 @@ def channel_curve(n_values, betas, coupling: float = 1.0):
                 b = np.array(chunk, dtype=float)[:, None]
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     deviations = np.max(np.abs(_ratios(coeffs) - b) / b, axis=1)
-                for beta, c1n, deviation in zip(chunk, numeric.tolist(), deviations.tolist()):
-                    closed = c1n_channel(beta, k) if beta > 1.0 else math.nan
-                    yield (2 * k, beta, c1n, closed, deviation if beta > 0 else math.inf)
+                closed = [c1n_channel(beta, k) if beta > 1.0 else math.nan for beta in chunk]
+                deviations = [
+                    d if beta > 0 else math.inf for beta, d in zip(chunk, deviations.tolist())
+                ]
+                yield (2 * k,), start, [numeric.tolist(), closed, deviations]
 
-    return rows()
+    return betas, blocks()
 
 
 def design_report(n_sites: int, target: float, coupling: float = 1.0) -> dict:

@@ -4,8 +4,18 @@ Config values go to the library as they are, which reads each one by its
 number rule; this module reads only the config's grammar: required keys,
 the two-element ``pair`` and the ``{"min", "max", "step"}`` grid axis.
 
+A sweep's table is written from the blocks it is computed in
+(``chain._rows``), read from the producers behind ``phase_scan``,
+``concurrence_curve`` and ``channel_curve`` (``sweep._scan_blocks``,
+``sweep._curve_blocks``, ``channel.channel_blocks``).  CSV formats the
+axis once per call and a block's head once per block, so a line costs one
+% and one write; a float (any float subclass) prints as %.17g, anything
+else as str(value).  JSONL writes one json.dumps line per row.  ``design``
+and ``table1`` rows are blocks of one row each.
+
 Exit codes: 0 success, 2 config error, 3 resource-cap error, 4 numeric
-failure.
+failure, 141 stdout closed by its reader (a broken pipe): the run stops at
+the first write that fails, with no message and no further row computed.
 """
 
 from __future__ import annotations
@@ -17,32 +27,53 @@ import sys
 
 import numpy as np
 
-from .chain import GRID_POINT_CAP, ChainSpec, check_grid
-from .channel import channel_curve, design_report
+from .chain import GRID_POINT_CAP, ChainSpec, _rows, check_grid
+from .channel import channel_blocks, design_report
 from .errors import DomainError, NumericError, ResourceCapError
-from .sweep import concurrence_curve, phase_scan, table1_rows
+from .sweep import _curve_blocks, _scan_blocks, table1_rows
+from .sweep import phase_scan  # unused: perfbench's tracer test reads it from here
 
-def _emit(header: list[str], rows, out, fmt: str) -> None:
-    """Write ``rows`` as CSV (a float as %.17g, anything else as str(value))
-    or as JSON lines, one write per row.  A CSV row is one % operation,
-    with one line format per tuple of value types."""
-    if fmt == "csv":
-        out.write(",".join(header) + "\n")
-        lines = {}
-        for row in rows:
-            kinds = tuple(map(type, row))
-            line = lines.get(kinds)
-            if line is None:
-                fields = ("%.17g" if issubclass(kind, float) else "%s" for kind in kinds)
-                line = lines[kinds] = ",".join(fields) + "\n"
-            out.write(line % tuple(row))
-    else:
-        for row in rows:
-            obj = {k: v for k, v in zip(header, row)}
-            out.write(json.dumps(obj) + "\n")
+# the exit code of a run whose stdout was closed by its reader (128 + SIGPIPE)
+EXIT_CLOSED = 141
 
 
-def _write_atomically(path: str, header: list[str], rows, fmt: str) -> None:
+def _cell(value) -> str:
+    return ("%.17g" if isinstance(value, float) else "%s") % value
+
+
+def _emit(header: list[str], axis, blocks, out, fmt: str) -> None:
+    """Write the table of ``axis`` and ``blocks`` (``chain._rows``) as CSV or
+    as JSON lines, one write per line.  CSV keeps one line format per axis
+    value and tuple of column types (%.17g for a float subclass, %s
+    otherwise), read off each block's first row: a sweep's columns hold one
+    type each, so the axis is formatted once per call.  A line is then the
+    block's head, formatted once per block, and one % over the rest of its
+    values."""
+    write = out.write
+    if fmt != "csv":
+        for row in _rows(axis, blocks):
+            write(json.dumps(dict(zip(header, row))) + "\n")
+        return
+    write(",".join(header) + "\n")
+    lines = {}
+    for head, start, columns in blocks:
+        kinds = tuple(type(column[0]) for column in columns)
+        formats = lines.get(kinds)
+        if formats is None:
+            rest = ",".join("%.17g" if issubclass(kind, float) else "%s" for kind in kinds)
+            cells = [""] if axis is None else (_cell(x) + "," for x in axis)  # numbers: no %
+            formats = lines[kinds] = [cell + rest + "\n" for cell in cells]
+        prefix = "".join(_cell(value) + "," for value in head)
+        for line, row in zip(formats[start : start + len(columns[0])], zip(*columns)):
+            write(prefix + line % row)
+
+
+def _one_per_block(rows):
+    """Rows with no shared axis or head as blocks of one row each."""
+    return (((), 0, [[value] for value in row]) for row in rows)
+
+
+def _write_atomically(path: str, header: list[str], axis, blocks, fmt: str) -> None:
     """Emit into a fresh file beside ``path`` and move it into place only
     once every row is written, so an error raised by the lazy row generators
     leaves neither a partial file nor a clobbered old one.  A path that
@@ -54,7 +85,7 @@ def _write_atomically(path: str, header: list[str], rows, fmt: str) -> None:
         raise DomainError(f"cannot write output: {exc}") from exc
     try:
         with fh:
-            _emit(header, rows, fh, fmt)
+            _emit(header, axis, blocks, fh, fmt)
         try:
             os.replace(tmp, path)
         except OSError as exc:
@@ -117,7 +148,6 @@ def _axis(config: dict, name: str):
 
 def _cmd_phase_scan(config: dict):
     template = ChainSpec.from_dict(_require(config, "spec"))
-    points = phase_scan(template, _axis(config, "delta"), _axis(config, "B"))
     header = [
         "delta",
         "B",
@@ -127,29 +157,20 @@ def _cmd_phase_scan(config: dict):
         "degeneracy",
         "boundary_concurrence",
     ]
-    rows = (
-        (p.delta, p.field, p.n_up, p.sector_rank, p.ground_energy, p.degeneracy,
-         p.boundary_concurrence)
-        for p in points
-    )
-    return header, rows
+    return header, *_scan_blocks(template, _axis(config, "delta"), _axis(config, "B"))
 
 
 def _cmd_curve(config: dict):
     template = ChainSpec.from_dict(_require(config, "spec"))
     pair = _require(config, "pair")
     deltas = config.get("delta_values", [template.delta])
-    rows = concurrence_curve(template, pair, _axis(config, "B"), deltas)
-    return ["delta", "B", "concurrence"], rows
+    return ["delta", "B", "concurrence"], *_curve_blocks(template, pair, _axis(config, "B"), deltas)
 
 
 def _cmd_channel(config: dict):
     n_values = _require(config, "n_sites_values")
-    rows = channel_curve(n_values, _axis(config, "beta"), config.get("coupling", 1.0))
-    return (
-        ["n_sites", "beta", "c1n_numeric", "c1n_closed_form", "max_ratio_deviation"],
-        rows,
-    )
+    table = channel_blocks(n_values, _axis(config, "beta"), config.get("coupling", 1.0))
+    return ["n_sites", "beta", "c1n_numeric", "c1n_closed_form", "max_ratio_deviation"], *table
 
 
 def _cmd_design(config: dict):
@@ -157,7 +178,7 @@ def _cmd_design(config: dict):
         _require(config, "n_sites"), _require(config, "target"), config.get("coupling", 1.0)
     )
     header = ["n_sites", "target", "status", "beta", "bulk_field", "achieved"]
-    return header, [tuple(report[k] for k in header)]
+    return header, None, _one_per_block([tuple(report[k] for k in header)])
 
 
 def _cmd_table1(config: dict):
@@ -178,8 +199,8 @@ def _cmd_table1(config: dict):
         "two_up_energy_reference",
     ]
     if "delta_values" not in config:
-        return header, table1_rows()
-    return header, table1_rows(config["delta_values"])
+        return header, None, _one_per_block(table1_rows())
+    return header, None, _one_per_block(table1_rows(config["delta_values"]))
 
 
 _COMMANDS = {
@@ -210,11 +231,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-        header, rows = _COMMANDS[args.command](config)
+        table = _COMMANDS[args.command](config)
         if args.out:
-            _write_atomically(args.out, header, rows, args.format)
+            _write_atomically(args.out, *table, args.format)
         else:
-            _emit(header, rows, sys.stdout, args.format)
+            _emit(*table, sys.stdout, args.format)
+    except BrokenPipeError:
+        return EXIT_CLOSED
     except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -227,5 +250,22 @@ def main(argv=None) -> int:
     return 0
 
 
+def script() -> int:
+    """The ``xxzchain`` command: ``main`` on this process's stdout, which it
+    flushes before it returns.  Once the reader has closed stdout, what the
+    stream still buffers is sent to os.devnull instead, so the interpreter's
+    own flush at exit neither fails nor prints, and the exit code is
+    EXIT_CLOSED.  ``main`` itself touches no file descriptor, so it runs on
+    any text stream in process."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_CLOSED
+    if code == EXIT_CLOSED:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(script())

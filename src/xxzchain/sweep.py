@@ -44,6 +44,13 @@ lines, which ``ground_regimes`` walks exactly, on the levels that can be
 ground up to the largest field the walk reads.  One sector's ground state
 (``sector_boundary_concurrence``) runs on one block of the same kind.
 
+A grid's rows are computed as blocks (``chain._rows``): a delta's columns
+as lists, up to _CHUNK_ENTRIES rows each, with the delta and the block's
+offset on the field axis (``_grid``).  ``phase_scan`` and
+``concurrence_curve`` flatten them into rows; the CLI writes the blocks of
+``_scan_blocks`` and ``_curve_blocks`` as they are, so it formats each
+field once per call and each delta once per block.
+
 Every sweep takes its grid axes as plain sequences of numbers (a one-shot
 iterable too), which ``chain.check_grid`` reads into tuples once, refusing
 an empty axis, a value that is not a finite number and a grid of more than
@@ -60,7 +67,7 @@ from math import comb, inf, isfinite, nan
 import numpy as np
 
 from . import closed_forms
-from .chain import _CHUNK_ENTRIES, ChainSpec, SectorBasis, build_sector_basis, check_grid
+from .chain import _CHUNK_ENTRIES, ChainSpec, SectorBasis, _rows, build_sector_basis, check_grid
 from .channel import channel_curve  # unused: perfbench's tracer wraps it from here
 from .closed_forms import GroundRegime
 from .eigensolver import _degeneracy_tolerance, decompose
@@ -438,9 +445,12 @@ class _SectorSpectrum:
         return near, lows, shifts, sums
 
 
-def _grid(template: ChainSpec, pair, deltas, fields, temperature: float):
-    """(delta, spectrum) for each delta of a checked grid, one at a time:
-    the one driver of ``phase_scan`` and ``concurrence_curve``.
+def _grid(template: ChainSpec, pair, deltas, fields, temperature: float, pick):
+    """The field axis as floats and the blocks (``chain._rows``) of a
+    checked grid, ((delta,), start, columns) each, one delta at a time: the
+    one driver of ``phase_scan`` and ``concurrence_curve``.  ``pick`` takes
+    the columns from the four arrays of ``field_rows``, and each block holds
+    them as lists at up to _CHUNK_ENTRIES fields from fields[start].
 
     Refused when it is called, before any block is built: a scale at which
     ``_norm_bound`` overflows at the largest |delta| and |B| (it grows with
@@ -450,7 +460,15 @@ def _grid(template: ChainSpec, pair, deltas, fields, temperature: float):
     _norm_bound(template, max(map(abs, deltas)), reach)
     plan = _BlockPlan(template, pair)
     reach = None if temperature > 0 else reach
-    return ((delta, plan.spectrum(delta, reach)) for delta in deltas)
+
+    def blocks():
+        for delta in deltas:
+            columns = pick(*plan.spectrum(delta, reach).field_rows(fields, temperature))
+            for start in range(0, len(fields), _CHUNK_ENTRIES):
+                rows = slice(start, start + _CHUNK_ENTRIES)
+                yield (float(delta),), start, [column[rows].tolist() for column in columns]
+
+    return [float(field) for field in fields], blocks()
 
 
 def phase_scan(template: ChainSpec, deltas, fields):
@@ -464,16 +482,22 @@ def phase_scan(template: ChainSpec, deltas, fields):
     that sector, which is 0 by construction.  The grid (``check_grid``) and
     the caps are checked eagerly, before any node is computed.  The result
     streams one delta at a time: its whole field axis is evaluated when its
-    first node is read.
+    first node is read.  The points are the rows of ``_scan_blocks``.
     """
+    return (PhasePoint(*row) for row in _rows(*_scan_blocks(template, deltas, fields)))
+
+
+def _scan_blocks(template: ChainSpec, deltas, fields):
+    """``phase_scan``'s field axis and blocks (``_grid``), whose columns are
+    n_up, sector_rank, ground energy, degeneracy and concurrence."""
     deltas, fields = check_grid(deltas, fields)
-    # sector_rank is 0: the ground level is the global minimum, so nothing in
-    # its own sector lies below it
-    return (
-        PhasePoint(float(delta), float(field), int(n_up), 0, float(e0), int(degeneracy), float(c))
-        for delta, spectrum in _grid(template, (1, template.n_sites), deltas, fields, 0.0)
-        for field, e0, n_up, degeneracy, c in zip(fields, *spectrum.field_rows(fields))
-    )
+
+    def pick(e0, n_up, degeneracy, c):
+        # sector_rank is 0: the ground level is the global minimum, so
+        # nothing in its own sector lies below it
+        return n_up, np.zeros_like(n_up), e0, degeneracy, c
+
+    return _grid(template, (1, template.n_sites), deltas, fields, 0.0, pick)
 
 
 def classify_ground_state(spec: ChainSpec) -> PhasePoint:
@@ -512,15 +536,17 @@ def concurrence_curve(template: ChainSpec, pair: tuple[int, int], fields, deltas
     positive template temperature switches to the thermal state instead.
     The only sweep that reads the temperature.  The grid, the cap and the
     pair are checked eagerly; rows stream one delta at a time, as in
-    ``phase_scan``.
+    ``phase_scan``.  The rows of ``_curve_blocks``.
     """
+    return _rows(*_curve_blocks(template, pair, fields, deltas))
+
+
+def _curve_blocks(template: ChainSpec, pair, fields, deltas):
+    """``concurrence_curve``'s field axis and blocks (``_grid``), whose one
+    column is the concurrence."""
     fields, deltas = check_grid(fields, deltas)
     temperature = template.temperature
-    return (
-        (float(delta), float(field), value)
-        for delta, spectrum in _grid(template, pair, deltas, fields, temperature)
-        for field, value in zip(fields, spectrum.field_rows(fields, temperature)[-1].tolist())
-    )
+    return _grid(template, pair, deltas, fields, temperature, lambda *columns: columns[-1:])
 
 
 def ground_regimes(spec: ChainSpec) -> tuple[GroundRegime, ...]:

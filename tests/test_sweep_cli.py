@@ -1113,7 +1113,8 @@ def test_csv_emission_bytes_and_one_write_per_row():
     row = (7, -3, "ok", -0.0, 1e-300, math.nan, math.inf, -math.inf, 0.1, np.float64(0.1),
            np.int64(5))
     out = _Writes()
-    cli_module._emit(["h1", "h2"], [row, (1.5,)], out, "csv")
+    # rows with no shared axis, one block each, as design and table1 write them
+    cli_module._emit(["h1", "h2"], None, cli_module._one_per_block([row, (1.5,)]), out, "csv")
     assert out.getvalue() == (
         "h1,h2\n"
         "7,-3,ok,-0,1e-300,nan,inf,-inf,0.10000000000000001,"

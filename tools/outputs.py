@@ -6,6 +6,10 @@ Runs ``xxzchain.cli.main`` in process, with one BLAS thread, on:
   1-5 (the file is read, never changed);
 - ``table1`` with its default deltas;
 - ``design`` at N in {4, 20, 250, 1000} x target in {0.5, 0.99, 0.999999};
+- ``phase-scan`` and T = 0 ``curve`` on a field axis holding both -0.0 and
+  0.0 with an int delta, a T > 0 ``curve`` at N = 10, and ``channel`` at
+  betas 0, 0.5 and 1 (the nan and inf columns) with N = 2000, whose betas
+  fall in several chunks (``EXTRA``);
 
 each in CSV and in JSONL.  For each case it prints one line: the case, the
 SHA-256 of stdout, the SHA-256 of stderr and the exit code.  Two trees print
@@ -57,6 +61,27 @@ def _load_workloads():
     return module
 
 
+def _spec(n_sites: int, temperature: float = 0.0) -> dict:
+    couplings = [1.0 + 0.125 * (i % 3) for i in range(n_sites - 1)]
+    return {"n_sites": n_sites, "couplings": couplings, "fields": [0.0] * n_sites,
+            "delta": 0.0, "temperature": temperature}
+
+
+SIGNED = [-0.0, 0.0, 0.25, -0.5, 1, 1.75]  # both zeros, an int and signed values
+EXTRA = [
+    ("phase-scan signed zeros", "phase-scan",
+     {"spec": _spec(6), "grid": {"delta": [1, 0.5], "B": SIGNED}}),
+    ("curve signed zeros", "curve",
+     {"spec": _spec(6), "pair": [1, 6], "delta_values": [1, -0.5], "grid": {"B": SIGNED}}),
+    ("curve T>0 n=10", "curve",
+     {"spec": _spec(10, 0.05), "pair": [1, 10], "delta_values": [0.0, 1],
+      "grid": {"B": {"min": -0.3, "max": 1.5, "step": 0.03}}}),
+    ("channel beta<=1", "channel",
+     {"n_sites_values": [4, 10, 2000], "coupling": 0.8,
+      "grid": {"beta": [0, 0.5, 1, 1.0000001, 1.5, 3, 6, 12, 24]}}),
+]
+
+
 def cases():
     """(name, subcommand, config or None) for every case, in print order."""
     workloads = _load_workloads()
@@ -67,6 +92,7 @@ def cases():
     for n in (4, 20, 250, 1000):
         for target in (0.5, 0.99, 0.999999):
             yield f"design N={n} target={target}", "design", {"n_sites": n, "target": target}
+    yield from EXTRA
 
 
 def run(main, argv) -> tuple[bytes, bytes, int]:
