@@ -44,12 +44,12 @@ lines, which ``ground_regimes`` walks exactly, on the levels that can be
 ground up to the largest field the walk reads.  One sector's ground state
 (``sector_boundary_concurrence``) runs on one block of the same kind.
 
-A grid's rows are computed as blocks (``chain._rows``): a delta's columns
-as lists, up to _CHUNK_ENTRIES rows each, with the delta and the block's
-offset on the field axis (``_grid``).  ``phase_scan`` and
-``concurrence_curve`` flatten them into rows; the CLI writes the blocks of
-``_scan_blocks`` and ``_curve_blocks`` as they are, so it formats each
-field once per call and each delta once per block.
+A grid's rows are computed as blocks (``chain._rows``), one per chunk of
+the field pass: its columns as lists, with the delta and its offset on
+the field axis (``_grid``).  ``phase_scan`` and ``concurrence_curve``
+flatten them into rows; the CLI writes the blocks of ``_scan_blocks`` and
+``_curve_blocks`` as they are, so it formats each field once per call and
+each delta once per block, and a closed stdout stops within a chunk.
 
 Every sweep takes its grid axes as plain sequences of numbers (a one-shot
 iterable too), which ``chain.check_grid`` reads into tuples once, refusing
@@ -365,11 +365,12 @@ class _SectorSpectrum:
         self.sector = np.repeat(np.asarray(sectors), [len(e) for e in energies])
         self.shift = 2.0 * self.sector - n_sites
 
-    def field_rows(
-        self, fields, temperature: float = 0.0
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def field_rows(self, fields, temperature: float = 0.0):
         """Ground energy, ground sector, ground degeneracy and pair
-        concurrence at each uniform field of ``fields``, as four arrays.
+        concurrence at each uniform field of the sequence ``fields``, yielded
+        as (start, e0, n_up, degeneracy, concurrence) per chunk of
+        max(1, _CHUNK_ENTRIES // levels read) fields from fields[start]: one
+        kernel call each, and no array as long as the axis.
 
         The ground space at B is every level of ``energies + B shift``
         within DEGENERACY_RTOL of the lowest, whatever its sector; a tie
@@ -386,28 +387,20 @@ class _SectorSpectrum:
         field's row is the same bits whichever fields share the call and
         whatever the BLAS thread count.
         """
-        fields = np.asarray(fields, dtype=float)
-        m = len(fields)
         levels = slice(None)
         if temperature > 0:
-            levels, lows, shifts, sums = self._sector_sums(fields, temperature)
+            reach = max(map(abs, fields), default=0.0)
+            levels, lows, shifts, sums = self._sector_sums(reach, temperature)
         energies, shift, sector = self.energies[levels], self.shift[levels], self.sector[levels]
-        e0, concurrence = np.empty(m), np.empty(m)
-        n_up, degeneracy = np.empty(m, dtype=int), np.empty(m, dtype=int)
-        step = max(1, _CHUNK_ENTRIES // len(energies))
-        for start in range(0, m, step):
-            rows = slice(start, start + step)
-            e = energies + fields[rows, None] * shift
+
+        def rows(chunk):
+            # one chunk's rows; its temporaries go before the rows are yielded
+            e = energies + chunk * shift
             lowest = e.min(axis=1)
             ground = e <= (lowest + _degeneracy_tolerance(lowest))[:, None]
-            e0[rows] = lowest
-            # levels are stored by ascending sector, so the first ground
-            # level has the smallest ground sector
-            n_up[rows] = sector[ground.argmax(axis=1)]
             count = np.count_nonzero(ground, axis=1)
-            degeneracy[rows] = count
             if temperature > 0:
-                shifted = lows + fields[rows, None] * shifts
+                shifted = lows + chunk * shifts
                 # a gap over a tiny T overflows to inf; exp(-inf) = 0 is its exact T -> 0 weight
                 with np.errstate(over="ignore"):
                     weights = np.exp(-(shifted - lowest[:, None]) / temperature)
@@ -416,20 +409,26 @@ class _SectorSpectrum:
             else:
                 total = np.cumsum(ground[:, :, None] * self.pair_data, axis=1)[:, -1]
                 data = total / count[:, None]
-            concurrence[rows] = xstate_concurrences(data)
-        return e0, n_up, degeneracy, concurrence
+            # levels are stored by ascending sector, so the first ground
+            # level has the smallest ground sector
+            return lowest, sector[ground.argmax(axis=1)], count, xstate_concurrences(data)
 
-    def _sector_sums(self, fields: np.ndarray, temperature: float):
-        """What the T > 0 pass over ``fields`` reads: the levels that can be
-        ground at one of them, each sector's lowest level e_k and shift s_k,
-        and the rows (Z, p00, p01, p10, p11, c) of the sector sums
-        Z_k = sum_l exp(-(E_l - e_k) / T) and P_k = sum_l exp(-(E_l - e_k) / T)
-        d_l over the levels l of sector k, one C-contiguous (6, sectors) array.
+        step = max(1, _CHUNK_ENTRIES // len(energies))
+        for start in range(0, len(fields), step):
+            yield start, *rows(np.asarray(fields[start : start + step], dtype=float)[:, None])
+
+    def _sector_sums(self, reach: float, temperature: float):
+        """What the T > 0 pass over fields up to ``reach`` in |B| reads: the
+        levels that can be ground at one of them, each sector's lowest level
+        e_k and shift s_k, and the rows (Z, p00, p01, p10, p11, c) of the
+        sector sums Z_k = sum_l exp(-(E_l - e_k) / T) and P_k = sum_l
+        exp(-(E_l - e_k) / T) d_l over the levels l of sector k, one
+        C-contiguous (6, sectors) array.
 
         Rounding is monotone, so the lowest shifted level of a sector is its
         lowest, shifted, with the same bits.  A level within the degeneracy
         tolerance of E0(B) lies that close to its sector's lowest too, and
-        |E0(B)| <= max |e_k| + max |B| max |s_k|: twice the tolerance there
+        |E0(B)| <= max |e_k| + reach max |s_k|: twice the tolerance there
         leaves a wide margin for rounding, as in ``_ground_window``."""
         starts = np.flatnonzero(np.diff(self.sector, prepend=-1))
         lows = np.minimum.reduceat(self.energies, starts)
@@ -439,7 +438,6 @@ class _SectorSpectrum:
         terms = np.column_stack((weights, weights[:, None] * self.pair_data))
         sums = np.ascontiguousarray(np.add.reduceat(terms, starts).T)
         shifts = self.shift[starts]
-        reach = max(fields.max(initial=0.0), -fields.min(initial=0.0))
         bound = np.abs(lows).max() + reach * np.abs(shifts).max()
         near = np.flatnonzero(gap <= 2.0 * _degeneracy_tolerance(bound))
         return near, lows, shifts, sums
@@ -448,9 +446,10 @@ class _SectorSpectrum:
 def _grid(template: ChainSpec, pair, deltas, fields, temperature: float, pick):
     """The field axis as floats and the blocks (``chain._rows``) of a
     checked grid, ((delta,), start, columns) each, one delta at a time: the
-    one driver of ``phase_scan`` and ``concurrence_curve``.  ``pick`` takes
-    the columns from the four arrays of ``field_rows``, and each block holds
-    them as lists at up to _CHUNK_ENTRIES fields from fields[start].
+    one driver of ``phase_scan`` and ``concurrence_curve``.  A block is one
+    chunk of ``field_rows``, the fields from fields[start]; ``pick`` takes
+    its columns from the chunk's four arrays, and the block holds them as
+    lists.
 
     Refused when it is called, before any block is built: a scale at which
     ``_norm_bound`` overflows at the largest |delta| and |B| (it grows with
@@ -463,10 +462,8 @@ def _grid(template: ChainSpec, pair, deltas, fields, temperature: float, pick):
 
     def blocks():
         for delta in deltas:
-            columns = pick(*plan.spectrum(delta, reach).field_rows(fields, temperature))
-            for start in range(0, len(fields), _CHUNK_ENTRIES):
-                rows = slice(start, start + _CHUNK_ENTRIES)
-                yield (float(delta),), start, [column[rows].tolist() for column in columns]
+            for start, *columns in plan.spectrum(delta, reach).field_rows(fields, temperature):
+                yield (float(delta),), start, [column.tolist() for column in pick(*columns)]
 
     return [float(field) for field in fields], blocks()
 
@@ -481,7 +478,7 @@ def phase_scan(template: ChainSpec, deltas, fields):
     smallest one when levels of several sectors tie) plus its rank within
     that sector, which is 0 by construction.  The grid (``check_grid``) and
     the caps are checked eagerly, before any node is computed.  The result
-    streams one delta at a time: its whole field axis is evaluated when its
+    streams one chunk of a delta's fields at a time, evaluated when its
     first node is read.  The points are the rows of ``_scan_blocks``.
     """
     return (PhasePoint(*row) for row in _rows(*_scan_blocks(template, deltas, fields)))
@@ -523,7 +520,7 @@ def sector_boundary_concurrence(spec: ChainSpec, n_up: int) -> float:
     window = _ground_window(spec, spec.delta, 0.0)
     block = _Block(spec, build_sector_basis(n, n_up), (1, n))
     energies, data = block.levels(spec.delta, window)
-    *_, (value,) = _SectorSpectrum(n, [n_up], [energies], [data]).field_rows((0.0,))
+    [(*_, (value,))] = _SectorSpectrum(n, [n_up], [energies], [data]).field_rows((0.0,))
     return float(value)
 
 
@@ -535,7 +532,7 @@ def concurrence_curve(template: ChainSpec, pair: tuple[int, int], fields, deltas
     Uses the ground-state density (equal mixture across degeneracies); a
     positive template temperature switches to the thermal state instead.
     The only sweep that reads the temperature.  The grid, the cap and the
-    pair are checked eagerly; rows stream one delta at a time, as in
+    pair are checked eagerly; rows stream chunk by chunk, as in
     ``phase_scan``.  The rows of ``_curve_blocks``.
     """
     return _rows(*_curve_blocks(template, pair, fields, deltas))
@@ -580,7 +577,7 @@ def _regimes(plan: _BlockPlan, delta: float) -> tuple[GroundRegime, ...]:
     n = plan.template.n_sites
     spectrum = plan.spectrum(delta, _regime_reach(plan.template, delta))
     lowest = [float(spectrum.energies[spectrum.sector == k].min()) for k in range(n + 1)]
-    (e0,), (k,), *_ = spectrum.field_rows((0.0,))
+    [(_, (e0,), (k,), _, _)] = spectrum.field_rows((0.0,))
     k, lo, regimes = int(k), 0.0, []
     while k > 0:
         crossings = [(lowest[j] - lowest[k]) / (2.0 * (k - j)) for j in range(k)]
@@ -591,7 +588,7 @@ def _regimes(plan: _BlockPlan, delta: float) -> tuple[GroundRegime, ...]:
         lo, k = hi, j
     regimes.append((lo, inf, k))
     interiors = [lo + 0.5 if hi == inf else 0.5 * (lo + hi) for lo, hi, _ in regimes]
-    *_, c1n = spectrum.field_rows(interiors)
+    c1n = [c for *_, chunk in spectrum.field_rows(interiors) for c in chunk.tolist()]
     return tuple(
         GroundRegime(
             b_min=lo,
@@ -600,7 +597,7 @@ def _regimes(plan: _BlockPlan, delta: float) -> tuple[GroundRegime, ...]:
             c14_max=c,
             energy_at_zero_field=float(e0) if lo == 0.0 else None,
         )
-        for (lo, hi, n_up), c in zip(regimes, c1n.tolist())
+        for (lo, hi, n_up), c in zip(regimes, c1n)
     )
 
 

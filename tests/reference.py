@@ -113,10 +113,27 @@ def thermal_rows_by_level(spectrum, fields, temperature: float):
     return tuple(np.array(column) for column in zip(*rows))
 
 
+def joined_field_rows(spectrum, fields, temperature: float = 0.0):
+    """``_SectorSpectrum.field_rows(fields, temperature)`` as four arrays over
+    the whole of ``fields`` (ground energy, ground sector, degeneracy,
+    concurrence): its chunks joined in order, each checked to start where
+    the last one ended."""
+    columns, end = None, 0
+    for start, *chunk in spectrum.field_rows(fields, temperature):
+        if columns is None:
+            columns = [np.empty(len(fields), dtype=values.dtype) for values in chunk]
+        assert start == end
+        end += len(chunk[0])
+        for column, values in zip(columns, chunk):
+            column[start:end] = values
+    assert end == len(fields)
+    return tuple(columns)
+
+
 def phase_points(spectrum, delta: float, fields):
     """The ``sweep.PhasePoint`` rows of one delta of a ``_SectorSpectrum`` at
     every field of ``fields``, as ``phase_scan`` builds them."""
-    for field, e0, n_up, degeneracy, c in zip(fields, *spectrum.field_rows(fields)):
+    for field, e0, n_up, degeneracy, c in zip(fields, *joined_field_rows(spectrum, fields)):
         yield PhasePoint(float(delta), float(field), int(n_up), 0, float(e0), int(degeneracy),
                          float(c))
 

@@ -214,6 +214,27 @@ def test_a_closed_stdout_stops_the_run_at_its_first_failed_write(
     assert len(calls) == (0 if row < 0 else row // 10 + 1)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_closed_stdout_stops_the_field_pass_within_its_first_chunk(
+    monkeypatch, tmp_path, capsys, fmt
+):
+    # 2001 fields at n = 6, T = 0: a delta's field pass spans several chunks
+    config = {"spec": _spec(random.Random(29), 6), "pair": [1, 6], "delta_values": [0.0, 1.0],
+              "grid": {"B": {"min": 0, "max": 2, "step": 0.001}}}
+    kernel, calls = sweep.xstate_concurrences, []
+    monkeypatch.setattr(sweep, "xstate_concurrences", lambda d: calls.append(len(d)) or kernel(d))
+    full, _, _ = _main(tmp_path, "curve", config, fmt)
+    # one kernel call per chunk: the first delta's 2001 fields take three or more
+    assert sum(calls[:3]) <= 2001
+    calls.clear()
+    closed_after = 1 + (fmt == "csv")  # the first row, and the CSV header
+    out, _, code = _main(tmp_path, "curve", config, fmt, closed_after)
+    assert code == cli.EXIT_CLOSED
+    assert capsys.readouterr().err == ""
+    assert out == "".join(full.splitlines(keepends=True)[:closed_after])
+    assert len(calls) == 1
+
+
 def _script(config_path, **kwargs):
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
     command = [sys.executable, "-m", "xxzchain.cli", "curve", "--config", str(config_path)]

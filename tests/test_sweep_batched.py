@@ -21,7 +21,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import per_row_point, thermal_rows_by_level, xstate_concurrence, xstate_pair
+from reference import (
+    joined_field_rows,
+    per_row_point,
+    thermal_rows_by_level,
+    xstate_concurrence,
+    xstate_pair,
+)
 from xxzchain import chain, sweep
 from xxzchain.chain import ChainSpec
 from xxzchain.entanglement import xstate_concurrences
@@ -80,9 +86,9 @@ def _spectra(draw, max_sites=7, temperatures=_TEMPERATURES, coupling=_unit):
 @given(_spectra())
 def test_batched_rows_are_batch_invariant_and_match_the_per_row_path(case):
     spectrum, pair, temperature, fields = case
-    batch = spectrum.field_rows(fields, temperature)
+    batch = joined_field_rows(spectrum, fields, temperature)
     for m, b in enumerate(fields):
-        single = spectrum.field_rows([b], temperature)
+        single = joined_field_rows(spectrum, [b], temperature)
         assert [a[m] for a in batch] == [a[0] for a in single]
         e0, n_up, degeneracy, c = per_row_point(spectrum, pair, b, temperature)
         assert (batch[1][m], batch[2][m]) == (n_up, degeneracy)
@@ -108,7 +114,7 @@ _CUT = st.sampled_from([0.0, 0.0, 1.0]) | _unit
 @given(_spectra(max_sites=8, temperatures=_THERMAL, coupling=_CUT))
 def test_thermal_rows_by_sector_match_the_level_by_level_mixture(case):
     spectrum, _, temperature, fields = case
-    e0, n_up, degeneracy, c = spectrum.field_rows(fields, temperature)
+    e0, n_up, degeneracy, c = joined_field_rows(spectrum, fields, temperature)
     expected = thermal_rows_by_level(spectrum, fields, temperature)
     assert [a.tobytes() for a in (e0, n_up, degeneracy)] == [a.tobytes() for a in expected[:3]]
     assert np.abs(c - expected[3]).max() <= 1e-15
@@ -130,10 +136,11 @@ def test_a_field_axis_longer_than_one_chunk_matches_one_field_at_a_time(
     chunks = []  # the kernel runs once per chunk
     with monkeypatch.context() as patch:
         patch.setattr(sweep, "xstate_concurrences", lambda d: chunks.append(d) or kernel(d))
-        batch = spectrum.field_rows(fields, temperature)
+        batch = joined_field_rows(spectrum, fields, temperature)
     assert len(chunks) > 3
     for m, b in enumerate(fields):
-        assert [a[m] for a in batch] == [a[0] for a in spectrum.field_rows([b], temperature)]
+        single = joined_field_rows(spectrum, [b], temperature)
+        assert [a[m] for a in batch] == [a[0] for a in single]
     assert max(batch[2]) >= 2  # the crossings are exact cross-sector ties
 
 
@@ -144,7 +151,7 @@ def test_field_rows_temporaries_do_not_grow_with_the_field_axis():
         fields = np.linspace(0.0, 3.0, count)
         tracemalloc.start()
         try:
-            spectrum.field_rows(fields, 0.2)
+            joined_field_rows(spectrum, fields, 0.2)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from analytic import critical_field_3site
-from reference import scalar_ground_profile
+from reference import joined_field_rows, scalar_ground_profile
 
 from xxzchain import cli as cli_module
 from xxzchain import chain, channel, sweep
@@ -486,7 +486,7 @@ def _assert_regimes_tile_as_classified(spec):
         k = r.n_up
         assert r.b_max in [(lowest[j] - lowest[k]) / (2.0 * (k - j)) for j in range(k)]
     interiors = [r.b_min + 0.5 if r.b_max == math.inf else 0.5 * (r.b_min + r.b_max) for r in rows]
-    e0, _, _, c1n = full.field_rows([0.0, *interiors])
+    e0, _, _, c1n = joined_field_rows(full, [0.0, *interiors])
     assert energy == e0[0]
     assert [r.c14_max for r in rows] == c1n[1:].tolist()
 

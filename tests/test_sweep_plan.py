@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import phase_points
+from reference import joined_field_rows, phase_points
 from xxzchain import sweep
 from xxzchain.chain import ChainSpec
 from xxzchain.sweep import (
@@ -173,15 +173,15 @@ def _cases(draw):
 @given(_cases())
 def test_zero_temperature_rows_of_the_window_equal_every_level_rows(case):
     spec, pair, full, fields = case
-    expected = [a.tobytes() for a in full.field_rows(fields)]
+    expected = [a.tobytes() for a in joined_field_rows(full, fields)]
     plan = _BlockPlan(spec, pair)
     grid = plan.spectrum(spec.delta, max(map(abs, fields)))
     assert len(grid.energies) <= len(full.energies)
-    assert [a.tobytes() for a in grid.field_rows(fields)] == expected
+    assert [a.tobytes() for a in joined_field_rows(grid, fields)] == expected
     for m, b in enumerate(fields):
         # a single field has a narrower window than the whole grid
-        single = plan.spectrum(spec.delta, abs(b)).field_rows((b,))
-        assert [a[m] for a in full.field_rows(fields)] == [a[0] for a in single]
+        single = joined_field_rows(plan.spectrum(spec.delta, abs(b)), (b,))
+        assert [a[m] for a in joined_field_rows(full, fields)] == [a[0] for a in single]
 
 
 def test_a_many_fold_ground_space_classifies_as_its_phase_scan_row():
@@ -212,7 +212,7 @@ def test_a_many_fold_ground_space_keeps_its_curve_row_whatever_the_grid(weak):
     assert rows[2][2] == single
     assert abs(single - 0.5) <= 1e-10
     full = _BlockPlan(template, (1, 2)).spectrum(0.0)
-    _, n_up, degeneracy, c = full.field_rows(grid)
+    _, n_up, degeneracy, c = joined_field_rows(full, grid)
     assert (n_up[2], degeneracy[2]) == (0, 8)
     assert [row[2] for row in rows] == c.tolist()
     rest = replace(template, fields=(0.5,) * 6)
@@ -252,11 +252,11 @@ def test_levels_that_are_not_ground_change_no_bit_of_a_zero_temperature_row():
     p = rng.dirichlet([0.3, 4.0, 4.0, 0.3], len(full.energies))
     c = rng.uniform(0.5, 1.0, len(p)) * np.sqrt(p[:, 1] * p[:, 2])
     full.pair_data = np.column_stack([p, c])
-    _, _, degeneracy, expected = full.field_rows((0.0,))
+    _, _, degeneracy, expected = joined_field_rows(full, (0.0,))
     assert degeneracy[0] == 7 and expected[0] > 0.1
     ground = full.energies <= full.energies.min() + 1e-9
     for keep in (ground, ground | (rng.random(len(ground)) < 0.5)):
         pruned = copy.copy(full)
         pruned.energies, pruned.pair_data = full.energies[keep], full.pair_data[keep]
         pruned.sector, pruned.shift = full.sector[keep], full.shift[keep]
-        assert pruned.field_rows((0.0,))[3].tobytes() == expected.tobytes()
+        assert joined_field_rows(pruned, (0.0,))[3].tobytes() == expected.tobytes()

@@ -7,9 +7,11 @@ Runs ``xxzchain.cli.main`` in process, with one BLAS thread, on:
 - ``table1`` with its default deltas;
 - ``design`` at N in {4, 20, 250, 1000} x target in {0.5, 0.99, 0.999999};
 - ``phase-scan`` and T = 0 ``curve`` on a field axis holding both -0.0 and
-  0.0 with an int delta, a T > 0 ``curve`` at N = 10, and ``channel`` at
-  betas 0, 0.5 and 1 (the nan and inf columns) with N = 2000, whose betas
-  fall in several chunks (``EXTRA``);
+  0.0 with an int delta, a T > 0 ``curve`` at N = 10, a uniform N = 10
+  ``phase-scan`` and a uniform N = 6 T > 0 ``curve`` whose field pass
+  spans three chunks a delta, and ``channel`` at betas 0, 0.5 and 1 (the
+  nan and inf columns) with N = 2000, whose betas fall in several chunks
+  (``EXTRA``);
 
 each in CSV and in JSONL.  For each case it prints one line: the case, the
 SHA-256 of stdout, the SHA-256 of stderr and the exit code.  Two trees print
@@ -61,8 +63,8 @@ def _load_workloads():
     return module
 
 
-def _spec(n_sites: int, temperature: float = 0.0) -> dict:
-    couplings = [1.0 + 0.125 * (i % 3) for i in range(n_sites - 1)]
+def _spec(n_sites: int, temperature: float = 0.0, uniform: bool = False) -> dict:
+    couplings = [1.0 if uniform else 1.0 + 0.125 * (i % 3) for i in range(n_sites - 1)]
     return {"n_sites": n_sites, "couplings": couplings, "fields": [0.0] * n_sites,
             "delta": 0.0, "temperature": temperature}
 
@@ -76,6 +78,13 @@ EXTRA = [
     ("curve T>0 n=10", "curve",
      {"spec": _spec(10, 0.05), "pair": [1, 10], "delta_values": [0.0, 1],
       "grid": {"B": {"min": -0.3, "max": 1.5, "step": 0.03}}}),
+    # three blocks a delta: 11 levels read, 372 fields a chunk; 7 read, 585
+    ("phase-scan chunks n=10", "phase-scan",
+     {"spec": _spec(10, uniform=True),
+      "grid": {"delta": [0, 1], "B": {"min": 0, "max": 3, "step": 0.003}}}),
+    ("curve T>0 chunks n=6", "curve",
+     {"spec": _spec(6, 0.1, uniform=True), "pair": [1, 6], "delta_values": [0, 1],
+      "grid": {"B": {"min": 0, "max": 3, "step": 0.0025}}}),
     ("channel beta<=1", "channel",
      {"n_sites_values": [4, 10, 2000], "coupling": 0.8,
       "grid": {"beta": [0, 0.5, 1, 1.0000001, 1.5, 3, 6, 12, 24]}}),
@@ -122,14 +131,19 @@ def outputs(src: Path) -> dict[str, tuple[bytes, bytes, int]]:
         results = {}
         # a relative config path keeps any message that names it the same in
         # every run
-        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-            for name, command, config in cases():
-                argv = [command]
-                if config is not None:
-                    Path("config.json").write_text(json.dumps(config), encoding="utf-8")
-                    argv += ["--config", "config.json"]
-                for fmt in ("csv", "jsonl"):
-                    results[f"{name} {fmt}"] = run(cli_main, [*argv, "--format", fmt])
+        with tempfile.TemporaryDirectory() as tmp:
+            cwd = os.getcwd()
+            os.chdir(tmp)
+            try:
+                for name, command, config in cases():
+                    argv = [command]
+                    if config is not None:
+                        Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+                        argv += ["--config", "config.json"]
+                    for fmt in ("csv", "jsonl"):
+                        results[f"{name} {fmt}"] = run(cli_main, [*argv, "--format", fmt])
+            finally:
+                os.chdir(cwd)
         return results
     finally:
         sys.path.remove(str(src))
