@@ -4,6 +4,8 @@ numpy.linalg.eigh (LAPACK) does the factorization; this wrapper pins the
 contract: eigenvalues ascending, LAPACK's eigenvectors with no sign chosen
 (every state built from one is a sum of products of its entries, exact under
 negation), bit-for-bit reproducible for identical input and thread count.
+A stack of matrices is decomposed in one call, each matrix to the bits it
+gets alone (LAPACK runs on each in turn).
 """
 
 from __future__ import annotations
@@ -22,20 +24,22 @@ DEGENERACY_RTOL = 1e-9
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues ascending; column m of ``eigenvectors`` pairs with
-    ``eigenvalues[m]``."""
+    ``eigenvalues[m]``.  Of a stack, both arrays carry the stack's leading
+    axes, and ``order`` is still the order of one matrix."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def order(self) -> int:
-        return len(self.eigenvalues)
+        return self.eigenvalues.shape[-1]
 
 
 def decompose(matrix: np.ndarray) -> SpectralDecomposition:
-    """Full decomposition of a real symmetric matrix, read-only arrays."""
+    """Full decomposition of a real symmetric matrix, or of each of a stack
+    of them (shape (..., d, d)), read-only arrays."""
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix has non-finite entries")
@@ -55,7 +59,11 @@ def _degeneracy_tolerance(lowest):
 
 
 def ground_space(dec: SpectralDecomposition) -> list[int]:
-    """Indices of all states within DEGENERACY_RTOL of the lowest eigenvalue."""
+    """Indices of all states within DEGENERACY_RTOL of the lowest eigenvalue
+    of one matrix's decomposition (a stack is refused)."""
+    if dec.eigenvalues.ndim != 1:
+        shape = dec.eigenvalues.shape
+        raise DomainError(f"expected one matrix's decomposition, got a stack of shape {shape}")
     if dec.order == 0:
         raise DomainError("empty decomposition")
     w0 = dec.eigenvalues[0]

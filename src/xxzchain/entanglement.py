@@ -177,21 +177,38 @@ def _pair_maps(basis: SectorBasis, i: int, j: int) -> tuple[np.ndarray, np.ndarr
     """Index map of ``pair_xstate_data`` for the ordered pair i < j: a
     (5, W) array whose rows 0-3 list, in order, the basis rows of pair slot
     00, 01, 10 and 11, and whose row 4 lists the 01 rows again, each padded
-    at the end with -1; and the mask of those pads.
+    at the end with -1; and the mask of those pads (``_slot_maps``)."""
+    n = basis.n_sites
+    states = basis.state_array()
+    mi, mj = site_mask(i, n), site_mask(j, n)
+    slot = 2 * ((states & mi) != 0) + ((states & mj) != 0)
+    return _slot_maps(slot, [len(states)])[0]
+
+
+def _slot_maps(slot: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``_pair_maps`` of consecutive blocks of ``sizes`` states each, given
+    the pair slot 2 a + b (bit a on site i, bit b on site j) of every state:
+    views of one (5, sum W) array filled by one scatter.
 
     Flipping both pair bits maps the 01 rows one to one onto the 10 rows of
     the same sector, and in order: each is its environment plus one fixed
     bit, so both sort by environment.  So row 2 lists each 01 row's
     partner."""
-    n = basis.n_sites
-    states = basis.state_array()
-    mi, mj = site_mask(i, n), site_mask(j, n)
-    slot = 2 * ((states & mi) != 0) + ((states & mj) != 0)
-    rows = [np.flatnonzero(slot == a) for a in (0, 1, 2, 3, 1)]
-    index = np.full((5, max(map(len, rows))), -1)
-    for a, r in enumerate(rows):
-        index[a, : len(r)] = r
-    return index, index < 0
+    sizes = np.asarray(sizes)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    group = 4 * block + slot
+    by = np.argsort(group, kind="stable")
+    group = group[by]
+    counts = np.bincount(group, minlength=4 * len(sizes))
+    width = counts.reshape(-1, 4).max(axis=1)
+    ends = np.cumsum(width)
+    # each state's rank within its (block, slot) group, a column of its block
+    column = (ends - width)[group // 4] + np.arange(len(by)) - (np.cumsum(counts) - counts)[group]
+    index = np.full((5, ends[-1]), -1)
+    index[group % 4, column] = by - (np.cumsum(sizes) - sizes)[group // 4]
+    index[4] = index[1]
+    pad = index < 0
+    return [(index[:, e - w : e], pad[:, e - w : e]) for e, w in zip(ends.tolist(), width.tolist())]
 
 
 def _pair_rows(maps: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:

@@ -12,20 +12,23 @@ block is then split by one small group of bit maps that commute with H and
 keep it: mirror reflection R when couplings and fields are palindromic, F
 on the half-filled block when every field is 0, and their product.  Each
 character of the group is one part of about 1/|G| of the block; a spec with
-neither symmetry keeps the block whole (``_Block``).
+neither symmetry keeps the block whole (``hamiltonian._block_parts``).
 
 Delta enters H only through the Ising diagonal, so a sweep builds what its
-deltas share once, when it is called (``_BlockPlan``): each block's basis,
-its Zeeman diagonal and Ising bond sums, the index maps of its pair data,
-and its parts, each with its entries as (row, col, value) lists.  A delta
-then only puts its diagonal together and decomposes.  At T = 0 each part
-keeps only the levels close enough to its own lowest to be ground at some
-|B| up to the largest the call reads (``_BlockPlan.spectrum``); only their
-eigenvectors are unfolded and reduced to pair-state entries, and the rest
-are dropped.  The part that holds the block's lowest level is named from
-the spec by the Perron-Frobenius rule and decomposed first, and a part
-whose levels one Cholesky factorization proves to lie beyond that window of
-the block's lowest is not decomposed at all (``_Block.levels``).
+deltas share once, when it is called, in one vectorized pass over the
+labels of all its blocks (``_BlockPlan``): their Zeeman diagonal and Ising
+bond sums, the index maps of their pair data, and their parts, each with
+its entries as (row, col, value) lists.  The deltas then only put their
+diagonals together and decompose, a chunk of deltas at a time: each part's
+matrices for the chunk are one stack, decomposed in one call and unfolded
+and reduced to pair-state entries once (``_BlockPlan.spectra``).  At T = 0
+each part keeps, at each delta, only the levels close enough to its own
+lowest to be ground at some |B| up to the largest the call reads; only
+their eigenvectors are kept, and the rest are dropped.  The part that holds
+the block's lowest level is named from the spec by the Perron-Frobenius
+rule and decomposed first, and at a delta where one Cholesky factorization
+proves a part's levels to lie beyond that window of the block's lowest, the
+part is not decomposed at all (``_Block.levels``).
 
 The field axis of a delta is then evaluated in one vectorized pass
 (``_SectorSpectrum.field_rows``): the shifted levels, the ground space and
@@ -42,7 +45,7 @@ O(levels); its reductions run in a fixed order with no BLAS product, so T >
 The same shift makes the ground level over B the lower envelope of N + 1
 lines, which ``ground_regimes`` walks exactly, on the levels that can be
 ground up to the largest field the walk reads.  One sector's ground state
-(``sector_boundary_concurrence``) runs on one block of the same kind.
+(``sector_boundary_concurrence``) runs on a plan of that one block.
 
 A grid's rows are computed as blocks (``chain._rows``), one per chunk of
 the field pass: its columns as lists, with the delta and its offset on
@@ -67,13 +70,13 @@ from math import comb, inf, isfinite, nan
 import numpy as np
 
 from . import closed_forms
-from .chain import _CHUNK_ENTRIES, ChainSpec, SectorBasis, _rows, build_sector_basis, check_grid
+from .chain import _CHUNK_ENTRIES, ChainSpec, _rows, build_sector_basis, check_grid
 from .channel import channel_curve  # unused: perfbench's tracer wraps it from here
 from .closed_forms import GroundRegime
 from .eigensolver import _degeneracy_tolerance, decompose
-from .entanglement import _pair_maps, _pair_rows, _pair_sites_checked, xstate_concurrences
+from .entanglement import _pair_rows, _pair_sites_checked, _slot_maps, xstate_concurrences
 from .errors import DomainError, ResourceCapError, _shown, as_float, as_int
-from .hamiltonian import _dense, _diagonal_terms, _hopping
+from .hamiltonian import _block_parts, _dense, _diagonal_terms, _site_bits
 
 SECTOR_DIM_CAP = 3432  # C(14, 7): the largest S^z block decomposed densely
 
@@ -95,137 +98,66 @@ class PhasePoint:
 # image: populations swap 00 <-> 11 and 01 <-> 10, the coherence stays
 _FLIPPED_COLUMNS = [3, 2, 1, 0, 4]
 
-# the characters of {1}, {1, g} and {1, g, h, gh}, one row each, on the
-# elements in that order (the leading square of the table):
-# chi_c(e) = (-1)^(the number of bits c and e share)
-_CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
-# 1 / sqrt(|orbit|) by orbit size, with 1/sqrt(2) rounded down: the squared
-# amplitudes of an orbit sum to at most 1 in floating point, so unfolding
-# never scales a squared amplitude up (a singlet's concurrence stays <= 1)
-_ORBIT_AMP = np.array([nan, 1.0, np.nextafter(np.sqrt(0.5), 0.0), nan, 0.5])
-
 
 class _Block:
-    """One S^z block of a sweep, built once per plan (at any delta): its
-    Ising bond sums zz, Zeeman diagonal, pair-data index maps and parts.
+    """One S^z block of a plan (``_BlockPlan``, which builds it): its parts
+    (``hamiltonian._block_parts``), the index ``lead`` of the part that
+    holds its lowest level, and the index maps of its pair data."""
 
-    The parts are the characters chi of one abelian group G of bit maps
-    that commute with H and keep the block: mirror reflection R (bit
-    reversal) when couplings and fields are palindromic, and the global
-    flip F (bit complement) on the half-filled block when every field is 0,
-    with their product; G = {1} when neither applies.  Each orbit of G has
-    its smallest state r as representative; the part of chi holds the r
-    whose stabilizer chi maps to 1, each spanning sum chi(h_s) |s> /
-    sqrt(|orbit|) over its orbit, h_s the map taking r to s (A. W.
-    Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  A character that holds no
-    r is dropped.
+    def __init__(self, parts, lead: int, pair_maps):
+        self.parts, self.lead, self.pair_maps = parts, lead, pair_maps
+        # the lead part first, then the others in part order
+        self.order = sorted(range(len(parts)), key=lambda i: i != lead)
 
-    A part is (representatives, entries, orbit, amp).  Its matrix at a delta
-    is the (row, col, value) entries, summed where a position repeats, plus
-    the block diagonal 0.5 delta zz + Zeeman (the expression
-    ``build_sector`` evaluates) at the representatives; amp * x[orbit] maps
-    its eigenvector x to sector amplitudes, O(d) per vector.  ``lead`` is
-    the index of the part that holds the block's lowest level when every
-    coupling is nonzero (Perron-Frobenius, below), and 0 otherwise.
-    """
+    def levels(self, diagonal: np.ndarray, windows: np.ndarray) -> list:
+        """For each row of the plan's ``diagonal`` (one per delta of a
+        chunk) and its ``window``: the levels within the window of their own
+        part's lowest and the pair data of their eigenvectors, the only ones
+        unfolded and reduced, part by part in part order; together a
+        superset of the levels within the window of the block's lowest.
 
-    def __init__(self, spec: ChainSpec, basis: SectorBasis, pair):
-        states = basis.state_array()
-        size, n = len(states), basis.n_sites
-        self.zz, self.zeeman = _diagonal_terms(spec, states)
-        self.pair_maps = _pair_maps(basis, *pair)
-        generators = []
-        if _palindromic(spec):
-            generators.append(lambda m: sum(((m >> s) & 1) << (n - 1 - s) for s in range(n)))
-        if 2 * basis.n_up == n and not any(spec.fields):
-            generators.append(lambda m: m ^ ((1 << n) - 1))
-        # the labels of every element's images, the generators' products in
-        # binary order (1, R, F, RF, or a leading part of that)
-        maps = [states]
-        for generator in generators:
-            maps += [generator(m) for m in maps]
-        chars = _CHARACTERS[: len(maps), : len(maps)]
-        image = np.array([np.searchsorted(states, m) for m in maps])
-        rep = image.min(axis=0)
-        reps = np.flatnonzero(rep == np.arange(size))
-        orbit = np.searchsorted(reps, rep)
-        stabilizer = image[:, reps] == reps
-        # held[c, a]: chi_c is 1 on the stabilizer of representative a
-        held = chars @ stabilizer == stabilizer.sum(axis=0)
-        orbit_size = (len(maps) // stabilizer.sum(axis=0))[orbit]
-        sign = chars[:, (image == rep).argmax(axis=0)]  # chi(h_s), h_s r = s
-
-        # each hopping entry H[r_a, j] out of a representative adds
-        # chi(h_j) sqrt(|orbit a| / |orbit b|) H[r_a, j] to part entry
-        # (a, b = orbit(j)) where chi holds both orbits
-        rows, cols, values = _hopping(spec, states)
-        out = rep[rows] == rows
-        rows, cols, values = rows[out], cols[out], values[out]
-        a, b = orbit[rows], orbit[cols]
-        values = values * (sign[:, cols] * np.sqrt(orbit_size[rows] / orbit_size[cols]))
-        amp = np.where(held[:, orbit], sign * _ORBIT_AMP[orbit_size], 0.0)
-        # the index of each representative in its part (the last held one's
-        # for one not held, whose amp is 0)
-        index = np.cumsum(held, axis=1) - 1
-        characters = np.flatnonzero(held.any(axis=1)).tolist()
-        self.parts = []
-        for c in characters:
-            keep = held[c, a] & held[c, b]
-            entries = index[c, a[keep]], index[c, b[keep]], values[c, keep]
-            self.parts.append((reps[held[c]], entries, index[c, orbit], amp[c, :, None]))
-
-        # With every coupling nonzero the block's hopping graph is connected,
-        # and the gauge u(s) = product of theta_i over the up sites of s, with
-        # theta_i theta_i+1 = -sign(J_i), makes every off-diagonal entry
-        # -|J_i|: the lowest level is simple, with vector u(s) phi(s), phi > 0
-        # (E. Lieb and D. Mattis, J. Math. Phys. 3, 749 (1962)).  So its
-        # character is chi(g) = u(g s) u(s) at any one state s: the table row
-        # with bit j set where that is -1 on generator j (element 2^j).
-        self.lead = 0
-        if all(spec.couplings):
-            mask, negative = 0, False  # the bits of the sites with theta -1
-            for bit, coupling in zip(range(n - 2, -1, -1), spec.couplings):
-                negative ^= coupling > 0
-                mask |= negative << bit
-            # u(g s) = -1 where g s has an odd number of up sites in the mask
-            odd = [bin(label & mask).count("1") % 2 for label in states[image[:, 0]].tolist()]
-            lead = sum((odd[1 << j] != odd[0]) << j for j in range(len(generators)))
-            self.lead = characters.index(lead)
-
-    def levels(self, delta: float, window: float) -> tuple[np.ndarray, np.ndarray]:
-        """Levels at ``delta`` within ``window`` of their own part's lowest,
-        and the pair data of their eigenvectors, the only ones unfolded and
-        reduced, part by part in part order; together a superset of the
-        levels within ``window`` of the block's lowest.
-
-        With a finite window the ``lead`` part is decomposed first.  Each
-        other part is skipped where ``_above`` proves all its levels more
-        than ``window`` above the lowest decomposed so far, and so above the
-        block's lowest, and decomposed as before where it cannot.  A skipped
-        level is one the window would never keep at the block level, so the
-        rows keep their bits (``_ground_window``); the calls made depend on
-        ``delta`` alone."""
-        diagonal = 0.5 * delta * self.zz + self.zeeman
-        kept, floor = {}, inf
-        for i in sorted(range(len(self.parts)), key=lambda i: i != self.lead):
+        Each part's matrices for the chunk are one stack, decomposed in one
+        call, unfolded and reduced once.  With a finite window the ``lead``
+        part goes first; at each delta another part is skipped where
+        ``_above`` proves all its levels more than that delta's window above
+        the lowest decomposed so far at that delta, and so above the block's
+        lowest, and decomposed where it cannot.  A skipped level is one the
+        window would never keep at the block level, so the rows keep their
+        bits (``_ground_window``); the matrices decomposed at a delta depend
+        on that delta alone."""
+        floors = [inf] * len(windows)
+        kept = [[] for _ in windows]
+        for i in self.order:
             reps, entries, orbit, amp = self.parts[i]
-            matrix = _dense(len(reps), entries, diagonal[reps])
-            if floor < inf and _above(matrix, floor):
+            matrices = _dense(len(reps), entries, diagonal.take(reps, axis=1))
+            todo = [
+                j for j, m in enumerate(matrices) if not (floors[j] < inf and _above(m, floors[j]))
+            ]
+            if not todo:
                 continue
-            dec = decompose(matrix)
-            del matrix
+            # the whole stack as it is, or a copy of the deltas not certified
+            chosen = slice(None) if len(todo) == len(matrices) else todo
+            dec = decompose(matrices[chosen])
+            del matrices
             w = dec.eigenvalues
-            floor = min(floor, w[0] + window)
-            top = np.count_nonzero(w - w[0] <= window)
-            # the gather copies, so the part's own vectors can go first; the
-            # gathered ones go before the next part is decomposed
-            x = dec.eigenvectors[orbit, :top]
+            tops = (w - w[:, :1] <= windows[chosen, None]).sum(axis=1).tolist()
+            # the first max(tops) levels of each delta, one delta after the
+            # other; the gather copies, so the part's own vectors can go first
+            top = max(tops)
+            x = dec.eigenvectors[:, orbit, :top].transpose(1, 0, 2).reshape(len(orbit), -1)
             del dec
             x *= amp
-            kept[i] = w[:top], _pair_rows(self.pair_maps, x)
+            data = _pair_rows(self.pair_maps, x)
             del x
-        energies, data = zip(*(kept[i] for i in sorted(kept)))
-        return np.concatenate(energies), np.concatenate(data)
+            for t, (j, count) in enumerate(zip(todo, tops)):
+                floors[j] = min(floors[j], w[t, 0] + windows[j])
+                kept[j].append((i, w[t, :count], data[t * top : t * top + count]))
+        levels = []
+        for pieces in kept:
+            pieces.sort(key=lambda piece: piece[0])
+            _, energies, data = zip(*pieces)
+            levels.append((np.concatenate(energies), np.concatenate(data)))
+        return levels
 
 
 def _above(matrix: np.ndarray, floor: float) -> bool:
@@ -257,12 +189,6 @@ def _above(matrix: np.ndarray, floor: float) -> bool:
     finally:
         matrix.flat[:: d + 1] = diagonal
     return True
-
-
-def _palindromic(spec: ChainSpec) -> bool:
-    """Whether mirror reflection commutes with the chain's H: couplings and
-    fields read the same from either end."""
-    return spec.couplings == spec.couplings[::-1] and spec.fields == spec.fields[::-1]
 
 
 def _norm_bound(spec: ChainSpec, delta: float, field: float) -> float:
@@ -320,33 +246,67 @@ class _BlockPlan:
 
     With every field exactly 0 the global spin flip maps block k onto block
     N - k, so only blocks k <= N/2 are kept and block N - k reuses their
-    levels (the very same numbers) and flipped pair data.  Each kept block
-    is split into the characters of its symmetry group (see ``_Block``).
+    levels (the very same numbers) and flipped pair data.  ``sectors``
+    names the blocks of a plan of one sector's ground state instead.
+
+    All blocks are built in one pass over their labels, concatenated in
+    block order (``zz``, ``zeeman`` and the parts' representatives index
+    them), and split into the characters of their symmetry group
+    (``hamiltonian._block_parts``).
+
+    A block's matrices at a delta are its parts' entries plus the diagonal
+    0.5 delta zz + Zeeman (the expression ``build_sector`` evaluates) at the
+    representatives.  ``spectra`` decomposes the deltas in chunks of
+    max(1, _CHUNK_ENTRIES // d^2), d the largest part: one stack per part.
     """
 
-    def __init__(self, template: ChainSpec, pair):
+    def __init__(self, template: ChainSpec, pair, sectors=None):
         n = template.n_sites
-        _check_sector(n, n // 2)
         self.template = template
+        self.flip = sectors is None and not any(template.fields)
+        if sectors is None:
+            _check_sector(n, n // 2)
+            sectors = range(n // 2 + 1 if self.flip else n + 1)
         self.pair = _pair_sites_checked(n, pair)
-        self.flip = not any(template.fields)
-        self.blocks = [
-            _Block(template, build_sector_basis(n, k), self.pair)
-            for k in range(n // 2 + 1 if self.flip else n + 1)
-        ]
+        self.sectors = list(sectors)
+        bases = [build_sector_basis(n, k) for k in self.sectors]
+        sizes = [len(basis) for basis in bases]
+        labels = np.concatenate([basis.state_array() for basis in bases])
+        bits = _site_bits(n, labels)
+        self.zz, self.zeeman = _diagonal_terms(template, bits)
+        pair_maps = _slot_maps(2 * bits[self.pair[0] - 1] + bits[self.pair[1] - 1], sizes)
+        parts = _block_parts(template, self.sectors, sizes, labels, bits)
+        self.blocks = [_Block(*block, maps) for block, maps in zip(parts, pair_maps)]
+        largest = max(len(part[0]) for block in self.blocks for part in block.parts)
+        self.chunk = max(1, _CHUNK_ENTRIES // largest**2)
+
+    def spectra(self, deltas, reach: float | None = None):
+        """The spectrum at each of the sequence ``deltas``, yielded in order,
+        each chunk of deltas decomposed when its first spectrum is read.
+        Given ``reach``, the largest |B| of a T = 0 call, each part keeps
+        only the levels that can be ground at a uniform field within it
+        (``_ground_window``, at each delta); None keeps every level."""
+        n = self.template.n_sites
+        sectors = range(n + 1) if self.flip else self.sectors
+        for start in range(0, len(deltas), self.chunk):
+            chunk = deltas[start : start + self.chunk]
+            windows = np.array(
+                [inf if reach is None else _ground_window(self.template, d, reach) for d in chunk]
+            )
+            diagonal = 0.5 * np.array(chunk, dtype=float)[:, None] * self.zz + self.zeeman
+            levels = [block.levels(diagonal, windows) for block in self.blocks]
+            for per_delta in zip(*levels):
+                energies, data = map(list, zip(*per_delta))
+                if self.flip:
+                    for k in range(n // 2 + 1, n + 1):
+                        energies.append(energies[n - k])
+                        data.append(data[n - k][:, _FLIPPED_COLUMNS])
+                yield _SectorSpectrum(n, sectors, energies, data)
 
     def spectrum(self, delta: float, reach: float | None = None) -> "_SectorSpectrum":
-        """The spectrum at ``delta``.  Given ``reach``, the largest |B| of a
-        T = 0 call, each part keeps only the levels that can be ground at a
-        uniform field within it (``_ground_window``); None keeps every level."""
-        n = self.template.n_sites
-        window = inf if reach is None else _ground_window(self.template, delta, reach)
-        energies, data = map(list, zip(*(block.levels(delta, window) for block in self.blocks)))
-        if self.flip:
-            for k in range(n // 2 + 1, n + 1):
-                energies.append(energies[n - k])
-                data.append(data[n - k][:, _FLIPPED_COLUMNS])
-        return _SectorSpectrum(n, range(n + 1), energies, data)
+        """The spectrum at one ``delta`` (``spectra``)."""
+        (spectrum,) = self.spectra((delta,), reach)
+        return spectrum
 
 
 class _SectorSpectrum:
@@ -365,7 +325,7 @@ class _SectorSpectrum:
         self.sector = np.repeat(np.asarray(sectors), [len(e) for e in energies])
         self.shift = 2.0 * self.sector - n_sites
 
-    def field_rows(self, fields, temperature: float = 0.0):
+    def field_rows(self, fields, temperature: float = 0.0, reach: float | None = None):
         """Ground energy, ground sector, ground degeneracy and pair
         concurrence at each uniform field of the sequence ``fields``, yielded
         as (start, e0, n_up, degeneracy, concurrence) per chunk of
@@ -380,7 +340,9 @@ class _SectorSpectrum:
         not ground change no bit of it.  At T > 0 it is the Boltzmann
         mixture over every level, sum_k w_k P_k / sum_k w_k Z_k with the
         sector sums of ``_sector_sums`` and w_k = exp(-(e_k + B s_k - E0) / T),
-        O(N + 1) a field.  No exponent is above 0 and the ground sector weighs
+        O(N + 1) a field, over the levels that can be ground at some |B| up to
+        ``reach``, which a T > 0 call gives: at least the largest |B| of
+        ``fields``.  No exponent is above 0 and the ground sector weighs
         1, so nothing overflows, and a gap over a tiny T underflows to its
         exact T -> 0 weight of 0.  Every reduction runs along one field's
         levels or sectors, in a fixed order and with no BLAS product, so a
@@ -389,7 +351,6 @@ class _SectorSpectrum:
         """
         levels = slice(None)
         if temperature > 0:
-            reach = max(map(abs, fields), default=0.0)
             levels, lows, shifts, sums = self._sector_sums(reach, temperature)
         energies, shift, sector = self.energies[levels], self.shift[levels], self.sector[levels]
 
@@ -454,15 +415,17 @@ def _grid(template: ChainSpec, pair, deltas, fields, temperature: float, pick):
     Refused when it is called, before any block is built: a scale at which
     ``_norm_bound`` overflows at the largest |delta| and |B| (it grows with
     both), then the cap and the pair (``_BlockPlan``).  At T = 0 a delta
-    keeps only the levels that can be ground within the largest |B|."""
+    keeps only the levels that can be ground within the largest |B|, the
+    reach that the T > 0 field pass reads too.  The deltas are decomposed a
+    chunk at a time (``_BlockPlan.spectra``), when the chunk's first block
+    is read."""
     reach = max(map(abs, fields))
     _norm_bound(template, max(map(abs, deltas)), reach)
-    plan = _BlockPlan(template, pair)
-    reach = None if temperature > 0 else reach
+    spectra = _BlockPlan(template, pair).spectra(deltas, None if temperature > 0 else reach)
 
     def blocks():
-        for delta in deltas:
-            for start, *columns in plan.spectrum(delta, reach).field_rows(fields, temperature):
+        for delta, spectrum in zip(deltas, spectra):
+            for start, *columns in spectrum.field_rows(fields, temperature, reach):
                 yield (float(delta),), start, [column.tolist() for column in pick(*columns)]
 
     return [float(field) for field in fields], blocks()
@@ -510,17 +473,17 @@ def classify_ground_state(spec: ChainSpec) -> PhasePoint:
 
 def sector_boundary_concurrence(spec: ChainSpec, n_up: int) -> float:
     """Concurrence between the end sites of the ground state of the
-    ``n_up`` sector: one ``_Block`` of the sweeps (split by the spec's
-    symmetries, such as every impurity chain's mirror) read at zero field by
+    ``n_up`` sector: a plan of that one block (``_BlockPlan`` with
+    ``sectors``, split by the spec's symmetries, such as every impurity
+    chain's mirror) read at zero field by
     ``field_rows`` within the spec's own ground window, so a degenerate
     sector ground space is the sweeps' equal mixture.  The spec's
     ``temperature`` is not read: the state is the T = 0 one."""
     n = spec.n_sites
     n_up = _check_sector(n, n_up)
-    window = _ground_window(spec, spec.delta, 0.0)
-    block = _Block(spec, build_sector_basis(n, n_up), (1, n))
-    energies, data = block.levels(spec.delta, window)
-    [(*_, (value,))] = _SectorSpectrum(n, [n_up], [energies], [data]).field_rows((0.0,))
+    _norm_bound(spec, spec.delta, 0.0)  # refused before the block is built
+    spectrum = _BlockPlan(spec, (1, n), (n_up,)).spectrum(spec.delta, 0.0)
+    [(*_, (value,))] = spectrum.field_rows((0.0,))
     return float(value)
 
 

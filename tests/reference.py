@@ -114,12 +114,13 @@ def thermal_rows_by_level(spectrum, fields, temperature: float):
 
 
 def joined_field_rows(spectrum, fields, temperature: float = 0.0):
-    """``_SectorSpectrum.field_rows(fields, temperature)`` as four arrays over
-    the whole of ``fields`` (ground energy, ground sector, degeneracy,
-    concurrence): its chunks joined in order, each checked to start where
-    the last one ended."""
+    """``_SectorSpectrum.field_rows(fields, temperature, reach)`` as four
+    arrays over the whole of ``fields`` (ground energy, ground sector,
+    degeneracy, concurrence), with the reach of ``fields``: its chunks joined
+    in order, each checked to start where the last one ended."""
     columns, end = None, 0
-    for start, *chunk in spectrum.field_rows(fields, temperature):
+    reach = max(map(abs, fields), default=0.0)
+    for start, *chunk in spectrum.field_rows(fields, temperature, reach):
         if columns is None:
             columns = [np.empty(len(fields), dtype=values.dtype) for values in chunk]
         assert start == end

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xxzchain.chain import ChainSpec, build_sector_basis
-from xxzchain.eigensolver import decompose, ground_space
+from xxzchain.eigensolver import SpectralDecomposition, decompose, ground_space
 from xxzchain.errors import DomainError
 from xxzchain.hamiltonian import build_full, build_sector
 
@@ -91,3 +95,72 @@ def test_rejects_bad_input():
         decompose(np.array([[1.0, float("inf")], [float("inf"), 1.0]]))
     with pytest.raises(DomainError):
         decompose(np.zeros((2, 3)))
+
+
+def test_a_stack_is_decomposed_matrix_by_matrix():
+    rng = np.random.default_rng(26)
+    stack = np.stack([_random_symmetric(rng, 9) for _ in range(3)])
+    dec = decompose(stack)
+    assert dec.eigenvalues.shape == (3, 9) and dec.eigenvectors.shape == (3, 9, 9)
+    assert dec.order == 9
+    for matrix, w, v in zip(stack, dec.eigenvalues, dec.eigenvectors):
+        alone = decompose(matrix)
+        assert np.array_equal(alone.eigenvalues, w) and np.array_equal(alone.eigenvectors, v)
+    with pytest.raises(DomainError):
+        decompose(np.zeros((2, 3, 4)))
+
+
+def test_ground_space_refuses_a_stack():
+    w, v = np.linalg.eigh(np.stack([np.eye(3), 2.0 * np.eye(3)]))
+    with pytest.raises(DomainError):
+        ground_space(SpectralDecomposition(w, v))
+
+
+# Every part of seeded sweep plans (n <= 10: zero, palindromic and generic
+# fields, signed couplings) as a stack over a few deltas, against one call per
+# matrix: the same bits, or the first mismatch printed.
+_STACKED_PARTS = """
+import numpy as np
+from xxzchain.chain import ChainSpec
+from xxzchain.eigensolver import decompose
+from xxzchain.hamiltonian import _dense
+from xxzchain.sweep import _BlockPlan
+
+rng = np.random.default_rng(27)
+checked = 0
+for n in range(2, 11):
+    half = rng.uniform(0.3, 1.5, (n - 1) // 2).tolist()
+    palindromic = tuple(half + rng.uniform(0.3, 1.5, (n - 1) % 2).tolist() + half[::-1])
+    signed = tuple(rng.choice([-1.0, 1.0], n - 1) * rng.uniform(0.3, 1.5, n - 1))
+    for spec in (ChainSpec(n, palindromic, (0.0,) * n, 0.0),
+                 ChainSpec(n, signed, (0.0,) * n, 0.0),
+                 ChainSpec(n, signed, tuple(rng.uniform(-1.0, 1.0, n)), 0.0)):
+        plan = _BlockPlan(spec, (1, n))
+        deltas = rng.uniform(-1.5, 2.0, 4)
+        diagonal = 0.5 * deltas[:, None] * plan.zz + plan.zeeman
+        for block in plan.blocks:
+            for reps, entries, _, _ in block.parts:
+                stack = _dense(len(reps), entries, diagonal[:, reps])
+                dec = decompose(stack)
+                for j, matrix in enumerate(stack):
+                    alone = decompose(matrix.copy())
+                    if not (np.array_equal(alone.eigenvalues, dec.eigenvalues[j])
+                            and np.array_equal(alone.eigenvectors, dec.eigenvectors[j])):
+                        print("mismatch", n, len(reps), j)
+                        raise SystemExit(1)
+                    checked += 1
+print("checked", checked)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_stack_of_sweep_parts_has_the_bits_of_one_call_per_part(threads):
+    # the BLAS thread count is read when numpy loads, so each count runs in
+    # a child process of its own
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _STACKED_PARTS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert int(done.stdout.split()[-1]) > 400

@@ -7,10 +7,11 @@ proves by one Cholesky factorization that all its levels lie more than the
 window above that lowest.  These tests pin that the rule names the right
 part, that a skipped part changes no bit of a row, that the certificate
 fails over to the decomposition wherever parts share the lowest level, that
-T > 0 never tries it, that what it proves holds, and that the calls made at
-a delta do not depend on the deltas read before it.
+T > 0 never tries it, that what it proves holds, and that the work done at
+a delta does not depend on the chunk of deltas it shares.
 """
 
+from collections import Counter
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -81,9 +82,14 @@ def _failing(matrix):
     raise np.linalg.LinAlgError("certificate disabled")
 
 
+def _orders(matrix) -> list[int]:
+    """The order of each matrix of ``matrix``, one matrix or a stack."""
+    return [matrix.shape[-1]] * (len(matrix) if matrix.ndim == 3 else 1)
+
+
 def _record(monkeypatch) -> tuple[list, list]:
     """Patch the sweep core to record each certificate's result and the size
-    of each matrix it decomposes."""
+    of each matrix it decomposes, in the order of the calls."""
     results, dims = [], []
 
     def certifying(matrix, floor):
@@ -91,7 +97,7 @@ def _record(monkeypatch) -> tuple[list, list]:
         return results[-1]
 
     def recording(matrix):
-        dims.append(len(matrix))
+        dims.extend(_orders(matrix))
         return decompose(matrix)
 
     monkeypatch.setattr(sweep, "_above", certifying)
@@ -152,9 +158,11 @@ def test_halves_that_share_the_lowest_level_are_both_decomposed(monkeypatch):
     # blocks k = 0..3 have 1, 4 + 4, 16 + 12 and 28 + 28 states; in block 4
     # R fixes 6 of the 70 states, F none and RF 2^4 = 16, so its parts have
     # (70 + 6 + 16)/4 = 23, (70 - 6 - 16)/4 = 12, (70 + 6 - 16)/4 = 15 and
-    # (70 - 6 + 16)/4 = 20 states, and the first holds its lowest level
-    assert dims == [1, 4, 4, 16, 28, 28, 23] * 2
-    assert results == [False, True, False, True, True, True] * 2
+    # (70 - 6 + 16)/4 = 20 states, and the first holds its lowest level.  Both
+    # deltas share a chunk, so each part's matrices come as one stack of two,
+    # and its certificates one per delta
+    assert dims == [d for d in [1, 4, 4, 16, 28, 28, 23] for _ in range(2)]
+    assert results == [r for r in [False, True, False, True, True, True] for _ in range(2)]
     results.clear()
     dims.clear()
     dimers = ChainSpec(6, (1.0, 0.0, 1.0, 0.0, 1.0), (0.0,) * 6, 0.0)
@@ -195,8 +203,9 @@ def test_the_lead_part_holds_every_blocks_lowest_level(signs):
                 spec = ChainSpec(n, tuple(sign * magnitude), fields, float(rng.uniform(-1.5, 2.0)))
                 for k in range(n + 1):
                     basis = build_sector_basis(n, k)
-                    block = sweep._Block(spec, basis, (1, n))
-                    diagonal = 0.5 * spec.delta * block.zz + block.zeeman
+                    plan = _BlockPlan(spec, (1, n), (k,))
+                    block = plan.blocks[0]
+                    diagonal = 0.5 * spec.delta * plan.zz + plan.zeeman
                     lows = [
                         np.linalg.eigvalsh(_dense(len(reps), entries, diagonal[reps]))[0]
                         for reps, entries, _, _ in block.parts
@@ -214,10 +223,19 @@ def test_a_single_uniform_delta_makes_no_failed_certificate(monkeypatch, n):
     # the lead part holds every block's lowest level at the first delta, so
     # every other part is certified and each block decomposes one part
     results, dims = _record(monkeypatch)
-    for delta in (-0.5, 0.0, 1.0, 2.0):
+    deltas = (-0.5, 0.0, 1.0, 2.0)
+    for delta in deltas:
         list(phase_scan(ChainSpec.uniform(n), (delta,), (0.0, 0.5, 1.5)))
     assert results and all(results)
     assert len(dims) == 4 * (n // 2 + 1)
+    # the four deltas in one call, in chunks of several up to n = 8: as many
+    # certificates and decomposed matrices (24 and 28 at n = 10)
+    counts = len(dims), len(results)
+    dims.clear()
+    results.clear()
+    list(phase_scan(ChainSpec.uniform(n), deltas, (0.0, 0.5, 1.5)))
+    assert (len(dims), len(results)) == counts and all(results)
+    assert n != 10 or counts == (24, 28)
 
 
 @pytest.mark.parametrize(
@@ -230,7 +248,10 @@ def test_a_single_uniform_delta_makes_no_failed_certificate(monkeypatch, n):
         ChainSpec(6, (1.0, 0.0, 1.0, 0.0, 1.0), (0.0,) * 6, 0.0),  # split dimers
     ],
 )
-def test_the_calls_at_a_delta_do_not_depend_on_the_deltas_read_before(monkeypatch, spec):
+def test_the_work_at_a_delta_does_not_depend_on_the_chunk_it_shares(monkeypatch, spec):
+    # every certificate (with its result) and every decomposed matrix, of a
+    # chunk of deltas, is the sum of those of each delta alone, and each
+    # delta's spectrum is the same bits
     calls = []
 
     def certifying(matrix, floor):
@@ -238,20 +259,27 @@ def test_the_calls_at_a_delta_do_not_depend_on_the_deltas_read_before(monkeypatc
         return calls[-1][-1]
 
     def recording(matrix):
-        calls.append(("decompose", len(matrix)))
+        calls.extend(("decompose", order) for order in _orders(matrix))
         return decompose(matrix)
 
     monkeypatch.setattr(sweep, "_above", certifying)
     monkeypatch.setattr(sweep, "decompose", recording)
-    fields, seen = (0.0, 0.5, 2.0), []
-    for before in ((), (-0.5,), (1.5, -1.0)):
-        plan = _BlockPlan(spec, (1, spec.n_sites))
-        for delta in before:
-            plan.spectrum(delta, max(map(abs, fields)))
+    monkeypatch.setattr(sweep, "_CHUNK_ENTRIES", 2**20)  # every delta in one chunk
+    reach = max(map(abs, (0.0, 0.5, 2.0)))
+    plan = _BlockPlan(spec, (1, spec.n_sites))
+    alone, spectra = {}, {}
+    for delta in (0.7, -0.5, 1.5, -1.0):
         calls.clear()
-        plan.spectrum(0.7, max(map(abs, fields)))
-        seen.append(list(calls))
-    assert seen[0] and seen[0] == seen[1] == seen[2]
+        spectra[delta] = plan.spectrum(delta, reach)
+        alone[delta] = Counter(calls)
+    assert alone[0.7]
+    for chunk in ((0.7,), (-0.5, 0.7), (1.5, -1.0, 0.7)):
+        calls.clear()
+        shared = list(plan.spectra(chunk, reach))
+        assert Counter(calls) == sum((alone[delta] for delta in chunk), Counter())
+        for delta, spectrum in zip(chunk, shared):
+            assert spectrum.energies.tobytes() == spectra[delta].energies.tobytes()
+            assert spectrum.pair_data.tobytes() == spectra[delta].pair_data.tobytes()
 
 
 def test_a_thermal_curve_never_tries_the_certificate(monkeypatch):

@@ -1,17 +1,18 @@
 """The per-sweep block plan and the T = 0 level window of the sweep core.
 
-A sweep builds its S^z blocks once (``sweep._BlockPlan``) and only puts
-each delta's diagonal together; at T = 0 every block keeps just the levels
-within the window of its own lowest that can ever be ground.  These tests
-pin that the blocks are built once, that each part is assembled once per
-delta, how many of them are decomposed (at T = 0 the certificate of
-``tests/test_sweep_certificate.py`` spares some), and that dropping levels
-changes no bit of a row.
+A sweep builds its S^z blocks once, in one pass (``sweep._BlockPlan``), and
+only puts each delta's diagonal together, a chunk of deltas at a time; at
+T = 0 every block keeps just the levels within the window of its own lowest
+that can ever be ground.  These tests pin that the blocks are built once,
+that each part is assembled once per delta, how many matrices are
+decomposed (at T = 0 the certificate of ``tests/test_sweep_certificate.py``
+spares some), and that neither dropping levels nor the chunking of the
+deltas changes a bit of a row.
 """
 
 import copy
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reference import joined_field_rows, phase_points
-from xxzchain import sweep
-from xxzchain.chain import ChainSpec
+from xxzchain import hamiltonian, sweep
+from xxzchain.chain import ChainSpec, build_sector_basis
 from xxzchain.sweep import (
     _BlockPlan,
     classify_ground_state,
@@ -31,17 +32,25 @@ from xxzchain.sweep import (
 )
 
 
-def _count(monkeypatch, name: str) -> list:
-    """Patch ``name`` where the sweep core calls it to record each call."""
+def _count(monkeypatch, name: str, module=sweep) -> list:
+    """Patch ``name`` where the sweep core (or the part assembly of
+    ``hamiltonian``) calls it to record each call."""
     calls = []
-    original = getattr(sweep, name)
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(sweep, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def _stacked(calls: list, position: int, ndim: int) -> int:
+    """How many matrices the recorded ``calls`` were about: the stack depth
+    of their argument at ``position``, which has ``ndim`` axes for one
+    matrix (the diagonal of ``_dense``, the matrix of ``decompose``)."""
+    return sum(int(np.prod(np.shape(args[position])[:-ndim])) for args in calls)
 
 
 def _parts_per_delta(monkeypatch, spec: ChainSpec, pair) -> int:
@@ -50,7 +59,12 @@ def _parts_per_delta(monkeypatch, spec: ChainSpec, pair) -> int:
     with monkeypatch.context() as patch:
         calls = _count(patch, "decompose")
         _BlockPlan(spec, pair).spectrum(spec.delta)
-    return len(calls)
+    return _stacked(calls, 0, 2)
+
+
+def _labels(n: int, sectors) -> list[int]:
+    """The labels of the blocks ``sectors`` of an n-site chain, ascending."""
+    return sorted(state for k in sectors for state in build_sector_basis(n, k).states)
 
 
 _COUPLINGS = [(1.0,) * 6, (1.0, 0.7, 1.3, 0.9, 1.1, 0.6)]  # palindromic, generic
@@ -62,18 +76,19 @@ def test_a_phase_scan_builds_each_block_once(monkeypatch, couplings):
     deltas = (-0.5, 0.0, 0.5, 1.0)
     per_delta = _parts_per_delta(monkeypatch, template, (1, 7))
     bases = _count(monkeypatch, "build_sector_basis")
-    blocks = _count(monkeypatch, "_hopping")
+    passes = _count(monkeypatch, "_hopping", hamiltonian)
     parts = _count(monkeypatch, "_dense")
     solves = _count(monkeypatch, "decompose")
     rows = list(phase_scan(template, deltas, (0.0, 0.8, 2.5)))
     assert len(rows) == 12
-    # zero field: the spin flip leaves blocks k = 0..3 to decompose
+    # zero field: the spin flip leaves blocks k = 0..3 to decompose, built
+    # in one pass over their labels, each label once
     assert [args[1] for args in bases] == [0, 1, 2, 3]
-    assert len(blocks) == 4
-    assert len(parts) == len(deltas) * per_delta
+    assert len(passes) == 1 and sorted(passes[0][1].tolist()) == _labels(7, range(4))
+    assert _stacked(parts, 2, 1) == len(deltas) * per_delta
     # one per block: at T = 0 the certificate spares every odd half of the
     # palindromic chain, whose blocks have their lowest level in the even half
-    assert len(solves) == len(deltas) * 4
+    assert _stacked(solves, 0, 2) == len(deltas) * 4
 
 
 @pytest.mark.parametrize("temperature", [0.0, 0.3])
@@ -83,15 +98,56 @@ def test_a_curve_builds_each_block_once(monkeypatch, couplings, temperature):
     deltas = (0.0, 0.5, 1.0)
     per_delta = _parts_per_delta(monkeypatch, template, (2, 6))
     bases = _count(monkeypatch, "build_sector_basis")
-    blocks = _count(monkeypatch, "_hopping")
+    passes = _count(monkeypatch, "_hopping", hamiltonian)
     parts = _count(monkeypatch, "_dense")
     solves = _count(monkeypatch, "decompose")
     rows = list(concurrence_curve(template, (6, 2), (0.0, 0.4, 1.2), deltas))
     assert len(rows) == 9
-    assert len(bases) == len(blocks) == 4
-    assert len(parts) == len(deltas) * per_delta
+    assert len(bases) == 4
+    assert len(passes) == 1 and sorted(passes[0][1].tolist()) == _labels(7, range(4))
+    assert _stacked(parts, 2, 1) == len(deltas) * per_delta
     # T > 0 decomposes every part; T = 0 one per block, as in the phase scan
-    assert len(solves) == len(deltas) * (per_delta if temperature > 0 else 4)
+    assert _stacked(solves, 0, 2) == len(deltas) * (per_delta if temperature > 0 else 4)
+
+
+def _chunked_rows(spec: ChainSpec, deltas, fields) -> str:
+    """Every row kind of ``spec`` over the grid, at T = 0 and T = 0.2, as
+    the repr of its floats (exact to the last bit, signed zeros included)."""
+    n = spec.n_sites
+    rows = [astuple(p) for p in phase_scan(spec, deltas, fields)]
+    for temperature in (0.0, 0.2):
+        template = replace(spec, temperature=temperature)
+        rows += list(concurrence_curve(template, (1, n), fields, deltas))
+        if n > 3:
+            rows += list(concurrence_curve(template, (2, n - 1), fields, deltas))
+    return repr(rows)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_rows_are_the_same_bits_however_the_deltas_are_chunked(monkeypatch, n):
+    # a chunk of one delta, the default and every delta of a call in one
+    # chunk; zero, palindromic and generic fields, signed couplings.  The
+    # field 2e7 widens the T = 0 window to several levels a part, a number
+    # that differs between the deltas of a chunk
+    rng = np.random.default_rng(3000 + n)
+    half = rng.uniform(0.3, 1.5, (n - 1) // 2).tolist()
+    palindromic = tuple(half + rng.uniform(0.3, 1.5, (n - 1) % 2).tolist() + half[::-1])
+    sites = rng.uniform(-1.0, 1.0, (n + 1) // 2).tolist()
+    specs = [
+        ChainSpec(n, palindromic, (0.0,) * n, 0.0),
+        ChainSpec(n, palindromic, tuple(sites + sites[: n // 2][::-1]), 0.0),
+        ChainSpec(n, tuple(rng.choice([-1.0, 1.0], n - 1) * rng.uniform(0.3, 1.5, n - 1)),
+                  tuple(rng.uniform(-1.0, 1.0, n)), 0.0),
+    ]
+    deltas = tuple(rng.uniform(-1.5, 2.0, 7).tolist()) + (1.0,)
+    fields = (0.0, 0.25, *rng.uniform(-2.0, 2.0, 5).tolist(), 2e7)
+    for spec in specs:
+        expected = _chunked_rows(spec, deltas, fields)
+        for entries, chunk in ((1, 1), (2**20, len(deltas))):
+            with monkeypatch.context() as patch:
+                patch.setattr(sweep, "_CHUNK_ENTRIES", entries)
+                assert min(_BlockPlan(spec, (1, n)).chunk, len(deltas)) == chunk
+                assert _chunked_rows(spec, deltas, fields) == expected
 
 
 @pytest.mark.parametrize("couplings", [(1.0,) * 11, (1.0, 0.7, 1.3, 0.9, 1.1, 0.6, 0.8, 1.2, 0.9, 1.1, 0.7)])

@@ -19,7 +19,7 @@ from reference import (
     plain_block_spectrum,
 )
 from xxzchain import sweep
-from xxzchain.chain import ChainSpec, build_sector_basis
+from xxzchain.chain import ChainSpec
 from xxzchain.channel import build_channel, impurity_profile_chain
 from xxzchain.eigensolver import SpectralDecomposition, decompose
 from xxzchain.hamiltonian import _dense
@@ -42,16 +42,17 @@ def _palindrome(rng, length: int) -> tuple[float, ...]:
 
 
 def _record_dims(monkeypatch) -> tuple[list[int], list[int]]:
-    """Patch the sweep core to record the size of each part it assembles and
-    of each matrix it decomposes."""
+    """Patch the sweep core to record the size of each part matrix it
+    assembles and of each matrix it decomposes, one entry per matrix of a
+    stack."""
     assembled, dims = [], []
 
-    def assembling(size, *args):
-        assembled.append(size)
-        return _dense(size, *args)
+    def assembling(size, entries, diagonal):
+        assembled.extend([size] * (len(diagonal) if np.ndim(diagonal) == 2 else 1))
+        return _dense(size, entries, diagonal)
 
     def recording(matrix):
-        dims.append(len(matrix))
+        dims.extend([matrix.shape[-1]] * (len(matrix) if matrix.ndim == 3 else 1))
         return decompose(matrix)
 
     monkeypatch.setattr(sweep, "_dense", assembling)
@@ -231,7 +232,7 @@ def test_an_empty_character_is_dropped_not_decomposed(monkeypatch):
     # 2^2 = 4, so the characters hold (6 + 2 + 4)/4 = 3, (6 - 2 - 4)/4 = 0,
     # (6 + 2 - 4)/4 = 1 and (6 - 2 + 4)/4 = 2 states; the empty one is no part
     spec = ChainSpec.uniform(4, delta=0.5)
-    block = sweep._Block(spec, build_sector_basis(4, 2), (1, 4))
+    block = _BlockPlan(spec, (1, 4), (2,)).blocks[0]
     assert [len(part[0]) for part in block.parts] == [3, 1, 2]
     assembled, dims = _record_dims(monkeypatch)
     rows = list(concurrence_curve(replace(spec, temperature=0.2), (1, 4), (0.0, 1.0), (0.5,)))

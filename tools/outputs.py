@@ -9,9 +9,10 @@ Runs ``xxzchain.cli.main`` in process, with one BLAS thread, on:
 - ``phase-scan`` and T = 0 ``curve`` on a field axis holding both -0.0 and
   0.0 with an int delta, a T > 0 ``curve`` at N = 10, a uniform N = 10
   ``phase-scan`` and a uniform N = 6 T > 0 ``curve`` whose field pass
-  spans three chunks a delta, and ``channel`` at betas 0, 0.5 and 1 (the
-  nan and inf columns) with N = 2000, whose betas fall in several chunks
-  (``EXTRA``);
+  spans three chunks a delta, a uniform N = 8 ``phase-scan`` and T > 0
+  ``curve`` over 25 deltas, decomposed in five chunks of deltas, and
+  ``channel`` at betas 0, 0.5 and 1 (the nan and inf columns) with
+  N = 2000, whose betas fall in several chunks (``EXTRA``);
 
 each in CSV and in JSONL.  For each case it prints one line: the case, the
 SHA-256 of stdout, the SHA-256 of stderr and the exit code.  Two trees print
@@ -70,6 +71,7 @@ def _spec(n_sites: int, temperature: float = 0.0, uniform: bool = False) -> dict
 
 
 SIGNED = [-0.0, 0.0, 0.25, -0.5, 1, 1.75]  # both zeros, an int and signed values
+DELTAS = [-1 + 0.125 * m for m in range(25)]
 EXTRA = [
     ("phase-scan signed zeros", "phase-scan",
      {"spec": _spec(6), "grid": {"delta": [1, 0.5], "B": SIGNED}}),
@@ -85,6 +87,14 @@ EXTRA = [
     ("curve T>0 chunks n=6", "curve",
      {"spec": _spec(6, 0.1, uniform=True), "pair": [1, 6], "delta_values": [0, 1],
       "grid": {"B": {"min": 0, "max": 3, "step": 0.0025}}}),
+    # 25 deltas in chunks of 5: the largest part of a uniform n = 8 plan has
+    # 28 states, and 4096 // 28^2 = 5
+    ("phase-scan delta chunks n=8", "phase-scan",
+     {"spec": _spec(8, uniform=True),
+      "grid": {"delta": DELTAS, "B": {"min": 0, "max": 3, "step": 0.25}}}),
+    ("curve T>0 delta chunks n=8", "curve",
+     {"spec": _spec(8, 0.1, uniform=True), "pair": [2, 7], "delta_values": DELTAS,
+      "grid": {"B": {"min": -0.5, "max": 2, "step": 0.125}}}),
     ("channel beta<=1", "channel",
      {"n_sites_values": [4, 10, 2000], "coupling": 0.8,
       "grid": {"beta": [0, 0.5, 1, 1.0000001, 1.5, 3, 6, 12, 24]}}),
