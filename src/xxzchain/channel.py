@@ -25,7 +25,7 @@ import numpy as np
 
 from .chain import _CHUNK_ENTRIES, ChainSpec, _capped, _rows, check_grid
 from .closed_forms import c1n_channel
-from .eigensolver import _degeneracy_tolerance
+from .eigensolver import _degeneracy_tolerance, _one_blas_thread
 from .errors import DomainError, _shown, as_float, as_int
 
 # the top of design_report's bracket on beta = 2B/J, read at each call
@@ -237,7 +237,9 @@ def _ground_profiles(
     The roots stay scalar ``math`` calls, as numpy's exp and expm1 differ
     from libm's in the last bit on a few percent of inputs; the profiles of
     all fields are then built as one (fields, k) array, each row bit for bit
-    the one a single field gives.
+    the one a single field gives.  Each row's norm is a BLAS dot product,
+    taken on one OpenBLAS thread (``eigensolver._one_blas_thread``), so a
+    long row's bits do not depend on the thread count.
     """
     energies, q, bound = zip(*[_block_ground(k, coupling, b, True) for b in bulk_fields])
     # the symmetric ground energy lies between e_anti and x + 2J, so a finite
@@ -248,7 +250,8 @@ def _ground_profiles(
     s = np.empty((len(energies), k))
     s[bound] = np.exp(-q[bound] * sites) * (1.0 + np.exp(-q[bound] * (2 * k - 1 - 2 * sites)))
     s[~bound] = np.cos(q[~bound] * (k - 0.5 - sites))
-    v = s / np.array([math.sqrt(float(row @ row)) for row in s])[:, None]
+    with _one_blas_thread:
+        v = s / np.array([math.sqrt(float(row @ row)) for row in s])[:, None]
     coeffs = v / math.sqrt(2.0)
     coeffs[np.abs(coeffs) < np.finfo(float).tiny] = 0.0
     return energies, v[:, 0] * v[:, 0], coeffs

@@ -30,6 +30,16 @@ rule and decomposed first, and at a delta where one Cholesky factorization
 proves a part's levels to lie beyond that window of the block's lowest, the
 part is not decomposed at all (``_Block.levels``).
 
+Where a chunk is one delta (a part of more than 45 states, as from n = 9
+on), its blocks, which share nothing, are decomposed at the same time:
+split into one share per CPU the process may use, the costliest first, the
+first share on the calling thread and each other on a daemon worker thread
+(``_Workers``).  Every LAPACK call runs on one OpenBLAS thread
+(``eigensolver._one_blas_thread``) and each block whole on one thread, so
+a spectrum is the same bits on any number of CPUs and BLAS threads.  Where
+numpy's BLAS has no OpenBLAS thread count to set, the blocks run one after
+the other on the calling thread, as BLAS threads may change their bits.
+
 The field axis of a delta is then evaluated in one vectorized pass
 (``_SectorSpectrum.field_rows``): the shifted levels, the ground space and
 the mixed pair data of a chunk of fields at once, and their concurrences
@@ -64,7 +74,11 @@ before anything is allocated.
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
 from dataclasses import dataclass, replace
+from functools import partial
 from math import comb, inf, isfinite, nan
 
 import numpy as np
@@ -73,7 +87,7 @@ from . import closed_forms
 from .chain import _CHUNK_ENTRIES, ChainSpec, _rows, build_sector_basis, check_grid
 from .channel import channel_curve  # unused: perfbench's tracer wraps it from here
 from .closed_forms import GroundRegime
-from .eigensolver import _degeneracy_tolerance, decompose
+from .eigensolver import _degeneracy_tolerance, _one_blas_thread, decompose
 from .entanglement import _pair_rows, _pair_sites_checked, _slot_maps, xstate_concurrences
 from .errors import DomainError, ResourceCapError, _shown, as_float, as_int
 from .hamiltonian import _block_parts, _dense, _diagonal_terms, _site_bits
@@ -258,6 +272,8 @@ class _BlockPlan:
     0.5 delta zz + Zeeman (the expression ``build_sector`` evaluates) at the
     representatives.  ``spectra`` decomposes the deltas in chunks of
     max(1, _CHUNK_ENTRIES // d^2), d the largest part: one stack per part.
+    ``costs`` holds each block's sum of d^3 over its parts, by which
+    ``_shares`` splits the blocks of a one-delta chunk across the CPUs.
     """
 
     def __init__(self, template: ChainSpec, pair, sectors=None):
@@ -275,17 +291,43 @@ class _BlockPlan:
         bits = _site_bits(n, labels)
         self.zz, self.zeeman = _diagonal_terms(template, bits)
         pair_maps = _slot_maps(2 * bits[self.pair[0] - 1] + bits[self.pair[1] - 1], sizes)
-        parts = _block_parts(template, self.sectors, sizes, labels, bits)
+        with _one_blas_thread:  # its one matrix product
+            parts = _block_parts(template, self.sectors, sizes, labels, bits)
         self.blocks = [_Block(*block, maps) for block, maps in zip(parts, pair_maps)]
         largest = max(len(part[0]) for block in self.blocks for part in block.parts)
         self.chunk = max(1, _CHUNK_ENTRIES // largest**2)
+        self.costs = [sum(len(part[0]) ** 3 for part in block.parts) for block in self.blocks]
+
+    def _shares(self, count: int) -> list[list[int]]:
+        """The indices of the plan's blocks split into at most ``count``
+        shares, none empty, each in block order: the costliest block first,
+        each to the share with the least cost so far (the first on a tie).
+        One share is every block in order."""
+        shares, loads = [[] for _ in range(count)], [0] * count
+        for b in sorted(range(len(self.blocks)), key=lambda b: -self.costs[b]):
+            least = loads.index(min(loads))
+            shares[least].append(b)
+            loads[least] += self.costs[b]
+        return [sorted(share) for share in shares if share]
+
+    def _levels(self, share, diagonal, windows) -> list:
+        """``_Block.levels`` of each block of ``share``, in its order."""
+        return [self.blocks[b].levels(diagonal, windows) for b in share]
 
     def spectra(self, deltas, reach: float | None = None):
         """The spectrum at each of the sequence ``deltas``, yielded in order,
         each chunk of deltas decomposed when its first spectrum is read.
         Given ``reach``, the largest |B| of a T = 0 call, each part keeps
         only the levels that can be ground at a uniform field within it
-        (``_ground_window``, at each delta); None keeps every level."""
+        (``_ground_window``, at each delta); None keeps every level.
+
+        A chunk runs with OpenBLAS on one thread.  Where a chunk is one
+        delta (``chunk`` is 1) and that pin holds, its blocks are split into
+        one share per CPU (``_cpus``, ``_shares``), each block's ``levels``
+        whole on one thread (``_Workers.run``); otherwise the one share is
+        every block in order.  Every share is collected before a spectrum is
+        yielded or an error raised, and the pin is released before each
+        yield."""
         n = self.template.n_sites
         sectors = range(n + 1) if self.flip else self.sectors
         for start in range(0, len(deltas), self.chunk):
@@ -294,7 +336,13 @@ class _BlockPlan:
                 [inf if reach is None else _ground_window(self.template, d, reach) for d in chunk]
             )
             diagonal = 0.5 * np.array(chunk, dtype=float)[:, None] * self.zz + self.zeeman
-            levels = [block.levels(diagonal, windows) for block in self.blocks]
+            with _one_blas_thread as pinned:
+                shares = self._shares(_cpus() if pinned and self.chunk == 1 else 1)
+                done = _WORKERS.run([partial(self._levels, s, diagonal, windows) for s in shares])
+            levels = [None] * len(self.blocks)
+            for share, results in zip(shares, done):
+                for b, result in zip(share, results):
+                    levels[b] = result
             for per_delta in zip(*levels):
                 energies, data = map(list, zip(*per_delta))
                 if self.flip:
@@ -307,6 +355,66 @@ class _BlockPlan:
         """The spectrum at one ``delta`` (``spectra``)."""
         (spectrum,) = self.spectra((delta,), reach)
         return spectrum
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on: its affinity, where the
+    platform reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _outcome(call) -> tuple:
+    """(result, None) of ``call()``, or (None, the exception it raised)."""
+    try:
+        return call(), None
+    except BaseException as exc:  # handed to the thread that waits for it
+        return None, exc
+
+
+def _serve(tasks) -> None:
+    """A worker thread: each (index, call, results) task taken from ``tasks``
+    puts (index, outcome) on its own ``results`` queue."""
+    while True:
+        index, call, results = tasks.get()
+        results.put((index, _outcome(call)))
+        del call, results  # an idle worker keeps nothing of its last task alive
+
+
+class _Workers:
+    """Daemon threads that run calls for ``run``, started on first use.  A
+    forked child has none of its parent's threads, so it starts afresh."""
+
+    def __init__(self):
+        self.tasks, self.threads, self.lock = queue.SimpleQueue(), [], threading.Lock()
+
+    def run(self, calls: list) -> list:
+        """The results of ``calls`` (functions of no argument), in order: the
+        first called on this thread, each other on a worker, with a result
+        queue of this call's own.  Every call has returned before this
+        does; then the first exception raised, in call order, is raised."""
+        with self.lock:
+            while len(self.threads) < len(calls) - 1:
+                thread = threading.Thread(target=_serve, args=(self.tasks,), daemon=True)
+                thread.start()
+                self.threads.append(thread)
+        results = queue.SimpleQueue()
+        for index, call in enumerate(calls[1:], 1):
+            self.tasks.put((index, call, results))
+        outcomes = [_outcome(calls[0])] + [None] * (len(calls) - 1)
+        for _ in calls[1:]:
+            index, outcome = results.get()
+            outcomes[index] = outcome
+        for _, error in outcomes:
+            if error is not None:
+                raise error
+        return [result for result, _ in outcomes]
+
+
+_WORKERS = _Workers()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_WORKERS.__init__)
 
 
 class _SectorSpectrum:

@@ -12,7 +12,7 @@ import numpy as np
 from xxzchain.chain import build_sector_basis, site_mask
 from xxzchain.channel import BETA_CAP, _block_ground, build_channel, fold_single_excitation
 from xxzchain.closed_forms import c1n_channel
-from xxzchain.eigensolver import DEGENERACY_RTOL, decompose
+from xxzchain.eigensolver import DEGENERACY_RTOL, _one_blas_thread, decompose
 from xxzchain.entanglement import (
     SPIN_FLIP,
     TwoQubitDensityMatrix,
@@ -230,7 +230,9 @@ def scalar_ground_profile(n_sites: int, coupling: float, bulk_field: float):
     one field by the one-dimensional route: the profile closed form on a
     length-k vector, normalised by its own dot product, scaled and then
     signed (alternating, largest-magnitude coefficient positive), with
-    nothing shared between fields."""
+    nothing shared between fields.  The dot product runs on one OpenBLAS
+    thread, as the library's does, since a long one's last bit depends on
+    the thread count."""
     k = n_sites // 2
     e_anti, q, bound = _block_ground(k, coupling, bulk_field, antisymmetric=True)
     sites = np.arange(k)
@@ -238,7 +240,8 @@ def scalar_ground_profile(n_sites: int, coupling: float, bulk_field: float):
         s = np.exp(-q * sites) * (1.0 + np.exp(-q * (2 * k - 1 - 2 * sites)))
     else:
         s = np.cos(q * (k - 0.5 - sites))
-    v = s / math.sqrt(float(s @ s))
+    with _one_blas_thread:
+        v = s / math.sqrt(float(s @ s))
     coeffs = v / math.sqrt(2.0)
     coeffs[1::2] *= -1.0
     if coeffs[np.argmax(np.abs(coeffs))] < 0:

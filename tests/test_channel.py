@@ -500,10 +500,11 @@ def test_sector_routes_import_no_dense_path(module):
     }
 
 
-def test_channel_takes_only_the_degeneracy_tolerance_from_the_numeric_layers():
+def test_channel_takes_only_the_tolerance_and_the_blas_pin_from_the_numeric_layers():
+    # the degeneracy tolerance, and the one-thread BLAS pin its norms run in
     imports = _package_imports(channel)
     assert "hamiltonian" not in imports and "entanglement" not in imports
-    assert imports["eigensolver"] == {"_degeneracy_tolerance"}
+    assert imports["eigensolver"] == {"_degeneracy_tolerance", "_one_blas_thread"}
 
 
 def _src_modules():

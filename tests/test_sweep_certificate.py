@@ -89,7 +89,8 @@ def _orders(matrix) -> list[int]:
 
 def _record(monkeypatch) -> tuple[list, list]:
     """Patch the sweep core to record each certificate's result and the size
-    of each matrix it decomposes, in the order of the calls."""
+    of each matrix it decomposes, in the order of the calls, with one CPU,
+    so a delta's blocks run one after the other."""
     results, dims = [], []
 
     def certifying(matrix, floor):
@@ -102,6 +103,7 @@ def _record(monkeypatch) -> tuple[list, list]:
 
     monkeypatch.setattr(sweep, "_above", certifying)
     monkeypatch.setattr(sweep, "decompose", recording)
+    monkeypatch.setattr(sweep, "_cpus", lambda: 1)
     return results, dims
 
 

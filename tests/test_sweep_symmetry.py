@@ -44,7 +44,8 @@ def _palindrome(rng, length: int) -> tuple[float, ...]:
 def _record_dims(monkeypatch) -> tuple[list[int], list[int]]:
     """Patch the sweep core to record the size of each part matrix it
     assembles and of each matrix it decomposes, one entry per matrix of a
-    stack."""
+    stack, in block order: with one CPU, so a delta's blocks run one after
+    the other (``test_parallel`` checks that more CPUs make the same calls)."""
     assembled, dims = [], []
 
     def assembling(size, entries, diagonal):
@@ -57,6 +58,7 @@ def _record_dims(monkeypatch) -> tuple[list[int], list[int]]:
 
     monkeypatch.setattr(sweep, "_dense", assembling)
     monkeypatch.setattr(sweep, "decompose", recording)
+    monkeypatch.setattr(sweep, "_cpus", lambda: 1)
     return assembled, dims
 
 

@@ -10,9 +10,10 @@ Runs ``xxzchain.cli.main`` in process, with one BLAS thread, on:
   0.0 with an int delta, a T > 0 ``curve`` at N = 10, a uniform N = 10
   ``phase-scan`` and a uniform N = 6 T > 0 ``curve`` whose field pass
   spans three chunks a delta, a uniform N = 8 ``phase-scan`` and T > 0
-  ``curve`` over 25 deltas, decomposed in five chunks of deltas, and
-  ``channel`` at betas 0, 0.5 and 1 (the nan and inf columns) with
-  N = 2000, whose betas fall in several chunks (``EXTRA``);
+  ``curve`` over 25 deltas, decomposed in five chunks of deltas, a uniform
+  N = 12 ``phase-scan`` (2 deltas x 26 fields) whose blocks are split across
+  the CPUs, and ``channel`` at betas 0, 0.5 and 1 (the nan and inf columns)
+  with N = 2000, whose betas fall in several chunks (``EXTRA``);
 
 each in CSV and in JSONL.  For each case it prints one line: the case, the
 SHA-256 of stdout, the SHA-256 of stderr and the exit code.  Two trees print
@@ -95,6 +96,11 @@ EXTRA = [
     ("curve T>0 delta chunks n=8", "curve",
      {"spec": _spec(8, 0.1, uniform=True), "pair": [2, 7], "delta_values": DELTAS,
       "grid": {"B": {"min": -0.5, "max": 2, "step": 0.125}}}),
+    # 2 deltas x 26 fields: at n = 12 a chunk is one delta, so its seven
+    # blocks are split across the CPUs the process may use
+    ("phase-scan parallel blocks n=12", "phase-scan",
+     {"spec": _spec(12, uniform=True),
+      "grid": {"delta": [0.5, 1.0], "B": {"min": 0, "max": 3, "step": 0.12}}}),
     ("channel beta<=1", "channel",
      {"n_sites_values": [4, 10, 2000], "coupling": 0.8,
       "grid": {"beta": [0, 0.5, 1, 1.0000001, 1.5, 3, 6, 12, 24]}}),
