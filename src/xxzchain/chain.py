@@ -28,12 +28,21 @@ GRID_POINT_CAP = 10**6
 SITE_CAP = 10**7
 
 # Most entries one temporary of ``sweep._SectorSpectrum.field_rows`` (fields x
-# the levels it reads), ``channel.channel_blocks`` (betas x k) or
-# ``sweep._BlockPlan.spectra`` (deltas x d^2, d its largest part) holds: an
+# the levels it reads) or ``channel.channel_blocks`` (betas x k) holds: an
 # axis is walked in chunks of max(1, _CHUNK_ENTRIES // width) points (each
 # chunk of fields or betas one block of the table, ``_rows``), so memory does
-# not grow with the grid.
+# not grow with the grid.  ``sweep._BlockPlan`` splits a chunk's blocks
+# across the CPUs where two of its largest matrices would hold more.
 _CHUNK_ENTRIES = 1 << 12
+# Most bytes of float64 one stack of a part's matrices holds in
+# ``sweep._BlockPlan.spectra``: the deltas are decomposed in chunks of
+# max(1, _STACK_BYTES // (8 d^2)), d the largest part, so a uniform chain
+# stacks 334 deltas at n = 8, 60 at n = 9, 21 at n = 10 and 4 at n = 11, and
+# one from n = 12 on.  Measured on a 2-vCPU VM with one BLAS thread, 2 MiB
+# (against one delta a chunk from n = 9 on) took a uniform n = 10 scan of
+# 4 deltas x 26 fields a child from 6,261 to 7,936 rows/s and its peak RSS
+# from 33.7 to 34.5 MiB; n >= 12 does not move.
+_STACK_BYTES = 1 << 21
 
 
 def _capped(n_sites: int, what: str = "chain") -> int:

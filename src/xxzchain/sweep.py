@@ -20,8 +20,11 @@ labels of all its blocks (``_BlockPlan``): their Zeeman diagonal and Ising
 bond sums, the index maps of their pair data, and their parts, each with
 its entries as (row, col, value) lists.  The deltas then only put their
 diagonals together and decompose, a chunk of deltas at a time: each part's
-matrices for the chunk are one stack, decomposed in one call and unfolded
-and reduced to pair-state entries once (``_BlockPlan.spectra``).  At T = 0
+matrices for the chunk are one stack of at most ``chain._STACK_BYTES`` (or
+one matrix), decomposed in one call and unfolded and reduced to pair-state
+entries once (``_BlockPlan.spectra``).  A chunk is decomposed before its
+first row is read, so a stacked chunk delays the first row, and it is the
+work a closed stdout can still cost; the byte bound bounds both.  At T = 0
 each part keeps, at each delta, only the levels close enough to its own
 lowest to be ground at some |B| up to the largest the call reads; only
 their eigenvectors are kept, and the rest are dropped.  The part that holds
@@ -30,15 +33,16 @@ rule and decomposed first, and at a delta where one Cholesky factorization
 proves a part's levels to lie beyond that window of the block's lowest, the
 part is not decomposed at all (``_Block.levels``).
 
-Where a chunk is one delta (a part of more than 45 states, as from n = 9
-on), its blocks, which share nothing, are decomposed at the same time:
-split into one share per CPU the process may use, the costliest first, the
-first share on the calling thread and each other on a daemon worker thread
-(``_Workers``).  Every LAPACK call runs on one OpenBLAS thread
-(``eigensolver._one_blas_thread``) and each block whole on one thread, so
-a spectrum is the same bits on any number of CPUs and BLAS threads.  Where
-numpy's BLAS has no OpenBLAS thread count to set, the blocks run one after
-the other on the calling thread, as BLAS threads may change their bits.
+Where a part has more than 45 states (from n = 9 on), the blocks of each
+chunk, one delta or a stack of them, share nothing and are decomposed at
+the same time: split into one share per CPU the process may use, the
+costliest first, the first share on the calling thread and each other on a
+daemon worker thread (``_Workers``), one handoff a chunk.  Every LAPACK
+call runs on one OpenBLAS thread (``eigensolver._one_blas_thread``) and
+each block whole on one thread, so a spectrum is the same bits on any
+number of CPUs and BLAS threads.  Where numpy's BLAS has no OpenBLAS thread
+count to set, the blocks run one after the other on the calling thread, as
+BLAS threads may change their bits.
 
 The field axis of a delta is then evaluated in one vectorized pass
 (``_SectorSpectrum.field_rows``): the shifted levels, the ground space and
@@ -84,7 +88,7 @@ from math import comb, inf, isfinite, nan
 import numpy as np
 
 from . import closed_forms
-from .chain import _CHUNK_ENTRIES, ChainSpec, _rows, build_sector_basis, check_grid
+from .chain import _CHUNK_ENTRIES, _STACK_BYTES, ChainSpec, _rows, build_sector_basis, check_grid
 from .channel import channel_curve  # unused: perfbench's tracer wraps it from here
 from .closed_forms import GroundRegime
 from .eigensolver import _degeneracy_tolerance, _one_blas_thread, decompose
@@ -271,9 +275,11 @@ class _BlockPlan:
     A block's matrices at a delta are its parts' entries plus the diagonal
     0.5 delta zz + Zeeman (the expression ``build_sector`` evaluates) at the
     representatives.  ``spectra`` decomposes the deltas in chunks of
-    max(1, _CHUNK_ENTRIES // d^2), d the largest part: one stack per part.
-    ``costs`` holds each block's sum of d^3 over its parts, by which
-    ``_shares`` splits the blocks of a one-delta chunk across the CPUs.
+    max(1, _STACK_BYTES // (8 d^2)), d the largest part: one stack of at
+    most 2 MiB of float64 per part, or one matrix.  ``split`` tells whether
+    d exceeds 45 (two d x d matrices hold more than _CHUNK_ENTRIES), where
+    the blocks of each chunk are split across the CPUs; ``costs`` holds each
+    block's sum of d^3 over its parts, by which ``_shares`` splits them.
     """
 
     def __init__(self, template: ChainSpec, pair, sectors=None):
@@ -295,14 +301,16 @@ class _BlockPlan:
             parts = _block_parts(template, self.sectors, sizes, labels, bits)
         self.blocks = [_Block(*block, maps) for block, maps in zip(parts, pair_maps)]
         largest = max(len(part[0]) for block in self.blocks for part in block.parts)
-        self.chunk = max(1, _CHUNK_ENTRIES // largest**2)
+        self.chunk = max(1, _STACK_BYTES // (8 * largest**2))
+        self.split = 2 * largest**2 > _CHUNK_ENTRIES
         self.costs = [sum(len(part[0]) ** 3 for part in block.parts) for block in self.blocks]
 
     def _shares(self, count: int) -> list[list[int]]:
         """The indices of the plan's blocks split into at most ``count``
         shares, none empty, each in block order: the costliest block first,
         each to the share with the least cost so far (the first on a tie).
-        One share is every block in order."""
+        One share is every block in order.  A block's cost is the same at
+        every delta, so a stacked chunk splits as one delta does."""
         shares, loads = [[] for _ in range(count)], [0] * count
         for b in sorted(range(len(self.blocks)), key=lambda b: -self.costs[b]):
             least = loads.index(min(loads))
@@ -321,10 +329,11 @@ class _BlockPlan:
         only the levels that can be ground at a uniform field within it
         (``_ground_window``, at each delta); None keeps every level.
 
-        A chunk runs with OpenBLAS on one thread.  Where a chunk is one
-        delta (``chunk`` is 1) and that pin holds, its blocks are split into
-        one share per CPU (``_cpus``, ``_shares``), each block's ``levels``
-        whole on one thread (``_Workers.run``); otherwise the one share is
+        A chunk runs with OpenBLAS on one thread.  Where the plan's parts
+        are large enough (``split``) and that pin holds, the blocks of each
+        chunk, one delta or a stack of them, are split into one share per
+        CPU (``_cpus``, ``_shares``), each block's ``levels`` for the whole
+        chunk on one thread (``_Workers.run``); otherwise the one share is
         every block in order.  Every share is collected before a spectrum is
         yielded or an error raised, and the pin is released before each
         yield."""
@@ -337,7 +346,7 @@ class _BlockPlan:
             )
             diagonal = 0.5 * np.array(chunk, dtype=float)[:, None] * self.zz + self.zeeman
             with _one_blas_thread as pinned:
-                shares = self._shares(_cpus() if pinned and self.chunk == 1 else 1)
+                shares = self._shares(_cpus() if pinned and self.split else 1)
                 done = _WORKERS.run([partial(self._levels, s, diagonal, windows) for s in shares])
             levels = [None] * len(self.blocks)
             for share, results in zip(shares, done):

@@ -235,6 +235,31 @@ def test_a_closed_stdout_stops_the_field_pass_within_its_first_chunk(
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_closed_stdout_costs_at_most_the_chunk_of_deltas_it_is_in(monkeypatch, tmp_path, fmt):
+    # 63 deltas at n = 10 are three stacked chunks of 21; a stdout closed
+    # after its first line (the CSV header, or the first JSON row) stops the
+    # run within the first, whose matrices are all it decomposes
+    spec = ChainSpec.uniform(10)
+    chunk = sweep._BlockPlan(spec, (1, 10)).chunk
+    deltas = [-1 + 0.05 * m for m in range(3 * chunk)]
+    config = {"spec": dataclasses.asdict(spec), "grid": {"delta": deltas, "B": [0.0, 0.5, 1.0]}}
+    decompose, matrices = sweep.decompose, []
+
+    def counted(stack):
+        matrices.append(len(stack))
+        return decompose(stack)
+
+    monkeypatch.setattr(sweep, "decompose", counted)
+    list(phase_scan(spec, deltas[:chunk], config["grid"]["B"]))
+    first = sum(matrices)
+    matrices.clear()
+    out, _, code = _main(tmp_path, "phase-scan", config, fmt, closed_after=1)
+    assert code == cli.EXIT_CLOSED == 141
+    assert len(out.splitlines()) == 1
+    assert 0 < sum(matrices) <= first
+
+
 def _script(config_path, **kwargs):
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
     command = [sys.executable, "-m", "xxzchain.cli", "curve", "--config", str(config_path)]

@@ -1,8 +1,9 @@
 """A delta's S^z blocks decomposed at the same time, and bytes that depend
 on neither the BLAS thread count nor the CPUs a process may use.
 
-From n = 9 on a chunk of a sweep is one delta, and ``_BlockPlan.spectra``
-splits its blocks into one share per CPU (``sweep._cpus``): the first runs
+Where a plan's largest part has more than 45 states (from n = 9 on),
+``_BlockPlan.spectra`` splits the blocks of each chunk of deltas, one delta
+or a stack of them, into one share per CPU (``sweep._cpus``): the first runs
 on the calling thread and the others on daemon workers (``sweep._WORKERS``),
 each block whole on one thread, with numpy's OpenBLAS on one thread around
 the chunk (``eigensolver._one_blas_thread``).  These tests set the share
@@ -81,13 +82,19 @@ def _recorded(monkeypatch, shares: int, plan, deltas, reach):
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_threaded_spectra_are_the_one_share_bits(monkeypatch, n):
+    # two deltas, or three where the plan stacks that many in one chunk
     rng = np.random.default_rng(3100 + n)
+    stacked = 0
     for shape, spec in _specs(rng, n).items():
         plan = _BlockPlan(spec, (1, n))
-        assert plan.chunk == 1, shape
-        deltas = tuple(rng.uniform(-1.0, 2.0, 2))
+        assert plan.split, shape  # a part of more than 45 states
+        deltas = tuple(rng.uniform(-1.0, 2.0, max(2, min(plan.chunk, 3))))
+        stacked += len(deltas) == 3
         for reach in (2.0, None):  # T = 0 windows, and every level as at T > 0
             alone, calls, _ = _recorded(monkeypatch, 1, plan, deltas, reach)
+            if reach is None:  # every part of a chunk as one stack
+                depths = {call[1][0] for call in calls if call[0] == "decompose"}
+                assert depths == {min(plan.chunk, len(deltas))}, shape
             for shares in (2, 3):
                 spectra, shared_calls, threads = _recorded(monkeypatch, shares, plan, deltas, reach)
                 assert shared_calls == calls, (shape, reach, shares)
@@ -96,6 +103,7 @@ def test_threaded_spectra_are_the_one_share_bits(monkeypatch, n):
                     assert other.energies.tobytes() == one.energies.tobytes(), (shape, reach)
                     assert other.pair_data.tobytes() == one.pair_data.tobytes(), (shape, reach)
                     assert np.array_equal(other.sector, one.sector)
+    assert stacked >= (2 if n < 12 else 0)
 
 
 def test_the_shares_split_the_costliest_blocks_first():

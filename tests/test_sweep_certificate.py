@@ -266,9 +266,10 @@ def test_the_work_at_a_delta_does_not_depend_on_the_chunk_it_shares(monkeypatch,
 
     monkeypatch.setattr(sweep, "_above", certifying)
     monkeypatch.setattr(sweep, "decompose", recording)
-    monkeypatch.setattr(sweep, "_CHUNK_ENTRIES", 2**20)  # every delta in one chunk
+    monkeypatch.setattr(sweep, "_STACK_BYTES", 2**40)  # every delta in one chunk
     reach = max(map(abs, (0.0, 0.5, 2.0)))
     plan = _BlockPlan(spec, (1, spec.n_sites))
+    assert plan.chunk >= 3
     alone, spectra = {}, {}
     for delta in (0.7, -0.5, 1.5, -1.0):
         calls.clear()

@@ -123,12 +123,13 @@ def _chunked_rows(spec: ChainSpec, deltas, fields) -> str:
     return repr(rows)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 12))
 def test_rows_are_the_same_bits_however_the_deltas_are_chunked(monkeypatch, n):
     # a chunk of one delta, the default and every delta of a call in one
     # chunk; zero, palindromic and generic fields, signed couplings.  The
     # field 2e7 widens the T = 0 window to several levels a part, a number
-    # that differs between the deltas of a chunk
+    # that differs between the deltas of a chunk.  From n = 9 on a chunk's
+    # blocks are split across the CPUs, stacked chunks included
     rng = np.random.default_rng(3000 + n)
     half = rng.uniform(0.3, 1.5, (n - 1) // 2).tolist()
     palindromic = tuple(half + rng.uniform(0.3, 1.5, (n - 1) % 2).tolist() + half[::-1])
@@ -143,11 +144,34 @@ def test_rows_are_the_same_bits_however_the_deltas_are_chunked(monkeypatch, n):
     fields = (0.0, 0.25, *rng.uniform(-2.0, 2.0, 5).tolist(), 2e7)
     for spec in specs:
         expected = _chunked_rows(spec, deltas, fields)
-        for entries, chunk in ((1, 1), (2**20, len(deltas))):
+        for stack, chunk in ((1, 1), (2**40, len(deltas))):
             with monkeypatch.context() as patch:
-                patch.setattr(sweep, "_CHUNK_ENTRIES", entries)
+                patch.setattr(sweep, "_STACK_BYTES", stack)
                 assert min(_BlockPlan(spec, (1, n)).chunk, len(deltas)) == chunk
                 assert _chunked_rows(spec, deltas, fields) == expected
+
+
+def _generic(n: int, seed: int) -> ChainSpec:
+    """A seeded chain of ``n`` sites with neither symmetry: signed generic
+    couplings and generic site fields."""
+    rng = np.random.default_rng(seed)
+    couplings = rng.choice([-1.0, 1.0], n - 1) * rng.uniform(0.3, 1.5, n - 1)
+    return ChainSpec(n, tuple(couplings), tuple(rng.uniform(-1.0, 1.0, n)), 0.0)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_a_stack_of_deltas_stays_within_its_byte_bound(n):
+    # as many deltas a chunk as the bound holds, at least one; the blocks
+    # are split across the CPUs where a part has more than 45 states
+    specs = [ChainSpec.uniform(n)] + [_generic(n, 3200 + 10 * n + s) for s in range(2)]
+    for spec in specs if n <= 12 else specs[:1]:
+        plan = _BlockPlan(spec, (1, n))
+        largest = max(len(part[0]) for block in plan.blocks for part in block.parts)
+        stack = 8 * largest**2
+        assert plan.chunk == 1 or plan.chunk * stack <= sweep._STACK_BYTES, spec
+        assert (plan.chunk + 1) * stack > sweep._STACK_BYTES, spec
+        assert plan.split == (largest > 45), spec
+    assert (_BlockPlan(ChainSpec.uniform(n), (1, n)).chunk == 1) == (n >= 12)
 
 
 @pytest.mark.parametrize("couplings", [(1.0,) * 11, (1.0, 0.7, 1.3, 0.9, 1.1, 0.6, 0.8, 1.2, 0.9, 1.1, 0.7)])

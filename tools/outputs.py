@@ -10,10 +10,13 @@ Runs ``xxzchain.cli.main`` in process, with one BLAS thread, on:
   0.0 with an int delta, a T > 0 ``curve`` at N = 10, a uniform N = 10
   ``phase-scan`` and a uniform N = 6 T > 0 ``curve`` whose field pass
   spans three chunks a delta, a uniform N = 8 ``phase-scan`` and T > 0
-  ``curve`` over 25 deltas, decomposed in five chunks of deltas, a uniform
-  N = 12 ``phase-scan`` (2 deltas x 26 fields) whose blocks are split across
-  the CPUs, and ``channel`` at betas 0, 0.5 and 1 (the nan and inf columns)
-  with N = 2000, whose betas fall in several chunks (``EXTRA``);
+  ``curve`` over 25 deltas, each part decomposed as one stack of 25, a
+  uniform N = 12 ``phase-scan`` (2 deltas x 26 fields) whose blocks are
+  split across the CPUs, a uniform N = 11 ``phase-scan`` (6 deltas x 13
+  fields) in two stacked chunks and a uniform N = 10 T = 0.1 ``curve`` over
+  5 deltas in one, each chunk's blocks split across the CPUs, and
+  ``channel`` at betas 0, 0.5 and 1 (the nan and inf columns) with
+  N = 2000, whose betas fall in several chunks (``EXTRA``);
 
 each in CSV and in JSONL.  For each case it prints one line: the case, the
 SHA-256 of stdout, the SHA-256 of stderr and the exit code.  Two trees print
@@ -88,8 +91,8 @@ EXTRA = [
     ("curve T>0 chunks n=6", "curve",
      {"spec": _spec(6, 0.1, uniform=True), "pair": [1, 6], "delta_values": [0, 1],
       "grid": {"B": {"min": 0, "max": 3, "step": 0.0025}}}),
-    # 25 deltas in chunks of 5: the largest part of a uniform n = 8 plan has
-    # 28 states, and 4096 // 28^2 = 5
+    # 25 deltas in one chunk: the largest part of a uniform n = 8 plan has
+    # 28 states, and a chunk stacks 2^21 // (8 * 28^2) = 334
     ("phase-scan delta chunks n=8", "phase-scan",
      {"spec": _spec(8, uniform=True),
       "grid": {"delta": DELTAS, "B": {"min": 0, "max": 3, "step": 0.25}}}),
@@ -101,6 +104,16 @@ EXTRA = [
     ("phase-scan parallel blocks n=12", "phase-scan",
      {"spec": _spec(12, uniform=True),
       "grid": {"delta": [0.5, 1.0], "B": {"min": 0, "max": 3, "step": 0.12}}}),
+    # 6 deltas x 13 fields: a uniform n = 11 plan stacks 4 deltas a chunk
+    # (largest part 236), so two stacked chunks, each split across the CPUs
+    ("phase-scan stacked parallel n=11", "phase-scan",
+     {"spec": _spec(11, uniform=True),
+      "grid": {"delta": [-0.5, 0, 0.5, 1, 1.5, 2], "B": {"min": 0, "max": 3, "step": 0.25}}}),
+    # 5 deltas, every level of each: one stacked chunk of a uniform n = 10
+    # plan (21 deltas a chunk), split across the CPUs
+    ("curve T>0 stacked parallel n=10", "curve",
+     {"spec": _spec(10, 0.1, uniform=True), "pair": [1, 10],
+      "delta_values": [-0.5, 0, 0.5, 1, 1.5], "grid": {"B": {"min": 0, "max": 2, "step": 0.125}}}),
     ("channel beta<=1", "channel",
      {"n_sites_values": [4, 10, 2000], "coupling": 0.8,
       "grid": {"beta": [0, 0.5, 1, 1.0000001, 1.5, 3, 6, 12, 24]}}),
