@@ -54,8 +54,10 @@ def _capped(n_sites: int, what: str = "chain") -> int:
 
 
 def _as_tuple(values, what: str) -> tuple:
-    """A sequence of values as a tuple; anything not iterable is a DomainError."""
+    """A sequence of values as a tuple; a string or anything not iterable is a DomainError."""
     try:
+        if isinstance(values, (str, bytes)):  # one value, not a list of its characters
+            raise TypeError
         return tuple(values)
     except TypeError:
         raise DomainError(f"{what} must be a list of numbers, got {_shown(values)}") from None
@@ -63,9 +65,10 @@ def _as_tuple(values, what: str) -> tuple:
 
 def check_grid(*axes) -> tuple[tuple, ...]:
     """Each axis, a sequence of numbers, as a tuple of its values unchanged,
-    refused when it is not iterable, is empty or holds a value that is not a
-    finite number, or when the grid they span has more than GRID_POINT_CAP
-    points.  Ints stay ints, so an N too large for a float reaches its cap."""
+    refused when it is a string or not iterable, is empty or holds a value
+    that is not a finite number, or when the grid they span has more than
+    GRID_POINT_CAP points.  Ints stay ints, so an N too large for a float
+    reaches its cap."""
     axes = tuple(_as_tuple(axis, "grid axis") for axis in axes)
     total = 1
     for axis in axes:

@@ -100,6 +100,8 @@ class ConcurrenceResult:
 def _pair_sites_checked(n_sites: int, pair) -> tuple[int, int]:
     """The two distinct sites of ``pair`` as ints, ascending."""
     try:
+        if isinstance(pair, (str, bytes)):  # one value, not two characters
+            raise TypeError
         i, j = pair
     except (TypeError, ValueError):
         raise DomainError(f"a site pair must be two sites (i, j), got {_shown(pair)}") from None

@@ -37,12 +37,12 @@ Where a part has more than 45 states (from n = 9 on), the blocks of each
 chunk, one delta or a stack of them, share nothing and are decomposed at
 the same time: split into one share per CPU the process may use, the
 costliest first, the first share on the calling thread and each other on a
-daemon worker thread (``_Workers``), one handoff a chunk.  Every LAPACK
-call runs on one OpenBLAS thread (``eigensolver._one_blas_thread``) and
-each block whole on one thread, so a spectrum is the same bits on any
-number of CPUs and BLAS threads.  Where numpy's BLAS has no OpenBLAS thread
-count to set, the blocks run one after the other on the calling thread, as
-BLAS threads may change their bits.
+daemon thread started for the chunk and joined before it yields
+(``_run_shares``).  Every LAPACK call runs on one OpenBLAS thread
+(``eigensolver._one_blas_thread``) and each block whole on one thread, so a
+spectrum is the same bits on any number of CPUs and BLAS threads.  Where
+numpy's BLAS has no OpenBLAS thread count to set, the blocks run one after
+the other on the calling thread, as BLAS threads may change their bits.
 
 The field axis of a delta is then evaluated in one vectorized pass
 (``_SectorSpectrum.field_rows``): the shifted levels, the ground space and
@@ -79,10 +79,8 @@ before anything is allocated.
 from __future__ import annotations
 
 import os
-import queue
 import threading
 from dataclasses import dataclass, replace
-from functools import partial
 from math import comb, inf, isfinite, nan
 
 import numpy as np
@@ -318,10 +316,6 @@ class _BlockPlan:
             loads[least] += self.costs[b]
         return [sorted(share) for share in shares if share]
 
-    def _levels(self, share, diagonal, windows) -> list:
-        """``_Block.levels`` of each block of ``share``, in its order."""
-        return [self.blocks[b].levels(diagonal, windows) for b in share]
-
     def spectra(self, deltas, reach: float | None = None):
         """The spectrum at each of the sequence ``deltas``, yielded in order,
         each chunk of deltas decomposed when its first spectrum is read.
@@ -333,10 +327,12 @@ class _BlockPlan:
         are large enough (``split``) and that pin holds, the blocks of each
         chunk, one delta or a stack of them, are split into one share per
         CPU (``_cpus``, ``_shares``), each block's ``levels`` for the whole
-        chunk on one thread (``_Workers.run``); otherwise the one share is
-        every block in order.  Every share is collected before a spectrum is
-        yielded or an error raised, and the pin is released before each
-        yield."""
+        chunk on one thread, each share but the first on a thread of its
+        own (``_run_shares``); otherwise the one share is every block in
+        order.  Every share has returned before a spectrum is yielded or an
+        error raised, and the pin is released before each yield.  The
+        threads are the chunk's own, so U threads that sweep at once may
+        run up to U (CPUs - 1) of them; the CLI sweeps on one."""
         n = self.template.n_sites
         sectors = range(n + 1) if self.flip else self.sectors
         for start in range(0, len(deltas), self.chunk):
@@ -345,13 +341,14 @@ class _BlockPlan:
                 [inf if reach is None else _ground_window(self.template, d, reach) for d in chunk]
             )
             diagonal = 0.5 * np.array(chunk, dtype=float)[:, None] * self.zz + self.zeeman
-            with _one_blas_thread as pinned:
-                shares = self._shares(_cpus() if pinned and self.split else 1)
-                done = _WORKERS.run([partial(self._levels, s, diagonal, windows) for s in shares])
             levels = [None] * len(self.blocks)
-            for share, results in zip(shares, done):
-                for b, result in zip(share, results):
-                    levels[b] = result
+
+            def run(share):
+                for b in share:
+                    levels[b] = self.blocks[b].levels(diagonal, windows)
+
+            with _one_blas_thread as pinned:
+                _run_shares(run, self._shares(_cpus() if pinned and self.split else 1))
             for per_delta in zip(*levels):
                 energies, data = map(list, zip(*per_delta))
                 if self.flip:
@@ -374,56 +371,28 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _outcome(call) -> tuple:
-    """(result, None) of ``call()``, or (None, the exception it raised)."""
-    try:
-        return call(), None
-    except BaseException as exc:  # handed to the thread that waits for it
-        return None, exc
+def _run_shares(run, shares) -> None:
+    """``run(share)`` for each of ``shares``: the first on this thread, each
+    other on a daemon thread started for it and joined before this returns;
+    then the first exception raised, in share order, is raised."""
+    errors = [None] * len(shares)
 
+    def attempt(i):
+        try:
+            run(shares[i])
+        except BaseException as exc:  # raised on the calling thread, below
+            errors[i] = exc
 
-def _serve(tasks) -> None:
-    """A worker thread: each (index, call, results) task taken from ``tasks``
-    puts (index, outcome) on its own ``results`` queue."""
-    while True:
-        index, call, results = tasks.get()
-        results.put((index, _outcome(call)))
-        del call, results  # an idle worker keeps nothing of its last task alive
-
-
-class _Workers:
-    """Daemon threads that run calls for ``run``, started on first use.  A
-    forked child has none of its parent's threads, so it starts afresh."""
-
-    def __init__(self):
-        self.tasks, self.threads, self.lock = queue.SimpleQueue(), [], threading.Lock()
-
-    def run(self, calls: list) -> list:
-        """The results of ``calls`` (functions of no argument), in order: the
-        first called on this thread, each other on a worker, with a result
-        queue of this call's own.  Every call has returned before this
-        does; then the first exception raised, in call order, is raised."""
-        with self.lock:
-            while len(self.threads) < len(calls) - 1:
-                thread = threading.Thread(target=_serve, args=(self.tasks,), daemon=True)
-                thread.start()
-                self.threads.append(thread)
-        results = queue.SimpleQueue()
-        for index, call in enumerate(calls[1:], 1):
-            self.tasks.put((index, call, results))
-        outcomes = [_outcome(calls[0])] + [None] * (len(calls) - 1)
-        for _ in calls[1:]:
-            index, outcome = results.get()
-            outcomes[index] = outcome
-        for _, error in outcomes:
-            if error is not None:
-                raise error
-        return [result for result, _ in outcomes]
-
-
-_WORKERS = _Workers()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_WORKERS.__init__)
+    threads = [threading.Thread(target=attempt, args=(i,), daemon=True)
+               for i in range(1, len(shares))]
+    for thread in threads:
+        thread.start()
+    attempt(0)
+    for thread in threads:
+        thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 class _SectorSpectrum:

@@ -4,14 +4,16 @@ on neither the BLAS thread count nor the CPUs a process may use.
 Where a plan's largest part has more than 45 states (from n = 9 on),
 ``_BlockPlan.spectra`` splits the blocks of each chunk of deltas, one delta
 or a stack of them, into one share per CPU (``sweep._cpus``): the first runs
-on the calling thread and the others on daemon workers (``sweep._WORKERS``),
-each block whole on one thread, with numpy's OpenBLAS on one thread around
-the chunk (``eigensolver._one_blas_thread``).  These tests set the share
-count by patching ``sweep._cpus`` and pin what the split must not change:
-the bits of every spectrum and the calls that make them, an error's way
-out, the rows of sweeps on several threads at once and in a forked child,
-and the OpenBLAS count outside a chunk.  Child processes compare whole CLI
-outputs under 1 and 2 BLAS threads and on one CPU against every CPU.
+on the calling thread and each other on a daemon thread started for the
+chunk and joined before it yields (``sweep._run_shares``), each block whole
+on one thread, with numpy's OpenBLAS on one thread around the chunk
+(``eigensolver._one_blas_thread``).  These tests set the share count by
+patching ``sweep._cpus`` and pin what the split must not change: the bits
+of every spectrum and the calls that make them, an error's way out, the
+threads left after a sweep, the rows of sweeps on several threads at once
+and in a forked child, and the OpenBLAS count outside a chunk.  Child
+processes compare whole CLI outputs under 1 and 2 BLAS threads and on one
+CPU against every CPU.
 """
 
 import json
@@ -139,7 +141,7 @@ def test_an_error_in_a_workers_share_is_raised_and_leaves_nothing_behind(monkeyp
     config, out = _scan_config(tmp_path, 10), tmp_path / "rows.csv"
     assert cli.main(["phase-scan", "--config", str(config), "--out", str(out)]) == 4
     assert sorted(tmp_path.iterdir()) == [config]  # no output, no temporary file
-    # no share of the failed sweeps is left in a queue to answer the next one
+    # the failed sweeps leave nothing behind that changes the next one
     monkeypatch.setattr(sweep, "decompose", decompose)
     assert repr(list(phase_scan(spec, (0.5, 1.0), FIELDS))) == expected
 
@@ -174,20 +176,54 @@ def test_threads_that_sweep_at_the_same_time_each_get_their_own_rows(monkeypatch
     assert got == [[rows] * 3 for rows in expected]
 
 
+def test_no_thread_outlives_a_sweep(monkeypatch):
+    # read to the end, closed after one row, and failed in either share
+    monkeypatch.setattr(sweep, "_cpus", lambda: 2)
+    spec, caller, before = ChainSpec.uniform(10), threading.get_ident(), threading.active_count()
+    workers = []
+
+    def decomposing(failing_on_caller=None):
+        def recording(matrix):
+            on_caller = threading.get_ident() == caller
+            if not on_caller:
+                workers.append(threading.current_thread())
+            if on_caller is failing_on_caller:
+                raise NumericError("eigendecomposition failed: injected")
+            return decompose(matrix)
+
+        monkeypatch.setattr(sweep, "decompose", recording)
+
+    def check():
+        assert workers  # a share ran on a thread other than the caller's
+        assert threading.active_count() == before
+        assert not any(thread.is_alive() for thread in workers)
+        workers.clear()
+
+    decomposing()
+    assert len(list(phase_scan(spec, (0.5, 1.0), FIELDS))) == 2 * len(FIELDS)
+    check()
+    points = phase_scan(spec, (0.5, 1.0), FIELDS)
+    next(points)
+    points.close()
+    check()
+    for failing_on_caller in (False, True):
+        decomposing(failing_on_caller)
+        with pytest.raises(NumericError, match="injected"):
+            list(phase_scan(spec, (0.5, 1.0), FIELDS))
+        check()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 def test_a_child_forked_after_a_parallel_sweep_completes_a_sweep_of_its_own(monkeypatch, tmp_path):
     monkeypatch.setattr(sweep, "_cpus", lambda: 2)
     spec = ChainSpec.uniform(10)
     expected = repr(list(phase_scan(spec, (0.5, 1.0), FIELDS)))
-    assert sweep._WORKERS.threads  # the parent's worker is running
     result = tmp_path / "child.txt"
     pid = os.fork()
-    if pid == 0:  # the child: it has no worker until its own sweep starts one
+    if pid == 0:  # the child
         code = 1
         try:
-            started = len(sweep._WORKERS.threads)
-            rows = repr(list(phase_scan(spec, (0.5, 1.0), FIELDS)))
-            result.write_text(f"{started}\n{rows}")
+            result.write_text(repr(list(phase_scan(spec, (0.5, 1.0), FIELDS))))
             code = 0
         finally:
             os._exit(code)
@@ -199,7 +235,7 @@ def test_a_child_forked_after_a_parallel_sweep_completes_a_sweep_of_its_own(monk
         os.waitpid(pid, 0)
         pytest.fail("the forked child did not finish its sweep")
     assert os.waitstatus_to_exitcode(done[1]) == 0
-    assert result.read_text() == f"0\n{expected}"
+    assert result.read_text() == expected
 
 
 @needs_setter

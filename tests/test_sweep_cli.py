@@ -988,6 +988,25 @@ def test_cli_string_config_values_exit_2(tmp_path, capsys, command, config):
 
 
 @pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("phase-scan", {"spec": {**_SCAN_SPEC, "couplings": "111"}, "grid": _SCAN_GRID},
+         "couplings must be a list of numbers, got '111'"),
+        ("phase-scan", {"spec": _SCAN_SPEC, "grid": {**_SCAN_GRID, "B": "abc"}},
+         "grid axis must be a list of numbers, got 'abc'"),
+        ("curve", {"spec": _SCAN_SPEC, "pair": "14", "grid": {"B": [0.0]}},
+         "a site pair must be two sites (i, j), got '14'"),
+    ],
+    ids=["couplings", "grid axis", "pair"],
+)
+def test_cli_names_a_string_given_for_a_list_whole(tmp_path, capsys, command, config, message):
+    # a string used to be read character by character, and the error named
+    # its first character alone
+    assert main([command, "--config", _write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "command, config, cause",
     [
         ("phase-scan", {"spec": _SCAN_SPEC, "grid": {**_SCAN_GRID, "B": [1e308]}}, "B = 1e+308"),
