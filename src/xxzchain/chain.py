@@ -28,7 +28,7 @@ GRID_POINT_CAP = 10**6
 SITE_CAP = 10**7
 
 # Most entries one temporary of ``sweep._SectorSpectrum.field_rows`` (fields x
-# the levels it reads) or ``channel.channel_blocks`` (betas x k) holds: an
+# levels, or x sectors at T > 0) or ``channel.channel_blocks`` (betas x k) holds: an
 # axis is walked in chunks of max(1, _CHUNK_ENTRIES // width) points (each
 # chunk of fields or betas one block of the table, ``_rows``), so memory does
 # not grow with the grid.  ``sweep._BlockPlan`` splits a chunk's blocks

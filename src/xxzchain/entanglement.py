@@ -4,7 +4,7 @@ Everything here is real: the chain Hamiltonian is real symmetric, so
 eigenvectors, thermal states and reduced states are real as well, and the
 conjugation in the spin-flip transform is a no-op.  Library results come
 from mixtures of magnetization sector states, whose pair states need only
-five numbers per eigenvector (``pair_xstate_data``) and have a closed-form
+five numbers per eigenvector (``_pair_rows``) and have a closed-form
 concurrence, evaluated for many rows at once (``xstate_concurrences``).
 The general Wootters concurrence of any two-qubit state is evaluated
 through the all-symmetric product sqrt(rho) rho~ sqrt(rho), which keeps the
@@ -156,41 +156,13 @@ def reduce_pair_mixed(rho_full: np.ndarray, i: int, j: int) -> TwoQubitDensityMa
     return TwoQubitDensityMatrix(sites=(i, j), matrix=rho)
 
 
-def pair_xstate_data(basis: SectorBasis, vectors: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Pair-state entries of every sector vector, one row (p00, p01, p10, p11, c)
-    per column of ``vectors``.
-
-    Within a magnetization sector the pair state on (i, j) has no entries
-    besides the populations p_ab (bit a on site i, bit b on site j) and the
-    coherence c = <01|rho|10>: every other entry would join basis states of
-    different popcount.  Mixtures of sector states keep that shape, so these
-    five numbers fix any pair state the library computes.
-    """
-    i, j = _pair_sites_checked(basis.n_sites, (i, j))
-    v = np.asarray(vectors, dtype=float)
-    if v.ndim != 2 or v.shape[0] != len(basis):
-        raise DomainError(
-            f"expected {len(basis)} sector amplitudes per column, got shape {v.shape}"
-        )
-    return _pair_rows(_pair_maps(basis, i, j), v)
-
-
-def _pair_maps(basis: SectorBasis, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index map of ``pair_xstate_data`` for the ordered pair i < j: a
-    (5, W) array whose rows 0-3 list, in order, the basis rows of pair slot
-    00, 01, 10 and 11, and whose row 4 lists the 01 rows again, each padded
-    at the end with -1; and the mask of those pads (``_slot_maps``)."""
-    n = basis.n_sites
-    states = basis.state_array()
-    mi, mj = site_mask(i, n), site_mask(j, n)
-    slot = 2 * ((states & mi) != 0) + ((states & mj) != 0)
-    return _slot_maps(slot, [len(states)])[0]
-
-
 def _slot_maps(slot: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``_pair_maps`` of consecutive blocks of ``sizes`` states each, given
-    the pair slot 2 a + b (bit a on site i, bit b on site j) of every state:
-    views of one (5, sum W) array filled by one scatter.
+    """The index maps of the pair data of consecutive blocks of ``sizes``
+    states each, given the pair slot 2 a + b (bit a on site i, bit b on site
+    j, i < j) of every state: per block, a (5, W) array whose rows 0-3 list,
+    in order, its rows of pair slot 00, 01, 10 and 11, and whose row 4 lists
+    the 01 rows again, each padded at the end with -1, and the mask of those
+    pads; views of one (5, sum W) array filled by one scatter.
 
     Flipping both pair bits maps the 01 rows one to one onto the 10 rows of
     the same sector, and in order: each is its environment plus one fixed
@@ -214,10 +186,15 @@ def _slot_maps(slot: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _pair_rows(maps: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
-    """``pair_xstate_data`` of the columns of ``v`` through ``_pair_maps``:
-    one gather of the five terms, each slot's squares and the 01 rows times
-    their partners formed in place, and one running sum down the rows of
-    each term.
+    """The pair-state entries of every column of ``v``, one row (p00, p01,
+    p10, p11, c) per column, through one block's ``_slot_maps``: one gather
+    of the five terms, each slot's squares and the 01 rows times their
+    partners formed in place, and one running sum down the rows of each
+    term.
+
+    Within a magnetization sector the pair state has no entries besides the
+    populations p_ab and the coherence c = <01|rho|10>: every other one
+    would join basis states of different popcount.
 
     Every sum starts at 0 and runs down the basis rows in order, so a
     column's row is the same bits whichever columns share the call; a pad
@@ -235,7 +212,7 @@ def _pair_rows(maps: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray
 def xstate_concurrences(data) -> np.ndarray:
     """Closed-form concurrence 2 max(0, |c| - sqrt(p00 p11)) of each pair
     state row (p00, p01, p10, p11, c) (T. Yu and J. H. Eberly, QIC 7, 459
-    (2007)), for an (m, 5) array of rows such as ``pair_xstate_data`` gives.
+    (2007)), for an (m, 5) array of rows such as ``_pair_rows`` gives.
 
     Every row is checked as ``TwoQubitDensityMatrix`` checks a 4x4 state,
     with the same tolerances, in closed form: trace 1 within _TRACE_TOL, and

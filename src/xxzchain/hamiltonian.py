@@ -6,9 +6,9 @@ H = sum_i J_i (hop 01<->10 on bond i) + (Delta/2) sum_i s_i s_{i+1}
 H on the span of a set of basis states is assembled in one form: its
 hopping as (row, col, value) lists (``_hopping``) and the two parts of its
 diagonal (``_diagonal_terms``), all by bit arithmetic; there is no
-operator-algebra layer to get tensor order wrong.  ``_dense`` makes a plain
-float64 matrix of them on demand, or a stack of them that differ only in
-their diagonal.  Every hopping entry is listed in both positions with the
+operator-algebra layer to get tensor order wrong.  ``_dense`` makes a stack
+of plain float64 matrices of them on demand, which differ only in their
+diagonal.  Every hopping entry is listed in both positions with the
 same coupling constant, so H[i, j] == H[j, i] holds exactly (never
 symmetrized after the fact).  ``_block_parts`` splits S^z blocks into the
 parts of their mirror and spin-flip symmetries, every block in one pass.
@@ -93,26 +93,21 @@ def _hopping(spec: ChainSpec, states: np.ndarray, bits: np.ndarray):
 
 
 def _dense(size: int, entries, diagonal: np.ndarray) -> np.ndarray:
-    """Symmetric matrix from (row, col, value) lists, summed in list order
-    where a position repeats, plus a diagonal; given a stack of diagonals
-    (shape (..., size)), the stack of those matrices."""
+    """The stack of symmetric matrices from (row, col, value) lists, summed
+    in list order where a position repeats, plus each of a stack of
+    diagonals (shape (..., size))."""
     rows, cols, values = entries
-    hopping = np.bincount(rows * size + cols, weights=values, minlength=size * size)
-    stack = np.shape(diagonal)[:-1]
-    if stack:
-        m = np.empty((*stack, size * size))
-        m[...] = hopping
-    else:
-        m = hopping.astype(float, copy=False)  # bincount gives int64 for an empty list
+    m = np.empty((*np.shape(diagonal)[:-1], size * size))
+    m[...] = np.bincount(rows * size + cols, weights=values, minlength=size * size)
     m[..., :: size + 1] += diagonal
-    return m.reshape(*stack, size, size)
+    return m.reshape(*m.shape[:-1], size, size)
 
 
 def _assemble(spec: ChainSpec, states: np.ndarray) -> np.ndarray:
     """Dense H on the span of ``states``."""
     bits = _site_bits(spec.n_sites, states)
     zz, zeeman = _diagonal_terms(spec, bits)
-    return _dense(len(states), _hopping(spec, states, bits), 0.5 * spec.delta * zz + zeeman)
+    return _dense(len(states), _hopping(spec, states, bits), [0.5 * spec.delta * zz + zeeman])[0]
 
 
 def build_full(spec: ChainSpec) -> np.ndarray:

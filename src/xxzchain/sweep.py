@@ -52,9 +52,10 @@ Rows stay pure functions of (template, delta, B): every reduction runs
 along one field's levels, and a level outside the ground space changes no
 bit of a T = 0 row, so a single-point call reproduces its grid row bit for
 bit.  At T > 0 the same shift makes the Boltzmann mixture one over N + 1
-sector sums, formed once per call, so a field costs O(N + 1) instead of
-O(levels); its reductions run in a fixed order with no BLAS product, so T >
-0 rows do not depend on the BLAS thread count either.
+sector sums, formed once per call, and the ground energy the lowest of the
+N + 1 shifted sector lows, so a field costs O(N + 1) instead of O(levels);
+its reductions run in a fixed order with no BLAS product, so T > 0 rows do
+not depend on the BLAS thread count either.
 
 The same shift makes the ground level over B the lower envelope of N + 1
 lines, which ``ground_regimes`` walks exactly, on the levels that can be
@@ -373,8 +374,9 @@ def _cpus() -> int:
 
 def _run_shares(run, shares) -> None:
     """``run(share)`` for each of ``shares``: the first on this thread, each
-    other on a daemon thread started for it and joined before this returns;
-    then the first exception raised, in share order, is raised."""
+    other on a daemon thread started for it and joined before this returns,
+    also where a later thread fails to start; then the first exception
+    raised, in share order, is raised."""
     errors = [None] * len(shares)
 
     def attempt(i):
@@ -385,11 +387,14 @@ def _run_shares(run, shares) -> None:
 
     threads = [threading.Thread(target=attempt, args=(i,), daemon=True)
                for i in range(1, len(shares))]
-    for thread in threads:
-        thread.start()
-    attempt(0)
-    for thread in threads:
-        thread.join()
+    try:
+        for thread in threads:
+            thread.start()
+        attempt(0)
+    finally:  # a start that failed leaves no started share running
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
     for error in errors:
         if error is not None:
             raise error
@@ -397,7 +402,7 @@ def _run_shares(run, shares) -> None:
 
 class _SectorSpectrum:
     """Levels of S^z blocks of one chain, each with the pair data of its
-    eigenvector for one site pair (see ``pair_xstate_data``).
+    eigenvector for one site pair (``entanglement._pair_rows``).
 
     ``sectors`` lists the n_up of each block, ``energies`` and ``data``
     its levels and their pair-data rows, in ascending sector order.
@@ -411,72 +416,62 @@ class _SectorSpectrum:
         self.sector = np.repeat(np.asarray(sectors), [len(e) for e in energies])
         self.shift = 2.0 * self.sector - n_sites
 
-    def field_rows(self, fields, temperature: float = 0.0, reach: float | None = None):
-        """Ground energy, ground sector, ground degeneracy and pair
-        concurrence at each uniform field of the sequence ``fields``, yielded
-        as (start, e0, n_up, degeneracy, concurrence) per chunk of
-        max(1, _CHUNK_ENTRIES // levels read) fields from fields[start]: one
-        kernel call each, and no array as long as the axis.
+    def field_rows(self, fields, temperature: float = 0.0):
+        """The rows at each uniform field of the sequence ``fields``, yielded
+        per chunk of max(1, _CHUNK_ENTRIES // width) fields from
+        fields[start], one kernel call each and no array as long as the axis:
+        at T = 0 (start, e0, n_up, degeneracy, concurrence), the width every
+        level; at T > 0 (start, e0, concurrence), the width every sector.
 
-        The ground space at B is every level of ``energies + B shift``
-        within DEGENERACY_RTOL of the lowest, whatever its sector; a tie
-        across sectors is labelled by its smallest sector, by rule.  The pair
-        state is the equal mixture over the ground space at T = 0 (the
-        T -> 0+ limit), summed level by level in order, so levels that are
-        not ground change no bit of it.  At T > 0 it is the Boltzmann
-        mixture over every level, sum_k w_k P_k / sum_k w_k Z_k with the
-        sector sums of ``_sector_sums`` and w_k = exp(-(e_k + B s_k - E0) / T),
-        O(N + 1) a field, over the levels that can be ground at some |B| up to
-        ``reach``, which a T > 0 call gives: at least the largest |B| of
-        ``fields``.  No exponent is above 0 and the ground sector weighs
-        1, so nothing overflows, and a gap over a tiny T underflows to its
+        At T = 0 the ground space at B is every level of ``energies + B
+        shift`` within DEGENERACY_RTOL of the lowest, whatever its sector; a
+        tie across sectors is labelled by its smallest sector, by rule.  The
+        pair state is the equal mixture over the ground space (the T -> 0+
+        limit), summed level by level in order, so levels that are not
+        ground change no bit of it.  At T > 0 it is the Boltzmann mixture
+        over every level, sum_k w_k P_k / sum_k w_k Z_k with the sector sums
+        of ``_sector_sums`` and w_k = exp(-(e_k + B s_k - E0) / T), O(N + 1)
+        a field.  E0 is the lowest of the N + 1 shifted sector lows e_k + B
+        s_k: rounding is monotone, so it is the lowest shifted level, the
+        same bits.  No exponent is above 0 and the ground sector weighs 1,
+        so nothing overflows, and a gap over a tiny T underflows to its
         exact T -> 0 weight of 0.  Every reduction runs along one field's
         levels or sectors, in a fixed order and with no BLAS product, so a
         field's row is the same bits whichever fields share the call and
         whatever the BLAS thread count.
         """
-        levels = slice(None)
         if temperature > 0:
-            levels, lows, shifts, sums = self._sector_sums(reach, temperature)
-        energies, shift, sector = self.energies[levels], self.shift[levels], self.sector[levels]
+            lows, shifts, sums = self._sector_sums(temperature)
 
         def rows(chunk):
             # one chunk's rows; its temporaries go before the rows are yielded
-            e = energies + chunk * shift
-            lowest = e.min(axis=1)
-            ground = e <= (lowest + _degeneracy_tolerance(lowest))[:, None]
-            count = np.count_nonzero(ground, axis=1)
             if temperature > 0:
                 shifted = lows + chunk * shifts
+                lowest = shifted.min(axis=1)
                 # a gap over a tiny T overflows to inf; exp(-inf) = 0 is its exact T -> 0 weight
                 with np.errstate(over="ignore"):
                     weights = np.exp(-(shifted - lowest[:, None]) / temperature)
                 z, *p = [(weights * column).sum(axis=1) for column in sums]
-                data = np.stack(p, axis=1) / z[:, None]
-            else:
-                total = np.cumsum(ground[:, :, None] * self.pair_data, axis=1)[:, -1]
-                data = total / count[:, None]
+                return lowest, xstate_concurrences(np.stack(p, axis=1) / z[:, None])
+            e = self.energies + chunk * self.shift
+            lowest = e.min(axis=1)
+            ground = e <= (lowest + _degeneracy_tolerance(lowest))[:, None]
+            count = np.count_nonzero(ground, axis=1)
+            data = np.cumsum(ground[:, :, None] * self.pair_data, axis=1)[:, -1] / count[:, None]
             # levels are stored by ascending sector, so the first ground
             # level has the smallest ground sector
-            return lowest, sector[ground.argmax(axis=1)], count, xstate_concurrences(data)
+            return lowest, self.sector[ground.argmax(axis=1)], count, xstate_concurrences(data)
 
-        step = max(1, _CHUNK_ENTRIES // len(energies))
+        step = max(1, _CHUNK_ENTRIES // (len(lows) if temperature > 0 else len(self.energies)))
         for start in range(0, len(fields), step):
             yield start, *rows(np.asarray(fields[start : start + step], dtype=float)[:, None])
 
-    def _sector_sums(self, reach: float, temperature: float):
-        """What the T > 0 pass over fields up to ``reach`` in |B| reads: the
-        levels that can be ground at one of them, each sector's lowest level
-        e_k and shift s_k, and the rows (Z, p00, p01, p10, p11, c) of the
-        sector sums Z_k = sum_l exp(-(E_l - e_k) / T) and P_k = sum_l
-        exp(-(E_l - e_k) / T) d_l over the levels l of sector k, one
-        C-contiguous (6, sectors) array.
-
-        Rounding is monotone, so the lowest shifted level of a sector is its
-        lowest, shifted, with the same bits.  A level within the degeneracy
-        tolerance of E0(B) lies that close to its sector's lowest too, and
-        |E0(B)| <= max |e_k| + reach max |s_k|: twice the tolerance there
-        leaves a wide margin for rounding, as in ``_ground_window``."""
+    def _sector_sums(self, temperature: float):
+        """What the T > 0 pass reads: each sector's lowest level e_k and
+        shift s_k, and the rows (Z, p00, p01, p10, p11, c) of the sector sums
+        Z_k = sum_l exp(-(E_l - e_k) / T) and P_k = sum_l exp(-(E_l - e_k) /
+        T) d_l over the levels l of sector k, one C-contiguous (6, sectors)
+        array."""
         starts = np.flatnonzero(np.diff(self.sector, prepend=-1))
         lows = np.minimum.reduceat(self.energies, starts)
         gap = self.energies - np.repeat(lows, np.diff(starts, append=len(self.energies)))
@@ -484,10 +479,7 @@ class _SectorSpectrum:
             weights = np.exp(-gap / temperature)
         terms = np.column_stack((weights, weights[:, None] * self.pair_data))
         sums = np.ascontiguousarray(np.add.reduceat(terms, starts).T)
-        shifts = self.shift[starts]
-        bound = np.abs(lows).max() + reach * np.abs(shifts).max()
-        near = np.flatnonzero(gap <= 2.0 * _degeneracy_tolerance(bound))
-        return near, lows, shifts, sums
+        return lows, self.shift[starts], sums
 
 
 def _grid(template: ChainSpec, pair, deltas, fields, temperature: float, pick):
@@ -495,23 +487,21 @@ def _grid(template: ChainSpec, pair, deltas, fields, temperature: float, pick):
     checked grid, ((delta,), start, columns) each, one delta at a time: the
     one driver of ``phase_scan`` and ``concurrence_curve``.  A block is one
     chunk of ``field_rows``, the fields from fields[start]; ``pick`` takes
-    its columns from the chunk's four arrays, and the block holds them as
-    lists.
+    its columns from the chunk's arrays, and the block holds them as lists.
 
     Refused when it is called, before any block is built: a scale at which
     ``_norm_bound`` overflows at the largest |delta| and |B| (it grows with
     both), then the cap and the pair (``_BlockPlan``).  At T = 0 a delta
-    keeps only the levels that can be ground within the largest |B|, the
-    reach that the T > 0 field pass reads too.  The deltas are decomposed a
-    chunk at a time (``_BlockPlan.spectra``), when the chunk's first block
-    is read."""
+    keeps only the levels that can be ground within the largest |B|.  The
+    deltas are decomposed a chunk at a time (``_BlockPlan.spectra``), when
+    the chunk's first block is read."""
     reach = max(map(abs, fields))
     _norm_bound(template, max(map(abs, deltas)), reach)
     spectra = _BlockPlan(template, pair).spectra(deltas, None if temperature > 0 else reach)
 
     def blocks():
         for delta, spectrum in zip(deltas, spectra):
-            for start, *columns in spectrum.field_rows(fields, temperature, reach):
+            for start, *columns in spectrum.field_rows(fields, temperature):
                 yield (float(delta),), start, [column.tolist() for column in pick(*columns)]
 
     return [float(field) for field in fields], blocks()

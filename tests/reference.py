@@ -16,7 +16,9 @@ from xxzchain.eigensolver import DEGENERACY_RTOL, _one_blas_thread, decompose
 from xxzchain.entanglement import (
     SPIN_FLIP,
     TwoQubitDensityMatrix,
-    pair_xstate_data,
+    _pair_rows,
+    _pair_sites_checked,
+    _slot_maps,
     xstate_concurrences,
 )
 from xxzchain.errors import DomainError
@@ -58,6 +60,30 @@ def concurrence_lambdas_direct(rho) -> np.ndarray:
     return np.sqrt(np.clip(eigs, 0.0, None))[::-1]
 
 
+def pair_xstate_data(basis, vectors: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Pair-state entries of every sector vector, one row (p00, p01, p10, p11, c)
+    per column of ``vectors``, through the library's ``_slot_maps`` and
+    ``_pair_rows`` on one block: each state's pair slot 2 a + b (bit a on
+    site i, bit b on site j, i < j) is read off its label with ``site_mask``.
+
+    Within a magnetization sector the pair state on (i, j) has no entries
+    besides the populations p_ab and the coherence c = <01|rho|10>: every
+    other entry would join basis states of different popcount.  Mixtures of
+    sector states keep that shape, so these five numbers fix any pair state
+    the library computes.
+    """
+    n = basis.n_sites
+    i, j = _pair_sites_checked(n, (i, j))
+    v = np.asarray(vectors, dtype=float)
+    if v.ndim != 2 or v.shape[0] != len(basis):
+        raise DomainError(
+            f"expected {len(basis)} sector amplitudes per column, got shape {v.shape}"
+        )
+    states = basis.state_array()
+    slot = 2 * ((states & site_mask(i, n)) != 0) + ((states & site_mask(j, n)) != 0)
+    return _pair_rows(_slot_maps(slot, [len(states)])[0], v)
+
+
 def xstate_pair(sites: tuple[int, int], data) -> TwoQubitDensityMatrix:
     """The pair state with populations data[:4] and 01<->10 coherence data[4]."""
     p00, p01, p10, p11, c = (float(x) for x in data)
@@ -95,32 +121,31 @@ def per_row_point(spectrum, pair, field: float, temperature: float = 0.0):
 def thermal_rows_by_level(spectrum, fields, temperature: float):
     """``_SectorSpectrum.field_rows(fields, temperature)`` at T > 0 level by
     level, one field at a time: every level shifted by B (2k - N), the ground
-    test on every level, and every level's Boltzmann weight relative to the
-    ground energy, normalized and summed with its pair row.  The sweep's own
-    pass works by sector sums instead; this is the O(fields x levels) mixture
-    it replaced."""
+    energy the lowest of them, and every level's Boltzmann weight relative to
+    it, normalized and summed with its pair row.  The sweep's own pass works
+    by sector sums instead; this is the O(fields x levels) mixture it
+    replaced.  The ground energies and the concurrences, as two arrays."""
     rows = []
     for field in fields:
         e = spectrum.energies + field * spectrum.shift
         e0 = e.min()
-        ground = e <= e0 + DEGENERACY_RTOL * (1.0 + abs(e0))
         with np.errstate(over="ignore"):
             weights = np.exp(-(e - e0) / temperature)
         weights /= weights.sum()
         data = [(weights * column).sum() for column in spectrum.pair_data.T]
         (c,) = xstate_concurrences([data])
-        rows.append((e0, spectrum.sector[ground.argmax()], np.count_nonzero(ground), c))
+        rows.append((e0, c))
     return tuple(np.array(column) for column in zip(*rows))
 
 
 def joined_field_rows(spectrum, fields, temperature: float = 0.0):
-    """``_SectorSpectrum.field_rows(fields, temperature, reach)`` as four
-    arrays over the whole of ``fields`` (ground energy, ground sector,
-    degeneracy, concurrence), with the reach of ``fields``: its chunks joined
-    in order, each checked to start where the last one ended."""
+    """``_SectorSpectrum.field_rows(fields, temperature)`` as arrays over the
+    whole of ``fields``: at T = 0 four (ground energy, ground sector,
+    degeneracy, concurrence), at T > 0 two (ground energy, concurrence); its
+    chunks joined in order, each checked to start where the last one
+    ended."""
     columns, end = None, 0
-    reach = max(map(abs, fields), default=0.0)
-    for start, *chunk in spectrum.field_rows(fields, temperature, reach):
+    for start, *chunk in spectrum.field_rows(fields, temperature):
         if columns is None:
             columns = [np.empty(len(fields), dtype=values.dtype) for values in chunk]
         assert start == end

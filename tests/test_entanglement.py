@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from analytic import c13_ground, critical_field_3site
-from reference import concurrence_lambdas_direct, xstate_concurrence, xstate_pair
+from reference import (
+    concurrence_lambdas_direct,
+    pair_xstate_data,
+    xstate_concurrence,
+    xstate_pair,
+)
 
 from xxzchain.chain import ChainSpec, build_sector_basis
 from xxzchain.eigensolver import decompose
@@ -14,7 +19,6 @@ from xxzchain.entanglement import (
     TwoQubitDensityMatrix,
     concurrence,
     ground_state_density,
-    pair_xstate_data,
     reduce_pair,
     reduce_pair_mixed,
     thermal_state,

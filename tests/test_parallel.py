@@ -213,6 +213,33 @@ def test_no_thread_outlives_a_sweep(monkeypatch):
         check()
 
 
+@needs_setter
+def test_a_thread_that_fails_to_start_leaves_no_share_running(monkeypatch):
+    # three shares: the first worker starts and is still in its share when
+    # the second fails to start, as in a process out of threads
+    monkeypatch.setattr(sweep, "_cpus", lambda: 3)
+    before, started = threading.active_count(), []
+    start, levels = threading.Thread.start, sweep._Block.levels
+
+    def starting(thread):
+        started.append(thread)
+        if len(started) == 2:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    def slow(block, diagonal, windows):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.2)
+        return levels(block, diagonal, windows)
+
+    monkeypatch.setattr(threading.Thread, "start", starting)
+    monkeypatch.setattr(sweep._Block, "levels", slow)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        list(phase_scan(ChainSpec.uniform(10), (0.5, 1.0), FIELDS))
+    assert threading.active_count() == before
+    assert not started[0].is_alive()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 def test_a_child_forked_after_a_parallel_sweep_completes_a_sweep_of_its_own(monkeypatch, tmp_path):
     monkeypatch.setattr(sweep, "_cpus", lambda: 2)

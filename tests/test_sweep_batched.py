@@ -92,16 +92,17 @@ def test_batched_rows_are_batch_invariant_and_match_the_per_row_path(case):
         single = joined_field_rows(spectrum, [b], temperature)
         assert [a[m] for a in batch] == [a[0] for a in single]
         e0, n_up, degeneracy, c = per_row_point(spectrum, pair, b, temperature)
-        assert (batch[1][m], batch[2][m]) == (n_up, degeneracy)
+        if temperature == 0.0:  # a T > 0 row is (e0, c)
+            assert (batch[1][m], batch[2][m]) == (n_up, degeneracy)
         assert abs(batch[0][m] - e0) <= ROW_TOL * (1.0 + abs(e0))
-        assert abs(batch[3][m] - c) <= ROW_TOL
-        assert 0.0 <= batch[3][m] <= 1.0
+        assert abs(batch[-1][m] - c) <= ROW_TOL
+        assert 0.0 <= batch[-1][m] <= 1.0
 
 
 # T from 1e-4, where most gaps' weights underflow to 0, to 1e2
 _THERMAL = st.floats(-4.0, 2.0).map(lambda x: 10.0**x)
 # a zero bond cuts the chain, and equal pieces give levels that tie within a
-# sector, so the ground test must see more than each sector's lowest
+# sector, so a sector's lowest level need not be simple
 _CUT = st.sampled_from([0.0, 0.0, 1.0]) | _unit
 
 
@@ -115,10 +116,10 @@ _CUT = st.sampled_from([0.0, 0.0, 1.0]) | _unit
 @given(_spectra(max_sites=8, temperatures=_THERMAL, coupling=_CUT))
 def test_thermal_rows_by_sector_match_the_level_by_level_mixture(case):
     spectrum, _, temperature, fields = case
-    e0, n_up, degeneracy, c = joined_field_rows(spectrum, fields, temperature)
-    expected = thermal_rows_by_level(spectrum, fields, temperature)
-    assert [a.tobytes() for a in (e0, n_up, degeneracy)] == [a.tobytes() for a in expected[:3]]
-    assert np.abs(c - expected[3]).max() <= 1e-15
+    e0, c = joined_field_rows(spectrum, fields, temperature)
+    expected_e0, expected_c = thermal_rows_by_level(spectrum, fields, temperature)
+    assert e0.tobytes() == expected_e0.tobytes()
+    assert np.abs(c - expected_c).max() <= 1e-15
 
 
 @pytest.mark.parametrize("temperature", [0.0, 0.2])
@@ -127,8 +128,7 @@ def test_a_field_axis_longer_than_one_chunk_matches_one_field_at_a_time(
 ):
     kernel = sweep.xstate_concurrences
     spectrum = _BlockPlan(ChainSpec.uniform(10), (1, 10)).spectrum(0.7)
-    # a T = 0 chunk spans every level; a T > 0 chunk spans the sectors' 11
-    # lowest levels here, each simple and far from the next one up
+    # a T = 0 chunk spans every level, a T > 0 chunk the 11 sectors
     step = chain._CHUNK_ENTRIES // (11 if temperature > 0 else len(spectrum.energies))
     lows = [float(spectrum.energies[spectrum.sector == k].min()) for k in range(11)]
     crossings = [0.5 * (lows[k] - lows[k + 1]) for k in range(10)]
@@ -142,7 +142,8 @@ def test_a_field_axis_longer_than_one_chunk_matches_one_field_at_a_time(
     for m, b in enumerate(fields):
         single = joined_field_rows(spectrum, [b], temperature)
         assert [a[m] for a in batch] == [a[0] for a in single]
-    assert max(batch[2]) >= 2  # the crossings are exact cross-sector ties
+    if temperature == 0.0:
+        assert max(batch[2]) >= 2  # the crossings are exact cross-sector ties
 
 
 def test_field_rows_temporaries_do_not_grow_with_the_field_axis():
@@ -157,9 +158,10 @@ def test_field_rows_temporaries_do_not_grow_with_the_field_axis():
         finally:
             tracemalloc.stop()
 
-    # only the four float64/int64 output arrays may grow with the axis; one
-    # unchunked level x field temporary would add 8 MiB per 1000 fields
-    assert peak_bytes(4000) - peak_bytes(400) <= 3600 * 4 * 8 + 64 * 1024
+    # only the two float64 output arrays of a T > 0 call may grow with the
+    # axis; one unchunked level x field temporary would add 8 MiB per 1000
+    # fields
+    assert peak_bytes(4000) - peak_bytes(400) <= 3600 * 2 * 8 + 64 * 1024
 
 
 def test_kernel_matches_the_four_by_four_state_on_clean_rows():

@@ -209,7 +209,7 @@ def test_the_lead_part_holds_every_blocks_lowest_level(signs):
                     block = plan.blocks[0]
                     diagonal = 0.5 * spec.delta * plan.zz + plan.zeeman
                     lows = [
-                        np.linalg.eigvalsh(_dense(len(reps), entries, diagonal[reps]))[0]
+                        np.linalg.eigvalsh(_dense(len(reps), entries, diagonal[None, reps])[0])[0]
                         for reps, entries, _, _ in block.parts
                     ]
                     lowest = np.linalg.eigvalsh(build_sector(spec, basis))[0]

@@ -14,7 +14,10 @@ Runs ``xxzchain.cli.main`` in process, with one BLAS thread, on:
   uniform N = 12 ``phase-scan`` (2 deltas x 26 fields) whose blocks are
   split across the CPUs, a uniform N = 11 ``phase-scan`` (6 deltas x 13
   fields) in two stacked chunks and a uniform N = 10 T = 0.1 ``curve`` over
-  5 deltas in one, each chunk's blocks split across the CPUs, and
+  5 deltas in one, each chunk's blocks split across the CPUs, a T = 1e-3
+  ``curve`` on a generic 8-site spec (no flip, no mirror) over 963 fields
+  and 3 deltas, a T = 1e-200 ``curve`` on the 9-site bulk-field channel
+  spec, where every weight of a nonzero gap underflows to 0, and
   ``channel`` at betas 0, 0.5 and 1 (the nan and inf columns) with
   N = 2000, whose betas fall in several chunks (``EXTRA``);
 
@@ -84,7 +87,7 @@ EXTRA = [
     ("curve T>0 n=10", "curve",
      {"spec": _spec(10, 0.05), "pair": [1, 10], "delta_values": [0.0, 1],
       "grid": {"B": {"min": -0.3, "max": 1.5, "step": 0.03}}}),
-    # three blocks a delta: 11 levels read, 372 fields a chunk; 7 read, 585
+    # three blocks a delta: 11 levels read, 372 fields a chunk; 7 sectors, 585
     ("phase-scan chunks n=10", "phase-scan",
      {"spec": _spec(10, uniform=True),
       "grid": {"delta": [0, 1], "B": {"min": 0, "max": 3, "step": 0.003}}}),
@@ -114,6 +117,19 @@ EXTRA = [
     ("curve T>0 stacked parallel n=10", "curve",
      {"spec": _spec(10, 0.1, uniform=True), "pair": [1, 10],
       "delta_values": [-0.5, 0, 0.5, 1, 1.5], "grid": {"B": {"min": 0, "max": 2, "step": 0.125}}}),
+    # no flip and no mirror, and many sector crossings on the field axis
+    ("curve T>0 generic n=8", "curve",
+     {"spec": {"n_sites": 8, "couplings": [1.0, 0.7, 1.3, 0.9, 1.1, 0.6, 1.2],
+               "fields": [0.3, -0.2, 0.5, 0.0, -0.4, 0.1, 0.2, -0.3], "delta": 0.0,
+               "temperature": 1e-3},
+      "pair": [1, 8], "delta_values": [-1, 0.5, 2],
+      "grid": {"B": {"min": -40, "max": 40, "step": 0.25}}}),
+    # every weight whose gap is not exactly 0 underflows to 0
+    ("curve T>0 bulk-field channel n=9", "curve",
+     {"spec": {"n_sites": 9, "couplings": [1.0] * 8, "fields": [0.0] + [1.25] * 7 + [0.0],
+               "delta": 0.0, "temperature": 1e-200},
+      "pair": [1, 9], "delta_values": [0, 1],
+      "grid": {"B": {"min": -12, "max": 12, "step": 0.05}}}),
     ("channel beta<=1", "channel",
      {"n_sites_values": [4, 10, 2000], "coupling": 0.8,
       "grid": {"beta": [0, 0.5, 1, 1.0000001, 1.5, 3, 6, 12, 24]}}),
