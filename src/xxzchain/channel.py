@@ -6,8 +6,9 @@ boundary concurrence that approaches 1 as 2B/J grows.  The single-
 excitation sector splits under the mirror symmetry of the chain into two
 k x k tridiagonal blocks (N = 2k) with a uniform bulk, whose ground states
 have closed forms: a design is one scalar secular root (``_root``) plus an
-O(k) profile, so any chain up to chain.SITE_CAP sites is routine.  One kernel
-(``_ground_profiles``) serves ``design_channel`` and the two CLI routes,
+O(k) profile (of which only the exponentials that can change a stored bit
+are evaluated), so any chain up to chain.SITE_CAP sites is routine.  One
+kernel (``_ground_profiles``) serves ``design_channel`` and the two CLI routes,
 ``channel_blocks`` (the table whose rows ``channel_curve`` yields, beside
 the closed-form ``c1n_channel`` column) and ``design_report`` (a bracket on
 beta up to ``BETA_CAP``, read at each call).  The channel's chain
@@ -226,20 +227,28 @@ def _ground_profiles(
 
     Both blocks are k x k tridiagonal with a uniform bulk, so each ground
     energy is the root of one scalar secular equation (``_root``) and the
-    ground vector has the closed form (-1)^j s_j, s_j >= 0:
-    s_j = cosh((k + 1/2 - j) p) (beta > 1), 1 (beta = 1) or
-    cos((k + 1/2 - j) theta) (beta < 1).  The CLI routes read only c_0^2 and
-    |c_j / c_{j+1}|; ``design_channel`` signs its one row.  The profile is
-    evaluated in O(k) as e^{-(j-1) p} (1 + e^{-(2k+1-2j) p}), so every
-    coefficient carries full relative accuracy, however far below the
-    boundary amplitude it falls.  No dense matrix is built.
+    ground vector has the closed form (-1)^j s_j, s_j >= 0, j = 0..k-1:
+    s_j = cosh((k - 1/2 - j) p) (beta > 1), 1 (beta = 1) or
+    cos((k - 1/2 - j) theta) (beta < 1).  The CLI routes read only c_0^2 and
+    |c_j / c_{j+1}|; ``design_channel`` signs its one row.  A bound row is
+    e^{-jp} (1 + e^{-(2k-1-2j) p}), so every coefficient carries full
+    relative accuracy, however far below the boundary amplitude it falls.
+
+    Only the exponentials that can change a stored bit are evaluated, cut at
+    the call's smallest bound p (a larger p evaluates more than it needs).
+    1 + e^{-y} is exactly 1.0 for y > 40 (e^{-40} < 2^-53), so the fold
+    factor is taken on the last ~20/p sites only.  As ||s|| >= s_0 >= 1,
+    where jp > 710 |c_j| <= sqrt(2) e^{-710} is stored as 0 and
+    s_j^2 < 2^-1075 leaves a dot product as it is, fused or not: those
+    entries are 0 from the start, in a norm still taken over the full row.
 
     The roots stay scalar ``math`` calls, as numpy's exp and expm1 differ
     from libm's in the last bit on a few percent of inputs; the profiles of
     all fields are then built as one (fields, k) array, each row bit for bit
-    the one a single field gives.  Each row's norm is a BLAS dot product,
-    taken on one OpenBLAS thread (``eigensolver._one_blas_thread``), so a
-    long row's bits do not depend on the thread count.
+    the one a single field gives.  Each row's norm is a BLAS dot product
+    (``matmul``), taken on one OpenBLAS thread
+    (``eigensolver._one_blas_thread``), so a long row's bits do not depend
+    on the thread count.  No dense matrix is built.
     """
     energies, q, bound = zip(*[_block_ground(k, coupling, b, True) for b in bulk_fields])
     # the symmetric ground energy lies between e_anti and x + 2J, so a finite
@@ -247,14 +256,23 @@ def _ground_profiles(
     if not all(map(math.isfinite, energies)):
         raise DomainError("channel parameters exceed the floating-point range")
     q, bound, sites = np.array(q)[:, None], np.array(bound), np.arange(k)
-    s = np.empty((len(energies), k))
-    s[bound] = np.exp(-q[bound] * sites) * (1.0 + np.exp(-q[bound] * (2 * k - 1 - 2 * sites)))
-    s[~bound] = np.cos(q[~bound] * (k - 0.5 - sites))
+    s = np.zeros((len(energies), k))
+    if bound.any():
+        qb = q[bound]
+        p = float(qb.min())
+        head = min(k, int(710.0 / p) + 2)  # jp > 710 from here on
+        fold = min(head, max(0, int(k - 0.5 - 20.0 / p)))  # y > 40 below here
+        profile = np.exp(-qb * sites[:head])
+        profile[:, fold:] *= 1.0 + np.exp(-qb * (2 * k - 1 - 2 * sites[fold:head]))
+        s[bound, :head] = profile
+    if not bound.all():
+        s[~bound] = np.cos(q[~bound] * (k - 0.5 - sites))
     with _one_blas_thread:
-        v = s / np.array([math.sqrt(float(row @ row)) for row in s])[:, None]
-    coeffs = v / math.sqrt(2.0)
-    coeffs[np.abs(coeffs) < np.finfo(float).tiny] = 0.0
-    return energies, v[:, 0] * v[:, 0], coeffs
+        s /= np.sqrt(np.matmul(s[:, None, :], s[:, :, None]))[:, 0]
+    c1n = s[:, 0] * s[:, 0]
+    s /= math.sqrt(2.0)
+    s[s < np.finfo(float).tiny] = 0.0
+    return energies, c1n, s
 
 
 def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelDesign:
@@ -294,11 +312,12 @@ def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelD
     )
 
 
-def _ratios(coefficients: np.ndarray) -> np.ndarray:
-    """|c_j / c_{j+1}| along the last axis of an array; inf where c_{j+1} is 0."""
-    c = np.abs(coefficients)
+def _ratios(magnitudes: np.ndarray) -> np.ndarray:
+    """c_j / c_{j+1} along the last axis of magnitudes |c_j|; inf where c_{j+1} is 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(c[..., 1:] > 0.0, c[..., :-1] / c[..., 1:], np.inf)
+        r = magnitudes[..., :-1] / magnitudes[..., 1:]
+    r[np.isnan(r)] = np.inf  # 0 / 0: both coefficients are stored as 0
+    return r
 
 
 def ratio_profile(design: ChannelDesign) -> tuple[float, ...]:
@@ -314,7 +333,7 @@ def ratio_profile(design: ChannelDesign) -> tuple[float, ...]:
     """
     if len(design.coefficients) < 2:
         raise DomainError("ratio profile needs at least two coefficients")
-    return tuple(_ratios(np.asarray(design.coefficients)).tolist())
+    return tuple(_ratios(np.abs(design.coefficients)).tolist())
 
 
 def channel_curve(n_values, betas, coupling: float = 1.0):
@@ -335,10 +354,10 @@ def channel_blocks(n_values, betas, coupling: float = 1.0):
 
     Each N solves its betas in chunks of chain._CHUNK_ENTRIES // k (at least
     one), one block each: one ``_ground_profiles`` call gives the chunk's
-    profiles as one array, and its ratio deviations follow in one pass, so
-    memory stays bounded by the chunk, not the beta axis.  An error of that
-    kernel (a bulk field at which the energy overflows) is raised before the
-    chunk's first row."""
+    profiles as one array, and each row's ratio deviation is read off its
+    largest and smallest ratio, so memory stays bounded by the chunk, not
+    the beta axis.  An error of that kernel (a bulk field at which the
+    energy overflows) is raised before the chunk's first row."""
     n_values, betas = check_grid(n_values, betas)
     halves = [_half_length(n) for n in n_values]
     coupling = as_float(coupling, "coupling")
@@ -353,9 +372,11 @@ def channel_blocks(n_values, betas, coupling: float = 1.0):
                 chunk = betas[start : start + step]
                 fields = [beta * coupling / 2.0 for beta in chunk]
                 _, numeric, coeffs = _ground_profiles(k, coupling, fields)
-                b = np.array(chunk, dtype=float)[:, None]
+                b, r = np.array(chunk, dtype=float), _ratios(coeffs)
+                # r - beta and x / beta round monotonically, so a row's largest
+                # |r_j - beta| / beta is that of its largest or smallest ratio
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    deviations = np.max(np.abs(_ratios(coeffs) - b) / b, axis=1)
+                    deviations = np.maximum(r.max(axis=1) - b, b - r.min(axis=1)) / b
                 closed = [c1n_channel(beta, k) if beta > 1.0 else math.nan for beta in chunk]
                 deviations = [
                     d if beta > 0 else math.inf for beta, d in zip(chunk, deviations.tolist())

@@ -255,9 +255,11 @@ def scalar_ground_profile(n_sites: int, coupling: float, bulk_field: float):
     one field by the one-dimensional route: the profile closed form on a
     length-k vector, normalised by its own dot product, scaled and then
     signed (alternating, largest-magnitude coefficient positive), with
-    nothing shared between fields.  The dot product runs on one OpenBLAS
-    thread, as the library's does, since a long one's last bit depends on
-    the thread count."""
+    nothing shared between fields.  Both exponentials are evaluated on every
+    site: this is the full formula whose bits the library's kernel keeps
+    while it skips the entries that cannot change one.  The dot product
+    runs on one OpenBLAS thread, as the library's does, since a long one's
+    last bit depends on the thread count."""
     k = n_sites // 2
     e_anti, q, bound = _block_ground(k, coupling, bulk_field, antisymmetric=True)
     sites = np.arange(k)

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from analytic import c14_channel, c14_impurity_one_up, c14_impurity_two_up, c15_three_half
-from reference import unfold_consistency
+from reference import scalar_ground_profile, unfold_consistency
 
 import xxzchain
 from xxzchain import chain, channel, errors, sweep
@@ -263,6 +265,63 @@ def test_ground_profiles_are_unsigned():
         for n in n_values:
             _, _, coeffs = channel._ground_profiles(n // 2, coupling, fields)
             assert not np.any(np.signbit(coeffs)), (n, coupling)
+
+
+@st.composite
+def _profile_calls(draw):
+    """(k, coupling, betas) for one kernel call: betas below 1, at 1, next to
+    the symmetric threshold and up to 1e8, in random order, so that one call
+    mixes band and bound rows, and betas that put 710/p or k - 20/p (the
+    kernel's cutoffs) within one site of an integer."""
+    k = draw(st.integers(2, 5 * 10**4))
+    threshold = (2 * k + 1) / (2 * k - 1)
+    near = st.floats(-1.0, 1.0)
+    beta = st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.just(1.0),
+        st.floats(-1e-6, 1e-6).map(lambda r: threshold * (1.0 + r)),
+        st.floats(0.0, 8.0 * math.log(10.0)).map(math.exp),
+        st.just(1e8),
+        st.builds(lambda n, d: math.exp(710.0 / (n + d)), st.integers(40, 10**6), near),
+        st.builds(lambda n, d: math.exp(20.0 / (n + d)), st.integers(3, max(3, k)), near),
+    )
+    coupling = draw(st.sampled_from((1.0, 0.37)))
+    return k, coupling, draw(st.lists(beta, min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_profile_calls())
+def test_ground_profiles_keep_the_bits_of_the_full_formula(call):
+    # the kernel skips the exponentials that cannot change a stored bit; the
+    # reference evaluates both on every site of one field at a time
+    k, coupling, betas = call
+    fields = [beta * coupling / 2.0 for beta in betas]
+    energies, c1n, rows = channel._ground_profiles(k, coupling, fields)
+    for field, energy, c, row in zip(fields, energies, c1n.tolist(), rows):
+        e_ref, c_ref, row_ref = scalar_ground_profile(2 * k, coupling, field)
+        assert np.array([energy, c]).tobytes() == np.array([e_ref, c_ref]).tobytes()
+        assert row.tobytes() == np.abs(row_ref).tobytes()
+
+
+def test_profile_cutoffs_sit_on_their_safe_side():
+    # the fold factor is 1.0 past y = 40, and a head entry past jp = 710 is
+    # stored as 0 even with the largest norm factor sqrt(2) / ||s||
+    assert 1.0 + np.exp(-40.0) == 1.0
+    assert math.sqrt(2.0) * np.exp(-710.0) < np.finfo(float).tiny
+
+
+def test_ground_profiles_evaluate_only_the_entries_that_can_change_a_bit(monkeypatch):
+    # beta = 50 at k = 10000: e^{-jp} leaves the float range after about
+    # 710 / ln 50 = 182 sites, and the fold factor is 1.0 up to there
+    evaluated, exp = [], np.exp
+
+    def counted(x, *args, **kwargs):
+        evaluated.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    _, _, (row,) = channel._ground_profiles(10000, 1.0, (25.0,))
+    assert sum(evaluated) <= 200 and np.count_nonzero(row) < 200
 
 
 @pytest.mark.parametrize("n,beta", [(40, 20.0), (1000, 5.0)])

@@ -19,7 +19,10 @@ Runs ``xxzchain.cli.main`` in process, with one BLAS thread, on:
   and 3 deltas, a T = 1e-200 ``curve`` on the 9-site bulk-field channel
   spec, where every weight of a nonzero gap underflows to 0, and
   ``channel`` at betas 0, 0.5 and 1 (the nan and inf columns) with
-  N = 2000, whose betas fall in several chunks (``EXTRA``);
+  N = 2000, whose betas fall in several chunks, and ``channel`` at N in
+  {2000, 20000} on the unsorted betas [1e8, 0.5, 3, 1, 50, 1.0000001, 1e4],
+  which mix band and bound rows in one chunk and reach both cutoffs of the
+  profile kernel (``EXTRA``);
 
 each in CSV and in JSONL.  For each case it prints one line: the case, the
 SHA-256 of stdout, the SHA-256 of stderr and the exit code.  Two trees print
@@ -133,6 +136,11 @@ EXTRA = [
     ("channel beta<=1", "channel",
      {"n_sites_values": [4, 10, 2000], "coupling": 0.8,
       "grid": {"beta": [0, 0.5, 1, 1.0000001, 1.5, 3, 6, 12, 24]}}),
+    # unsorted betas: band and bound rows in one chunk, and both cutoffs of
+    # the profile kernel (the fold factor's and the underflowed head's)
+    ("channel mixed cutoffs", "channel",
+     {"n_sites_values": [2000, 20000], "coupling": 1.0,
+      "grid": {"beta": [1e8, 0.5, 3, 1.0, 50, 1.0000001, 1e4]}}),
 ]
 
 
