@@ -28,10 +28,10 @@ GRID_POINT_CAP = 10**6
 SITE_CAP = 10**7
 
 # Most entries one temporary of ``sweep._SectorSpectrum.field_rows`` (fields x
-# levels, or x sectors at T > 0) or ``channel.channel_blocks`` (betas x k) holds: an
-# axis is walked in chunks of max(1, _CHUNK_ENTRIES // width) points (each
-# chunk of fields or betas one block of the table, ``_rows``), so memory does
-# not grow with the grid.  ``sweep._BlockPlan`` splits a chunk's blocks
+# levels, or x sectors at T > 0) holds: fields come in chunks of max(1,
+# _CHUNK_ENTRIES // width), and ``channel.channel_blocks`` (O(1) a row) takes
+# _CHUNK_ENTRIES betas, each chunk one block of the table (``_rows``), so memory
+# does not grow with the grid.  ``sweep._BlockPlan`` splits a chunk's blocks
 # across the CPUs where two of its largest matrices would hold more.
 _CHUNK_ENTRIES = 1 << 12
 # Most bytes of float64 one stack of a part's matrices holds in

@@ -5,14 +5,13 @@ its single-excitation ground state pinned to the boundary pair, giving a
 boundary concurrence that approaches 1 as 2B/J grows.  The single-
 excitation sector splits under the mirror symmetry of the chain into two
 k x k tridiagonal blocks (N = 2k) with a uniform bulk, whose ground states
-have closed forms: a design is one scalar secular root (``_root``) plus an
-O(k) profile (of which only the exponentials that can change a stored bit
-are evaluated), so any chain up to chain.SITE_CAP sites is routine.  One
-kernel (``_ground_profiles``) serves ``design_channel`` and the two CLI routes,
-``channel_blocks`` (the table whose rows ``channel_curve`` yields, beside
-the closed-form ``c1n_channel`` column) and ``design_report`` (a bracket on
-beta up to ``BETA_CAP``, read at each call).  The channel's chain
-(``build_channel``) and other coupling profiles, such as
+have closed forms: a value is one scalar secular root (``_root``) and a few
+``math`` calls (``_profile_ends``), so any chain up to chain.SITE_CAP sites
+is routine.  The CLI routes, ``channel_blocks`` (the rows ``channel_curve``
+yields, beside the closed-form ``c1n_channel`` column) and ``design_report``
+(a bracket on beta up to ``BETA_CAP``, read at each call), are O(1) a row;
+only ``design_channel`` builds its O(k) profile (``_ground_profile``).  The
+channel's chain (``build_channel``) and other coupling profiles, such as
 ``impurity_profile_chain``, are specs for the sector ground-state route
 (``sweep.sector_boundary_concurrence``).
 """
@@ -26,7 +25,7 @@ import numpy as np
 
 from .chain import _CHUNK_ENTRIES, ChainSpec, _capped, _rows, check_grid
 from .closed_forms import c1n_channel
-from .eigensolver import _degeneracy_tolerance, _one_blas_thread
+from .eigensolver import _degeneracy_tolerance
 from .errors import DomainError, _shown, as_float, as_int
 
 # the top of design_report's bracket on beta = 2B/J, read at each call
@@ -211,77 +210,88 @@ def _block_ground(
     k: int, coupling: float, bulk_field: float, antisymmetric: bool
 ) -> tuple[float, float, bool]:
     """Ground energy of one folded block, with its wavenumber q and whether
-    it is a bound state (see ``_ground_wavenumber``)."""
+    it is a bound state (see ``_ground_wavenumber``); refused where the
+    energy leaves the float range."""
     q, bound = _ground_wavenumber(k, 2.0 * bulk_field / coupling, antisymmetric)
     x = -(2.0 * k - 4.0) * bulk_field
-    return x - 2.0 * coupling * (math.cosh(q) if bound else math.cos(q)), q, bound
-
-
-def _ground_profiles(
-    k: int, coupling: float, bulk_fields
-) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
-    """Ground energies, boundary concurrences and unsigned half-profiles |c_j|
-    (one row per field; those below the smallest normal float stored as 0)
-    of the antisymmetric block of a chain of 2k sites, for a k from
-    ``_half_length`` and parameters ``_check_channel`` accepted.
-
-    Both blocks are k x k tridiagonal with a uniform bulk, so each ground
-    energy is the root of one scalar secular equation (``_root``) and the
-    ground vector has the closed form (-1)^j s_j, s_j >= 0, j = 0..k-1:
-    s_j = cosh((k - 1/2 - j) p) (beta > 1), 1 (beta = 1) or
-    cos((k - 1/2 - j) theta) (beta < 1).  The CLI routes read only c_0^2 and
-    |c_j / c_{j+1}|; ``design_channel`` signs its one row.  A bound row is
-    e^{-jp} (1 + e^{-(2k-1-2j) p}), so every coefficient carries full
-    relative accuracy, however far below the boundary amplitude it falls.
-
-    Only the exponentials that can change a stored bit are evaluated, cut at
-    the call's smallest bound p (a larger p evaluates more than it needs).
-    1 + e^{-y} is exactly 1.0 for y > 40 (e^{-40} < 2^-53), so the fold
-    factor is taken on the last ~20/p sites only.  As ||s|| >= s_0 >= 1,
-    where jp > 710 |c_j| <= sqrt(2) e^{-710} is stored as 0 and
-    s_j^2 < 2^-1075 leaves a dot product as it is, fused or not: those
-    entries are 0 from the start, in a norm still taken over the full row.
-
-    The roots stay scalar ``math`` calls, as numpy's exp and expm1 differ
-    from libm's in the last bit on a few percent of inputs; the profiles of
-    all fields are then built as one (fields, k) array, each row bit for bit
-    the one a single field gives.  Each row's norm is a BLAS dot product
-    (``matmul``), taken on one OpenBLAS thread
-    (``eigensolver._one_blas_thread``), so a long row's bits do not depend
-    on the thread count.  No dense matrix is built.
-    """
-    energies, q, bound = zip(*[_block_ground(k, coupling, b, True) for b in bulk_fields])
-    # the symmetric ground energy lies between e_anti and x + 2J, so a finite
-    # e_anti bounds it too
-    if not all(map(math.isfinite, energies)):
+    energy = x - 2.0 * coupling * (math.cosh(q) if bound else math.cos(q))
+    if not math.isfinite(energy):
         raise DomainError("channel parameters exceed the floating-point range")
-    q, bound, sites = np.array(q)[:, None], np.array(bound), np.arange(k)
-    s = np.zeros((len(energies), k))
-    if bound.any():
-        qb = q[bound]
-        p = float(qb.min())
-        head = min(k, int(710.0 / p) + 2)  # jp > 710 from here on
-        fold = min(head, max(0, int(k - 0.5 - 20.0 / p)))  # y > 40 below here
-        profile = np.exp(-qb * sites[:head])
-        profile[:, fold:] *= 1.0 + np.exp(-qb * (2 * k - 1 - 2 * sites[fold:head]))
-        s[bound, :head] = profile
-    if not bound.all():
-        s[~bound] = np.cos(q[~bound] * (k - 0.5 - sites))
-    with _one_blas_thread:
-        s /= np.sqrt(np.matmul(s[:, None, :], s[:, :, None]))[:, 0]
-    c1n = s[:, 0] * s[:, 0]
-    s /= math.sqrt(2.0)
+    return energy, q, bound
+
+
+def _profile_ends(k: int, q: float, bound: bool) -> tuple[float, float, float, float]:
+    """C_1N (s_0 / sqrt(sum) squared, a normalised row's first entry), the sum
+    of squares and the largest and smallest ratio s_j / s_{j+1} of the ground
+    profile s_j (``_ground_profile``), O(1) from its root.  Scaled by
+    2 e^{-(k-1/2) p}, with x = e^{-(2k-1) p}, a bound row has s_0 = 1 + x and
+    sum_{j>0} s_j^2 = 2(k-1) x + e^{-2p} expm1(-4(k-1)p) / expm1(-2p), all terms
+    positive ((k-1)/2 + sinh(2(k-1)p) / (4 sinh p) unscaled; band: sin); no
+    k-term sum, whose error bound grows with k (N. J. Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 4).  The ratio
+    cosh p + tanh((k - 3/2 - j) p) sinh p falls from r_0 = e^p (1 + x) /
+    (1 + e^{-(2k-3) p}) to r_{k-2} = 2 cosh p - 1 (band: rises to the fold)."""
+    if bound:
+        x, y = math.exp(-(2 * k - 1) * q), math.exp(-2 * q)
+        s0, tail = 1.0 + x, 2 * (k - 1) * x + y * math.expm1(-4 * (k - 1) * q) / math.expm1(-2 * q)
+        ends = math.exp(q) * s0 / (1.0 + math.exp(-(2 * k - 3) * q)), 2.0 * math.cosh(q) - 1.0
+    elif q == 0.0:  # beta = 1: s_j = 1
+        s0, tail, ends = 1.0, k - 1.0, (1.0, 1.0)
+    else:
+        s0 = math.cos((k - 0.5) * q)
+        tail = 0.5 * (k - 1) + math.sin(2 * (k - 1) * q) / (4 * math.sin(q))
+        ends = math.cos(1.5 * q) / math.cos(0.5 * q), s0 / math.cos((k - 1.5) * q)
+    v0 = s0 / math.sqrt(s0 * s0 + tail)
+    return v0 * v0, s0 * s0 + tail, *ends
+
+
+def _channel_rows(k: int, coupling: float, betas) -> tuple[list, list]:
+    """C_1N = s_0^2 / sum s_j^2 and max_j |r_j - beta| / beta (inf at beta = 0)
+    of a chain of 2k sites at each beta (bulk field beta J / 2), O(1) a row
+    and no array; an energy that overflows raises before any row is returned."""
+    numeric, deviations = [], []
+    for beta in betas:
+        _, q, bound = _block_ground(k, coupling, beta * coupling / 2.0, True)
+        c1n, _, r_max, r_min = _profile_ends(k, q, bound)
+        numeric.append(c1n)
+        deviations.append(max(r_max - beta, beta - r_min) / beta if beta > 0 else math.inf)
+    return numeric, deviations
+
+
+def _ground_profile(k: int, coupling: float, bulk_field: float) -> tuple[float, float, np.ndarray]:
+    """Ground energy, boundary concurrence and unsigned half-profile |c_j|
+    (those below the smallest normal float stored as 0) of the antisymmetric
+    block of 2k sites, the row ``design_channel`` signs: (-1)^j s_j, s_j >= 0,
+    with s_j = cosh((k - 1/2 - j) p) (beta > 1), 1 (beta = 1) or
+    cos((k - 1/2 - j) theta) (beta < 1), over sqrt(2 sum s_j^2) and with C_1N
+    from ``_profile_ends`` (no dot product).  A bound row is e^{-jp} times
+    1 + e^{-(2k-1-2j) p}, so every coefficient has full relative accuracy;
+    only the exponentials that can change a stored bit are evaluated: the
+    fold factor is 1.0 for 2k-1-2j > 40/p (e^{-40} < 2^-53), and as
+    sum s_j^2 >= 1, |c_j| <= e^{-710} is stored as 0 where jp > 710."""
+    energy, q, bound = _block_ground(k, coupling, bulk_field, True)
+    sites = np.arange(k)
+    if bound:
+        head = min(k, int(710.0 / q) + 2)  # jp > 710 from here on
+        fold = min(head, max(0, int(k - 0.5 - 20.0 / q)))  # y > 40 below here
+        s = np.zeros(k)
+        s[:head] = np.exp(-q * sites[:head])
+        s[fold:head] *= 1.0 + np.exp(-q * (2 * k - 1 - 2 * sites[fold:head]))
+    else:
+        s = np.cos(q * (k - 0.5 - sites))
+    c1n, total, _, _ = _profile_ends(k, q, bound)
+    s /= math.sqrt(2.0 * total)
     s[s < np.finfo(float).tiny] = 0.0
-    return energies, c1n, s
+    return energy, c1n, s
 
 
 def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelDesign:
     """Solve the folded channel exactly and read off the boundary concurrence.
 
-    The profile is row 0 of a one-field ``_ground_profiles`` call, given
-    the library's one sign rule (signs alternate, the first largest-magnitude
-    coefficient positive) and packed into a tuple; the CLI routes read the
-    unsigned rows of the same kernel, so they print the same bits.
+    The profile is ``_ground_profile``'s row, given the library's one sign
+    rule (signs alternate, the first largest-magnitude coefficient positive)
+    and packed into a tuple; its boundary concurrence is the closed form the
+    CLI routes print, so ``design`` and ``channel`` print the same bits.
 
     For J > 0 the antisymmetric block's ground energy is strictly below the
     symmetric one (its fold corner is lower by 2J and the ground vector has
@@ -291,13 +301,12 @@ def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelD
     and flags that the split fell within the degeneracy tolerance.
 
     Coefficients below the smallest normal float (about 2.2e-308) are
-    stored as 0, so their ratios in ``ratio_profile`` read inf: a float-range
-    limit, plainly flagged, not roundoff.  A chain over chain.SITE_CAP
-    sites raises ResourceCapError.
+    stored as 0 (see ``ratio_profile``).  A chain over chain.SITE_CAP sites
+    raises ResourceCapError.
     """
     j, b = _check_channel(coupling, bulk_field)
     k = _half_length(n_sites)
-    (e_anti,), (c1n,), (coeffs,) = _ground_profiles(k, j, (b,))
+    e_anti, c1n, coeffs = _ground_profile(k, j, b)
     # signs alternate, the first largest entry positive; 0 - c keeps a 0 at +0
     flip = slice(1 - int(np.argmax(coeffs)) % 2, None, 2)
     coeffs[flip] = 0.0 - coeffs[flip]
@@ -308,41 +317,37 @@ def design_channel(n_sites: int, coupling: float, bulk_field: float) -> ChannelD
         beta=2.0 * b / j,
         ground_energy=e_anti,
         coefficients=tuple(coeffs.tolist()),
-        boundary_concurrence=float(c1n),
+        boundary_concurrence=c1n,
     )
-
-
-def _ratios(magnitudes: np.ndarray) -> np.ndarray:
-    """c_j / c_{j+1} along the last axis of magnitudes |c_j|; inf where c_{j+1} is 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = magnitudes[..., :-1] / magnitudes[..., 1:]
-    r[np.isnan(r)] = np.inf  # 0 / 0: both coefficients are stored as 0
-    return r
 
 
 def ratio_profile(design: ChannelDesign) -> tuple[float, ...]:
     """Successive magnitude ratios |c_j / c_{j+1}| of the half profile.
 
-    A vanishing next coefficient yields an infinite ratio, not an error.
-    For a ``design_channel`` profile with beta > 1 the ratios are exactly
-    cosh((k + 1/2 - j) p) / cosh((k - 1/2 - j) p): they tend to e^p, which is
-    beta = 2B/J up to a relative beta^(-2k), a few sites away from the fold,
-    and the last one (at the fold) is 2 cosh p - 1, i.e. beta + 1/beta - 1 on
-    long chains.  Coefficients below about 1e-308 are stored as 0, so their
-    ratios read inf: a float-range limit, not roundoff.
+    A vanishing next coefficient yields an infinite ratio (0 / 0 too), not
+    an error.  For a ``design_channel`` profile with beta > 1 the ratios are
+    exactly cosh((k + 1/2 - j) p) / cosh((k - 1/2 - j) p): they tend to e^p,
+    which is beta = 2B/J up to a relative beta^(-2k), a few sites away from
+    the fold, and the last one (at the fold) is 2 cosh p - 1, i.e.
+    beta + 1/beta - 1 on long chains.  Coefficients below about 1e-308 are
+    stored as 0, so their ratios read inf; the ``channel`` table takes its
+    two end ratios in closed form instead (``_profile_ends``), finite.
     """
     if len(design.coefficients) < 2:
         raise DomainError("ratio profile needs at least two coefficients")
-    return tuple(_ratios(np.abs(design.coefficients)).tolist())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.abs(design.coefficients[:-1]) / np.abs(design.coefficients[1:])
+    r[np.isnan(r)] = np.inf  # 0 / 0: both coefficients are stored as 0
+    return tuple(r.tolist())
 
 
 def channel_curve(n_values, betas, coupling: float = 1.0):
     """Rows (N, beta, numeric C1N, profile-formula C1N, max ratio deviation)
-    over the grid of the sequences ``n_values`` and ``betas``, read off the
-    profile array, bit for bit those of ``design_channel`` and
-    ``ratio_profile``; the grid, each N (capped at chain.SITE_CAP), J and
-    bulk field beta J / 2 are checked before the first row.  The rows of
-    ``channel_blocks``, flattened."""
+    over the grid of the sequences ``n_values`` and ``betas``, O(1) each:
+    ``design_channel``'s C1N bits, and max_j |r_j - beta| / beta over the
+    exact ratios, finite for beta > 0.  The grid, each N (capped at
+    chain.SITE_CAP), J and bulk field beta J / 2 are checked before the first
+    row.  The rows of ``channel_blocks``, flattened."""
     return _rows(*channel_blocks(n_values, betas, coupling))
 
 
@@ -352,36 +357,26 @@ def channel_blocks(n_values, betas, coupling: float = 1.0):
     deviation]) each, on the betas from betas[start]: the table the CLI
     writes.
 
-    Each N solves its betas in chunks of chain._CHUNK_ENTRIES // k (at least
-    one), one block each: one ``_ground_profiles`` call gives the chunk's
-    profiles as one array, and each row's ratio deviation is read off its
-    largest and smallest ratio, so memory stays bounded by the chunk, not
-    the beta axis.  An error of that kernel (a bulk field at which the
-    energy overflows) is raised before the chunk's first row."""
+    The coupling is checked once and each beta read once, with its bulk
+    field.  Each N solves its betas in chunks of chain._CHUNK_ENTRIES, one
+    block (``_channel_rows``) each, so memory follows the chunk, not N.  A
+    bulk field at which the energy overflows raises before the chunk's rows."""
     n_values, betas = check_grid(n_values, betas)
     halves = [_half_length(n) for n in n_values]
-    coupling = as_float(coupling, "coupling")
-    betas = [as_float(beta, "beta") for beta in betas]
-    for beta in betas:
-        _check_channel(coupling, beta * coupling / 2.0)
+    coupling, _ = _check_channel(coupling, 0.0)
+    betas = list(betas)
+    for i, beta in enumerate(betas):
+        betas[i] = beta = as_float(beta, "beta")
+        if as_float(beta * coupling / 2.0, "bulk field") < 0:
+            raise DomainError("channel design needs a nonnegative bulk field")
 
     def blocks():
         for k in halves:
-            step = max(1, _CHUNK_ENTRIES // k)
-            for start in range(0, len(betas), step):
-                chunk = betas[start : start + step]
-                fields = [beta * coupling / 2.0 for beta in chunk]
-                _, numeric, coeffs = _ground_profiles(k, coupling, fields)
-                b, r = np.array(chunk, dtype=float), _ratios(coeffs)
-                # r - beta and x / beta round monotonically, so a row's largest
-                # |r_j - beta| / beta is that of its largest or smallest ratio
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    deviations = np.maximum(r.max(axis=1) - b, b - r.min(axis=1)) / b
+            for start in range(0, len(betas), _CHUNK_ENTRIES):
+                chunk = betas[start : start + _CHUNK_ENTRIES]
+                numeric, deviations = _channel_rows(k, coupling, chunk)
                 closed = [c1n_channel(beta, k) if beta > 1.0 else math.nan for beta in chunk]
-                deviations = [
-                    d if beta > 0 else math.inf for beta, d in zip(chunk, deviations.tolist())
-                ]
-                yield (2 * k,), start, [numeric.tolist(), closed, deviations]
+                yield (2 * k,), start, [numeric, closed, deviations]
 
     return betas, blocks()
 
@@ -404,7 +399,7 @@ def design_report(n_sites: int, target: float, coupling: float = 1.0) -> dict:
     def achieved(beta: float) -> float:
         if beta not in solved:
             _check_channel(coupling, beta * coupling / 2.0)
-            solved[beta] = float(_ground_profiles(k, coupling, (beta * coupling / 2.0,))[1][0])
+            solved[beta] = _channel_rows(k, coupling, (beta,))[0][0]
         return solved[beta]
 
     def report(status: str, beta: float) -> dict:

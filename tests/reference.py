@@ -7,10 +7,17 @@ direct route, something the library obtains another way.
 import io
 import math
 
+import mpmath
 import numpy as np
 
 from xxzchain.chain import build_sector_basis, site_mask
-from xxzchain.channel import BETA_CAP, _block_ground, build_channel, fold_single_excitation
+from xxzchain.channel import (
+    BETA_CAP,
+    _block_ground,
+    _profile_ends,
+    build_channel,
+    fold_single_excitation,
+)
 from xxzchain.closed_forms import c1n_channel
 from xxzchain.eigensolver import DEGENERACY_RTOL, _one_blas_thread, decompose
 from xxzchain.entanglement import (
@@ -250,28 +257,124 @@ def beta_for_target(target: float, k: int, beta_cap: float = BETA_CAP) -> float:
     return hi
 
 
+def regime_edge_betas(k: int) -> tuple[float, ...]:
+    """Betas on both sides of every regime change of the folded blocks of
+    2k sites: the antisymmetric bound state at beta = 1 and the symmetric
+    one at beta = (2k + 1)/(2k - 1), with 0, 0.5 and values up to 20."""
+    edge = (2 * k + 1) / (2 * k - 1)
+    return (0.0, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, edge - 1e-9, edge, edge + 1e-9,
+            1.5, 3.0, 10.0, 20.0)
+
+
+def _full_profile(k: int, q: float, bound: bool) -> np.ndarray:
+    """The unnormalised ground profile at wavenumber q with both exponentials
+    of a bound row evaluated on every site (the library skips those that
+    cannot change a stored bit)."""
+    sites = np.arange(k)
+    if bound:
+        return np.exp(-q * sites) * (1.0 + np.exp(-q * (2 * k - 1 - 2 * sites)))
+    return np.cos(q * (k - 0.5 - sites))
+
+
 def scalar_ground_profile(n_sites: int, coupling: float, bulk_field: float):
     """Ground energy, boundary concurrence and half-profile coefficients of
     one field by the one-dimensional route: the profile closed form on a
-    length-k vector, normalised by its own dot product, scaled and then
-    signed (alternating, largest-magnitude coefficient positive), with
-    nothing shared between fields.  Both exponentials are evaluated on every
-    site: this is the full formula whose bits the library's kernel keeps
-    while it skips the entries that cannot change one.  The dot product
-    runs on one OpenBLAS thread, as the library's does, since a long one's
-    last bit depends on the thread count."""
+    length-k vector, divided by sqrt(2 sum s_j^2) from the library's
+    ``_profile_ends`` and then signed (alternating, largest-magnitude
+    coefficient positive).  Both exponentials are evaluated on every site:
+    this is the full formula whose bits the library's kernel keeps while it
+    skips the entries that cannot change one."""
     k = n_sites // 2
     e_anti, q, bound = _block_ground(k, coupling, bulk_field, antisymmetric=True)
-    sites = np.arange(k)
-    if bound:
-        s = np.exp(-q * sites) * (1.0 + np.exp(-q * (2 * k - 1 - 2 * sites)))
-    else:
-        s = np.cos(q * (k - 0.5 - sites))
-    with _one_blas_thread:
-        v = s / math.sqrt(float(s @ s))
-    coeffs = v / math.sqrt(2.0)
+    c1n, total, _, _ = _profile_ends(k, q, bound)
+    coeffs = _full_profile(k, q, bound) / math.sqrt(2.0 * total)
     coeffs[1::2] *= -1.0
     if coeffs[np.argmax(np.abs(coeffs))] < 0:
         coeffs = -coeffs
     coeffs[np.abs(coeffs) < np.finfo(float).tiny] = 0.0
-    return e_anti, float(v[0] * v[0]), coeffs
+    return e_anti, c1n, coeffs
+
+
+def dot_product_c1n(k: int, q: float, bound: bool) -> float:
+    """C_1N as the channel took it before its closed form, bit for bit: the
+    full profile row at wavenumber q, normalised by its own dot product (on
+    one OpenBLAS thread, as a long one's last bit depends on the thread
+    count), its first entry squared.  The baseline the closed form's
+    accuracy is measured against."""
+    s = _full_profile(k, q, bound)
+    with _one_blas_thread:
+        v0 = s[0] / math.sqrt(float(s @ s))
+    return float(v0 * v0)
+
+
+# The one-up oracle: the folded channel at ORACLE_DPS digits with mpmath, from
+# the dense block and from the profile summed term by term.  It reads only
+# mpmath and its arguments, never the package, so it can check the channel
+# kernel, and any one-up route, without sharing a line with it.
+ORACLE_DPS = 64
+
+
+def mp_folded_block(k: int, beta) -> mpmath.matrix:
+    """The k x k antisymmetric folded block at J = 1 and bulk field beta / 2,
+    exactly (beta as given, e.g. a float read exactly): hopping 1, diagonal
+    (-(2k-2) B, -(2k-4) B, ..., -(2k-4) B - 1)."""
+    with mpmath.workdps(ORACLE_DPS):
+        b = mpmath.mpf(beta) / 2
+        a = mpmath.zeros(k)
+        for j in range(k):
+            a[j, j] = -(2 * k - 4) * b
+            if j + 1 < k:
+                a[j, j + 1] = a[j + 1, j] = mpmath.mpf(1)
+        a[0, 0] = -(2 * k - 2) * b
+        a[k - 1, k - 1] -= 1
+        return a
+
+
+def mp_block_ground(k: int, beta):
+    """Ground energy and unit ground vector (first entry >= 0) of
+    ``mp_folded_block(k, beta)`` by a dense symmetric eigensolve at
+    ORACLE_DPS digits: the oracle for the root and the profile shape."""
+    with mpmath.workdps(ORACLE_DPS):
+        energies, vectors = mpmath.eigsy(mp_folded_block(k, beta))
+        low = min(range(k), key=lambda i: energies[i])
+        v = [vectors[j, low] for j in range(k)]
+        sign = 1 if v[0] >= 0 else -1
+        return energies[low], [sign * x for x in v]
+
+
+def mp_profile(k: int, q, bound: bool) -> list:
+    """The unnormalised ground profile s_j, j = 0..k-1, at wavenumber q (a
+    float read exactly), term by term: cosh((k - 1/2 - j) q) for a bound row,
+    cos((k - 1/2 - j) q) for a band row (1 at q = 0)."""
+    with mpmath.workdps(ORACLE_DPS):
+        f = mpmath.cosh if bound else mpmath.cos
+        q = mpmath.mpf(q)
+        return [f((k - j - mpmath.mpf(1) / 2) * q) for j in range(k)]
+
+
+def mp_channel_row(k: int, q, bound: bool, beta) -> tuple:
+    """(C_1N, max_j |r_j - beta| / beta) of the profile at wavenumber q, with
+    r_j = s_j / s_{j+1}: the sum of squares and every ratio taken term by
+    term at ORACLE_DPS digits, beta and q read exactly (inf at beta = 0)."""
+    with mpmath.workdps(ORACLE_DPS):
+        s = mp_profile(k, q, bound)
+        c1n = s[0] ** 2 / mpmath.fsum(x * x for x in s)
+        if beta == 0:
+            return c1n, mpmath.inf
+        beta = mpmath.mpf(beta)
+        deviation = max(abs(s[j] / s[j + 1] - beta) for j in range(k - 1)) / beta
+        return c1n, deviation
+
+
+def mp_profile_ends(k: int, q, bound: bool) -> tuple:
+    """The closed forms at ORACLE_DPS digits: s_0^2, sum_j s_j^2 =
+    k/2 + sinh(2kq) / (4 sinh q) (band: sin for sinh; k at q = 0), and the end
+    ratios s_0 / s_1 and s_{k-2} / s_{k-1}, for the profile of ``mp_profile``."""
+    with mpmath.workdps(ORACLE_DPS):
+        q, half = mpmath.mpf(q), mpmath.mpf(1) / 2
+        if q == 0:
+            return mpmath.mpf(1), mpmath.mpf(k), mpmath.mpf(1), mpmath.mpf(1)
+        f, g = (mpmath.cosh, mpmath.sinh) if bound else (mpmath.cos, mpmath.sin)
+        total = k * half + g(2 * k * q) / (4 * g(q))
+        ends = f((k - half) * q) / f((k - 3 * half) * q), f(3 * half * q) / f(half * q)
+        return f((k - half) * q) ** 2, total, *ends

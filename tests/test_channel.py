@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from analytic import c14_channel, c14_impurity_one_up, c14_impurity_two_up, c15_three_half
-from reference import scalar_ground_profile, unfold_consistency
+from reference import regime_edge_betas, scalar_ground_profile, unfold_consistency
 
 import xxzchain
 from xxzchain import chain, channel, errors, sweep
@@ -31,15 +31,6 @@ from xxzchain.eigensolver import decompose
 from xxzchain.errors import DomainError, ResourceCapError
 from xxzchain.hamiltonian import build_sector
 from xxzchain.sweep import sector_boundary_concurrence
-
-
-def _reference_betas(k):
-    """Fields on both sides of every regime change of the folded blocks: the
-    antisymmetric bound state at beta = 1 and the symmetric one at
-    beta = (2k + 1)/(2k - 1)."""
-    edge = (2 * k + 1) / (2 * k - 1)
-    return (0.0, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, edge - 1e-9, edge, edge + 1e-9,
-            1.5, 3.0, 10.0, 20.0)
 
 
 def test_fold_four_sites():
@@ -210,7 +201,7 @@ def test_design_domain_errors():
 @pytest.mark.parametrize("n", range(4, 42, 2))
 def test_design_block_energies_match_dense_blocks(n):
     k = n // 2
-    for beta in _reference_betas(k):
+    for beta in regime_edge_betas(k):
         folded = fold_single_excitation(n, 1.0, beta / 2)
         for dense, antisymmetric in ((folded.antisymmetric, True), (folded.symmetric, False)):
             exact = float(np.linalg.eigvalsh(dense)[0])
@@ -223,7 +214,7 @@ def test_design_block_energies_match_dense_blocks(n):
 
 @pytest.mark.parametrize("n", range(4, 42, 2))
 def test_design_vector_matches_dense_vector(n):
-    for beta in _reference_betas(n // 2):
+    for beta in regime_edge_betas(n // 2):
         design = design_channel(n, 1.0, beta / 2)
         dense = decompose(fold_single_excitation(n, 1.0, beta / 2).antisymmetric)
         v = dense.eigenvectors[:, 0]
@@ -256,23 +247,23 @@ def test_design_stores_underflowed_coefficients_as_positive_zero():
 
 
 def test_ground_profiles_are_unsigned():
-    # the rows the sweeps read are the profile magnitudes: no entry, not
-    # even a zero, carries a sign bit
+    # the row the kernel returns is the profile magnitudes: no entry, not
+    # even a zero, carries a sign bit before design_channel signs it
     n_values = (4, 6, 40, 1000, 2000, 10000, 20002)
     betas = (0.0, 0.3, 0.99, 1.0, 1.0 + 1e-7, 1.5, 2.0, 3.0, 10.0, 1e4, 1e8)
     for coupling in (1.0, 0.37):
-        fields = [beta * coupling / 2.0 for beta in betas]
         for n in n_values:
-            _, _, coeffs = channel._ground_profiles(n // 2, coupling, fields)
-            assert not np.any(np.signbit(coeffs)), (n, coupling)
+            for beta in betas:
+                _, _, coeffs = channel._ground_profile(n // 2, coupling, beta * coupling / 2.0)
+                assert not np.any(np.signbit(coeffs)), (n, coupling, beta)
 
 
 @st.composite
 def _profile_calls(draw):
-    """(k, coupling, betas) for one kernel call: betas below 1, at 1, next to
-    the symmetric threshold and up to 1e8, in random order, so that one call
-    mixes band and bound rows, and betas that put 710/p or k - 20/p (the
-    kernel's cutoffs) within one site of an integer."""
+    """(k, coupling, betas) for kernel calls: betas below 1, at 1, next to
+    the symmetric threshold and up to 1e8, in random order, mixing band and
+    bound rows, and betas that put 710/p or k - 20/p (the kernel's cutoffs)
+    within one site of an integer."""
     k = draw(st.integers(2, 5 * 10**4))
     threshold = (2 * k + 1) / (2 * k - 1)
     near = st.floats(-1.0, 1.0)
@@ -293,19 +284,22 @@ def _profile_calls(draw):
 @given(_profile_calls())
 def test_ground_profiles_keep_the_bits_of_the_full_formula(call):
     # the kernel skips the exponentials that cannot change a stored bit; the
-    # reference evaluates both on every site of one field at a time
+    # reference evaluates both on every site; and the O(1) table rows carry
+    # the kernel's C1N bits
     k, coupling, betas = call
-    fields = [beta * coupling / 2.0 for beta in betas]
-    energies, c1n, rows = channel._ground_profiles(k, coupling, fields)
-    for field, energy, c, row in zip(fields, energies, c1n.tolist(), rows):
+    numeric, _ = channel._channel_rows(k, coupling, betas)
+    for beta, c_row in zip(betas, numeric):
+        field = beta * coupling / 2.0
+        energy, c, row = channel._ground_profile(k, coupling, field)
         e_ref, c_ref, row_ref = scalar_ground_profile(2 * k, coupling, field)
-        assert np.array([energy, c]).tobytes() == np.array([e_ref, c_ref]).tobytes()
+        assert np.array([energy, c, c_row]).tobytes() == np.array([e_ref, c_ref, c_ref]).tobytes()
         assert row.tobytes() == np.abs(row_ref).tobytes()
 
 
 def test_profile_cutoffs_sit_on_their_safe_side():
     # the fold factor is 1.0 past y = 40, and a head entry past jp = 710 is
-    # stored as 0 even with the largest norm factor sqrt(2) / ||s||
+    # stored as 0 even with the largest norm factor 1 / sqrt(2 sum s_j^2)
+    # (sum s_j^2 >= s_0^2 >= 1), and a larger one, sqrt(2), to spare
     assert 1.0 + np.exp(-40.0) == 1.0
     assert math.sqrt(2.0) * np.exp(-710.0) < np.finfo(float).tiny
 
@@ -320,7 +314,7 @@ def test_ground_profiles_evaluate_only_the_entries_that_can_change_a_bit(monkeyp
         return exp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", counted)
-    _, _, (row,) = channel._ground_profiles(10000, 1.0, (25.0,))
+    _, _, row = channel._ground_profile(10000, 1.0, 25.0)
     assert sum(evaluated) <= 200 and np.count_nonzero(row) < 200
 
 
@@ -559,11 +553,12 @@ def test_sector_routes_import_no_dense_path(module):
     }
 
 
-def test_channel_takes_only_the_tolerance_and_the_blas_pin_from_the_numeric_layers():
-    # the degeneracy tolerance, and the one-thread BLAS pin its norms run in
+def test_channel_takes_only_the_tolerance_from_the_numeric_layers():
+    # the degeneracy tolerance; the channel makes no BLAS call, so it needs
+    # no thread pin
     imports = _package_imports(channel)
     assert "hamiltonian" not in imports and "entanglement" not in imports
-    assert imports["eigensolver"] == {"_degeneracy_tolerance", "_one_blas_thread"}
+    assert imports["eigensolver"] == {"_degeneracy_tolerance"}
 
 
 def _src_modules():

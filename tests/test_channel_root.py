@@ -181,13 +181,13 @@ def test_a_flat_stretch_above_the_root_keeps_the_reference_bits(edge, shape):
 def test_design_report_crosses_its_flat_stretch_in_few_solves(monkeypatch, n):
     # achieved(beta) - 0.99 reads exactly 0 over tens of floats above the
     # crossing; halving down to its lower edge took 55 exact solves
-    solves, kernel = [], channel._ground_profiles
+    solves, kernel = [], channel._channel_rows
 
     def counted(*args):
         solves.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(channel, "_ground_profiles", counted)
+    monkeypatch.setattr(channel, "_channel_rows", counted)
     assert channel.design_report(n, 0.99)["status"] == "ok"
     assert len(solves) <= 32
 
@@ -200,12 +200,12 @@ def test_design_report_solves_no_bulk_field_twice(monkeypatch, n, target):
     # the report reads the search's own solves, so neither the beta the
     # search ends on nor a probe it repeats is solved a second time; (4, 0.1)
     # is already achieved at zero field
-    fields, kernel = [], channel._ground_profiles
+    betas, kernel = [], channel._channel_rows
 
-    def counted(k, coupling, bulk_fields):
-        fields.extend(bulk_fields)
-        return kernel(k, coupling, bulk_fields)
+    def counted(k, coupling, solved):
+        betas.extend(solved)
+        return kernel(k, coupling, solved)
 
-    monkeypatch.setattr(channel, "_ground_profiles", counted)
+    monkeypatch.setattr(channel, "_channel_rows", counted)
     channel.design_report(n, target)
-    assert fields and len(fields) == len(set(fields))
+    assert betas and len(betas) == len(set(betas))

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tempfile
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from analytic import critical_field_3site
-from reference import joined_field_rows, scalar_ground_profile
+from reference import joined_field_rows, mp_channel_row, scalar_ground_profile
 
 from xxzchain import cli as cli_module
 from xxzchain import chain, channel, sweep
@@ -293,41 +294,51 @@ def test_channel_curve_rows_equal_the_public_route_bit_for_bit(coupling):
         ratios = ratio_profile(design)
         assert type(design.coefficients) is tuple and type(ratios) is tuple
         assert numeric == design.boundary_concurrence
-        assert deviation == (max(abs(r - beta) / beta for r in ratios) if beta > 0 else math.inf)
-    # at N = 1000, beta = 20 the far coefficients underflow to 0
-    assert {row[4] for row in rows if row[:2] == (1000, 20.0)} == {math.inf}
+        assert deviation == _oracle_deviation(n, beta, coupling), (n, beta)
+    # at N = 1000, beta = 20 the far coefficients underflow to 0, so the
+    # design's stored ratios read inf; the table's deviation stays exact
+    ((_, _, _, _, deviation),) = [row for row in rows if row[:2] == (1000, 20.0)]
+    assert math.isinf(ratio_profile(design_channel(1000, coupling, 10.0 * coupling))[-1])
+    assert math.isfinite(deviation)
+
+
+def _oracle_deviation(n, beta, coupling=1.0):
+    """A row's deviation, checked within 1e-15 absolute of the mpmath
+    oracle's max_j |r_j - beta| / beta at the row's own root (finite on
+    every bound row, inf at beta = 0), and returned."""
+    _, q, bound = channel._block_ground(n // 2, coupling, beta * coupling / 2.0, True)
+    ((_,), (deviation,)) = channel._channel_rows(n // 2, coupling, (beta,))
+    exact = mp_channel_row(n // 2, q, bound, beta)[1]
+    if beta == 0.0:
+        assert deviation == exact == math.inf
+    else:
+        assert math.isfinite(deviation) and abs(deviation - exact) <= 1e-15, (n, beta)
+    return deviation
 
 
 def _bits(row):
     return tuple(v.hex() if isinstance(v, float) else v for v in row)
 
 
-def test_channel_curve_rows_equal_per_beta_designs_across_chunk_edges():
-    # N = 2000 (k = 1000) spreads the betas over chunks of four; N = 10000
-    # and 20002 have k > _CHUNK_ENTRIES, so each of their chunks holds one beta
+def test_channel_curve_rows_equal_per_beta_designs_across_chunk_edges(monkeypatch):
+    # chunks of four betas, so each N's 11 betas span three chunks
+    monkeypatch.setattr(channel, "_CHUNK_ENTRIES", 4)
     n_values = (4, 6, 40, 1000, 2000, 10000, 20002)
     betas = (0.0, 0.3, 0.99, 1.0, 1.0 + 1e-7, 1.5, 2.0, 3.0, 10.0, 1e4, 1e8)
-    assert len(betas) > 2 * (chain._CHUNK_ENTRIES // 1000)
-    assert 10000 // 2 > chain._CHUNK_ENTRIES
     rows = iter(channel_curve(n_values, betas))
     for n in n_values:
-        fields = [beta / 2.0 for beta in betas]
-        _, numeric, chunk = channel._ground_profiles(n // 2, 1.0, fields)
-        for beta, c1n, row in zip(betas, numeric.tolist(), chunk):
+        for beta in betas:
             design = design_channel(n, 1.0, beta / 2.0)
-            _, (single_c1n,), (single,) = channel._ground_profiles(n // 2, 1.0, (beta / 2.0,))
-            assert design.boundary_concurrence == single_c1n == c1n
+            e_single, c1n, single = channel._ground_profile(n // 2, 1.0, beta / 2.0)
             e_ref, c1n_ref, row_ref = scalar_ground_profile(n, 1.0, beta / 2.0)
             assert design.coefficients == tuple(row_ref.tolist())
             assert np.array(design.coefficients).tobytes() == row_ref.tobytes()
-            assert (design.ground_energy, c1n) == (e_ref, c1n_ref)
-            # the kernel rows are the unsigned profile
-            assert row.tobytes() == single.tobytes() == np.abs(row_ref).tobytes()
-            deviation = (
-                max(abs(r - beta) / beta for r in ratio_profile(design)) if beta > 0 else math.inf
-            )
+            assert (design.ground_energy, design.boundary_concurrence) == (e_ref, c1n_ref)
+            assert (e_single, c1n) == (e_ref, c1n_ref)
+            # the kernel row is the unsigned profile
+            assert single.tobytes() == np.abs(row_ref).tobytes()
             closed = c1n_channel(beta, n // 2) if beta > 1.0 else math.nan
-            expected = (n, beta, design.boundary_concurrence, closed, deviation)
+            expected = (n, beta, c1n, closed, _oracle_deviation(n, beta))
             assert _bits(next(rows)) == _bits(expected)
     assert next(rows, None) is None
 
@@ -341,8 +352,32 @@ def test_channel_curve_memory_follows_the_chunk_not_the_beta_axis():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one unchunked 1000 x 500 profile array alone would take about 4 MB
+    # a chunk of 1000 rows holds three columns of 1000 floats; a 1000 x 500
+    # profile array alone would take about 4 MB
     assert peak < 1024 * 1024
+
+
+def test_channel_curve_at_the_site_cap_is_o1_a_row():
+    # each row is one root and a few math calls, so a chain at the cap
+    # costs what a short one does: no allocation grows with N
+    betas = (1.5, 3.0, 5.0, 20.0)
+    peaks = []
+    for n in (1000, chain.SITE_CAP):
+        list(channel_curve((n,), betas))
+        tracemalloc.start()
+        try:
+            rows = list(channel_curve((n,), betas))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 4 and all(math.isfinite(row[4]) for row in rows)
+    assert peaks[1] <= peaks[0] < 16 * 1024
+    best = math.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        list(channel_curve((chain.SITE_CAP,), betas))
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.010
 
 
 def test_design_report_four_sites():
@@ -1036,19 +1071,19 @@ def test_cli_overflowing_scale_exits_2_before_any_block_is_built(
 
 @pytest.mark.parametrize("existing", [None, b"old bytes\n"])
 def test_cli_error_inside_the_rows_leaves_out_untouched(monkeypatch, tmp_path, capsys, existing):
-    # the second profile solve (N = 6's chunk of betas) fails while the rows
+    # the second chunk solve (N = 6's chunk of betas) fails while the rows
     # are being written into the temporary file beside --out, after the
     # header and N = 4's rows
     calls = []
-    ground_profiles = channel._ground_profiles
+    channel_rows = channel._channel_rows
 
     def second_fails(*args):
         calls.append(args)
         if len(calls) == 2:
             raise NumericError("synthetic")
-        return ground_profiles(*args)
+        return channel_rows(*args)
 
-    monkeypatch.setattr(channel, "_ground_profiles", second_fails)
+    monkeypatch.setattr(channel, "_channel_rows", second_fails)
     out = tmp_path / "out.csv"
     if existing is not None:
         out.write_bytes(existing)

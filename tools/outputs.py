@@ -19,10 +19,11 @@ Runs ``xxzchain.cli.main`` in process, with one BLAS thread, on:
   and 3 deltas, a T = 1e-200 ``curve`` on the 9-site bulk-field channel
   spec, where every weight of a nonzero gap underflows to 0, and
   ``channel`` at betas 0, 0.5 and 1 (the nan and inf columns) with
-  N = 2000, whose betas fall in several chunks, and ``channel`` at N in
-  {2000, 20000} on the unsorted betas [1e8, 0.5, 3, 1, 50, 1.0000001, 1e4],
-  which mix band and bound rows in one chunk and reach both cutoffs of the
-  profile kernel (``EXTRA``);
+  N = 2000, ``channel`` at N in {2000, 20000} on the unsorted betas
+  [1e8, 0.5, 3, 1, 50, 1.0000001, 1e4], which mix band and bound rows in
+  one chunk, and ``channel`` at N = 10^7 (``chain.SITE_CAP``) on the
+  betas [0.5, 1, 1.5, 3, 5, 20], whose profiles fall below the float range
+  long before the fold (``EXTRA``);
 
 each in CSV and in JSONL.  For each case it prints one line: the case, the
 SHA-256 of stdout, the SHA-256 of stderr and the exit code.  Two trees print
@@ -35,8 +36,11 @@ the same lines exactly when they print the same bytes and exit codes:
 For a change that moves printed numbers on purpose, ``--against OTHER_SRC``
 runs both trees and compares them instead.  It prints one line per case:
 ``identical``, or how many rows differ and the largest absolute difference
-in each numeric column.  A differing header, row count, exit code, stderr or
-non-numeric field is named on that line, and the script then exits 1:
+in each numeric column, followed by one indented line per moved value (its
+row, column, the other tree's value, this tree's and, where both are finite,
+the move in units in the last place of the other's).  A differing header,
+row count, exit code, stderr or non-numeric field is named on the case's
+line, and the script then exits 1:
 
     python tools/outputs.py --against path/to/other/src
 """
@@ -136,11 +140,14 @@ EXTRA = [
     ("channel beta<=1", "channel",
      {"n_sites_values": [4, 10, 2000], "coupling": 0.8,
       "grid": {"beta": [0, 0.5, 1, 1.0000001, 1.5, 3, 6, 12, 24]}}),
-    # unsorted betas: band and bound rows in one chunk, and both cutoffs of
-    # the profile kernel (the fold factor's and the underflowed head's)
+    # unsorted betas: band and bound rows in one chunk, at lengths where the
+    # stored profile would underflow long before the fold
     ("channel mixed cutoffs", "channel",
      {"n_sites_values": [2000, 20000], "coupling": 1.0,
       "grid": {"beta": [1e8, 0.5, 3, 1.0, 50, 1.0000001, 1e4]}}),
+    # the longest chain the cap admits: band, flat and bound rows
+    ("channel N=1e7", "channel",
+     {"n_sites_values": [10**7], "grid": {"beta": [0.5, 1, 1.5, 3, 5, 20]}}),
 ]
 
 
@@ -253,8 +260,8 @@ def compare(case: str, this, other) -> tuple[str, bool]:
         rows = other_rows = []
     numeric = [_number(value) is not None for value in (rows[0] if rows else [])]
     largest = {column: 0.0 for column, number in zip(header, numeric) if number}
-    changed = 0
-    for row, other_row in zip(rows, other_rows):
+    changed, moved = 0, []
+    for index, (row, other_row) in enumerate(zip(rows, other_rows)):
         changed += row != other_row
         for column, a, b in zip(header, row, other_row):
             x, y = _number(a), _number(b)
@@ -264,13 +271,15 @@ def compare(case: str, this, other) -> tuple[str, bool]:
                 problems.append(f"field {column!r}")
             else:
                 largest[column] = max(largest[column], abs(x - y))
+                ulps = f" ({abs(x - y) / math.ulp(y):.3g} ulps)" if math.isfinite(x - y) else ""
+                moved.append(f"\n  row {index} {column}: {b} -> {a}{ulps}")
     report = []
     if rows:
         diffs = " ".join(f"{column}={value:.3g}" for column, value in largest.items())
         report.append(f"{changed} of {len(rows)} rows differ, max |diff| {diffs}")
     if problems:
         report.append("differs in " + ", ".join(dict.fromkeys(problems)))
-    return f"{case} " + "; ".join(report), bool(problems)
+    return f"{case} " + "; ".join(report) + "".join(moved), bool(problems)
 
 
 def main() -> int:
