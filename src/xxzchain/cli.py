@@ -29,6 +29,7 @@ import numpy as np
 
 from .chain import GRID_POINT_CAP, ChainSpec, _rows, check_grid
 from .channel import channel_blocks, design_report
+from .closed_forms import TABLE_4SITE
 from .errors import DomainError, NumericError, ResourceCapError
 from .sweep import _curve_blocks, _scan_blocks, table1_rows
 from .sweep import phase_scan  # unused: perfbench's tracer test reads it from here
@@ -198,9 +199,7 @@ def _cmd_table1(config: dict):
         "two_up_energy_numeric",
         "two_up_energy_reference",
     ]
-    if "delta_values" not in config:
-        return header, None, _one_per_block(table1_rows())
-    return header, None, _one_per_block(table1_rows(config["delta_values"]))
+    return header, None, _one_per_block(table1_rows(config.get("delta_values", TABLE_4SITE)))
 
 
 _COMMANDS = {

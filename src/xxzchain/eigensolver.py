@@ -9,7 +9,7 @@ matrices is decomposed in one call, each matrix to the bits it gets alone
 
 OpenBLAS splits a blocked reduction's sums across its threads, so the bits
 of an ``eigh`` (or of a long dot product) depend on its thread count.  The
-sweeps and the channel kernel make their LAPACK and BLAS calls inside
+sweeps make every LAPACK call of theirs inside
 ``_one_blas_thread``, which runs numpy's OpenBLAS on one thread there: their
 bytes are the one-thread bytes whatever the count outside, and several
 threads of the caller's own can make such calls at once.  Where numpy's BLAS

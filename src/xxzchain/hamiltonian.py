@@ -38,7 +38,7 @@ def _site_bits(n_sites: int, states: np.ndarray) -> np.ndarray:
 # the characters of {1}, {1, g} and {1, g, h, gh}, one row each, on the
 # elements in that order (the leading square of the table):
 # chi_c(e) = (-1)^(the number of bits c and e share)
-_CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
+_CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
 # 1 / sqrt(|orbit|) by orbit size, with 1/sqrt(2) rounded down: the squared
 # amplitudes of an orbit sum to at most 1 in floating point, so unfolding
 # never scales a squared amplitude up (a singlet's concurrence stays <= 1)
@@ -179,7 +179,7 @@ def _block_parts(template: ChainSpec, sectors, sizes, labels, bits) -> list:
     orbit = np.searchsorted(reps, rep)
     stabilizer = image[:, reps] == reps
     # held[c, a]: chi_c is 1 on the stabilizer of representative a
-    held = _CHARACTERS @ stabilizer == stabilizer.sum(axis=0)
+    held = _CHARACTERS @ stabilizer == stabilizer.sum(axis=0)  # int matmul: no BLAS call
     orbit_size = (4 // stabilizer.sum(axis=0))[orbit]
     sign = _CHARACTERS[:, (image == rep).argmax(axis=0)]  # chi(h_s), h_s r = s
     amp = np.where(held[:, orbit], sign * _ORBIT_AMP[orbit_size], 0.0)

@@ -296,8 +296,7 @@ class _BlockPlan:
         bits = _site_bits(n, labels)
         self.zz, self.zeeman = _diagonal_terms(template, bits)
         pair_maps = _slot_maps(2 * bits[self.pair[0] - 1] + bits[self.pair[1] - 1], sizes)
-        with _one_blas_thread:  # its one matrix product
-            parts = _block_parts(template, self.sectors, sizes, labels, bits)
+        parts = _block_parts(template, self.sectors, sizes, labels, bits)
         self.blocks = [_Block(*block, maps) for block, maps in zip(parts, pair_maps)]
         largest = max(len(part[0]) for block in self.blocks for part in block.parts)
         self.chunk = max(1, _STACK_BYTES // (8 * largest**2))
@@ -598,23 +597,15 @@ def ground_regimes(spec: ChainSpec) -> tuple[GroundRegime, ...]:
     as B leaves the eigenvectors alone; all are read in one ``field_rows``
     call at interior fields.  The regime holding B = 0 also carries the
     ground energy there.  The spec's ``temperature`` is not read.
+
+    Every crossing (a level gap over 2 or more) lies within the zero-field
+    norm bound, every interior field within half a unit past it; the walk
+    reads levels up to that reach and refuses its scale before the plan.
     """
-    # the scale at the walk's reach is refused before the plan is built
-    _norm_bound(spec, abs(spec.delta), _regime_reach(spec, spec.delta))
-    return _regimes(_BlockPlan(spec, (1, spec.n_sites)), spec.delta)
-
-
-def _regime_reach(spec: ChainSpec, delta: float) -> float:
-    """The field up to which a regime walk at ``delta`` reads levels: every
-    crossing, a level gap over 2 or more, lies within the zero-field norm
-    bound, and every interior field within half a unit past it."""
-    return _norm_bound(spec, delta, 0.0) + 0.5
-
-
-def _regimes(plan: _BlockPlan, delta: float) -> tuple[GroundRegime, ...]:
-    """``ground_regimes`` of the plan's template at ``delta``."""
-    n = plan.template.n_sites
-    spectrum = plan.spectrum(delta, _regime_reach(plan.template, delta))
+    n, delta = spec.n_sites, spec.delta
+    reach = _norm_bound(spec, delta, 0.0) + 0.5
+    _norm_bound(spec, abs(delta), reach)
+    spectrum = _BlockPlan(spec, (1, n)).spectrum(delta, reach)
     lowest = [float(spectrum.energies[spectrum.sector == k].min()) for k in range(n + 1)]
     [(_, (e0,), (k,), _, _)] = spectrum.field_rows((0.0,))
     k, lo, regimes = int(k), 0.0, []
@@ -642,7 +633,8 @@ def _regimes(plan: _BlockPlan, delta: float) -> tuple[GroundRegime, ...]:
 
 def table1_rows(deltas=tuple(closed_forms.TABLE_4SITE)):
     """Numeric regime table printed beside the quoted reference values:
-    ``ground_regimes`` of the uniform 4-site chain, one plan for every delta.
+    ``ground_regimes`` of the uniform 4-site chain at each delta, one plan
+    a delta, each built when its delta's first row is read.
 
     Columns: delta, regime index, numeric/reference boundaries and maxima,
     two-up zero-field energies, and absolute deltas where both sides exist.
@@ -652,12 +644,12 @@ def table1_rows(deltas=tuple(closed_forms.TABLE_4SITE)):
     """
     (deltas,) = check_grid(deltas)
     references = [closed_forms.c14_ground_regimes(delta) for delta in deltas]
-    plan = _BlockPlan(ChainSpec.uniform(4), (1, 4))
     return (
         (float(delta), r, num.n_up, num.b_min, num.b_max, ref.b_min, ref.b_max,
          abs(num.b_min - ref.b_min), abs(num.b_max - ref.b_max) if ref.b_max != inf else 0.0,
          num.c14_max, ref.c14_max, abs(num.c14_max - ref.c14_max),
          *(nan if e is None else e for e in (num.energy_at_zero_field, ref.energy_at_zero_field)))
         for delta, reference in zip(deltas, references)
-        for r, (num, ref) in enumerate(zip(_regimes(plan, delta), reference))
+        for r, (num, ref) in enumerate(
+            zip(ground_regimes(ChainSpec.uniform(4, delta=delta)), reference))
     )

@@ -2,7 +2,6 @@
 
 import contextlib
 import io
-import math
 import re
 import types
 from pathlib import Path
@@ -18,14 +17,6 @@ def _quick_start() -> str:
     return block
 
 
-def _same_token(printed: str, stated: str) -> bool:
-    try:
-        a, b = float(printed), float(stated)
-    except ValueError:
-        return printed == stated
-    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15)
-
-
 def test_quick_start_prints_the_values_its_comments_state():
     block = _quick_start()
     stated = [line[3:] for line in block.splitlines() if line.startswith("#> ")]
@@ -33,11 +24,9 @@ def test_quick_start_prints_the_values_its_comments_state():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
-    printed = out.getvalue().splitlines()
-    assert len(printed) == len(stated)
-    for got, want in zip(printed, stated):
-        assert len(got.split()) == len(want.split()), (got, want)
-        assert all(_same_token(a, b) for a, b in zip(got.split(), want.split())), (got, want)
+    # every value comes from the thread-pinned sweeps or scalar math, so
+    # each line is compared as a string: a stale digit fails
+    assert out.getvalue().splitlines() == stated
 
 
 def test_namespace_sentence_names_exactly_the_public_package_attributes():

@@ -27,7 +27,7 @@ from xxzchain.channel import (
     impurity_profile_chain,
     ratio_profile,
 )
-from xxzchain.closed_forms import c14_ground_regimes, c1n_channel
+from xxzchain.closed_forms import TABLE_4SITE, c14_ground_regimes, c1n_channel
 from xxzchain.errors import DomainError, NumericError, ResourceCapError
 from xxzchain.sweep import (
     classify_ground_state,
@@ -581,6 +581,29 @@ def test_table1_rows_quoted_energy_column():
     assert row[13] == -2.712
 
 
+@pytest.mark.parametrize("delta", list(TABLE_4SITE))
+def test_table1_rows_are_ground_regimes_of_the_uniform_4_site_chain(delta):
+    rows = list(table1_rows((delta,)))
+    regimes = ground_regimes(ChainSpec.uniform(4, delta=delta))
+    assert [row[:2] for row in rows] == [(delta, r) for r in range(len(regimes))]
+    numeric = [(row[2], row[3], row[4], row[9], row[12]) for row in rows]
+    fields = [
+        (g.n_up, g.b_min, g.b_max, g.c14_max,
+         math.nan if g.energy_at_zero_field is None else g.energy_at_zero_field)
+        for g in regimes
+    ]
+    assert repr(numeric) == repr(fields)
+
+
+def test_ground_regimes_refuse_the_scale_of_a_negative_delta_by_its_size(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("a basis was built before the scale check")
+
+    monkeypatch.setattr(sweep, "build_sector_basis", unbuilt)
+    with pytest.raises(DomainError, match=r"at delta = 5e\+306 and B = .* overflows"):
+        ground_regimes(ChainSpec.uniform(4, delta=-5e306))
+
+
 # --- CLI ---------------------------------------------------------------
 
 
@@ -1066,6 +1089,41 @@ def test_cli_overflowing_scale_exits_2_before_any_block_is_built(
     assert main([command, "--config", _write_config(tmp_path, config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and cause in err and "overflows" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([{"spec": _SCAN_SPEC, "grid": _SCAN_GRID}], "config must be a JSON object"),
+        ({"grid": _SCAN_GRID}, "config is missing required key 'spec'"),
+        ({"spec": _SCAN_SPEC, "grid": {"delta": [0.0]}}, "config grid is missing axis 'B'"),
+        ({"spec": _SCAN_SPEC, "grid": {"delta": [0.0], "B": {"min": 0, "max": 10**400, "step": 1}}},
+         "grid min, max and step must lie in the float range"),
+    ],
+    ids=["list", "no_spec", "no_axis", "range_past_the_float_range"],
+)
+def test_cli_config_grammar_errors_exit_2_without_output(tmp_path, capsys, config, message):
+    out = tmp_path / "out.csv"
+    assert main(["phase-scan", "--config", _write_config(tmp_path, config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
+def test_cli_eigh_failure_exits_4_through_decompose(monkeypatch, tmp_path, capsys):
+    # LAPACK's own failure, mapped to NumericError by eigensolver.decompose
+    def failing(matrix):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    out = tmp_path / "out.csv"
+    config = {"spec": _SCAN_SPEC, "grid": _SCAN_GRID}
+    assert main(["phase-scan", "--config", _write_config(tmp_path, config), "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric failure: eigendecomposition failed: injected\n"
     assert not out.exists()
 
 

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reference import joined_field_rows, phase_points
-from xxzchain import hamiltonian, sweep
+from xxzchain import eigensolver, hamiltonian, sweep
 from xxzchain.chain import ChainSpec, build_sector_basis
 from xxzchain.sweep import (
     _BlockPlan,
@@ -195,6 +195,32 @@ def test_the_window_drops_levels_only_at_zero_temperature():
     pruned = plan.spectrum(1.0, max(map(abs, fields)))
     assert len(pruned.energies) < 30
     assert sorted(set(pruned.sector.tolist())) == list(range(11))
+
+
+class _CountingPin:
+    """A stand-in for ``sweep._one_blas_thread`` that counts the blocks
+    entered and pins as the real one does."""
+
+    def __init__(self):
+        self.entries = 0
+
+    def __enter__(self):
+        self.entries += 1
+        return eigensolver._one_blas_thread.__enter__()
+
+    def __exit__(self, *exc_info):
+        eigensolver._one_blas_thread.__exit__(*exc_info)
+
+
+def test_only_a_chunk_of_deltas_enters_the_blas_pin(monkeypatch):
+    # the plan's one product (``_CHARACTERS @ stabilizer``) is integer
+    # arithmetic, no BLAS call; the pin wraps a chunk's LAPACK calls alone
+    pin = _CountingPin()
+    monkeypatch.setattr(sweep, "_one_blas_thread", pin)
+    plan = _BlockPlan(ChainSpec.uniform(10), (1, 10))
+    assert pin.entries == 0
+    assert len(list(plan.spectra((0.5, 1.0), 2.0))) == 2  # one chunk of 21
+    assert pin.entries == 1
 
 
 def test_ground_regimes_read_only_the_levels_that_can_be_ground(monkeypatch):

@@ -6,7 +6,8 @@ Runs ``xxzchain.cli.main`` in process, with one BLAS thread, on:
   1-5 (the file is read, never changed);
 - ``table1`` with its default deltas;
 - ``design`` at N in {4, 20, 250, 1000} x target in {0.5, 0.99, 0.999999};
-- ``phase-scan`` and T = 0 ``curve`` on a field axis holding both -0.0 and
+- ``table1`` on the deltas [2, 0, 0.5] (an int, out of table order),
+  ``phase-scan`` and T = 0 ``curve`` on a field axis holding both -0.0 and
   0.0 with an int delta, a T > 0 ``curve`` at N = 10, a uniform N = 10
   ``phase-scan`` and a uniform N = 6 T > 0 ``curve`` whose field pass
   spans three chunks a delta, a uniform N = 8 ``phase-scan`` and T > 0
@@ -87,6 +88,8 @@ def _spec(n_sites: int, temperature: float = 0.0, uniform: bool = False) -> dict
 SIGNED = [-0.0, 0.0, 0.25, -0.5, 1, 1.75]  # both zeros, an int and signed values
 DELTAS = [-1 + 0.125 * m for m in range(25)]
 EXTRA = [
+    # an int delta, and the deltas out of table order
+    ("table1 reordered", "table1", {"delta_values": [2, 0, 0.5]}),
     ("phase-scan signed zeros", "phase-scan",
      {"spec": _spec(6), "grid": {"delta": [1, 0.5], "B": SIGNED}}),
     ("curve signed zeros", "curve",
